@@ -324,8 +324,8 @@ def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
     return StaticSequence(maker(cfg.m))
 
 
-def _build_objective(cfg: ExperimentConfig, seq: GraphSequence):
-    """Returns (objective, graph sequence); the hard instance overrides the topology."""
+def _build_objective(cfg: ExperimentConfig, seq: GraphSequence | None):
+    """Returns (objective, graph sequence); the zero-chain instance brings its own rotating star."""
     if cfg.objective == "logistic":
         rows = parse_libsvm(cfg.dataset)
         return logistic_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed), cfg.reg), seq
@@ -362,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     Returns ``(trace, csv_path, meta_path)``.
     """
     cfg.validate()
-    seq = _build_sequence(cfg)
+    seq = None if cfg.objective == "zero_chain" else _build_sequence(cfg)
     obj, seq = _build_objective(cfg, seq)
     info = obj.info
 
@@ -405,6 +405,9 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         progress_tracker=progress_tracker,
         stop_dist_sq=cfg.stop_dist_sq or None,
     )
+    graphs = None  # sequences other than random-geometric build their graphs once, up front
+    if isinstance(seq, RandomGeometricSequence):
+        graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max}
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -416,7 +419,9 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     values = trace.column("avg_value")
     meta = {
         "config": asdict(cfg),
+        "topology": seq.kind,
         "chi": chi,
+        "graphs": graphs,
         "constants": {
             "L": info.L,
             "mu": info.mu,

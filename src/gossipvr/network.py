@@ -35,8 +35,6 @@ __all__ = [
     "gossip_from_laplacian",
     "apply_mixing",
     "measure_chi",
-    "random_geometric_sequence",
-    "two_star_hop_sequence",
     "rotating_star_sequence",
     "multi_stage_mix",
     "chebyshev_mix",
@@ -164,7 +162,11 @@ def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
     eigs = np.linalg.eigvalsh(lap)
     lam_max = float(eigs[-1])
     positive = eigs[eigs > _KERNEL_CUTOFF * lam_max]
-    lam_min_pos = float(positive[0])
+    return _normalized_gossip(lap, lam_max, float(positive[0]))
+
+
+def _normalized_gossip(lap: np.ndarray, lam_max: float, lam_min_pos: float) -> GossipMatrix:
+    """``W = lap / lam_max`` (symmetrized) with chi from the Laplacian's extreme positive eigenvalues."""
     w = lap / lam_max
     w = 0.5 * (w + w.T)
     chi = lam_max / lam_min_pos
@@ -256,13 +258,19 @@ class RandomGeometricSequence(GraphSequence):
     Points are uniform in the unit square; pairs within ``radius`` are joined
     with unit weight.  Step ``k`` is a pure function of ``(seed, k)``, so runs
     can revisit steps in any order.
+
+    Gossip matrices are built straight from the boolean adjacency: one
+    ``eigvalsh`` of its Laplacian both tests connectivity (a single kernel
+    eigenvalue) and gives ``chi``.  ``built``, ``resamples`` and ``chi_max``
+    count the matrices built, the disconnected draws rejected and the largest
+    exact per-step ``chi`` built so far.
     """
 
     kind = "random-geometric"
 
     CACHE_LIMIT = 4096  # steps are pure functions of (seed, k); eviction is safe
 
-    def __init__(self, m: int, radius: float, seed: int, horizon: int = 1000, max_retries: int = 1000):
+    def __init__(self, m: int, radius: float, seed: int, max_retries: int = 1000):
         if m < 2:
             raise ValueError("random geometric sequence needs m >= 2")
         if radius <= 0:
@@ -270,39 +278,43 @@ class RandomGeometricSequence(GraphSequence):
         self.m = m
         self.radius = float(radius)
         self.seed = int(seed)
-        self.horizon = int(horizon)
         self.max_retries = int(max_retries)
-        self._graph_cache: dict[int, WeightedGraph] = {}
-        self._gossip_cache: dict[int, GossipMatrix] = {}
-
-    @staticmethod
-    def _trim(cache: dict) -> None:
-        while len(cache) > RandomGeometricSequence.CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
+        self._cache: dict[int, GossipMatrix] = {}
+        self.built = 0
+        self.resamples = 0
+        self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
-        if k not in self._graph_cache:
-            self._graph_cache[k] = self._sample(k)
-            self._trim(self._graph_cache)
-        return self._graph_cache[k]
+        w = self._cache[k] if k in self._cache else self._build(k)
+        # Off the diagonal, W is nonzero exactly on the edges.
+        ii, jj = np.nonzero(np.triu(w.matrix, k=1))
+        return WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
 
     def gossip(self, k: int) -> GossipMatrix:
-        if k not in self._gossip_cache:
-            self._gossip_cache[k] = gossip_from_laplacian(self.graph(k))
-            self._trim(self._gossip_cache)
-        return self._gossip_cache[k]
+        if k not in self._cache:
+            self._cache[k] = self._build(k)
+            if len(self._cache) > self.CACHE_LIMIT:
+                self._cache.pop(next(iter(self._cache)))
+        return self._cache[k]
 
-    def _sample(self, k: int) -> WeightedGraph:
+    def _build(self, k: int) -> GossipMatrix:
         rng = np.random.default_rng((self.seed, k))
         r2 = self.radius * self.radius
         for _ in range(self.max_retries):
             pts = rng.uniform(size=(self.m, 2))
             diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = np.sum(diff * diff, axis=2)
-            ii, jj = np.where(np.triu(dist2 <= r2, k=1))
-            g = WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
-            if g.is_connected():
-                return g
+            adj = np.sum(diff * diff, axis=2) <= r2
+            np.fill_diagonal(adj, False)
+            lap = np.diag(adj.sum(axis=1).astype(float)) - adj
+            eigs = np.linalg.eigvalsh(lap)
+            lam_max = float(eigs[-1])
+            # Connected iff the Laplacian kernel is one-dimensional; an edgeless draw has lam_max 0.
+            if eigs[1] > _KERNEL_CUTOFF * lam_max:
+                w = _normalized_gossip(lap, lam_max, float(eigs[1]))
+                self.built += 1
+                self.chi_max = max(self.chi_max, w.chi)
+                return w
+            self.resamples += 1
         raise RuntimeError(
             f"no connected geometric graph after {self.max_retries} resamples "
             f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
@@ -422,14 +434,6 @@ class RotatingStarSequence(GraphSequence):
             degree[i] += 1
             degree[j] += 1
         return int(np.argmax(degree))
-
-
-def random_geometric_sequence(m: int, radius: float, seed: int, horizon: int = 1000) -> RandomGeometricSequence:
-    return RandomGeometricSequence(m, radius, seed, horizon=horizon)
-
-
-def two_star_hop_sequence(m: int) -> TwoStarHopSequence:
-    return TwoStarHopSequence(m)
 
 
 def rotating_star_sequence(m: int, s1: Sequence[int] | None = None, s2: Sequence[int] | None = None) -> RotatingStarSequence:

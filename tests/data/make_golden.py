@@ -1,0 +1,57 @@
+"""Regenerate the golden traces that ``tests/test_golden.py`` compares runs against.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+Each case is a 200-iteration cut of a README CLI run.  ``golden_traces.json``
+keeps, per case, the config, the CSV lines the run wrote and the per-node
+oracle counts.  Regenerate only when a change is meant to alter the traces,
+and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+from gossipvr.harness import ExperimentConfig, run_experiment
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_PATH = HERE / "golden_traces.json"
+
+CASES = {
+    "adom_vr_logistic_rg": dict(
+        method="adom_vr", objective="logistic", dataset="logreg500.libsvm", topology="random-geometric",
+        m=10, n=10, reg=0.1, budget_iters=200, metric_every=5, seed=4,
+    ),
+    "gt_page_nlls_rg": dict(
+        method="gt_page", objective="nlls", dataset="logreg500.libsvm", topology="random-geometric",
+        m=10, n=10, budget_iters=200, metric_every=5, seed=0,
+    ),
+}
+
+
+def run_case(config: dict, out_dir: Path) -> dict:
+    """Run one case (``dataset`` relative to this directory) and return its golden record."""
+    fields = dict(config, dataset=str(HERE / config["dataset"]), out=str(out_dir))
+    trace, csv_path, _ = run_experiment(ExperimentConfig().replace(**fields))
+    header, *rows = csv_path.read_text().splitlines()
+    return {
+        "config": config,
+        "header": header,
+        "rows": rows,
+        "oracle_calls_per_node": trace.metadata["oracle_calls_per_node"],
+    }
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {name: run_case(config, Path(tmp)) for name, config in CASES.items()}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

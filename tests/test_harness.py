@@ -5,6 +5,7 @@ import pytest
 
 from gossipvr.harness import (
     ExperimentConfig,
+    _build_sequence,
     parse_libsvm,
     partition_dataset,
     reference_solution,
@@ -240,6 +241,23 @@ class TestRunExperiment:
         )
         trace, csv_path, meta_path = run_experiment(cfg)
         assert csv_path.exists()
+        meta = json.loads(meta_path.read_text())
+        assert meta["topology"] == "rotating-star"
+        assert meta["graphs"] is None
+
+    def test_random_geometric_graph_counters_in_sidecar(self, tmp_path, fixture_path):
+        cfg = self.small_cfg(
+            tmp_path, fixture_path, method="gt_page", objective="chain", topology="random-geometric",
+            radius=0.45, budget_iters=5, chi_trials=3,
+        )
+        _, _, meta_path = run_experiment(cfg)
+        meta = json.loads(meta_path.read_text())
+        assert meta["topology"] == "random-geometric"
+        steps = 5 * meta["parameters"]["stages"]  # the chi_trials steps are the run's first steps
+        replay = _build_sequence(cfg)
+        chi_max = max(replay.gossip(k).chi for k in range(steps))
+        assert replay.resamples > 0
+        assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max}
 
     def test_gt_baseline_on_chain(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)

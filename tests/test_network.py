@@ -149,8 +149,58 @@ class TestRandomGeometric:
             assert seq.graph(k).edge_set() == {(0, 1)}
 
     def test_connected_over_horizon(self):
-        seq = RandomGeometricSequence(50, 0.3, seed=7, horizon=1000)
+        seq = RandomGeometricSequence(50, 0.3, seed=7)
         assert all(seq.graph(k).is_connected() for k in range(1000))
+
+    @pytest.mark.parametrize(
+        "m, radius, seed, resamples",
+        # Resample totals over steps 0..299, frozen from the WeightedGraph/BFS build.
+        [(10, 0.7, 3, 0), (10, 0.45, 1, 189), (10, 0.35, 2, 1619), (50, 0.3, 7, 11), (2, 2.0, 0, 0)],
+    )
+    def test_gossip_bit_exact_with_graph_laplacian(self, m, radius, seed, resamples):
+        seq = RandomGeometricSequence(m, radius, seed=seed)
+        chis = []
+        for k in range(300):
+            w = seq.gossip(k)
+            ref = gossip_from_laplacian(seq.graph(k))
+            assert np.array_equal(w.matrix, ref.matrix)
+            assert w.chi == ref.chi
+            assert w.lam_min_pos == ref.lam_min_pos
+            chis.append(w.chi)
+        assert seq.built == 300
+        assert seq.resamples == resamples
+        assert seq.chi_max == max(chis)
+
+    @pytest.mark.parametrize(
+        "m, radius, seed, k, edges",
+        # Steps that needed 14, 9, 2 and 2 resamples; edge lists frozen from the
+        # WeightedGraph/BFS build, so the RNG stream and rejections cannot drift.
+        [
+            (10, 0.35, 2, 1, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 8), (1, 9), (2, 3), (2, 5), (3, 5),
+                              (4, 7), (4, 8), (6, 7), (6, 8), (6, 9), (7, 8)]),
+            (10, 0.35, 2, 3, [(0, 6), (0, 9), (1, 3), (1, 7), (2, 4), (2, 9), (3, 4), (3, 5), (3, 6), (3, 8),
+                              (4, 6), (4, 8), (4, 9), (5, 6), (6, 8), (6, 9), (8, 9)]),
+            (10, 0.45, 1, 0, [(0, 2), (0, 3), (0, 5), (0, 8), (0, 9), (1, 2), (1, 7), (1, 9), (2, 3), (2, 5),
+                              (2, 8), (2, 9), (3, 4), (3, 5), (3, 6), (3, 8), (4, 6), (5, 8), (5, 9), (8, 9)]),
+            (10, 0.45, 1, 8, [(0, 1), (0, 4), (0, 7), (0, 8), (0, 9), (1, 4), (1, 7), (2, 3), (2, 5), (2, 6),
+                              (2, 8), (2, 9), (3, 6), (3, 8), (3, 9), (5, 6), (5, 8), (5, 9), (6, 8), (6, 9),
+                              (8, 9)]),
+        ],
+    )
+    def test_resampled_steps_pinned(self, m, radius, seed, k, edges):
+        seq = RandomGeometricSequence(m, radius, seed=seed)
+        assert [(i, j) for i, j, _ in seq.graph(k).edges] == edges
+        assert all(w == 1.0 for _, _, w in seq.graph(k).edges)
+
+    def test_evicted_steps_rebuild_identically(self, monkeypatch):
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_LIMIT", 4)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        first, first_graph = seq.gossip(0), seq.graph(0)
+        for k in range(1, 10):
+            seq.gossip(k)
+        assert seq.graph(0) == first_graph
+        assert np.array_equal(seq.gossip(0).matrix, first.matrix)
+        assert seq.built == 12  # step 0 was evicted and rebuilt twice
 
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0, max_retries=20)
