@@ -18,9 +18,7 @@ from .objectives import (
     DatasetShard,
     FiniteSumObjective,
     SmoothnessInfo,
-    batch_gradient,
     finite_difference_check,
-    full_gradient,
     logistic_objective,
     nlls_objective,
 )

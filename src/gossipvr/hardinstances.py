@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import GraphSequence, rotating_star_sequence
+from .network import GraphSequence, RotatingStarSequence
 from .objectives import FiniteSumObjective, SmoothnessInfo
 
 __all__ = [
@@ -147,10 +147,8 @@ def chain_q(kappa: float) -> float:
     return (s - 1.0) / (s + 1.0)
 
 
-@dataclass(frozen=True)
-class ChainRoles:
-    v_left: int
-    v_right: int
+# The two chain nodes: the centers of the left and right stars of the two-star hop topology.
+_V_LEFT, _V_RIGHT = 0, 1
 
 
 class ChainObjective(FiniteSumObjective):
@@ -167,7 +165,7 @@ class ChainObjective(FiniteSumObjective):
     ``mu/(m-2)``); ``info.mu`` records the uniform lower bound.
     """
 
-    def __init__(self, m: int, n: int, big_l: float, mu: float, dim: int, roles: ChainRoles | None = None):
+    def __init__(self, m: int, n: int, big_l: float, mu: float, dim: int):
         if m < 3:
             raise ValueError("chain instance needs m >= 3")
         if not (0 < mu < big_l):
@@ -177,15 +175,14 @@ class ChainObjective(FiniteSumObjective):
         self.m, self.n, self.dim = m, n, dim
         self.d = n * dim
         self.big_l, self.mu_chain = float(big_l), float(mu)
-        self.roles = roles or ChainRoles(v_left=0, v_right=1)
         self.q = chain_q(big_l / mu)
         self.x_star_slot = self.q ** np.arange(1, dim + 1)
         self.tail_error = self.q ** (2 * dim) / (1.0 - self.q * self.q)
         mu_other = mu / (m - 2)
         self.mu_i = np.full(m, mu_other)
-        self.mu_i[[self.roles.v_left, self.roles.v_right]] = mu
+        self.mu_i[[_V_LEFT, _V_RIGHT]] = mu
         l_ij = np.full((m, n), mu_other)
-        l_ij[[self.roles.v_left, self.roles.v_right]] = big_l
+        l_ij[[_V_LEFT, _V_RIGHT]] = big_l
         self.info = SmoothnessInfo(L=float(big_l), mu=float(mu_other), L_ij=l_ij, Lhat=float(big_l))
         self.info.validate(n)
 
@@ -198,7 +195,7 @@ class ChainObjective(FiniteSumObjective):
 
     def _g(self, i: int, y: np.ndarray) -> tuple[float, np.ndarray]:
         mu, big_l = self.mu_chain, self.big_l
-        if i == self.roles.v_left:
+        if i == _V_LEFT:
             c = (big_l - mu) / 4.0
             val = 0.5 * mu * y @ y + c * (y[0] - 1.0) ** 2
             grad = mu * y.copy()
@@ -210,7 +207,7 @@ class ChainObjective(FiniteSumObjective):
                 grad[lo] += 2.0 * c * diff
                 grad[hi] -= 2.0 * c * diff
             return val, grad
-        if i == self.roles.v_right:
+        if i == _V_RIGHT:
             c = (big_l - mu) / 4.0
             val = 0.5 * mu * y @ y
             grad = mu * y.copy()
@@ -346,18 +343,13 @@ class ZeroChainObjective(FiniteSumObjective):
             g += self._component(i, j, w)[1]
         return g / self.n
 
-    def camp_value_grad(self, camp: int, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Unsplit camp function (mean of its blocks), for splitting checks."""
-        node = self.s1[0] if camp == 1 else self.s2[0]
-        return self.local_value(node, np.asarray(w, dtype=float)), self.local_gradient(node, np.asarray(w, dtype=float))
-
 
 def nonconvex_hard_objective(
     m: int, n: int, big_l: float, delta: float, budget_comms: int, budget_oracle: int
 ) -> tuple[ZeroChainObjective, GraphSequence]:
     """Zero-chain hard instance paired with its rotating-star graph sequence."""
     obj = ZeroChainObjective(m, n, big_l, delta, budget_comms, budget_oracle)
-    seq = rotating_star_sequence(m, obj.s1, obj.s2)
+    seq = RotatingStarSequence(m, obj.s1, obj.s2)
     return obj, seq
 
 

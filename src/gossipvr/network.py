@@ -35,7 +35,7 @@ __all__ = [
     "gossip_from_laplacian",
     "apply_mixing",
     "measure_chi",
-    "rotating_star_sequence",
+    "consensus_residual",
     "multi_stage_mix",
     "chebyshev_mix",
     "node_mean",
@@ -219,26 +219,9 @@ class GraphSequence:
         return self.kind == "static"
 
 
-class StaticSequence(GraphSequence):
-    """The same graph (and gossip matrix) at every step."""
-
-    kind = "static"
-
-    def __init__(self, graph: WeightedGraph):
-        self.m = graph.m
-        self._graph = graph
-        self._gossip = gossip_from_laplacian(graph)
-        self.chi = self._gossip.chi
-        self.period = 1
-
-    def graph(self, k: int) -> WeightedGraph:
-        return self._graph
-
-    def gossip(self, k: int) -> GossipMatrix:
-        return self._gossip
-
-
 class _CyclicSequence(GraphSequence):
+    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once."""
+
     def __init__(self, graphs: Sequence[WeightedGraph]):
         self._graphs = list(graphs)
         self._gossips = [gossip_from_laplacian(g) for g in self._graphs]
@@ -250,6 +233,16 @@ class _CyclicSequence(GraphSequence):
 
     def gossip(self, k: int) -> GossipMatrix:
         return self._gossips[k % self.period]
+
+
+class StaticSequence(_CyclicSequence):
+    """The same graph (and gossip matrix) at every step."""
+
+    kind = "static"
+
+    def __init__(self, graph: WeightedGraph):
+        super().__init__([graph])
+        self.chi = self._gossips[0].chi
 
 
 class RandomGeometricSequence(GraphSequence):
@@ -321,7 +314,7 @@ class RandomGeometricSequence(GraphSequence):
         )
 
 
-class TwoStarHopSequence(GraphSequence):
+class TwoStarHopSequence(_CyclicSequence):
     """Cycle of two star trees whose bridge vertex migrates one hop per step.
 
     The cycle starts with an empty left star and a full right star, hops the
@@ -339,10 +332,8 @@ class TwoStarHopSequence(GraphSequence):
     def __init__(self, m: int):
         if m < 4:
             raise ValueError("two-star hop topology needs m >= 4")
-        self.m = m
-        self._cycle = _CyclicSequence(self._build_cycle(m))
-        self.period = self._cycle.period
-        worst = max(g.chi for g in self._cycle._gossips)
+        super().__init__(self._build_cycle(m))
+        worst = max(g.chi for g in self._gossips)
         if worst > 8 * m:
             raise RuntimeError(
                 f"two-star gossip condition number {worst:.3f} exceeds the 8m={8 * m} certificate"
@@ -375,14 +366,8 @@ class TwoStarHopSequence(GraphSequence):
             graphs.append(snapshot())
         return graphs
 
-    def graph(self, k: int) -> WeightedGraph:
-        return self._cycle.graph(k)
 
-    def gossip(self, k: int) -> GossipMatrix:
-        return self._cycle.gossip(k)
-
-
-class RotatingStarSequence(GraphSequence):
+class RotatingStarSequence(_CyclicSequence):
     """Star graph whose center rotates to throttle exchange between two camps.
 
     The node set splits into ``s1``, ``s2`` (both of size ``ceil(m/3)``) and
@@ -410,22 +395,14 @@ class RotatingStarSequence(GraphSequence):
             raise ValueError("s1 and s2 must be disjoint")
         if not (set(s1) | set(s2)) <= set(range(m)):
             raise ValueError("s1/s2 contain nodes outside [0, m)")
-        self.m = m
         self.s1, self.s2 = s1, s2
         self.s3 = tuple(v for v in range(m) if v not in set(s1) | set(s2))
         centers = []
         for exchange in (s1[0], s2[0]):
             centers.extend(self.s3)
             centers.append(exchange)
-        self._cycle = _CyclicSequence([star_graph(m, center=c) for c in centers])
-        self.period = self._cycle.period
+        super().__init__([star_graph(m, center=c) for c in centers])
         self.chi = float(m) if m > 2 else 1.0
-
-    def graph(self, k: int) -> WeightedGraph:
-        return self._cycle.graph(k)
-
-    def gossip(self, k: int) -> GossipMatrix:
-        return self._cycle.gossip(k)
 
     def center(self, k: int) -> int:
         g = self.graph(k)
@@ -434,10 +411,6 @@ class RotatingStarSequence(GraphSequence):
             degree[i] += 1
             degree[j] += 1
         return int(np.argmax(degree))
-
-
-def rotating_star_sequence(m: int, s1: Sequence[int] | None = None, s2: Sequence[int] | None = None) -> RotatingStarSequence:
-    return RotatingStarSequence(m, s1, s2)
 
 
 def measure_chi(seq: GraphSequence, trials: int, seed: int, vectors_per_graph: int = 8, power_iters: int = 40) -> float:
@@ -472,20 +445,26 @@ def measure_chi(seq: GraphSequence, trials: int, seed: int, vectors_per_graph: i
     return 1.0 / (1.0 - worst)
 
 
+def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
+    """``prod_q (I - W(q)) x`` over ``stages`` consecutive graphs, ``q`` running
+    chronologically from ``start_step``: what multi-stage consensus leaves of ``x``."""
+    for q in range(start_step, start_step + stages):
+        x = x - seq.gossip(q).matrix @ x
+    return x
+
+
 def multi_stage_mix(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
     """Apply the multi-stage operator built from ``stages`` consecutive graphs.
 
-    Returns ``x - prod_q (I - W(q)) x`` with ``q`` running chronologically from
-    ``start_step``; with ``stages = ceil(chi)`` the zero-mean contraction
-    factor is at most ``1/e``.
+    Returns ``x - prod_q (I - W(q)) x`` (see :func:`consensus_residual`); with
+    ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e``.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
     x = np.asarray(x, dtype=float)
-    residual = x
-    for q in range(start_step, start_step + stages):
-        residual = residual - apply_mixing(seq.gossip(q), residual)
-    return x - residual
+    if x.ndim != 2 or x.shape[0] != seq.m:
+        raise ValueError(f"node vector shape {x.shape} does not match {seq.m} nodes")
+    return x - consensus_residual(seq, start_step, stages, x)
 
 
 def chebyshev_mix(w: GossipMatrix | GraphSequence, degree: int, x: np.ndarray) -> np.ndarray:

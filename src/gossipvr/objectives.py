@@ -29,12 +29,9 @@ __all__ = [
     "FiniteSumObjective",
     "CallableFiniteSum",
     "CountingObjective",
-    "LogisticObjective",
-    "NllsObjective",
+    "ShardObjective",
     "logistic_objective",
     "nlls_objective",
-    "full_gradient",
-    "batch_gradient",
     "finite_difference_check",
     "FiniteDifferenceReport",
 ]
@@ -162,25 +159,6 @@ class FiniteSumObjective:
         return g / self.m
 
 
-def full_gradient(obj: FiniteSumObjective, x: np.ndarray) -> np.ndarray:
-    """Stacked per-node gradients: block i is the gradient of node i's mean at x_i."""
-    return obj.stacked_gradient(np.asarray(x, dtype=float))
-
-
-def batch_gradient(obj: FiniteSumObjective, i: int, indices: Sequence[int], weights: Sequence[float], w: np.ndarray) -> np.ndarray:
-    """Weighted component-gradient sum ``sum_k weights[k] * grad f_{i,indices[k]}(w)``."""
-    indices = np.asarray(indices, dtype=int)
-    weights = np.asarray(weights, dtype=float)
-    if indices.shape != weights.shape:
-        raise ValueError("indices and weights must have matching lengths")
-    if indices.size and (indices.min() < 0 or indices.max() >= obj.n):
-        raise IndexError(f"component index out of range [0, {obj.n})")
-    g = np.zeros(obj.d)
-    for j, wt in zip(indices, weights):
-        g += wt * obj.component_gradient(i, int(j), w)
-    return g
-
-
 class CountingObjective(FiniteSumObjective):
     """Wrapper that charges one unit per component-gradient oracle query.
 
@@ -262,53 +240,46 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticObjective(FiniteSumObjective):
-    """l2-regularized logistic loss over per-node data shards.
+class ShardObjective(FiniteSumObjective):
+    """Mean per-row loss of the margin ``t = <a, w>`` over per-node data shards.
 
-    Component (i, j) averages ``log(1 + exp(-y <a, w>))`` over its block rows
-    and adds ``(reg/2)||w||^2``.
+    Component (i, j) averages ``loss(t, y)`` over its block rows and adds
+    ``(reg/2)||w||^2``; ``dloss`` is the derivative of ``loss`` in ``t``.
+    ``smoothness`` maps the validated objective to its constants.  Built by
+    :func:`logistic_objective` and :func:`nlls_objective`.
     """
 
-    def __init__(self, shards: Sequence[DatasetShard], reg: float):
+    def __init__(
+        self,
+        shards: Sequence[DatasetShard],
+        loss: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        dloss: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        reg: float,
+        smoothness: Callable[["ShardObjective"], SmoothnessInfo],
+    ):
         if reg < 0:
             raise ValueError("regularization must be nonnegative")
         self.m = len(shards)
         self.n = shards[0].n
         self.d = shards[0].d
+        self.loss, self.dloss = loss, dloss
         self.reg = float(reg)
         self._shards = list(shards)
         for s in self._shards:
             if s.n != self.n or s.d != self.d:
                 raise ValueError("all shards must agree on n and d")
-            if not np.all(np.isin(s.labels, (-1.0, 1.0))):
-                bad = s.labels[~np.isin(s.labels, (-1.0, 1.0))][0]
-                raise ValueError(f"logistic labels must be +-1, got {bad}")
             for j, rows in enumerate(s.block_rows):
                 if rows.size == 0:
                     raise ValueError(f"empty component block (node {s.node}, component {j})")
-        self.info = self._smoothness()
+        self.info = smoothness(self)
         self.info.validate(self.n)
 
-    def _smoothness(self) -> SmoothnessInfo:
-        l_ij = np.zeros((self.m, self.n))
-        caps = np.zeros(self.m)
-        for i, s in enumerate(self._shards):
-            row_norms = np.sum(s.features**2, axis=1)
-            row_weight = np.zeros(len(s.labels))
-            for j, rows in enumerate(s.block_rows):
-                l_ij[i, j] = row_norms[rows].max() / 4.0 + self.reg
-                row_weight[rows] = 1.0 / (self.n * rows.size)
-            # Node Hessian bound (1/4) sum_r weight_r a_r a_r^T via power iteration.
-            a = s.features * np.sqrt(row_weight)[:, None]
-            v = np.full(self.d, 1.0 / np.sqrt(self.d))
-            for _ in range(25):
-                v = a.T @ (a @ v)
-                nrm = np.linalg.norm(v)
-                if nrm == 0:
-                    break
-                v /= nrm
-            caps[i] = float(v @ (a.T @ (a @ v))) / 4.0 + self.reg
-        return _finalize_constants(l_ij, caps, self.reg, self.n)
+    # The reg term is skipped at zero: adding 0.0 * w would turn -0.0 entries into +0.0.
+    def _with_reg_value(self, v, w):
+        return v + 0.5 * self.reg * np.dot(w, w) if self.reg else v
+
+    def _with_reg_gradient(self, g, w):
+        return g + self.reg * w if self.reg else g
 
     def _block(self, i: int, j: int):
         s = self._shards[i]
@@ -317,151 +288,136 @@ class LogisticObjective(FiniteSumObjective):
 
     def component_value(self, i, j, w):
         a, y = self._block(i, j)
-        margins = y * (a @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * self.reg * np.dot(w, w))
+        return float(self._with_reg_value(np.mean(self.loss(a @ w, y)), w))
 
     def component_gradient(self, i, j, w):
         a, y = self._block(i, j)
-        coeff = -y * _sigmoid(-y * (a @ w))
-        return a.T @ coeff / len(y) + self.reg * w
+        return self._with_reg_gradient(a.T @ self.dloss(a @ w, y) / len(y), w)
 
     def local_value(self, i, w):
         s = self._shards[i]
-        per_row = np.logaddexp(0.0, -s.labels * (s.features @ w))
+        per_row = self.loss(s.features @ w, s.labels)
         total = sum(np.mean(per_row[rows]) for rows in s.block_rows)
-        return float(total / self.n + 0.5 * self.reg * np.dot(w, w))
+        return float(self._with_reg_value(total / self.n, w))
 
     def local_gradient(self, i, w):
         s = self._shards[i]
-        coeff = -s.labels * _sigmoid(-s.labels * (s.features @ w))
+        coeff = self.dloss(s.features @ w, s.labels)
         g = np.zeros(self.d)
         for rows in s.block_rows:
             g += s.features[rows].T @ coeff[rows] / rows.size
-        return g / self.n + self.reg * w
+        return self._with_reg_gradient(g / self.n, w)
 
     def sampled_gradients(self, i, indices, w):
         s = self._shards[i]
         rows = np.concatenate([s.block_rows[int(j)] for j in indices])
-        a, y = s.features[rows], s.labels[rows]
-        per_row = a * (-y * _sigmoid(-y * (a @ w)))[:, None]
+        a = s.features[rows]
+        per_row = a * self.dloss(a @ w, s.labels[rows])[:, None]
         sizes = np.array([s.block_rows[int(j)].size for j in indices])
         offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        sums = np.add.reduceat(per_row, offsets, axis=0)
-        return sums / sizes[:, None] + self.reg * w
+        return self._with_reg_gradient(np.add.reduceat(per_row, offsets, axis=0) / sizes[:, None], w)
 
     def local_component_gradients(self, i, w):
         return self.sampled_gradients(i, np.arange(self.n), w)
 
 
-class NllsObjective(FiniteSumObjective):
-    """Nonconvex sigmoid least squares: mean of ``(y - sigmoid(<a, w>))^2``.
+def _logistic_loss(t, y):
+    return np.logaddexp(0.0, -y * t)
 
-    No closed-form smoothness constants exist; they are estimated from seeded
-    random gradient-difference ratios and padded by a documented safety factor.
+
+def _logistic_dloss(t, y):
+    return -y * _sigmoid(-y * t)
+
+
+def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:
+    """Closed-form bounds from the logistic curvature cap of 1/4 per row."""
+    l_ij = np.zeros((obj.m, obj.n))
+    caps = np.zeros(obj.m)
+    for i, s in enumerate(obj._shards):
+        row_norms = np.sum(s.features**2, axis=1)
+        row_weight = np.zeros(len(s.labels))
+        for j, rows in enumerate(s.block_rows):
+            l_ij[i, j] = row_norms[rows].max() / 4.0 + obj.reg
+            row_weight[rows] = 1.0 / (obj.n * rows.size)
+        # Node Hessian bound (1/4) sum_r weight_r a_r a_r^T via power iteration.
+        a = s.features * np.sqrt(row_weight)[:, None]
+        v = np.full(obj.d, 1.0 / np.sqrt(obj.d))
+        for _ in range(25):
+            v = a.T @ (a @ v)
+            nrm = np.linalg.norm(v)
+            if nrm == 0:
+                break
+            v /= nrm
+        caps[i] = float(v @ (a.T @ (a @ v))) / 4.0 + obj.reg
+    return _finalize_constants(l_ij, caps, obj.reg, obj.n)
+
+
+def _nlls_loss(t, y):
+    return (y - _sigmoid(t)) ** 2
+
+
+def _nlls_dloss(t, y):
+    sig = _sigmoid(t)
+    return 2.0 * (sig - y) * sig * (1.0 - sig)
+
+
+_NLLS_SAFETY = 1.2  # padding on the estimated sigmoid-least-squares smoothness constants
+
+
+def _nlls_smoothness(obj: ShardObjective, pairs: int, radius: float, seed: int) -> SmoothnessInfo:
+    """Constants estimated from seeded random gradient-difference ratios, padded by ``_NLLS_SAFETY``."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1, 1, size=(pairs, obj.d))
+    u *= (radius * rng.uniform(0, 1, size=(pairs, 1)) ** (1.0 / obj.d)) / np.maximum(
+        np.linalg.norm(u, axis=1, keepdims=True), 1e-12
+    )
+    # Mixed gap scales: tiny gaps probe local curvature, large ones the secant.
+    direction = rng.normal(size=(pairs, obj.d))
+    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
+    step = radius * 10.0 ** rng.uniform(-4, -0.5, size=(pairs, 1))
+    v = u + step * direction
+    gap = np.maximum(np.linalg.norm(u - v, axis=1), 1e-12)
+
+    l_ij = np.zeros((obj.m, obj.n))
+    l_nodes = np.zeros(obj.m)
+    lhat_nodes = np.zeros(obj.m)
+    for i, s in enumerate(obj._shards):
+        cu = _nlls_dloss(s.features @ u.T, s.labels[:, None])  # (rows, pairs)
+        cv = _nlls_dloss(s.features @ v.T, s.labels[:, None])
+        sq_norms = np.zeros((obj.n, pairs))
+        node_diff = np.zeros((obj.d, pairs))
+        for j, rows in enumerate(s.block_rows):
+            diff = s.features[rows].T @ (cu[rows] - cv[rows]) / rows.size  # (d, pairs)
+            sq_norms[j] = np.sum(diff**2, axis=0)
+            node_diff += diff
+            l_ij[i, j] = float(np.max(np.sqrt(sq_norms[j]) / gap))
+        lhat_nodes[i] = float(np.max(np.sqrt(sq_norms.mean(axis=0)) / gap))
+        l_nodes[i] = float(np.max(np.linalg.norm(node_diff / obj.n, axis=0) / gap))
+    info = _finalize_constants(l_ij * _NLLS_SAFETY, l_nodes * _NLLS_SAFETY, 0.0, obj.n)
+    lhat = min(max(float(lhat_nodes.max()) * _NLLS_SAFETY, info.L), np.sqrt(obj.n) * info.L)
+    return SmoothnessInfo(L=info.L, mu=0.0, L_ij=info.L_ij, Lhat=lhat)
+
+
+def logistic_objective(shards: Sequence[DatasetShard], lambda_reg: float) -> ShardObjective:
+    """l2-regularized logistic loss ``log(1 + exp(-y <a, w>))``; labels must be +-1."""
+    for s in shards:
+        if not np.all(np.isin(s.labels, (-1.0, 1.0))):
+            bad = s.labels[~np.isin(s.labels, (-1.0, 1.0))][0]
+            raise ValueError(f"logistic labels must be +-1, got {bad}")
+    return ShardObjective(shards, _logistic_loss, _logistic_dloss, lambda_reg, _logistic_smoothness)
+
+
+def nlls_objective(
+    shards: Sequence[DatasetShard], probe_pairs: int = 1000, probe_radius: float = 10.0, probe_seed: int = 1234
+) -> ShardObjective:
+    """Nonconvex sigmoid least squares ``(y - sigmoid(<a, w>))^2``.
+
+    No closed-form smoothness constants exist; they are estimated from
+    ``probe_pairs`` seeded random point pairs within ``probe_radius``.
     """
-
-    SAFETY = 1.2
-
-    def __init__(self, shards: Sequence[DatasetShard], probe_pairs: int = 1000, probe_radius: float = 10.0, probe_seed: int = 1234):
-        self.m = len(shards)
-        self.n = shards[0].n
-        self.d = shards[0].d
-        self._shards = list(shards)
-        for s in self._shards:
-            if s.n != self.n or s.d != self.d:
-                raise ValueError("all shards must agree on n and d")
-            for j, rows in enumerate(s.block_rows):
-                if rows.size == 0:
-                    raise ValueError(f"empty component block (node {s.node}, component {j})")
-        self.info = self._estimate_smoothness(probe_pairs, probe_radius, probe_seed)
-        self.info.validate(self.n)
-
-    def _estimate_smoothness(self, pairs: int, radius: float, seed: int) -> SmoothnessInfo:
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-1, 1, size=(pairs, self.d))
-        u *= (radius * rng.uniform(0, 1, size=(pairs, 1)) ** (1.0 / self.d)) / np.maximum(
-            np.linalg.norm(u, axis=1, keepdims=True), 1e-12
-        )
-        # Mixed gap scales: tiny gaps probe local curvature, large ones the secant.
-        direction = rng.normal(size=(pairs, self.d))
-        direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
-        step = radius * 10.0 ** rng.uniform(-4, -0.5, size=(pairs, 1))
-        v = u + step * direction
-        gap = np.maximum(np.linalg.norm(u - v, axis=1), 1e-12)
-
-        l_ij = np.zeros((self.m, self.n))
-        l_nodes = np.zeros(self.m)
-        lhat_nodes = np.zeros(self.m)
-        for i, s in enumerate(self._shards):
-            tu = s.features @ u.T  # (rows, pairs)
-            tv = s.features @ v.T
-            cu = self._residual_coeff(_sigmoid(tu), s.labels[:, None])
-            cv = self._residual_coeff(_sigmoid(tv), s.labels[:, None])
-            sq_norms = np.zeros((self.n, pairs))
-            node_diff = np.zeros((self.d, pairs))
-            for j, rows in enumerate(s.block_rows):
-                diff = s.features[rows].T @ (cu[rows] - cv[rows]) / rows.size  # (d, pairs)
-                sq_norms[j] = np.sum(diff**2, axis=0)
-                node_diff += diff
-                l_ij[i, j] = float(np.max(np.sqrt(sq_norms[j]) / gap))
-            lhat_nodes[i] = float(np.max(np.sqrt(sq_norms.mean(axis=0)) / gap))
-            l_nodes[i] = float(np.max(np.linalg.norm(node_diff / self.n, axis=0) / gap))
-        info = _finalize_constants(l_ij * self.SAFETY, l_nodes * self.SAFETY, 0.0, self.n)
-        lhat = min(max(float(lhat_nodes.max()) * self.SAFETY, info.L), np.sqrt(self.n) * info.L)
-        return SmoothnessInfo(L=info.L, mu=0.0, L_ij=info.L_ij, Lhat=lhat)
-
-    @staticmethod
-    def _residual_coeff(sig, y):
-        return 2.0 * (sig - y) * sig * (1.0 - sig)
-
-    def _block(self, i: int, j: int):
-        s = self._shards[i]
-        rows = s.block_rows[j]
-        return s.features[rows], s.labels[rows]
-
-    def component_value(self, i, j, w):
-        a, y = self._block(i, j)
-        return float(np.mean((y - _sigmoid(a @ w)) ** 2))
-
-    def component_gradient(self, i, j, w):
-        a, y = self._block(i, j)
-        sig = _sigmoid(a @ w)
-        return a.T @ (2.0 * (sig - y) * sig * (1.0 - sig)) / len(y)
-
-    def local_value(self, i, w):
-        s = self._shards[i]
-        res_sq = (s.labels - _sigmoid(s.features @ w)) ** 2
-        return float(sum(np.mean(res_sq[rows]) for rows in s.block_rows) / self.n)
-
-    def local_gradient(self, i, w):
-        s = self._shards[i]
-        sig = _sigmoid(s.features @ w)
-        coeff = 2.0 * (sig - s.labels) * sig * (1.0 - sig)
-        g = np.zeros(self.d)
-        for rows in s.block_rows:
-            g += s.features[rows].T @ coeff[rows] / rows.size
-        return g / self.n
-
-    def sampled_gradients(self, i, indices, w):
-        s = self._shards[i]
-        rows = np.concatenate([s.block_rows[int(j)] for j in indices])
-        a, y = s.features[rows], s.labels[rows]
-        sig = _sigmoid(a @ w)
-        per_row = a * (2.0 * (sig - y) * sig * (1.0 - sig))[:, None]
-        sizes = np.array([s.block_rows[int(j)].size for j in indices])
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        return np.add.reduceat(per_row, offsets, axis=0) / sizes[:, None]
-
-    def local_component_gradients(self, i, w):
-        return self.sampled_gradients(i, np.arange(self.n), w)
-
-
-def logistic_objective(shards: Sequence[DatasetShard], lambda_reg: float) -> LogisticObjective:
-    return LogisticObjective(shards, lambda_reg)
-
-
-def nlls_objective(shards: Sequence[DatasetShard], **probe_kwargs) -> NllsObjective:
-    return NllsObjective(shards, **probe_kwargs)
+    return ShardObjective(
+        shards, _nlls_loss, _nlls_dloss, 0.0, lambda obj: _nlls_smoothness(obj, probe_pairs, probe_radius, probe_seed)
+    )
 
 
 @dataclass(frozen=True)

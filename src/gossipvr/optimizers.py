@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import GossipMatrix, GraphSequence, consensus_error, node_mean
+from .network import GossipMatrix, GraphSequence, consensus_error, consensus_residual, node_mean
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
@@ -451,7 +451,6 @@ class GtPageState:
     v: np.ndarray
     k: int = 0
     comms: int = 0
-    last_full: bool = True
 
 
 def gt_page_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtPageState:
@@ -467,13 +466,6 @@ def gt_page_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtPag
     y = np.stack([obj.local_gradient(i, x[i]) for i in range(m)])
     v = np.tile(y.mean(axis=0), (m, 1))
     return GtPageState(x=x, y=y, v=v)
-
-
-def _mix_stages(seq: GraphSequence, start: int, stages: int, arr: np.ndarray) -> np.ndarray:
-    out = arr
-    for q in range(start, start + stages):
-        out = out - seq.gossip(q).matrix @ out
-    return out
 
 
 def gt_page_step(
@@ -495,7 +487,7 @@ def gt_page_step(
     idx = rng.integers(0, n, size=(m, params.b))
     coins = rng.random(m if per_node_coins else 1)
 
-    x_new = _mix_stages(seq, state.comms, params.stages, state.x) - params.eta * state.v
+    x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
 
     y_new = np.empty_like(state.y)
     full_mask = coins < params.p
@@ -507,11 +499,8 @@ def gt_page_step(
             g_new, g_old = obj.sampled_gradient_pairs(i, idx[i], x_new[i], state.x[i])
             y_new[i] = state.y[i] + (g_new - g_old).mean(axis=0)
 
-    v_new = _mix_stages(seq, state.comms, params.stages, state.v) + y_new - state.y
-    new_state = GtPageState(
-        x=x_new, y=y_new, v=v_new, k=state.k + 1,
-        comms=state.comms + params.stages, last_full=bool(full_mask.all()),
-    )
+    v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
+    new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
     _check_finite(new_state.x, new_state.k, "x")
     _check_finite(new_state.v, new_state.k, "v")
     return new_state

@@ -30,12 +30,20 @@ CASES = {
         method="gt_page", objective="nlls", dataset="logreg500.libsvm", topology="random-geometric",
         m=10, n=10, budget_iters=200, metric_every=5, seed=0,
     ),
+    "gt_baseline_zero_chain": dict(
+        method="gt_baseline", objective="zero_chain", m=9, n=4, budget_iters=200, budget_comms=200, metric_every=5,
+    ),
+    "adom_vr_chain_two_star_hop": dict(
+        method="adom_vr", objective="chain", topology="two-star-hop", m=6, n=4, budget_iters=200, metric_every=5,
+    ),
 }
 
 
 def run_case(config: dict, out_dir: Path) -> dict:
-    """Run one case (``dataset`` relative to this directory) and return its golden record."""
-    fields = dict(config, dataset=str(HERE / config["dataset"]), out=str(out_dir))
+    """Run one case (``dataset``, if any, relative to this directory) and return its golden record."""
+    fields = dict(config, out=str(out_dir))
+    if "dataset" in config:
+        fields["dataset"] = str(HERE / config["dataset"])
     trace, csv_path, _ = run_experiment(ExperimentConfig().replace(**fields))
     header, *rows = csv_path.read_text().splitlines()
     return {

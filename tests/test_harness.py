@@ -126,12 +126,10 @@ class TestReferenceSolution:
         assert ref.grad_norm < 1e-10
 
     def test_node_gradients_average_to_zero_at_solution(self):
-        from gossipvr.objectives import full_gradient
-
         rng = np.random.default_rng(2)
         obj = logistic_objective(make_shards(rng, m=3, n=2, d=4), 0.2)
         ref = reference_solution(obj, tolerance=1e-12)
-        stacked = full_gradient(obj, np.tile(ref.x_star, (obj.m, 1)))
+        stacked = obj.stacked_gradient(np.tile(ref.x_star, (obj.m, 1)))
         assert np.linalg.norm(stacked.mean(axis=0)) < 1e-10
 
     def test_nonconvex_requires_flag(self):

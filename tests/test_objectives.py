@@ -8,9 +8,7 @@ from gossipvr.objectives import (
     CountingObjective,
     DatasetShard,
     SmoothnessInfo,
-    batch_gradient,
     finite_difference_check,
-    full_gradient,
     logistic_objective,
     nlls_objective,
 )
@@ -128,6 +126,20 @@ class TestNlls:
         report = finite_difference_check(obj, x, h=1e-6, tolerance=1e-5)
         assert report.passed, report
 
+    def test_rejects_empty_block_and_mismatched_shards(self):
+        shard = DatasetShard(0, np.eye(2), np.array([0.2, 0.7]), (np.arange(2), np.array([], dtype=int)))
+        with pytest.raises(ValueError, match="empty"):
+            nlls_objective([shard], probe_pairs=10)
+        rng = np.random.default_rng(5)
+        shards = make_shards(rng, m=1, n=2, labels="real") + make_shards(rng, m=1, n=3, labels="real")
+        with pytest.raises(ValueError, match="agree on n and d"):
+            nlls_objective(shards, probe_pairs=10)
+
+
+def test_logistic_rejects_negative_regularization():
+    with pytest.raises(ValueError, match="nonnegative"):
+        logistic_objective(make_shards(np.random.default_rng(6)), -0.1)
+
 
 class TestSmoothnessInfo:
     @pytest.mark.parametrize("family", ["logistic", "nlls", "quadratic"])
@@ -191,7 +203,7 @@ class TestFullGradient:
         rng = np.random.default_rng(8)
         obj = random_quadratic(rng, m=2, n=1)
         x = rng.normal(size=(2, 4))
-        g = full_gradient(obj, x)
+        g = obj.stacked_gradient(x)
         for i in range(2):
             assert g[i] == pytest.approx(obj.component_gradient(i, 0, x[i]))
 
@@ -205,49 +217,11 @@ class TestFullGradient:
             vecs.append(row_b)
         obj = quadratic_objective(mats, vecs)
         x = rng.normal(size=(2, 3))
-        g = full_gradient(obj, x)
+        g = obj.stacked_gradient(x)
         for i in range(2):
             a_mean = sum(mats[i]) / 2
             b_mean = sum(vecs[i]) / 2
             assert g[i] == pytest.approx(a_mean @ x[i] - b_mean)
-
-
-class TestBatchGradient:
-    def test_empty_batch(self):
-        rng = np.random.default_rng(10)
-        obj = random_quadratic(rng)
-        assert batch_gradient(obj, 0, [], [], rng.normal(size=4)) == pytest.approx(np.zeros(4))
-
-    def test_uniform_weights_give_local_gradient(self):
-        rng = np.random.default_rng(11)
-        obj = random_quadratic(rng)
-        w = rng.normal(size=4)
-        g = batch_gradient(obj, 1, range(obj.n), [1.0 / obj.n] * obj.n, w)
-        assert g == pytest.approx(obj.local_gradient(1, w))
-
-    def test_duplicate_index_equals_double_weight(self):
-        rng = np.random.default_rng(12)
-        obj = random_quadratic(rng)
-        w = rng.normal(size=4)
-        doubled = batch_gradient(obj, 0, [2], [2.0 / obj.n], w)
-        separate = batch_gradient(obj, 0, [2, 2], [1.0 / obj.n, 1.0 / obj.n], w)
-        assert doubled == pytest.approx(separate)
-
-    def test_linearity_in_weights(self):
-        rng = np.random.default_rng(13)
-        obj = random_quadratic(rng)
-        w = rng.normal(size=4)
-        idx = [0, 1, 2]
-        wa, wb = rng.normal(size=3), rng.normal(size=3)
-        lhs = batch_gradient(obj, 0, idx, wa + wb, w)
-        rhs = batch_gradient(obj, 0, idx, wa, w) + batch_gradient(obj, 0, idx, wb, w)
-        assert lhs == pytest.approx(rhs)
-
-    def test_out_of_range_index(self):
-        rng = np.random.default_rng(14)
-        obj = random_quadratic(rng)
-        with pytest.raises(IndexError):
-            batch_gradient(obj, 0, [obj.n], [1.0], rng.normal(size=4))
 
 
 class TestFiniteDifferenceCheck:
