@@ -21,6 +21,7 @@ import numpy as np
 
 from .hardinstances import ProgressTracker, nonconvex_hard_objective, strongly_convex_chain
 from .network import (
+    DUMP_STEPS,
     GraphSequence,
     RandomGeometricSequence,
     RotatingStarSequence,
@@ -415,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     meta_path = out_dir / f"{cfg.tag()}.json"
     write_trace_csv(trace, csv_path)
     with open(out_dir / f"{cfg.tag()}.graphs", "w") as sink:
-        dump_sequence(seq, min(trace.final().comms, 1000) or 1, sink)
+        dump_sequence(seq, min(trace.final().comms, DUMP_STEPS) or 1, sink)
     values = trace.column("avg_value")
     meta = {
         "config": asdict(cfg),

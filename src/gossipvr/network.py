@@ -43,10 +43,14 @@ __all__ = [
     "project_zero_mean",
     "dump_sequence",
     "parse_sequence_dump",
+    "DUMP_STEPS",
 ]
 
 # Eigenvalues below this fraction of lambda_max count as the Laplacian kernel.
 _KERNEL_CUTOFF = 1e-8
+
+# A run's ``.graphs`` dump covers at most its first DUMP_STEPS steps.
+DUMP_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,9 @@ class RandomGeometricSequence(GraphSequence):
     ``eigvalsh`` of its Laplacian both tests connectivity (a single kernel
     eigenvalue) and gives ``chi``.  ``built``, ``resamples`` and ``chi_max``
     count the matrices built, the disconnected draws rejected and the largest
-    exact per-step ``chi`` built so far.
+    exact per-step ``chi`` built so far.  Of the ``CACHE_LIMIT`` cached steps,
+    the oldest at or past ``DUMP_STEPS`` are evicted first, so a run's dump
+    finds its steps cached.
     """
 
     kind = "random-geometric"
@@ -272,23 +278,27 @@ class RandomGeometricSequence(GraphSequence):
         self.radius = float(radius)
         self.seed = int(seed)
         self.max_retries = int(max_retries)
-        self._cache: dict[int, GossipMatrix] = {}
+        self._dumped: dict[int, GossipMatrix] = {}  # steps below DUMP_STEPS
+        self._later: dict[int, GossipMatrix] = {}  # the rest, oldest first
         self.built = 0
         self.resamples = 0
         self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
-        w = self._cache[k] if k in self._cache else self._build(k)
+        cache = self._dumped if k < DUMP_STEPS else self._later
+        w = cache[k] if k in cache else self._build(k)
         # Off the diagonal, W is nonzero exactly on the edges.
         ii, jj = np.nonzero(np.triu(w.matrix, k=1))
         return WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
 
     def gossip(self, k: int) -> GossipMatrix:
-        if k not in self._cache:
-            self._cache[k] = self._build(k)
-            if len(self._cache) > self.CACHE_LIMIT:
-                self._cache.pop(next(iter(self._cache)))
-        return self._cache[k]
+        cache = self._dumped if k < DUMP_STEPS else self._later
+        if k not in cache:
+            cache[k] = self._build(k)
+            if len(self._dumped) + len(self._later) > self.CACHE_LIMIT:
+                evict = self._later or self._dumped
+                evict.pop(next(iter(evict)))
+        return cache[k]
 
     def _build(self, k: int) -> GossipMatrix:
         rng = np.random.default_rng((self.seed, k))

@@ -134,29 +134,43 @@ class FiniteSumObjective:
         return float(np.mean([self.component_value(i, j, w) for j in range(self.n)]))
 
     def local_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.d)
-        for j in range(self.n):
-            g += self.component_gradient(i, j, w)
-        return g / self.n
+        return self.local_component_gradients(i, w).mean(axis=0)
 
     def local_component_gradients(self, i: int, w: np.ndarray) -> np.ndarray:
         """All n component gradients of node i at one point, shape (n, d)."""
         return np.stack([self.component_gradient(i, j, w) for j in range(self.n)])
 
+    # -- node-batched queries: row r is node nodes[r]'s per-node answer ----------
+    # An override must keep each row bit-identical to the per-node query, because
+    # a proxy that forwards only the per-node queries falls back to these loops.
+    def batch_sampled_gradients(self, nodes: np.ndarray, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Sampled component gradients: nodes (k,), idx (k, b), X (k, d) -> (k, b, d)."""
+        return np.stack([self.sampled_gradients(int(i), ix, x) for i, ix, x in zip(nodes, idx, X)])
+
+    def batch_sampled_gradient_pairs(self, nodes: np.ndarray, idx: np.ndarray, X_new: np.ndarray, X_old: np.ndarray):
+        """Paired form of :meth:`batch_sampled_gradients`: two (k, b, d) arrays."""
+        pairs = [self.sampled_gradient_pairs(int(i), ix, xn, xo) for i, ix, xn, xo in zip(nodes, idx, X_new, X_old)]
+        return np.stack([g for g, _ in pairs]), np.stack([g for _, g in pairs])
+
+    def batch_component_gradients(self, nodes: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """All n component gradients of each node: nodes (k,), X (k, d) -> (k, n, d)."""
+        return np.stack([self.local_component_gradients(int(i), x) for i, x in zip(nodes, X)])
+
+    def batch_local_gradients(self, nodes: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Node gradients: nodes (k,), X (k, d) -> (k, d)."""
+        return np.stack([self.local_gradient(int(i), x) for i, x in zip(nodes, X)])
+
     # -- stacked and averaged views -------------------------------------------
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.m, self.d):
             raise ValueError(f"expected node vector of shape {(self.m, self.d)}, got {x.shape}")
-        return np.stack([self.local_gradient(i, x[i]) for i in range(self.m)])
+        return self.batch_local_gradients(np.arange(self.m), x)
 
     def average_value(self, w: np.ndarray) -> float:
         return float(np.mean([self.local_value(i, w) for i in range(self.m)]))
 
     def average_gradient(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.d)
-        for i in range(self.m):
-            g += self.local_gradient(i, w)
-        return g / self.m
+        return self.batch_local_gradients(np.arange(self.m), np.tile(w, (self.m, 1))).mean(axis=0)
 
 
 class CountingObjective(FiniteSumObjective):
@@ -203,6 +217,22 @@ class CountingObjective(FiniteSumObjective):
         self.calls[i] += self.n
         return self.base.local_component_gradients(i, w)
 
+    def batch_sampled_gradients(self, nodes, idx, X):
+        np.add.at(self.calls, nodes, np.shape(idx)[1])
+        return self.base.batch_sampled_gradients(nodes, idx, X)
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        np.add.at(self.calls, nodes, np.shape(idx)[1])
+        return self.base.batch_sampled_gradient_pairs(nodes, idx, X_new, X_old)
+
+    def batch_component_gradients(self, nodes, X):
+        np.add.at(self.calls, nodes, self.n)
+        return self.base.batch_component_gradients(nodes, X)
+
+    def batch_local_gradients(self, nodes, X):
+        np.add.at(self.calls, nodes, self.n)
+        return self.base.batch_local_gradients(nodes, X)
+
     def max_calls(self) -> int:
         return int(self.calls.max())
 
@@ -247,6 +277,11 @@ class ShardObjective(FiniteSumObjective):
     ``(reg/2)||w||^2``; ``dloss`` is the derivative of ``loss`` in ``t``.
     ``smoothness`` maps the validated objective to its constants.  Built by
     :func:`logistic_objective` and :func:`nlls_objective`.
+
+    The blocks are stored zero-padded to the largest block, as ``(m, n, R, d)``
+    features, ``(m, n, R)`` labels and ``(m, n, R)`` row weights ``1/|block|``
+    (0 on padding).  Every gradient query, per node or node-batched, gathers
+    its blocks and runs the same kernel, so the two forms agree bit for bit.
     """
 
     def __init__(
@@ -271,54 +306,74 @@ class ShardObjective(FiniteSumObjective):
             for j, rows in enumerate(s.block_rows):
                 if rows.size == 0:
                     raise ValueError(f"empty component block (node {s.node}, component {j})")
+        R = max(rows.size for s in self._shards for rows in s.block_rows)
+        self._features = np.zeros((self.m, self.n, R, self.d))
+        self._labels = np.ones((self.m, self.n, R))  # padding rows get a valid label and weight 0
+        self._weights = np.zeros((self.m, self.n, R))
+        for i, s in enumerate(self._shards):
+            for j, rows in enumerate(s.block_rows):
+                self._features[i, j, : rows.size] = s.features[rows]
+                self._labels[i, j, : rows.size] = s.labels[rows]
+                self._weights[i, j, : rows.size] = 1.0 / rows.size
         self.info = smoothness(self)
         self.info.validate(self.n)
 
-    # The reg term is skipped at zero: adding 0.0 * w would turn -0.0 entries into +0.0.
-    def _with_reg_value(self, v, w):
-        return v + 0.5 * self.reg * np.dot(w, w) if self.reg else v
+    def _blocks(self, nodes, idx=None):
+        """Features, labels and weights of blocks ``idx`` (all blocks if None) of each node."""
+        at = (nodes,) if idx is None else (nodes[:, None], idx)
+        return self._features[at], self._labels[at], self._weights[at]
 
-    def _with_reg_gradient(self, g, w):
-        return g + self.reg * w if self.reg else g
+    # The reg terms are skipped at zero: adding 0.0 * w would turn -0.0 entries into +0.0.
+    def _kernel(self, a, y, wt, x):
+        """Weighted row-loss gradients: a (..., R, d), y and wt (..., R), x broadcast to (..., d)."""
+        g = ((self.dloss((a @ x[..., None])[..., 0], y) * wt)[..., None, :] @ a)[..., 0, :]
+        return g + self.reg * x if self.reg else g
 
-    def _block(self, i: int, j: int):
-        s = self._shards[i]
-        rows = s.block_rows[j]
-        return s.features[rows], s.labels[rows]
+    def _values(self, nodes, X):
+        """All component values of each node: nodes (k,), X (k, d) -> (k, n)."""
+        a, y, wt = self._blocks(nodes)
+        x = X[:, None, :]
+        v = np.sum(self.loss((a @ x[..., None])[..., 0], y) * wt, axis=-1)
+        return v + 0.5 * self.reg * np.sum(x * x, axis=-1) if self.reg else v
 
+    def batch_sampled_gradients(self, nodes, idx, X):
+        return self._kernel(*self._blocks(nodes, idx), X[:, None, :])
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        blocks = self._blocks(nodes, idx)
+        return self._kernel(*blocks, X_new[:, None, :]), self._kernel(*blocks, X_old[:, None, :])
+
+    def batch_component_gradients(self, nodes, X):
+        return self._kernel(*self._blocks(nodes), X[:, None, :])
+
+    def batch_local_gradients(self, nodes, X):
+        return self.batch_component_gradients(nodes, X).mean(axis=1)
+
+    # Per-node queries are one-node views of the batched ones (the inherited
+    # sampled_gradient_pairs calls sampled_gradients twice, which is the same kernel).
     def component_value(self, i, j, w):
-        a, y = self._block(i, j)
-        return float(self._with_reg_value(np.mean(self.loss(a @ w, y)), w))
-
-    def component_gradient(self, i, j, w):
-        a, y = self._block(i, j)
-        return self._with_reg_gradient(a.T @ self.dloss(a @ w, y) / len(y), w)
+        return float(self._values(*_one_node(i, w))[0, j])
 
     def local_value(self, i, w):
-        s = self._shards[i]
-        per_row = self.loss(s.features @ w, s.labels)
-        total = sum(np.mean(per_row[rows]) for rows in s.block_rows)
-        return float(self._with_reg_value(total / self.n, w))
+        return float(np.mean(self._values(*_one_node(i, w))[0]))
 
-    def local_gradient(self, i, w):
-        s = self._shards[i]
-        coeff = self.dloss(s.features @ w, s.labels)
-        g = np.zeros(self.d)
-        for rows in s.block_rows:
-            g += s.features[rows].T @ coeff[rows] / rows.size
-        return self._with_reg_gradient(g / self.n, w)
+    def component_gradient(self, i, j, w):
+        return self.sampled_gradients(i, [j], w)[0]
 
     def sampled_gradients(self, i, indices, w):
-        s = self._shards[i]
-        rows = np.concatenate([s.block_rows[int(j)] for j in indices])
-        a = s.features[rows]
-        per_row = a * self.dloss(a @ w, s.labels[rows])[:, None]
-        sizes = np.array([s.block_rows[int(j)].size for j in indices])
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        return self._with_reg_gradient(np.add.reduceat(per_row, offsets, axis=0) / sizes[:, None], w)
+        nodes, x = _one_node(i, w)
+        return self.batch_sampled_gradients(nodes, np.asarray(indices)[None], x)[0]
+
+    def local_gradient(self, i, w):
+        return self.batch_local_gradients(*_one_node(i, w))[0]
 
     def local_component_gradients(self, i, w):
-        return self.sampled_gradients(i, np.arange(self.n), w)
+        return self.batch_component_gradients(*_one_node(i, w))[0]
+
+
+def _one_node(i, w):
+    """Arguments of a node-batched query for node ``i`` alone at point ``w``."""
+    return np.array([i]), np.asarray(w, dtype=float)[None]
 
 
 def _logistic_loss(t, y):
@@ -331,24 +386,15 @@ def _logistic_dloss(t, y):
 
 def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:
     """Closed-form bounds from the logistic curvature cap of 1/4 per row."""
-    l_ij = np.zeros((obj.m, obj.n))
-    caps = np.zeros(obj.m)
-    for i, s in enumerate(obj._shards):
-        row_norms = np.sum(s.features**2, axis=1)
-        row_weight = np.zeros(len(s.labels))
-        for j, rows in enumerate(s.block_rows):
-            l_ij[i, j] = row_norms[rows].max() / 4.0 + obj.reg
-            row_weight[rows] = 1.0 / (obj.n * rows.size)
-        # Node Hessian bound (1/4) sum_r weight_r a_r a_r^T via power iteration.
-        a = s.features * np.sqrt(row_weight)[:, None]
-        v = np.full(obj.d, 1.0 / np.sqrt(obj.d))
-        for _ in range(25):
-            v = a.T @ (a @ v)
-            nrm = np.linalg.norm(v)
-            if nrm == 0:
-                break
-            v /= nrm
-        caps[i] = float(v @ (a.T @ (a @ v))) / 4.0 + obj.reg
+    l_ij = np.sum(obj._features**2, axis=-1).max(axis=-1) / 4.0 + obj.reg
+    # Node Hessian bounds (1/4) sum_r weight_r a_r a_r^T / n via power iteration on all nodes.
+    a = (obj._features * np.sqrt(obj._weights / obj.n)[..., None]).reshape(obj.m, -1, obj.d)
+    v = np.full((obj.m, obj.d, 1), 1.0 / np.sqrt(obj.d))
+    for _ in range(25):
+        v = a.transpose(0, 2, 1) @ (a @ v)
+        nrm = np.linalg.norm(v, axis=1, keepdims=True)
+        v /= np.where(nrm > 0, nrm, 1.0)  # a zero node matrix keeps v = 0
+    caps = np.sum((a @ v) ** 2, axis=(1, 2)) / 4.0 + obj.reg
     return _finalize_constants(l_ij, caps, obj.reg, obj.n)
 
 

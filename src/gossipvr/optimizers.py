@@ -305,25 +305,50 @@ class AdomVrState:
     omega_grads: np.ndarray  # (m, n, d) component gradients at omega
     grad_omega: np.ndarray  # (m, d) node gradients at omega
     stale: np.ndarray  # nodes whose omega cache must be refreshed before use
+    probs: np.ndarray  # (m, n) importance sampling distribution of each node
+    cum_probs: np.ndarray  # (m, n) its running sums, for inverse-CDF sampling
     k: int = 0
     comms: int = 0
+
+
+def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
+    """Node array (m, d) from ``x0``: None is the origin, a (d,) point starts every node."""
+    m, d = obj.m, obj.d
+    x = np.zeros((m, d)) if x0 is None else np.array(x0, dtype=float)
+    if x.shape == (d,):
+        x = np.tile(x, (m, 1))
+    if x.shape != (m, d):
+        raise ValueError(f"x0 must have shape {(m, d)} or ({d},), got {x.shape}")
+    return x
 
 
 def adom_vr_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> AdomVrState:
     """State with the dual variables in the zero-sum subspace and a fresh
     reference-point gradient cache (n oracle calls per node)."""
     m, d = obj.m, obj.d
-    x = np.zeros((m, d)) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (m, d):
-        raise ValueError(f"x0 must have shape {(m, d)}")
-    omega_grads = np.stack([obj.local_component_gradients(i, x[i]) for i in range(m)])
+    x = _start_point(obj, x0)
+    omega_grads = obj.batch_component_gradients(np.arange(m), x)
+    probs = importance_probabilities(obj.info.L_ij)
     return AdomVrState(
         x=x.copy(), x_f=x.copy(), omega=x.copy(),
         y=np.zeros((m, d)), y_f=np.zeros((m, d)),
         z=np.zeros((m, d)), z_f=np.zeros((m, d)), momentum=np.zeros((m, d)),
         omega_grads=omega_grads, grad_omega=omega_grads.mean(axis=1),
-        stale=np.zeros(m, dtype=bool),
+        stale=np.zeros(m, dtype=bool), probs=probs, cum_probs=np.cumsum(probs, axis=1),
     )
+
+
+def _batch_estimator(obj, nodes, x_g, idx, probs, omega_grads, grad_omega):
+    """:func:`adom_vr_estimator` of several nodes: row r is node ``nodes[r]``'s estimate.
+
+    ``x_g`` (k, d), ``idx`` (k, b), ``probs`` (k, n), ``omega_grads`` (k, n, d)
+    and ``grad_omega`` (k, d) hold the rows of those nodes.
+    """
+    rows = np.arange(len(nodes))[:, None]
+    fresh = obj.batch_sampled_gradients(nodes, idx, x_g)
+    inv = 1.0 / (obj.n * probs[rows, idx])
+    diff = (fresh - omega_grads[rows, idx]) * inv[..., None]
+    return diff.mean(axis=1) + grad_omega
 
 
 def adom_vr_estimator(
@@ -340,11 +365,9 @@ def adom_vr_estimator(
     ``(1/b) sum_j [grad f_ij(x_g) - grad f_ij(omega)] / (n p_ij)`` plus the
     cached node gradient at omega; unbiased for the node gradient at ``x_g``.
     """
-    indices = np.asarray(indices, dtype=int)
-    fresh = obj.sampled_gradients(i, indices, x_g_i)
-    inv = 1.0 / (obj.n * probs_i[indices])
-    diff = (fresh - omega_grads_i[indices]) * inv[:, None]
-    return diff.mean(axis=0) + grad_omega_i
+    idx = np.asarray(indices, dtype=int)[None]
+    est = _batch_estimator(obj, np.array([i]), x_g_i[None], idx, probs_i[None], omega_grads_i[None], grad_omega_i[None])
+    return est[0]
 
 
 def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
@@ -352,9 +375,9 @@ def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
     if not nodes.any():
         return omega_grads, grad_omega
     og, go = omega_grads.copy(), grad_omega.copy()
-    for i in np.flatnonzero(nodes):
-        og[i] = obj.local_component_gradients(i, omega[i])
-        go[i] = og[i].mean(axis=0)
+    which = np.flatnonzero(nodes)
+    og[which] = obj.batch_component_gradients(which, omega[which])
+    go[which] = og[which].mean(axis=1)
     return og, go
 
 
@@ -364,7 +387,6 @@ def adom_vr_step(
     obj: FiniteSumObjective,
     gossip: GossipMatrix,
     seed: int,
-    probs: np.ndarray | None = None,
     eager_refresh: bool = True,
 ) -> AdomVrState:
     """One full iteration (one communication round).
@@ -374,9 +396,7 @@ def adom_vr_step(
     ``(1+eta a)(1+theta b) + eta theta`` is always positive).
     """
     p = params
-    m, n, d = obj.m, obj.n, obj.d
-    if probs is None:
-        probs = importance_probabilities(obj.info.L_ij)
+    m, n = obj.m, obj.n
     rng = np.random.default_rng((seed, state.k))
     batch_u = rng.random((m, p.b))
     omega_u = rng.random(m)
@@ -386,12 +406,9 @@ def adom_vr_step(
 
     x_g = p.tau1 * state.x + p.tau0 * state.omega + (1.0 - p.tau1 - p.tau0) * state.x_f
 
-    cum = np.cumsum(probs, axis=1)
-    est = np.empty((m, d))
-    for i in range(m):
-        idx = np.searchsorted(cum[i], batch_u[i], side="right")
-        np.clip(idx, 0, n - 1, out=idx)
-        est[i] = adom_vr_estimator(obj, i, x_g[i], idx, probs[i], omega_grads[i], grad_omega[i])
+    # Inverse-CDF sampling: the count of running sums <= u is searchsorted(side="right").
+    idx = np.minimum((batch_u[..., None] >= state.cum_probs[:, None, :]).sum(axis=-1), n - 1)
+    est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, omega_grads, grad_omega)
 
     y_g = p.sigma1 * state.y + (1.0 - p.sigma1) * state.y_f
     z_g = p.sigma1 * state.z + (1.0 - p.sigma1) * state.z_f
@@ -431,7 +448,7 @@ def adom_vr_step(
         x=x_new, x_f=x_f_new, omega=omega_new, y=y_new, y_f=y_f_new,
         z=z_new, z_f=z_f_new, momentum=momentum_new,
         omega_grads=omega_grads, grad_omega=grad_omega, stale=stale_new,
-        k=state.k + 1, comms=state.comms + 1,
+        probs=state.probs, cum_probs=state.cum_probs, k=state.k + 1, comms=state.comms + 1,
     )
     _check_finite(new_state.x, new_state.k, "x")
     _check_finite(new_state.y, new_state.k, "y")
@@ -455,16 +472,9 @@ class GtPageState:
 
 def gt_page_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtPageState:
     """Consensus start with tracker seeded by the full gradient (n calls per node)."""
-    m, d = obj.m, obj.d
-    if x0 is None:
-        x = np.zeros((m, d))
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        x = np.tile(x0, (m, 1)) if x0.ndim == 1 else np.array(x0)
-    if x.shape != (m, d):
-        raise ValueError(f"x0 must have shape {(m, d)} or ({d},)")
-    y = np.stack([obj.local_gradient(i, x[i]) for i in range(m)])
-    v = np.tile(y.mean(axis=0), (m, 1))
+    x = _start_point(obj, x0)
+    y = obj.batch_local_gradients(np.arange(obj.m), x)
+    v = np.tile(y.mean(axis=0), (obj.m, 1))
     return GtPageState(x=x, y=y, v=v)
 
 
@@ -482,7 +492,7 @@ def gt_page_step(
     iteration costs ``stages`` communications.  A single shared coin switches
     every node to a full gradient (per-node coins behind a flag).
     """
-    m, n, d = obj.m, obj.n, obj.d
+    m, n = obj.m, obj.n
     rng = np.random.default_rng((seed, state.k))
     idx = rng.integers(0, n, size=(m, params.b))
     coins = rng.random(m if per_node_coins else 1)
@@ -490,14 +500,14 @@ def gt_page_step(
     x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
 
     y_new = np.empty_like(state.y)
-    full_mask = coins < params.p
-    for i in range(m):
-        full = full_mask[i] if per_node_coins else full_mask[0]
-        if full:
-            y_new[i] = obj.local_gradient(i, x_new[i])
-        else:
-            g_new, g_old = obj.sampled_gradient_pairs(i, idx[i], x_new[i], state.x[i])
-            y_new[i] = state.y[i] + (g_new - g_old).mean(axis=0)
+    full = np.broadcast_to(coins < params.p, (m,))
+    if full.any():
+        nodes = np.flatnonzero(full)
+        y_new[nodes] = obj.batch_local_gradients(nodes, x_new[nodes])
+    if not full.all():
+        nodes = np.flatnonzero(~full)
+        g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx[nodes], x_new[nodes], state.x[nodes])
+        y_new[nodes] = state.y[nodes] + (g_new - g_old).mean(axis=1)
 
     v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
     new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
@@ -521,16 +531,15 @@ class GtBaselineState:
 
 
 def gt_baseline_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtBaselineState:
-    m, d = obj.m, obj.d
-    x = np.zeros((m, d)) if x0 is None else np.array(x0, dtype=float)
-    grad = np.stack([obj.local_gradient(i, x[i]) for i in range(m)])
+    x = _start_point(obj, x0)
+    grad = obj.batch_local_gradients(np.arange(obj.m), x)
     return GtBaselineState(x=x, y=grad.copy(), grad=grad)
 
 
 def gt_baseline_step(state: GtBaselineState, eta: float, obj: FiniteSumObjective, gossip: GossipMatrix) -> GtBaselineState:
     """Plain gradient tracking with full node gradients every step."""
     x_new = (state.x - gossip.matrix @ state.x) - eta * state.y
-    grad_new = np.stack([obj.local_gradient(i, x_new[i]) for i in range(obj.m)])
+    grad_new = obj.batch_local_gradients(np.arange(obj.m), x_new)
     y_new = (state.y - gossip.matrix @ state.y) + grad_new - state.grad
     new_state = GtBaselineState(x=x_new, y=y_new, grad=grad_new, k=state.k + 1, comms=state.comms + 1)
     _check_finite(new_state.x, new_state.k, "x")

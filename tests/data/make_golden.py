@@ -2,7 +2,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/data/make_golden.py
+    PYTHONPATH=src python tests/data/make_golden.py           # rewrite golden_traces.json
+    PYTHONPATH=src python tests/data/make_golden.py --check   # compare, write nothing
+
+``--check`` re-runs every case and prints, per float column, the largest
+relative deviation from the frozen rows, which shows how much of the test's
+``rtol`` a change uses; it exits with status 1 if a count or row differs.
 
 Each case is a 200-iteration cut of a README CLI run.  ``golden_traces.json``
 keeps, per case, the config, the CSV lines the run wrote and the per-node
@@ -12,7 +17,10 @@ and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -54,12 +62,50 @@ def run_case(config: dict, out_dir: Path) -> dict:
     }
 
 
-def main() -> None:
+def largest_deviations(fresh: dict, golden: dict) -> dict[str, float] | None:
+    """Largest relative deviation of each float column, or None if a count or row differs."""
+    rows = [row.split(",") for row in fresh["rows"]]
+    want = [row.split(",") for row in golden["rows"]]
+    if len(rows) != len(want) or fresh["oracle_calls_per_node"] != golden["oracle_calls_per_node"]:
+        return None
+    if any(r[:3] != w[:3] for r, w in zip(rows, want)):
+        return None
+    out = {}
+    for col, name in enumerate(golden["header"].split(",")[3:], start=3):
+        worst = 0.0
+        for r, w in zip(rows, want):
+            new, old = float(r[col]), float(w[col])
+            if new != old and not (math.isnan(new) and math.isnan(old)):
+                worst = max(worst, abs(new - old) / abs(old) if old else math.inf)
+        out[name] = worst
+    return out
+
+
+def check() -> int:
+    golden = json.loads(GOLDEN_PATH.read_text())
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, record in golden.items():
+            worst = largest_deviations(run_case(record["config"], Path(tmp)), record)
+            if worst is None:
+                print(f"{name}: counts or rows differ")
+                status = 1
+            else:
+                print(f"{name}: counts exact; " + ", ".join(f"{col} {dev:.3g}" for col, dev in worst.items()))
+    return status
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare fresh runs with the golden traces; write nothing")
+    if parser.parse_args().check:
+        return check()
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: run_case(config, Path(tmp)) for name, config in CASES.items()}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

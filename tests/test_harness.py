@@ -14,7 +14,7 @@ from gossipvr.harness import (
     main,
 )
 from gossipvr.hardinstances import strongly_convex_chain
-from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, logistic_objective
+from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
 
 from test_objectives import make_shards
 
@@ -261,6 +261,57 @@ class TestRunExperiment:
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)
         trace, _, _ = run_experiment(cfg)
         assert trace.final().iteration == 10
+
+
+class PerNodeProxy(FiniteSumObjective):
+    """Forwards only the per-node queries of ``base``, so its node-batched queries
+    fall back to the base-class loops, as a delegating profiler's proxy would."""
+
+    PER_NODE = (
+        "component_value", "component_gradient", "component_gradient_pair", "sampled_gradients",
+        "sampled_gradient_pairs", "local_value", "local_gradient", "local_component_gradients",
+        "stacked_gradient", "average_value", "average_gradient",
+    )
+
+    def __init__(self, base):
+        self.m, self.n, self.d, self.info = base.m, base.n, base.d, base.info
+        self.forwarded = 0
+        for name in self.PER_NODE:
+            setattr(self, name, self._forward(getattr(base, name)))
+
+    def _forward(self, query):
+        def call(*args):
+            self.forwarded += 1
+            return query(*args)
+
+        return call
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(method="adom_vr", objective="logistic", seed=4, budget_iters=200, metric_every=5),
+        dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3),
+        dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3, per_node_coins=1),
+    ],
+    ids=["adom_vr_logistic", "gt_page_nlls", "gt_page_nlls_per_node_coins"],
+)
+def test_per_node_proxy_writes_identical_csv(config, tmp_path, fixture_path, monkeypatch):
+    import gossipvr.harness as harness
+
+    cfg = dict(config, dataset=str(fixture_path), topology="random-geometric", m=10, n=10)
+    _, direct, _ = run_experiment(ExperimentConfig().replace(**cfg, out=str(tmp_path / "direct")))
+    proxies = []
+    real_run = harness.run
+
+    def proxied_run(method, obj, *args, **kwargs):
+        proxies.append(PerNodeProxy(obj))
+        return real_run(method, proxies[-1], *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", proxied_run)
+    _, via_proxy, _ = run_experiment(ExperimentConfig().replace(**cfg, out=str(tmp_path / "proxy")))
+    assert proxies[0].forwarded > config["budget_iters"]
+    assert via_proxy.read_bytes() == direct.read_bytes()
 
 
 class TestCli:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gossipvr.network as network
 from gossipvr.network import (
     GossipMatrix,
     RandomGeometricSequence,
@@ -201,6 +202,19 @@ class TestRandomGeometric:
         assert seq.graph(0) == first_graph
         assert np.array_equal(seq.gossip(0).matrix, first.matrix)
         assert seq.built == 12  # step 0 was evicted and rebuilt twice
+
+    def test_dumped_steps_outlive_later_steps(self, monkeypatch):
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_LIMIT", 4)
+        monkeypatch.setattr(network, "DUMP_STEPS", 2)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        for k in range(10):
+            seq.gossip(k)
+        built = seq.built
+        out = io.StringIO()
+        dump_sequence(seq, 2, out)
+        assert seq.built == built  # steps 0 and 1 were still cached
+        seq.gossip(6)
+        assert seq.built == built + 1  # step 6 was evicted before them
 
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0, max_retries=20)

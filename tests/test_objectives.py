@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gossipvr.hardinstances import nonconvex_hard_objective, strongly_convex_chain
+from gossipvr.harness import parse_libsvm, partition_dataset
 from gossipvr.objectives import (
     CallableFiniteSum,
     CountingObjective,
@@ -256,3 +258,85 @@ class TestCountingObjective:
         obj.component_value(0, 0, rng.normal(size=4))
         obj.local_value(1, rng.normal(size=4))
         assert obj.calls.sum() == 0
+
+
+def per_node_answers(obj, nodes, idx, X, X_old):
+    """The four node-batched queries, answered by stacking per-node queries."""
+    pairs = [obj.sampled_gradient_pairs(int(i), ix, xn, xo) for i, ix, xn, xo in zip(nodes, idx, X, X_old)]
+    return (
+        np.stack([obj.sampled_gradients(int(i), ix, x) for i, ix, x in zip(nodes, idx, X)]),
+        np.stack([g for g, _ in pairs]),
+        np.stack([g for _, g in pairs]),
+        np.stack([obj.local_component_gradients(int(i), x) for i, x in zip(nodes, X)]),
+        np.stack([obj.local_gradient(int(i), x) for i, x in zip(nodes, X)]),
+    )
+
+
+def batched_answers(obj, nodes, idx, X, X_old):
+    return (
+        obj.batch_sampled_gradients(nodes, idx, X),
+        *obj.batch_sampled_gradient_pairs(nodes, idx, X, X_old),
+        obj.batch_component_gradients(nodes, X),
+        obj.batch_local_gradients(nodes, X),
+    )
+
+
+class TestNodeBatchedQueries:
+    @pytest.fixture(scope="class")
+    def rows(self, fixture_path):
+        return parse_libsvm(fixture_path)
+
+    @pytest.mark.parametrize("family", ["logistic", "nlls"])
+    @pytest.mark.parametrize("m,n", [(10, 10), (7, 9)])
+    def test_shard_batched_equals_per_node_bitwise(self, rows, family, m, n):
+        shards = partition_dataset(rows, m, n, seed=3)
+        if (m, n) == (7, 9):  # remainders leave unequal blocks, so padding is exercised
+            assert len({block.size for s in shards for block in s.block_rows}) > 1
+        obj = logistic_objective(shards, 0.1) if family == "logistic" else nlls_objective(shards)
+        rng = np.random.default_rng(m * n)
+        for nodes in (np.arange(m), np.array([m - 1, 0, 2]), np.array([1])):
+            k = len(nodes)
+            idx = rng.integers(0, n, size=(k, 4))
+            X, X_old = rng.normal(size=(2, k, obj.d))
+            for got, want in zip(batched_answers(obj, nodes, idx, X, X_old), per_node_answers(obj, nodes, idx, X, X_old)):
+                assert np.array_equal(got, want)
+
+    def test_shard_gradients_match_row_loops(self, rows):
+        shards = partition_dataset(rows, 7, 9, seed=3)
+        obj = logistic_objective(shards, 0.1)
+        w = np.random.default_rng(5).normal(size=obj.d)
+        s = shards[4]
+        assert [s.block_rows[j].size for j in (0, 8)] == [8, 7]  # block 8 carries one padding row
+        for j in (0, 8):
+            a, y = s.features[s.block_rows[j]], s.labels[s.block_rows[j]]
+            want = sum(-yr * ar / (1 + np.exp(yr * (ar @ w))) for ar, yr in zip(a, y)) / len(y) + 0.1 * w
+            assert np.allclose(obj.component_gradient(4, j, w), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: strongly_convex_chain(4, 3, big_l=4.0, mu=1.0, dim=8),
+            lambda: nonconvex_hard_objective(3, 2, big_l=1.0, delta=1.0, budget_comms=40, budget_oracle=40)[0],
+            lambda: random_quadratic(np.random.default_rng(18), m=3, n=3),
+        ],
+        ids=["chain", "zero_chain", "callable"],
+    )
+    def test_base_class_defaults_stack_per_node_queries(self, make):
+        obj = make()
+        rng = np.random.default_rng(19)
+        nodes = np.array([obj.m - 1, 0])
+        idx = rng.integers(0, obj.n, size=(2, 3))
+        X, X_old = rng.normal(size=(2, 2, obj.d))
+        for got, want in zip(batched_answers(obj, nodes, idx, X, X_old), per_node_answers(obj, nodes, idx, X, X_old)):
+            assert np.array_equal(got, want)
+
+    def test_counting_charges_equal_per_node_charges(self):
+        rng = np.random.default_rng(20)
+        base = random_quadratic(rng, m=4, n=3)
+        batched, per_node = CountingObjective(base), CountingObjective(base)
+        nodes = np.array([3, 1, 2])
+        idx = rng.integers(0, 3, size=(3, 2))
+        X, X_old = rng.normal(size=(2, 3, base.d))
+        batched_answers(batched, nodes, idx, X, X_old)
+        per_node_answers(per_node, nodes, idx, X, X_old)
+        assert batched.calls.tolist() == per_node.calls.tolist() == [0, 10, 10, 10]

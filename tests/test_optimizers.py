@@ -426,6 +426,21 @@ class TestGtPageStep:
         assert abs(mean_cost - expected) / expected < 0.05
 
 
+@pytest.mark.parametrize("init", [adom_vr_init, gt_page_init, gt_baseline_init])
+class TestStartPoint:
+    def setup_method(self):
+        self.obj = random_quadratic(np.random.default_rng(22), m=3, n=2, d=4)
+
+    def test_flat_point_starts_every_node(self, init):
+        x0 = np.arange(4.0)
+        assert np.array_equal(init(self.obj, x0=x0).x, np.tile(x0, (3, 1)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 4), (4, 4), (3, 5), (3, 4, 1)])
+    def test_bad_shapes_rejected(self, init, shape):
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            init(self.obj, x0=np.zeros(shape))
+
+
 class TestGtBaseline:
     def test_single_node_is_gradient_descent(self):
         rng = np.random.default_rng(10)
