@@ -15,7 +15,7 @@ left; the averaging operator actually applied by optimizers is ``I - W``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "ring_graph",
     "path_graph",
     "gossip_from_laplacian",
-    "apply_mixing",
     "measure_chi",
     "consensus_residual",
     "multi_stage_mix",
@@ -70,8 +69,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
             if not (0 <= i < self.m and 0 <= j < self.m):
                 raise ValueError(f"edge ({i},{j}) outside node range [0,{self.m})")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"edge ({i},{j}) has weight {w}; weights must be positive and finite")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
@@ -91,43 +90,19 @@ class WeightedGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return {(i, j) for i, j, _ in self.edges}
 
-    def is_connected(self) -> bool:
-        if self.m == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.m
-
 
 @dataclass(frozen=True)
 class GossipMatrix:
     """Normalized-Laplacian gossip matrix with its contraction certificate.
 
-    ``chi`` is exact (the graph condition number) when built from a single
-    graph via :func:`gossip_from_laplacian`; sequences may carry a measured
-    bound instead.  ``lam_max`` and ``lam_min_pos`` are the extreme eigenvalues
-    of the stored (already normalized) matrix, so ``lam_max == 1`` and
-    ``lam_min_pos == 1/chi`` for spectral constructions.
+    ``chi`` is exact: the graph condition number.  The stored matrix is
+    normalized so that its largest eigenvalue is 1; ``lam_min_pos == 1/chi`` is
+    its smallest positive one.
     """
 
     matrix: np.ndarray
     chi: float
-    lam_max: float = 1.0
-    lam_min_pos: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.lam_min_pos == 0.0:
-            object.__setattr__(self, "lam_min_pos", self.lam_max / self.chi)
+    lam_min_pos: float
 
     @property
     def m(self) -> int:
@@ -156,33 +131,31 @@ def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
     """Build ``W = L(g)/lambda_max(L(g))`` with its exact condition number.
 
     Requires a connected graph on at least two nodes; otherwise the smallest
-    positive eigenvalue degenerates and chi is undefined.
+    positive eigenvalue degenerates and chi is undefined.  A graph whose
+    ``chi`` would exceed ``1/_KERNEL_CUTOFF`` counts as disconnected.
     """
     if g.m < 2:
         raise ValueError("gossip matrix needs at least 2 nodes")
-    if not g.is_connected():
+    w = _gossip(g.laplacian())
+    if w is None:
         raise ValueError("graph is disconnected: chi would be infinite")
-    lap = g.laplacian()
+    return w
+
+
+def _gossip(lap: np.ndarray) -> GossipMatrix | None:
+    """``W = lap / lambda_max`` (symmetrized) with ``chi``, or ``None`` if the graph is disconnected.
+
+    One ``eigvalsh`` decides both: the graph is connected iff the Laplacian
+    kernel is one-dimensional, i.e. the second-smallest eigenvalue exceeds
+    ``_KERNEL_CUTOFF * lambda_max`` (an edgeless graph has ``lambda_max == 0``),
+    and then ``chi = lambda_max / eigs[1]``.
+    """
     eigs = np.linalg.eigvalsh(lap)
-    lam_max = float(eigs[-1])
-    positive = eigs[eigs > _KERNEL_CUTOFF * lam_max]
-    return _normalized_gossip(lap, lam_max, float(positive[0]))
-
-
-def _normalized_gossip(lap: np.ndarray, lam_max: float, lam_min_pos: float) -> GossipMatrix:
-    """``W = lap / lam_max`` (symmetrized) with chi from the Laplacian's extreme positive eigenvalues."""
-    w = lap / lam_max
-    w = 0.5 * (w + w.T)
-    chi = lam_max / lam_min_pos
-    return GossipMatrix(matrix=w, chi=chi, lam_max=1.0, lam_min_pos=lam_min_pos / lam_max)
-
-
-def apply_mixing(w: GossipMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply ``(W otimes I_d)`` to a stacked node vector: row i gets sum_j W_ij x_j."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != w.m:
-        raise ValueError(f"node vector shape {x.shape} does not match {w.m} nodes")
-    return w.matrix @ x
+    fiedler, top = float(eigs[1]), float(eigs[-1])
+    if not fiedler > _KERNEL_CUTOFF * top:
+        return None
+    w = lap / top
+    return GossipMatrix(matrix=0.5 * (w + w.T), chi=top / fiedler, lam_min_pos=fiedler / top)
 
 
 def node_mean(x: np.ndarray) -> np.ndarray:
@@ -256,11 +229,11 @@ class RandomGeometricSequence(GraphSequence):
     with unit weight.  Step ``k`` is a pure function of ``(seed, k)``, so runs
     can revisit steps in any order.
 
-    Gossip matrices are built straight from the boolean adjacency: one
-    ``eigvalsh`` of its Laplacian both tests connectivity (a single kernel
-    eigenvalue) and gives ``chi``.  ``built``, ``resamples`` and ``chi_max``
-    count the matrices built, the disconnected draws rejected and the largest
-    exact per-step ``chi`` built so far.  Of the ``CACHE_LIMIT`` cached steps,
+    Gossip matrices are built straight from the boolean adjacency by the
+    spectral test of :func:`gossip_from_laplacian`, and disconnected draws are
+    resampled.  ``built``, ``resamples`` and ``chi_max`` count the matrices
+    built, the disconnected draws rejected and the largest exact per-step
+    ``chi`` built so far.  Of the ``CACHE_LIMIT`` cached steps,
     the oldest at or past ``DUMP_STEPS`` are evicted first, so a run's dump
     finds its steps cached.
     """
@@ -308,12 +281,8 @@ class RandomGeometricSequence(GraphSequence):
             diff = pts[:, None, :] - pts[None, :, :]
             adj = np.sum(diff * diff, axis=2) <= r2
             np.fill_diagonal(adj, False)
-            lap = np.diag(adj.sum(axis=1).astype(float)) - adj
-            eigs = np.linalg.eigvalsh(lap)
-            lam_max = float(eigs[-1])
-            # Connected iff the Laplacian kernel is one-dimensional; an edgeless draw has lam_max 0.
-            if eigs[1] > _KERNEL_CUTOFF * lam_max:
-                w = _normalized_gossip(lap, lam_max, float(eigs[1]))
+            w = _gossip(np.diag(adj.sum(axis=1).astype(float)) - adj)
+            if w is not None:
                 self.built += 1
                 self.chi_max = max(self.chi_max, w.chi)
                 return w
@@ -407,20 +376,15 @@ class RotatingStarSequence(_CyclicSequence):
             raise ValueError("s1/s2 contain nodes outside [0, m)")
         self.s1, self.s2 = s1, s2
         self.s3 = tuple(v for v in range(m) if v not in set(s1) | set(s2))
-        centers = []
+        self.centers = []
         for exchange in (s1[0], s2[0]):
-            centers.extend(self.s3)
-            centers.append(exchange)
-        super().__init__([star_graph(m, center=c) for c in centers])
+            self.centers.extend(self.s3)
+            self.centers.append(exchange)
+        super().__init__([star_graph(m, center=c) for c in self.centers])
         self.chi = float(m) if m > 2 else 1.0
 
     def center(self, k: int) -> int:
-        g = self.graph(k)
-        degree = np.zeros(self.m, dtype=int)
-        for i, j, _ in g.edges:
-            degree[i] += 1
-            degree[j] += 1
-        return int(np.argmax(degree))
+        return self.centers[k % self.period]
 
 
 def measure_chi(seq: GraphSequence, trials: int, seed: int, vectors_per_graph: int = 8, power_iters: int = 40) -> float:
@@ -481,7 +445,7 @@ def chebyshev_mix(w: GossipMatrix | GraphSequence, degree: int, x: np.ndarray) -
     """Chebyshev-accelerated mixing step for a static gossip matrix.
 
     Evaluates ``x - Q_K(W) x`` where ``Q_K`` is the degree-``K`` Chebyshev
-    polynomial on the positive spectrum ``[lam_min_pos, lam_max]`` normalized
+    polynomial on the positive spectrum ``[lam_min_pos, 1]`` normalized
     to ``Q_K(0) = 1``:  consensus inputs map to zero and the zero-mean residual
     is the minimax-optimal polynomial residual of that degree.
     """
@@ -494,18 +458,18 @@ def chebyshev_mix(w: GossipMatrix | GraphSequence, degree: int, x: np.ndarray) -
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != w.m:
         raise ValueError(f"node vector shape {x.shape} does not match {w.m} nodes")
-    a, b = w.lam_min_pos, w.lam_max
-    if b - a < 1e-12 * b:
-        # Degenerate spectrum (e.g. complete graph): (1 - W/b)^K annihilates it.
+    a = w.lam_min_pos  # the spectrum's top is 1: W is normalized
+    if 1.0 - a < 1e-12:
+        # Degenerate spectrum (e.g. complete graph): (1 - W)^K annihilates it.
         residual = x
         for _ in range(degree):
-            residual = residual - (w.matrix @ residual) / b
+            residual = residual - w.matrix @ residual
         return x - residual
 
     def xi_apply(v: np.ndarray) -> np.ndarray:
-        return ((a + b) * v - 2.0 * (w.matrix @ v)) / (b - a)
+        return ((a + 1.0) * v - 2.0 * (w.matrix @ v)) / (1.0 - a)
 
-    xi0 = (b + a) / (b - a)
+    xi0 = (1.0 + a) / (1.0 - a)
     t_prev, t_curr = x, xi_apply(x)
     s_prev, s_curr = 1.0, xi0
     for _ in range(degree - 1):
@@ -523,35 +487,36 @@ def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:
             sink.write(f"edge {i} {j} {w!r}\n")
 
 
+# Field types of each dump record: ``m <nodes>``, ``step <k>``, ``edge <i> <j> <weight>``.
+_DUMP_RECORDS = {"m": (int,), "step": (int,), "edge": (int, int, float)}
+
+
 def parse_sequence_dump(source: Iterable[str]) -> list[WeightedGraph]:
     """Parse a dump produced by :func:`dump_sequence` back into graphs."""
     m: int | None = None
-    graphs: list[WeightedGraph] = []
-    edges: list[tuple[int, int, float]] = []
-    started = False
-
-    def flush():
-        if started:
-            graphs.append(WeightedGraph(m, tuple(edges)))
-            edges.clear()
-
+    steps: list[tuple[int, list[tuple[int, int, float]]]] = []  # (m, edges) per step block
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "m":
-            m = int(parts[1])
-        elif parts[0] == "step":
+        kind, *fields = line.split()
+        if kind not in _DUMP_RECORDS:
+            raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        types = _DUMP_RECORDS[kind]
+        if len(fields) != len(types):
+            raise ValueError(f"line {lineno}: {kind!r} record needs {len(types)} field(s), got {line!r}")
+        try:
+            values = [conv(f) for conv, f in zip(types, fields)]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+        if kind == "m":
+            (m,) = values
+        elif kind == "step":
             if m is None:
                 raise ValueError(f"line {lineno}: 'step' before 'm' header")
-            flush()
-            started = True
-        elif parts[0] == "edge":
-            if not started:
-                raise ValueError(f"line {lineno}: 'edge' outside a step block")
-            edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            steps.append((m, []))
+        elif not steps:
+            raise ValueError(f"line {lineno}: 'edge' outside a step block")
         else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
-    flush()
-    return graphs
+            steps[-1][1].append(tuple(values))
+    return [WeightedGraph(nodes, tuple(edges)) for nodes, edges in steps]

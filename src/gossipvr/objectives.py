@@ -262,12 +262,8 @@ class CallableFiniteSum(FiniteSumObjective):
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))  # at most 1, so neither branch overflows
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class ShardObjective(FiniteSumObjective):

@@ -12,7 +12,6 @@ from gossipvr.network import (
     StaticSequence,
     TwoStarHopSequence,
     WeightedGraph,
-    apply_mixing,
     chebyshev_mix,
     complete_graph,
     consensus_error,
@@ -39,9 +38,15 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(3, ((0, 5, 1.0),))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_rejects_nonfinite_weights(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
+
     def test_connectivity(self):
-        assert complete_graph(4).is_connected()
-        assert not WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))).is_connected()
+        assert gossip_from_laplacian(complete_graph(4)).m == 4
+        with pytest.raises(ValueError, match="disconnected"):
+            gossip_from_laplacian(WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))))
 
 
 class TestGossipFromLaplacian:
@@ -61,6 +66,20 @@ class TestGossipFromLaplacian:
         with pytest.raises(ValueError):
             gossip_from_laplacian(WeightedGraph(1, ()))
 
+    @staticmethod
+    def two_triangles(bridge):
+        return WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0),
+                                 (2, 3, bridge)))
+
+    def test_weak_bridge_is_disconnected(self):
+        # chi ~ 4.5/bridge: above 1e8 the graph is as good as disconnected, and the
+        # certificate must not skip its near-zero Fiedler eigenvalue.
+        with pytest.raises(ValueError, match="disconnected"):
+            gossip_from_laplacian(self.two_triangles(1e-9))
+        w = gossip_from_laplacian(self.two_triangles(1e-6))
+        assert w.chi == pytest.approx(4.5e6, rel=1e-5)
+        assert w.lam_min_pos == pytest.approx(1.0 / w.chi)
+
     def test_symmetry_and_zero_row_sums(self):
         rng = np.random.default_rng(0)
         for seq in [StaticSequence(star_graph(5)), TwoStarHopSequence(7), RotatingStarSequence(6)]:
@@ -74,29 +93,24 @@ class TestApplyMixing:
     def test_consensus_maps_to_zero(self):
         w = gossip_from_laplacian(complete_graph(3))
         x = np.tile([1.5, -2.0], (3, 1))
-        assert np.allclose(apply_mixing(w, x), 0.0)
+        assert np.allclose(w.matrix @ x, 0.0)
 
     def test_two_node_eigenvector(self):
         # (u, -u) is the eigenvector of the 2-node gossip matrix at eigenvalue 1.
         w = gossip_from_laplacian(complete_graph(2))
         u = np.array([2.0, -1.0, 3.0])
         x = np.stack([u, -u])
-        assert np.allclose(apply_mixing(w, x), x, atol=1e-12)
+        assert np.allclose(w.matrix @ x, x, atol=1e-12)
 
     def test_zero_in_zero_out(self):
         w = gossip_from_laplacian(star_graph(4))
-        assert np.allclose(apply_mixing(w, np.zeros((4, 2))), 0.0)
-
-    def test_dimension_mismatch(self):
-        w = gossip_from_laplacian(star_graph(4))
-        with pytest.raises(ValueError):
-            apply_mixing(w, np.zeros((3, 2)))
+        assert np.allclose(w.matrix @ np.zeros((4, 2)), 0.0)
 
     def test_output_mean_is_zero(self):
         rng = np.random.default_rng(3)
         for seq in [StaticSequence(star_graph(6)), TwoStarHopSequence(6)]:
             for k in range(seq.period):
-                out = apply_mixing(seq.gossip(k), rng.standard_normal((6, 4)))
+                out = seq.gossip(k).matrix @ rng.standard_normal((6, 4))
                 assert np.max(np.abs(out.mean(axis=0))) < 1e-10
 
 
@@ -120,7 +134,7 @@ class TestContraction:
             bound = 1.0 - 1.0 / chi
             for _ in range(100):
                 x = random_zero_mean(rng, seq.m)
-                lhs = np.sum((apply_mixing(w, x) - x) ** 2)
+                lhs = np.sum((w.matrix @ x - x) ** 2)
                 assert lhs <= bound * np.sum(x * x) + 1e-10
 
 
@@ -151,7 +165,8 @@ class TestRandomGeometric:
 
     def test_connected_over_horizon(self):
         seq = RandomGeometricSequence(50, 0.3, seed=7)
-        assert all(seq.graph(k).is_connected() for k in range(1000))
+        for k in range(1000):
+            gossip_from_laplacian(seq.graph(k))  # raises if disconnected
 
     @pytest.mark.parametrize(
         "m, radius, seed, resamples",
@@ -256,7 +271,7 @@ class TestTwoStarHop:
             for k in range(seq.period):
                 g = seq.graph(k)
                 assert len(g.edges) == m - 1
-                assert g.is_connected()
+                gossip_from_laplacian(g)  # raises if disconnected
 
     def test_consecutive_graphs_differ_by_one_hop(self):
         seq = TwoStarHopSequence(9)
@@ -277,6 +292,8 @@ class TestRotatingStar:
         seq = RotatingStarSequence(3)
         centers = [seq.center(k) for k in range(seq.period)]
         assert centers == [2, 0, 2, 1]
+        for k in range(2 * seq.period):
+            assert seq.graph(k) == star_graph(3, center=seq.center(k))
 
     def test_spectral_gap_is_one_over_m(self):
         m = 9
@@ -292,7 +309,12 @@ class TestMultiStageMix:
         seq = TwoStarHopSequence(6)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 3))
-        assert np.allclose(multi_stage_mix(seq, 4, 1, x), apply_mixing(seq.gossip(4), x))
+        assert np.allclose(multi_stage_mix(seq, 4, 1, x), seq.gossip(4).matrix @ x)
+
+    def test_dimension_mismatch(self):
+        seq = StaticSequence(star_graph(4))
+        with pytest.raises(ValueError):
+            multi_stage_mix(seq, 0, 1, np.zeros((3, 2)))
 
     def test_matches_bruteforce_matrix_products(self):
         for m, stages in [(5, 3), (8, 5)]:
@@ -325,7 +347,7 @@ class TestChebyshevMix:
         w = gossip_from_laplacian(star_graph(5))
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 2))
-        expected = (2.0 / (w.lam_min_pos + w.lam_max)) * apply_mixing(w, x)
+        expected = (2.0 / (w.lam_min_pos + 1.0)) * (w.matrix @ x)
         assert np.allclose(chebyshev_mix(w, 1, x), expected, atol=1e-12)
 
     def test_consensus_maps_to_zero(self):
@@ -345,7 +367,7 @@ class TestChebyshevMix:
             worst_cheb = max(worst_cheb, np.sum((x - out) ** 2) / denom)
             y = x
             for _ in range(degree):
-                y = y - apply_mixing(w, y)
+                y = y - w.matrix @ y
             worst_plain = max(worst_plain, np.sum(y * y) / denom)
         assert worst_cheb < worst_plain
 
@@ -381,9 +403,25 @@ class TestSerialization:
         for k, g in enumerate(graphs):
             assert g.edges == seq.graph(k).edges
 
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError, match="step"):
-            parse_sequence_dump(io.StringIO("m 4\nedge 0 1 1.0\n"))
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("m 4\nedge 0 1 1.0\n", "line 2: 'edge' outside a step block"),
+            ("step 0\n", "line 1: 'step' before 'm'"),
+            ("m 4\nstep 0\nedge 0 1\n", "line 3: 'edge' record needs 3"),
+            ("m\nstep 0\n", "line 1: 'm' record needs 1"),
+            ("m 4\nstep 0\nedge 0 x 1.0\n", "line 3: non-numeric"),
+            ("m 4\nstep 0\nedge 0 1 1.0 2.0\n", "line 3: 'edge' record needs 3"),
+            ("m four\n", "line 1: non-numeric"),
+            ("m 4\nstep 0\nnode 3\n", "line 3: unknown record"),
+            ("m 4\nstep 0\nedge 0 1 nan\n", "finite"),
+        ],
+        ids=["edge-before-step", "step-before-m", "short-edge", "bare-m", "non-numeric-edge", "long-edge",
+             "non-numeric-m", "unknown", "nan-weight"],
+    )
+    def test_malformed_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_sequence_dump(io.StringIO(text))
 
 
 def test_consensus_error_zero_at_consensus():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gossipvr.objectives import (
     SmoothnessInfo,
     finite_difference_check,
     logistic_objective,
+    _sigmoid,
     nlls_objective,
 )
 
@@ -136,6 +138,25 @@ class TestNlls:
         shards = make_shards(rng, m=1, n=2, labels="real") + make_shards(rng, m=1, n=3, labels="real")
         with pytest.raises(ValueError, match="agree on n and d"):
             nlls_objective(shards, probe_pairs=10)
+
+
+def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
+    def two_branch(t):
+        out = np.empty_like(t)
+        pos = t >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        et = np.exp(t[~pos])
+        out[~pos] = et / (1.0 + et)
+        return out
+
+    rng = np.random.default_rng(0)
+    extremes = np.array([1e4, -1e4, 800.0, -800.0, 745.0, -745.0, 40.0, -40.0, 0.0, -0.0, 1e-300, -1e-300])
+    t = np.concatenate([extremes, 50.0 * rng.standard_normal(9_988)]).reshape(4, -1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(t)
+    assert got.shape == t.shape
+    assert np.array_equal(got, two_branch(t))
 
 
 def test_logistic_rejects_negative_regularization():
