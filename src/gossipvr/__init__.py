@@ -8,7 +8,6 @@ from .network import (
     StaticSequence,
     TwoStarHopSequence,
     WeightedGraph,
-    chebyshev_mix,
     gossip_from_laplacian,
     measure_chi,
     multi_stage_mix,

@@ -254,16 +254,18 @@ def strongly_convex_chain(m: int, n: int, big_l: float, mu: float, dim: int) -> 
 class ZeroChainObjective(FiniteSumObjective):
     """Scaled zero-chain functions split over three node camps and n blocks.
 
-    Camp 1 owns the odd coupling terms, camp 2 the even ones, the rest are
+    The camps are the rotating star's ``s1``, ``s2`` and ``s3``.  Camp 1
+    owns the odd coupling terms, camp 2 the even ones, the rest are
     identically zero.  Each camp function splits into n blocks by residue of
     the term index, scaled by n, so the block average reproduces the camp
     function exactly while the blocks' mean-square smoothness grows by
     sqrt(n).
     """
 
-    def __init__(self, m: int, n: int, big_l: float, delta: float, budget_comms: int, budget_oracle: int):
-        if m < 3:
-            raise ValueError("zero-chain instance needs m >= 3")
+    def __init__(
+        self, star: RotatingStarSequence, n: int, big_l: float, delta: float, budget_comms: int, budget_oracle: int
+    ):
+        m = star.m
         if budget_comms < m / 4:
             raise ValueError("communication budget must be at least m/4")
         if budget_oracle < n:
@@ -271,10 +273,8 @@ class ZeroChainObjective(FiniteSumObjective):
         if big_l <= 0 or delta <= 0:
             raise ValueError("L and Delta must be positive")
         self.m, self.n = m, n
-        third = math.ceil(m / 3)
-        self.s1 = tuple(range(third))
-        self.s2 = tuple(range(third, 2 * third))
-        self.s3 = tuple(range(2 * third, m))
+        self.s1, self.s2, self.s3 = star.s1, star.s2, star.s3
+        third = len(self.s1)
         self.big_l, self.delta = float(big_l), float(delta)
         depth = min((4 * budget_comms) // m, budget_oracle // n)
         self.d = int(2 + depth)
@@ -292,17 +292,9 @@ class ZeroChainObjective(FiniteSumObjective):
         self.info.validate(n)
 
     def _build_block_terms(self) -> dict[tuple[int, int], np.ndarray]:
-        """Term indices per (camp, block): odd residues for camp 1, even for camp 2."""
-        n, d = self.n, self.d
-        table: dict[tuple[int, int], np.ndarray] = {}
-        all_j = np.arange(2, d + 1)
-        for k in range(1, n + 1):
-            odd = all_j[all_j % (2 * n) == (2 * k - 1) % (2 * n)]
-            if k == 1:
-                odd = np.concatenate(([1], odd))
-            table[(1, k - 1)] = odd
-            table[(2, k - 1)] = all_j[all_j % (2 * n) == (2 * k) % (2 * n)]
-        return table
+        """Term indices per (camp, block): block ``j`` of camp ``c`` holds the terms ``= 2j + c (mod 2n)``."""
+        terms, period = np.arange(1, self.d + 1), 2 * self.n
+        return {(c, j): terms[terms % period == (2 * j + c) % period] for c in (1, 2) for j in range(self.n)}
 
     def _camp(self, i: int) -> int:
         if i in self.s1:
@@ -311,46 +303,41 @@ class ZeroChainObjective(FiniteSumObjective):
             return 2
         return 3
 
-    def _component(self, i: int, j: int, w: np.ndarray) -> tuple[float, np.ndarray]:
+    def _chain(self, i: int, w, j: int | None = None) -> tuple[float, np.ndarray]:
+        """Value and gradient of block ``j`` of node ``i``, or of the node function if ``j`` is None.
+
+        The blocks of a camp touch disjoint coordinates, so their mean is one
+        chain over the camp's parity terms.
+        """
         camp = self._camp(i)
         if camp == 3:
             return 0.0, np.zeros(self.d)
-        terms = self._block_terms[(camp, j)]
-        val, grad = _chain_terms(w / self.scale_c, terms, self.n * self.camp_coef)
+        if j is None:
+            terms, coef = np.arange(camp, self.d + 1, 2), self.camp_coef
+        else:
+            terms, coef = self._block_terms[(camp, j)], self.n * self.camp_coef
+        val, grad = _chain_terms(np.asarray(w, dtype=float) / self.scale_c, terms, coef)
         return self.value_coef * val, (self.value_coef / self.scale_c) * grad
 
     def component_value(self, i, j, w):
-        return float(self._component(i, j, np.asarray(w, dtype=float))[0])
+        return float(self._chain(i, w, j)[0])
 
     def component_gradient(self, i, j, w):
-        return self._component(i, j, np.asarray(w, dtype=float))[1]
+        return self._chain(i, w, j)[1]
 
     def local_value(self, i, w):
-        w = np.asarray(w, dtype=float)
-        camp = self._camp(i)
-        if camp == 3:
-            return 0.0
-        total = sum(self._component(i, j, w)[0] for j in range(self.n))
-        return float(total / self.n)
+        return float(self._chain(i, w)[0])
 
     def local_gradient(self, i, w):
-        w = np.asarray(w, dtype=float)
-        camp = self._camp(i)
-        if camp == 3:
-            return np.zeros(self.d)
-        g = np.zeros(self.d)
-        for j in range(self.n):
-            g += self._component(i, j, w)[1]
-        return g / self.n
+        return self._chain(i, w)[1]
 
 
 def nonconvex_hard_objective(
     m: int, n: int, big_l: float, delta: float, budget_comms: int, budget_oracle: int
 ) -> tuple[ZeroChainObjective, GraphSequence]:
     """Zero-chain hard instance paired with its rotating-star graph sequence."""
-    obj = ZeroChainObjective(m, n, big_l, delta, budget_comms, budget_oracle)
-    seq = RotatingStarSequence(m, obj.s1, obj.s2)
-    return obj, seq
+    seq = RotatingStarSequence(m)
+    return ZeroChainObjective(seq, n, big_l, delta, budget_comms, budget_oracle), seq
 
 
 # ---------------------------------------------------------------------------

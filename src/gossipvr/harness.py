@@ -367,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     obj, seq = _build_objective(cfg, seq)
     info = obj.info
 
-    chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials, seed=cfg.seed + 7)
+    chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
 
     x_star = None
     if info.mu > 0:

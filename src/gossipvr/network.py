@@ -36,10 +36,8 @@ __all__ = [
     "measure_chi",
     "consensus_residual",
     "multi_stage_mix",
-    "chebyshev_mix",
     "node_mean",
     "consensus_error",
-    "project_zero_mean",
     "dump_sequence",
     "parse_sequence_dump",
     "DUMP_STEPS",
@@ -96,17 +94,12 @@ class GossipMatrix:
     """Normalized-Laplacian gossip matrix with its contraction certificate.
 
     ``chi`` is exact: the graph condition number.  The stored matrix is
-    normalized so that its largest eigenvalue is 1; ``lam_min_pos == 1/chi`` is
-    its smallest positive one.
+    normalized so that its largest eigenvalue is 1; ``1/chi`` is its smallest
+    positive one.
     """
 
     matrix: np.ndarray
     chi: float
-    lam_min_pos: float
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
 
 
 def complete_graph(m: int, weight: float = 1.0) -> WeightedGraph:
@@ -155,7 +148,7 @@ def _gossip(lap: np.ndarray) -> GossipMatrix | None:
     if not fiedler > _KERNEL_CUTOFF * top:
         return None
     w = lap / top
-    return GossipMatrix(matrix=0.5 * (w + w.T), chi=top / fiedler, lam_min_pos=fiedler / top)
+    return GossipMatrix(matrix=0.5 * (w + w.T), chi=top / fiedler)
 
 
 def node_mean(x: np.ndarray) -> np.ndarray:
@@ -166,10 +159,6 @@ def consensus_error(x: np.ndarray) -> float:
     """Total squared deviation of node blocks from their mean."""
     dev = x - node_mean(x)
     return float(np.sum(dev * dev))
-
-
-def project_zero_mean(x: np.ndarray) -> np.ndarray:
-    return x - node_mean(x)
 
 
 class GraphSequence:
@@ -190,10 +179,6 @@ class GraphSequence:
 
     def gossip(self, k: int) -> GossipMatrix:
         raise NotImplementedError
-
-    @property
-    def is_static(self) -> bool:
-        return self.kind == "static"
 
 
 class _CyclicSequence(GraphSequence):
@@ -349,74 +334,38 @@ class TwoStarHopSequence(_CyclicSequence):
 class RotatingStarSequence(_CyclicSequence):
     """Star graph whose center rotates to throttle exchange between two camps.
 
-    The node set splits into ``s1``, ``s2`` (both of size ``ceil(m/3)``) and
-    the remainder ``s3``.  Centers cycle through all of ``s3`` and then one
-    designated vertex that lets ``s1`` and ``s2`` trade information; that
-    vertex alternates between the first node of each camp on successive
-    cycles.  Every step is a star, so the per-step condition number is ``m``
+    The node set splits into the camps ``s1`` (the first ``ceil(m/3)`` nodes),
+    ``s2`` (the next ``ceil(m/3)``) and the remainder ``s3``.  Centers cycle
+    through all of ``s3`` and then one designated vertex that lets ``s1`` and
+    ``s2`` trade information; that vertex alternates between the first node
+    of each camp on successive cycles.  Every step is a star, so the per-step condition number is ``m``
     and the mixing spectral gap is ``1/m``.
     """
 
     kind = "rotating-star"
 
-    def __init__(self, m: int, s1: Sequence[int] | None = None, s2: Sequence[int] | None = None):
+    def __init__(self, m: int):
         if m < 3:
             raise ValueError("rotating star needs m >= 3")
         third = math.ceil(m / 3)
-        if s1 is None and s2 is None:
-            s1 = tuple(range(third))
-            s2 = tuple(range(third, 2 * third))
-        s1 = tuple(int(v) for v in (s1 or ()))
-        s2 = tuple(int(v) for v in (s2 or ()))
-        if len(s1) != third or len(s2) != third:
-            raise ValueError(f"s1 and s2 must each have ceil(m/3)={third} nodes")
-        if set(s1) & set(s2):
-            raise ValueError("s1 and s2 must be disjoint")
-        if not (set(s1) | set(s2)) <= set(range(m)):
-            raise ValueError("s1/s2 contain nodes outside [0, m)")
-        self.s1, self.s2 = s1, s2
-        self.s3 = tuple(v for v in range(m) if v not in set(s1) | set(s2))
-        self.centers = []
-        for exchange in (s1[0], s2[0]):
-            self.centers.extend(self.s3)
-            self.centers.append(exchange)
+        self.s1 = tuple(range(third))
+        self.s2 = tuple(range(third, 2 * third))
+        self.s3 = tuple(range(2 * third, m))
+        self.centers = [*self.s3, self.s1[0], *self.s3, self.s2[0]]
         super().__init__([star_graph(m, center=c) for c in self.centers])
-        self.chi = float(m) if m > 2 else 1.0
+        self.chi = float(m)
 
     def center(self, k: int) -> int:
         return self.centers[k % self.period]
 
 
-def measure_chi(seq: GraphSequence, trials: int, seed: int, vectors_per_graph: int = 8, power_iters: int = 40) -> float:
-    """Empirical contraction certificate for a graph sequence.
-
-    Over sampled steps and zero-mean test vectors (random starts refined by
-    power iteration on ``I - W``), finds the worst ratio ``||Wx - x|| / ||x||``
-    and returns ``1 / (1 - ratio)``: the smallest chi certified by the tested
-    vectors, matching the exact graph condition number for static graphs.
-    Deterministic given the seed.
-    """
+def measure_chi(seq: GraphSequence, trials: int) -> float:
+    """Contraction certificate of a graph sequence: the largest exact per-step
+    ``chi`` over its first ``trials`` steps (one period, if shorter)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
     steps = trials if seq.period is None else min(trials, seq.period)
-    worst = 0.0
-    for k in range(steps):
-        w = seq.gossip(k).matrix
-        mix = np.eye(seq.m) - w
-        for _ in range(vectors_per_graph):
-            x = project_zero_mean(rng.standard_normal((seq.m, 1)))
-            for _ in range(power_iters):
-                nrm = np.linalg.norm(x)
-                if nrm < 1e-300:
-                    break
-                x = project_zero_mean(mix @ (x / nrm))
-            nrm = np.linalg.norm(x)
-            if nrm < 1e-300:
-                continue
-            ratio = float(np.linalg.norm(mix @ x) / nrm)
-            worst = max(worst, min(ratio, 1.0 - 1e-15))
-    return 1.0 / (1.0 - worst)
+    return max(seq.gossip(k).chi for k in range(steps))
 
 
 def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
@@ -441,43 +390,6 @@ def multi_stage_mix(seq: GraphSequence, start_step: int, stages: int, x: np.ndar
     return x - consensus_residual(seq, start_step, stages, x)
 
 
-def chebyshev_mix(w: GossipMatrix | GraphSequence, degree: int, x: np.ndarray) -> np.ndarray:
-    """Chebyshev-accelerated mixing step for a static gossip matrix.
-
-    Evaluates ``x - Q_K(W) x`` where ``Q_K`` is the degree-``K`` Chebyshev
-    polynomial on the positive spectrum ``[lam_min_pos, 1]`` normalized
-    to ``Q_K(0) = 1``:  consensus inputs map to zero and the zero-mean residual
-    is the minimax-optimal polynomial residual of that degree.
-    """
-    if isinstance(w, GraphSequence):
-        if not w.is_static:
-            raise ValueError("Chebyshev acceleration requires a static graph sequence")
-        w = w.gossip(0)
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != w.m:
-        raise ValueError(f"node vector shape {x.shape} does not match {w.m} nodes")
-    a = w.lam_min_pos  # the spectrum's top is 1: W is normalized
-    if 1.0 - a < 1e-12:
-        # Degenerate spectrum (e.g. complete graph): (1 - W)^K annihilates it.
-        residual = x
-        for _ in range(degree):
-            residual = residual - w.matrix @ residual
-        return x - residual
-
-    def xi_apply(v: np.ndarray) -> np.ndarray:
-        return ((a + 1.0) * v - 2.0 * (w.matrix @ v)) / (1.0 - a)
-
-    xi0 = (1.0 + a) / (1.0 - a)
-    t_prev, t_curr = x, xi_apply(x)
-    s_prev, s_curr = 1.0, xi0
-    for _ in range(degree - 1):
-        t_prev, t_curr = t_curr, 2.0 * xi_apply(t_curr) - t_prev
-        s_prev, s_curr = s_curr, 2.0 * xi0 * s_curr - s_prev
-    return x - t_curr / s_curr
-
-
 def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:
     """Write ``steps`` graphs in the line format ``m``/``step``/``edge``."""
     sink.write(f"m {seq.m}\n")
@@ -492,9 +404,10 @@ _DUMP_RECORDS = {"m": (int,), "step": (int,), "edge": (int, int, float)}
 
 
 def parse_sequence_dump(source: Iterable[str]) -> list[WeightedGraph]:
-    """Parse a dump produced by :func:`dump_sequence` back into graphs."""
+    """Parse a dump produced by :func:`dump_sequence` back into graphs; every malformed
+    record, also one that :class:`WeightedGraph` rejects, fails with its line number."""
     m: int | None = None
-    steps: list[tuple[int, list[tuple[int, int, float]]]] = []  # (m, edges) per step block
+    steps: list[tuple[int, list[tuple[int, tuple]]]] = []  # (m, [(lineno, edge)]) per step block
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -511,6 +424,7 @@ def parse_sequence_dump(source: Iterable[str]) -> list[WeightedGraph]:
             raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
         if kind == "m":
             (m,) = values
+            _graph_at(lineno, m, ())
         elif kind == "step":
             if m is None:
                 raise ValueError(f"line {lineno}: 'step' before 'm' header")
@@ -518,5 +432,23 @@ def parse_sequence_dump(source: Iterable[str]) -> list[WeightedGraph]:
         elif not steps:
             raise ValueError(f"line {lineno}: 'edge' outside a step block")
         else:
-            steps[-1][1].append(tuple(values))
-    return [WeightedGraph(nodes, tuple(edges)) for nodes, edges in steps]
+            steps[-1][1].append((lineno, tuple(values)))
+    return [_step_graph(nodes, records) for nodes, records in steps]
+
+
+def _graph_at(lineno: int, m: int, edges: tuple) -> WeightedGraph:
+    try:
+        return WeightedGraph(m, edges)
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: {err}") from None
+
+
+def _step_graph(m: int, records: list[tuple[int, tuple]]) -> WeightedGraph:
+    edges = tuple(edge for _, edge in records)
+    try:
+        return WeightedGraph(m, edges)
+    except ValueError:
+        # The shortest prefix of the step that fails ends at the offending record.
+        for k, (lineno, _) in enumerate(records, start=1):
+            _graph_at(lineno, m, edges[:k])
+        raise

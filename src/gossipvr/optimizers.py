@@ -228,9 +228,9 @@ class GtPageParams:
             raise ValueError(f"step {self.eta} outside (0, rho/L = {self.rho / self.L:.6g}]")
 
 
-def _gt_page_step_bounds(L: float, Lhat: float, b: int, p: float, rho: float, contraction_sq: float = 4.0):
+def _gt_page_step_bounds(L: float, Lhat: float, b: int, p: float, rho: float):
     """The three admissible-step bounds plus the coarse ``rho / L`` cap."""
-    ct = contraction_sq
+    ct = 4.0  # the analysis' squared contraction constant
     s2 = (1.0 - p) * Lhat * Lhat / (b * p * L * L)
     bound2 = 2.0 / (L * ((1.0 + 2.0 / ct) + math.sqrt(2.0 + 8.0 / (ct * ct) + 16.0 * s2)))
     bound3 = (2.0 * rho * rho + 2.0 * ct * (rho * rho + rho) * math.sqrt(s2)) / (L * (1.0 + 2.0 * ct * s2))

@@ -31,7 +31,7 @@ from gossipvr.network import (
     complete_graph,
     measure_chi,
     multi_stage_mix,
-    project_zero_mean,
+    node_mean,
     star_graph,
 )
 from gossipvr.objectives import finite_difference_check, logistic_objective, nlls_objective
@@ -50,6 +50,10 @@ from gossipvr.optimizers import (
 )
 
 from test_objectives import make_shards, random_quadratic
+
+
+def _zero_mean(x):
+    return x - node_mean(x)
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -73,7 +77,7 @@ def logistic_setup(fixture_path):
     shards = partition_dataset(rows, 10, 10, seed=4)
     obj = logistic_objective(shards, 0.1)
     seq = RandomGeometricSequence(10, 0.7, seed=123)
-    chi = measure_chi(seq, trials=20, seed=5)
+    chi = measure_chi(seq, trials=20)
     return shards, obj, seq, chi
 
 
@@ -85,7 +89,7 @@ def test_01_gossip_contraction():
         w = seq.gossip(0)
         bound = 1.0 - 1.0 / w.chi
         for _ in range(100):
-            x = project_zero_mean(rng.standard_normal((seq.m, 3)))
+            x = _zero_mean(rng.standard_normal((seq.m, 3)))
             lhs = float(np.sum((w.matrix @ x - x) ** 2))
             worst_violation = max(worst_violation, lhs - bound * float(np.sum(x * x)))
     elapsed = time.time() - start
@@ -102,7 +106,7 @@ def test_02_multi_stage_consensus():
     rng = np.random.default_rng(1)
     worst = 0.0
     for trial in range(100):
-        x = project_zero_mean(rng.standard_normal((m, 4)))
+        x = _zero_mean(rng.standard_normal((m, 4)))
         out = multi_stage_mix(seq, start_step=trial, stages=stages, x=x)
         worst = max(worst, float(np.sum((x - out) ** 2) / np.sum(x * x)))
     elapsed = time.time() - start

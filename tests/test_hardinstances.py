@@ -276,6 +276,21 @@ class TestZeroChainInstance:
                     camp = 1 if i in obj.s1 else 2
                     assert (p % 2 == 0) == (camp == 1)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_node_queries_are_block_means(self, n):
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(12 + n)
+        for _ in range(100):
+            x = rng.uniform(-2, 2, size=obj.d) * obj.scale_c
+            x[rng.integers(0, obj.d + 1):] = 0.0  # partly activated
+            for i in range(obj.m):
+                block_mean = obj.local_component_gradients(i, x).mean(axis=0)
+                grad = obj.local_gradient(i, x)
+                assert prog(grad) == prog(block_mean)
+                np.testing.assert_allclose(grad, block_mean, rtol=1e-12, atol=1e-300)
+                block_value = np.mean([obj.component_value(i, j, x) for j in range(n)])
+                assert obj.local_value(i, x) == pytest.approx(block_value, rel=1e-12, abs=1e-300)
+
     def test_finite_differences(self):
         obj, _ = nonconvex_hard_objective(6, 3, 1.5, 1.0, budget_comms=24, budget_oracle=30)
         rng = np.random.default_rng(11)

@@ -12,21 +12,21 @@ from gossipvr.network import (
     StaticSequence,
     TwoStarHopSequence,
     WeightedGraph,
-    chebyshev_mix,
     complete_graph,
     consensus_error,
     dump_sequence,
     gossip_from_laplacian,
     measure_chi,
     multi_stage_mix,
+    node_mean,
     parse_sequence_dump,
-    project_zero_mean,
     star_graph,
 )
 
 
 def random_zero_mean(rng, m, d=3):
-    return project_zero_mean(rng.standard_normal((m, d)))
+    x = rng.standard_normal((m, d))
+    return x - node_mean(x)
 
 
 class TestWeightedGraph:
@@ -44,7 +44,7 @@ class TestWeightedGraph:
             WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
 
     def test_connectivity(self):
-        assert gossip_from_laplacian(complete_graph(4)).m == 4
+        assert gossip_from_laplacian(complete_graph(4)).matrix.shape == (4, 4)
         with pytest.raises(ValueError, match="disconnected"):
             gossip_from_laplacian(WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))))
 
@@ -78,7 +78,7 @@ class TestGossipFromLaplacian:
             gossip_from_laplacian(self.two_triangles(1e-9))
         w = gossip_from_laplacian(self.two_triangles(1e-6))
         assert w.chi == pytest.approx(4.5e6, rel=1e-5)
-        assert w.lam_min_pos == pytest.approx(1.0 / w.chi)
+        assert np.linalg.eigvalsh(w.matrix)[1] == pytest.approx(1.0 / w.chi, rel=1e-6)
 
     def test_symmetry_and_zero_row_sums(self):
         rng = np.random.default_rng(0)
@@ -128,7 +128,7 @@ class TestContraction:
     )
     def test_zero_mean_contraction(self, seq):
         rng = np.random.default_rng(11)
-        chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=6, seed=0)
+        chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=6)
         for k in range(min(seq.period or 6, 6)):
             w = seq.gossip(k)
             bound = 1.0 - 1.0 / chi
@@ -140,21 +140,29 @@ class TestContraction:
 
 class TestMeasureChi:
     def test_complete_two_nodes(self):
-        assert measure_chi(StaticSequence(complete_graph(2)), trials=1, seed=0) == pytest.approx(1.0, abs=1e-9)
+        assert measure_chi(StaticSequence(complete_graph(2)), trials=1) == pytest.approx(1.0, abs=1e-9)
 
     def test_star_four_nodes(self):
-        chi = measure_chi(StaticSequence(star_graph(4)), trials=1, seed=0)
-        assert chi == pytest.approx(4.0, rel=0.05)
+        chi = measure_chi(StaticSequence(star_graph(4)), trials=1)
+        assert chi == pytest.approx(4.0, abs=1e-9)
 
     def test_two_star_hop_within_certificate(self):
         m = 12
         seq = TwoStarHopSequence(m)
-        chi = measure_chi(seq, trials=seq.period, seed=1)
+        chi = measure_chi(seq, trials=10 * seq.period)  # one period covers every step
+        assert chi == seq.chi
         assert chi <= 8 * m
+
+    def test_random_geometric_is_exact_worst_step(self):
+        # Config seed 97's graphs, on which a power-iteration estimate over
+        # sampled vectors fell 0.16% short of the worst step's exact chi.
+        seq = RandomGeometricSequence(10, 0.7, seed=104826)
+        exact = max(seq.gossip(k).chi for k in range(20))
+        assert measure_chi(seq, trials=20) == pytest.approx(exact, rel=1e-12)
 
     def test_requires_trials(self):
         with pytest.raises(ValueError):
-            measure_chi(StaticSequence(star_graph(4)), trials=0, seed=0)
+            measure_chi(StaticSequence(star_graph(4)), trials=0)
 
 
 class TestRandomGeometric:
@@ -181,7 +189,6 @@ class TestRandomGeometric:
             ref = gossip_from_laplacian(seq.graph(k))
             assert np.array_equal(w.matrix, ref.matrix)
             assert w.chi == ref.chi
-            assert w.lam_min_pos == ref.lam_min_pos
             chis.append(w.chi)
         assert seq.built == 300
         assert seq.resamples == resamples
@@ -284,9 +291,9 @@ class TestTwoStarHop:
 class TestRotatingStar:
     def test_partition_sizes_enforced(self):
         with pytest.raises(ValueError):
-            RotatingStarSequence(9, s1=(0, 1), s2=(3, 4, 5))
-        with pytest.raises(ValueError):
             RotatingStarSequence(2)
+        seq = RotatingStarSequence(10)
+        assert (seq.s1, seq.s2, seq.s3) == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9))
 
     def test_m3_centers_rotate(self):
         seq = RotatingStarSequence(3)
@@ -342,57 +349,6 @@ class TestMultiStageMix:
         assert np.allclose(multi_stage_mix(seq, 0, 4, x), 0.0, atol=1e-12)
 
 
-class TestChebyshevMix:
-    def test_degree_one_is_scaled_mixing(self):
-        w = gossip_from_laplacian(star_graph(5))
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 2))
-        expected = (2.0 / (w.lam_min_pos + 1.0)) * (w.matrix @ x)
-        assert np.allclose(chebyshev_mix(w, 1, x), expected, atol=1e-12)
-
-    def test_consensus_maps_to_zero(self):
-        w = gossip_from_laplacian(star_graph(5))
-        x = np.tile([1.0, 2.0], (5, 1))
-        assert np.allclose(chebyshev_mix(w, 3, x), 0.0, atol=1e-10)
-
-    def test_beats_plain_mixing_on_star16(self):
-        w = gossip_from_laplacian(star_graph(16))
-        degree = 8
-        rng = np.random.default_rng(4)
-        worst_cheb, worst_plain = 0.0, 0.0
-        for _ in range(200):
-            x = random_zero_mean(rng, 16)
-            denom = np.sum(x * x)
-            out = chebyshev_mix(w, degree, x)
-            worst_cheb = max(worst_cheb, np.sum((x - out) ** 2) / denom)
-            y = x
-            for _ in range(degree):
-                y = y - w.matrix @ y
-            worst_plain = max(worst_plain, np.sum(y * y) / denom)
-        assert worst_cheb < worst_plain
-
-    def test_contraction_at_twice_sqrt_chi(self):
-        for m in (9, 16, 25):
-            w = gossip_from_laplacian(star_graph(m))
-            degree = 2 * math.ceil(math.sqrt(w.chi))
-            rng = np.random.default_rng(m)
-            for _ in range(100):
-                x = random_zero_mean(rng, m)
-                out = chebyshev_mix(w, degree, x)
-                assert np.sum((x - out) ** 2) <= 0.5 * np.sum(x * x)
-
-    def test_time_varying_sequence_rejected(self):
-        seq = TwoStarHopSequence(6)
-        with pytest.raises(ValueError, match="static"):
-            chebyshev_mix(seq, 2, np.zeros((6, 1)))
-
-    def test_static_sequence_accepted(self):
-        seq = StaticSequence(star_graph(4))
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 2))
-        assert np.allclose(chebyshev_mix(seq, 2, x), chebyshev_mix(seq.gossip(0), 2, x))
-
-
 class TestSerialization:
     def test_round_trip(self):
         seq = TwoStarHopSequence(7)
@@ -414,10 +370,17 @@ class TestSerialization:
             ("m 4\nstep 0\nedge 0 1 1.0 2.0\n", "line 3: 'edge' record needs 3"),
             ("m four\n", "line 1: non-numeric"),
             ("m 4\nstep 0\nnode 3\n", "line 3: unknown record"),
-            ("m 4\nstep 0\nedge 0 1 nan\n", "finite"),
+            ("m 4\nstep 0\nedge 0 1 nan\n", "line 3: .*finite"),
+            ("m 4\nstep 0\nedge 0 1 1.0\nedge 1 2 inf\nstep 1\n", "line 4: .*finite"),
+            ("m 3\nstep 0\nedge 0 1 1.0\nstep 1\nedge 0 1 1.0\nedge 0 5 1.0\n", r"line 6: edge \(0,5\) outside"),
+            ("m 4\nstep 0\nedge 0 1 1.0\nedge 1 2 1.0\nedge 1 0 2.0\n", "line 5: duplicate edge"),
+            ("m 4\nstep 0\nedge 2 2 1.0\n", "line 3: self-loop"),
+            ("m 0\n", "line 1: node count"),
+            ("m 2\nstep 0\nedge 0 1 1.0\n\nm 0\nstep 1\n", "line 5: node count"),
         ],
         ids=["edge-before-step", "step-before-m", "short-edge", "bare-m", "non-numeric-edge", "long-edge",
-             "non-numeric-m", "unknown", "nan-weight"],
+             "non-numeric-m", "unknown", "nan-weight", "inf-weight", "node-out-of-range", "duplicate-edge",
+             "self-loop", "m-zero", "m-zero-later"],
     )
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):

@@ -44,7 +44,7 @@ class SingleNodeSequence(GraphSequence):
     period = 1
 
     def gossip(self, k):
-        return GossipMatrix(matrix=np.zeros((1, 1)), chi=1.0, lam_min_pos=1.0)
+        return GossipMatrix(matrix=np.zeros((1, 1)), chi=1.0)
 
 
 def strongly_convex_quadratic(rng, m=3, n=2, d=3, mu_floor=0.4):
