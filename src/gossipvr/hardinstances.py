@@ -15,6 +15,11 @@ Two constructions:
 The chain coordinates are kept exactly zero in floating point until activated
 (bump values and slopes are exact zeros below the threshold), so progress
 accounting is exact, not approximate.
+
+Every zero-chain query runs through one node-batched kernel over a sorted
+term list: a batched query makes one kernel call per camp (and block) over
+all of that camp's rows, and a per-node query is its one-row view, bitwise
+equal to the batched row.  Node and block values are one-row sums.
 """
 
 from __future__ import annotations
@@ -97,33 +102,39 @@ def prog(x) -> int:
     return int(nz[-1] + 1) if nz.size else 0
 
 
-def _chain_terms(x: np.ndarray, terms: np.ndarray, coef: float) -> tuple[float, np.ndarray]:
-    """Value and gradient of ``coef * sum over selected chain terms``.
+def _chain_kernel(X: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Term values (k, T) and gradients (k, d) of ``sum over terms`` at each row of ``X`` (k, d).
 
-    Term 1 is ``-psi(1) phi(x_1)``; term ``j >= 2`` couples coordinates
-    ``j-1`` and ``j``.  Gradient entries stay exactly zero wherever every
-    involved bump factor is zero: the bump and its slope are exact 0.0 below
-    the threshold, and products/sums of exact zeros remain zero.
+    Term 1 is ``-psi(1) phi(x_1)``; term ``j >= 2`` is ``psi(-a) phi(-b) -
+    psi(a) phi(b)`` with ``a, b = x_{j-1}, x_j``.  A leading column of ones
+    makes term 1 a coupling term too (``psi(1) = 1``).  At most one of
+    ``psi(+-a)`` is nonzero, and ``phi`` is evaluated only where it is: its
+    product with an exact-zero bump is 0.0 either way at finite ``b``.  Every
+    row is bitwise the per-term formula's answer, and the answer of a one-row
+    call.
     """
-    d = x.shape[0]
-    val = 0.0
-    grad = np.zeros(d)
-    terms = np.asarray(terms, dtype=int)
+    y = np.hstack([np.ones((len(X), 1)), X])
+    a, b = y[:, terms - 1], y[:, terms]
+    hot = np.abs(a) > 0.5
+    t = 2.0 * np.abs(a[hot]) - 1.0
+    e = np.exp(1.0 - 1.0 / (t * t))
+    bump, slope, phi_ab = np.zeros_like(a), np.zeros_like(a), np.zeros_like(a)
+    bump[hot], slope[hot] = e, e * 4.0 / (t * t * t)  # psi(|a|) and psi_prime(|a|)
+    neg, live = a < 0.0, bump != 0.0
+    phi_ab[live] = phi(np.where(neg, -b, b)[live])
+    grad = np.zeros_like(y)
+    # Each term list is strictly increasing, so each scatter target is unique.
+    grad[:, terms] -= bump * phi_prime(b)  # phi_prime(-b) is the same bits
+    grad[:, terms - 1] -= slope * phi_ab
+    value = bump * phi_ab
+    return np.where(neg, value, 0.0 - value), grad[:, 1:]  # 0.0 - v: a term value is never -0.0
+
+
+def _chain_value(term_values: np.ndarray, terms: np.ndarray) -> float:
+    """Sum of one row's term values as the per-term formula adds them: term 1, then one 1-D sum."""
     if terms.size and terms[0] == 1:
-        val -= psi(1.0) * phi(x[0])
-        grad[0] -= psi(1.0) * phi_prime(x[0])
-        terms = terms[1:]
-    if terms.size:
-        a = x[terms - 2]
-        b = x[terms - 1]
-        bump_m, bump_p = psi(-a), psi(a)
-        slope_m, slope_p = psi_prime(-a), psi_prime(a)
-        phi_m, phi_p = phi(-b), phi(b)
-        val += float(np.sum(bump_m * phi_m - bump_p * phi_p))
-        # Term indices are strictly increasing, so each scatter target is unique.
-        grad[terms - 1] += -bump_m * phi_prime(-b) - bump_p * phi_prime(b)
-        grad[terms - 2] += -slope_m * phi_m - slope_p * phi_p
-    return coef * val, coef * grad
+        return term_values[0] + float(np.sum(term_values[1:]))
+    return float(np.sum(term_values))
 
 
 def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray]:
@@ -133,7 +144,9 @@ def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray
         d = x.shape[0]
     if x.shape[0] != d:
         raise ValueError(f"expected dimension {d}, got {x.shape[0]}")
-    return _chain_terms(x, np.arange(1, d + 1), 1.0)
+    terms = np.arange(1, d + 1)
+    term_values, grad = _chain_kernel(x[None], terms)
+    return _chain_value(term_values[0], terms), grad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +208,23 @@ class ChainObjective(FiniteSumObjective):
 
     def _g(self, i: int, y: np.ndarray) -> tuple[float, np.ndarray]:
         mu, big_l = self.mu_chain, self.big_l
+        if i not in (_V_LEFT, _V_RIGHT):
+            mu_other = mu / (self.m - 2)
+            return 0.5 * mu_other * y @ y, mu_other * y
+        c = (big_l - mu) / 4.0
+        val = 0.5 * mu * y @ y
+        grad = mu * y
         if i == _V_LEFT:
-            c = (big_l - mu) / 4.0
-            val = 0.5 * mu * y @ y + c * (y[0] - 1.0) ** 2
-            grad = mu * y.copy()
+            val += c * (y[0] - 1.0) ** 2
             grad[0] += 2.0 * c * (y[0] - 1.0)
-            for k in range(1, (self.dim - 1) // 2 + 1):  # pairs (2k, 2k+1), 1-based
-                lo, hi = 2 * k - 1, 2 * k  # 0-based
-                diff = y[lo] - y[hi]
-                val += c * diff * diff
-                grad[lo] += 2.0 * c * diff
-                grad[hi] -= 2.0 * c * diff
-            return val, grad
-        if i == _V_RIGHT:
-            c = (big_l - mu) / 4.0
-            val = 0.5 * mu * y @ y
-            grad = mu * y.copy()
-            for k in range(1, self.dim // 2 + 1):  # pairs (2k-1, 2k), 1-based
-                lo, hi = 2 * k - 2, 2 * k - 1
-                diff = y[lo] - y[hi]
-                val += c * diff * diff
-                grad[lo] += 2.0 * c * diff
-                grad[hi] -= 2.0 * c * diff
-            return val, grad
-        mu_other = mu / (self.m - 2)
-        return 0.5 * mu_other * y @ y, mu_other * y
+        # The left node couples the 1-based pairs (2k, 2k+1), the right node (2k-1, 2k).
+        first = 1 if i == _V_LEFT else 0
+        end = first + 2 * ((self.dim - first) // 2)
+        diff = y[first:end:2] - y[first + 1 : end : 2]
+        val += float(np.sum(c * diff * diff))
+        grad[first:end:2] += 2.0 * c * diff
+        grad[first + 1 : end : 2] -= 2.0 * c * diff
+        return val, grad
 
     def component_value(self, i, j, w):
         return float(self._g(i, self._slot(np.asarray(w, dtype=float), j))[0])
@@ -283,7 +288,9 @@ class ZeroChainObjective(FiniteSumObjective):
         )
         self.camp_coef = m / third  # multiplier on the camp chain functions
         self.value_coef = big_l * self.scale_c**2 / (3.0 * SMOOTHNESS_CONST)
-        self._block_terms = self._build_block_terms()
+        self._terms = self._build_terms()
+        self._node_camp = np.full(m, 3)
+        self._node_camp[list(self.s1)], self._node_camp[list(self.s2)] = 1, 2
         # Tight node smoothness: camp_coef <= 3 so this never exceeds big_l.
         l_eff = big_l * self.camp_coef / 3.0
         l_ij = np.full((m, n), 1e-12 * l_eff)
@@ -291,45 +298,52 @@ class ZeroChainObjective(FiniteSumObjective):
         self.info = SmoothnessInfo(L=float(l_eff), mu=0.0, L_ij=l_ij, Lhat=float(math.sqrt(n) * l_eff))
         self.info.validate(n)
 
-    def _build_block_terms(self) -> dict[tuple[int, int], np.ndarray]:
-        """Term indices per (camp, block): block ``j`` of camp ``c`` holds the terms ``= 2j + c (mod 2n)``."""
-        terms, period = np.arange(1, self.d + 1), 2 * self.n
-        return {(c, j): terms[terms % period == (2 * j + c) % period] for c in (1, 2) for j in range(self.n)}
+    def _build_terms(self) -> dict[tuple[int, int | None], tuple[np.ndarray, float]]:
+        """Terms and coefficient per (camp, block): block ``j`` of camp ``c`` holds the terms ``= 2j + c (mod 2n)``,
+        scaled by n.  A camp's blocks touch disjoint coordinates, so their mean, block ``None`` (the node
+        function), is one chain over the camp's parity terms."""
+        terms, period, block_coef = np.arange(1, self.d + 1), 2 * self.n, self.n * self.camp_coef
+        table = {(c, None): (terms[c - 1 :: 2], self.camp_coef) for c in (1, 2)}
+        table.update({(c, j): (terms[terms % period == (2 * j + c) % period], block_coef) for c in (1, 2) for j in range(self.n)})
+        return table
 
-    def _camp(self, i: int) -> int:
-        if i in self.s1:
-            return 1
-        if i in self.s2:
-            return 2
-        return 3
+    def _gradients(self, nodes, X, j: int | None = None) -> np.ndarray:
+        """Gradients of block ``j`` (node function if None) of each node at its row of ``X``: one kernel call per camp."""
+        X = np.asarray(X, dtype=float)
+        out = np.zeros(X.shape)
+        camps = self._node_camp[np.asarray(nodes)]
+        for camp in (1, 2):
+            rows = np.flatnonzero(camps == camp)
+            if rows.size:
+                terms, coef = self._terms[(camp, j)]
+                out[rows] = (self.value_coef / self.scale_c) * (coef * _chain_kernel(X[rows] / self.scale_c, terms)[1])
+        return out
 
-    def _chain(self, i: int, w, j: int | None = None) -> tuple[float, np.ndarray]:
-        """Value and gradient of block ``j`` of node ``i``, or of the node function if ``j`` is None.
-
-        The blocks of a camp touch disjoint coordinates, so their mean is one
-        chain over the camp's parity terms.
-        """
-        camp = self._camp(i)
+    def _value(self, i: int, w, j: int | None = None) -> float:
+        camp = self._node_camp[i]
         if camp == 3:
-            return 0.0, np.zeros(self.d)
-        if j is None:
-            terms, coef = np.arange(camp, self.d + 1, 2), self.camp_coef
-        else:
-            terms, coef = self._block_terms[(camp, j)], self.n * self.camp_coef
-        val, grad = _chain_terms(np.asarray(w, dtype=float) / self.scale_c, terms, coef)
-        return self.value_coef * val, (self.value_coef / self.scale_c) * grad
+            return 0.0
+        terms, coef = self._terms[(camp, j)]
+        term_values = _chain_kernel(np.asarray(w, dtype=float)[None] / self.scale_c, terms)[0]
+        return float(self.value_coef * (coef * _chain_value(term_values[0], terms)))
 
-    def component_value(self, i, j, w):
-        return float(self._chain(i, w, j)[0])
+    def batch_local_gradients(self, nodes, X):
+        return self._gradients(nodes, X)
 
-    def component_gradient(self, i, j, w):
-        return self._chain(i, w, j)[1]
-
-    def local_value(self, i, w):
-        return float(self._chain(i, w)[0])
+    def batch_component_gradients(self, nodes, X):
+        return np.stack([self._gradients(nodes, X, j) for j in range(self.n)], axis=1)
 
     def local_gradient(self, i, w):
-        return self._chain(i, w)[1]
+        return self._gradients([i], np.asarray(w)[None])[0]
+
+    def component_gradient(self, i, j, w):
+        return self._gradients([i], np.asarray(w)[None], j)[0]
+
+    def local_value(self, i, w):
+        return self._value(i, w)
+
+    def component_value(self, i, j, w):
+        return self._value(i, w, j)
 
 
 def nonconvex_hard_objective(
@@ -383,8 +397,10 @@ class ProgressTracker:
         self.audit_points = []
 
     def update(self, x: np.ndarray, comms: int, oracle_calls: int) -> None:
-        for i in range(self.m):
-            self.node_prog[i] = max(self.node_prog[i], prog(x[i]))
+        """Raise each node's count to :func:`prog` of its row of ``x`` (``-0.0`` counts as zero)."""
+        nonzero = np.asarray(x) != 0
+        last = np.where(nonzero.any(axis=1), nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        np.maximum(self.node_prog, last, out=self.node_prog)
         self.audit_points.append((int(comms), int(oracle_calls), int(self.node_prog.max())))
 
     @property

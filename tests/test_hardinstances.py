@@ -23,6 +23,53 @@ from gossipvr.hardinstances import (
 from gossipvr.network import RotatingStarSequence
 from gossipvr.objectives import finite_difference_check
 
+# Scaled chain coordinates at the bump threshold (the bump of nextafter(0.5, 1)
+# underflows to 0.0, that of 0.52 is tiny but nonzero) and where erf saturates.
+_THRESHOLD_POINTS = (0.5, -0.5, np.nextafter(0.5, 1.0), -np.nextafter(0.5, 1.0), 0.52, -0.52, 40.0, -40.0, 1e3, -0.0)
+
+
+def _per_term_chain(x, terms, coef):
+    """Reference: value and gradient of ``coef * sum`` over the selected chain terms, term by term."""
+    val, grad = 0.0, np.zeros(x.shape[0])
+    if terms.size and terms[0] == 1:
+        val -= psi(1.0) * phi(x[0])
+        grad[0] -= psi(1.0) * phi_prime(x[0])
+        terms = terms[1:]
+    if terms.size:
+        a, b = x[terms - 2], x[terms - 1]
+        phi_m, phi_p = phi(-b), phi(b)
+        val += float(np.sum(psi(-a) * phi_m - psi(a) * phi_p))
+        grad[terms - 1] += -psi(-a) * phi_prime(-b) - psi(a) * phi_prime(b)
+        grad[terms - 2] += -psi_prime(-a) * phi_m - psi_prime(a) * phi_p
+    return coef * val, coef * grad
+
+
+def _per_term_query(obj, i, w, j=None):
+    """Reference node (``j`` None) or block query of the zero-chain instance, through :func:`_per_term_chain`."""
+    camp = 1 if i in obj.s1 else 2 if i in obj.s2 else 3
+    if camp == 3:
+        return 0.0, np.zeros(obj.d)
+    if j is None:
+        terms, coef = np.arange(camp, obj.d + 1, 2), obj.camp_coef
+    else:
+        every = np.arange(1, obj.d + 1)
+        terms, coef = every[every % (2 * obj.n) == (2 * j + camp) % (2 * obj.n)], obj.n * obj.camp_coef
+    val, grad = _per_term_chain(w / obj.scale_c, terms, coef)
+    return obj.value_coef * val, (obj.value_coef / obj.scale_c) * grad
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _partly_activated(rng, shape, scale):
+    """Uniform points in [-2, 2] * scale, zero from a random coordinate on, with threshold points mixed in."""
+    x = rng.uniform(-2, 2, size=shape) * scale
+    x[..., rng.integers(0, shape[-1] + 1) :] = 0.0
+    mask = rng.random(shape) < 0.2
+    x[mask] = rng.choice(_THRESHOLD_POINTS, size=int(mask.sum())) * scale
+    return x
+
 
 class TestPsiPhi:
     def test_psi_flat_below_half(self):
@@ -114,6 +161,24 @@ class TestZeroChain:
             _, grad = zero_chain_l(x)
             assert prog(grad) <= prog(x) + 1
 
+    def test_matches_per_term_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            d = int(rng.integers(1, 30))
+            x = _partly_activated(rng, (d,), 1.0)
+            val, grad = zero_chain_l(x)
+            ref_val, ref_grad = _per_term_chain(x, np.arange(1, d + 1), 1.0)
+            assert _same_bits(val, ref_val) and _same_bits(grad, ref_grad)
+
+    def test_phi_skip_exact_at_threshold(self):
+        # Every ordered pair of threshold points as a coupling term (a, b), after a leading 0.
+        a, b = np.meshgrid(_THRESHOLD_POINTS, _THRESHOLD_POINTS)
+        for x_a, x_b in zip(a.ravel(), b.ravel()):
+            x = np.array([0.0, x_a, x_b])
+            val, grad = zero_chain_l(x)
+            ref_val, ref_grad = _per_term_chain(x, np.arange(1, 4), 1.0)
+            assert _same_bits(val, ref_val) and _same_bits(grad, ref_grad), (x_a, x_b)
+
 
 class TestChainInstance:
     def test_rejects_small_m(self):
@@ -163,6 +228,29 @@ class TestChainInstance:
         x = rng.normal(size=(obj.m, obj.d))
         report = finite_difference_check(obj, x, h=1e-6, tolerance=1e-4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 7])
+    def test_pair_slices_match_pair_loop(self, dim):
+        obj = strongly_convex_chain(4, 2, 4.0, 1.0, dim)
+        c = (4.0 - 1.0) / 4.0
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            w = rng.normal(size=obj.d)
+            for i, first in ((0, 1), (1, 0)):  # left pairs (2k, 2k+1), right (2k-1, 2k), 1-based
+                for j in range(obj.n):
+                    y = w[j * dim : (j + 1) * dim]
+                    val, grad = 0.5 * y @ y, y.copy()
+                    if i == 0:
+                        val += c * (y[0] - 1.0) ** 2
+                        grad[0] += 2.0 * c * (y[0] - 1.0)
+                    for lo in range(first, dim - 1, 2):
+                        diff = y[lo] - y[lo + 1]
+                        val += c * diff * diff
+                        grad[lo] += 2.0 * c * diff
+                        grad[lo + 1] -= 2.0 * c * diff
+                    assert _same_bits(obj.component_gradient(i, j, w)[j * dim : (j + 1) * dim], grad)
+                    # The slices sum the pair terms in another order.
+                    assert obj.component_value(i, j, w) == pytest.approx(val, rel=1e-12)
 
     def test_tail_error_reported(self):
         obj = strongly_convex_chain(4, 1, 4.0, 1.0, 12)
@@ -291,6 +379,31 @@ class TestZeroChainInstance:
                 block_value = np.mean([obj.component_value(i, j, x) for j in range(n)])
                 assert obj.local_value(i, x) == pytest.approx(block_value, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_queries_match_per_term_reference(self, n):
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(20 + n)
+        for _ in range(40):
+            w = _partly_activated(rng, (obj.d,), obj.scale_c)
+            for i in range(obj.m):
+                val, grad = _per_term_query(obj, i, w)
+                assert _same_bits(obj.local_value(i, w), val) and _same_bits(obj.local_gradient(i, w), grad)
+                for j in range(n):
+                    val, grad = _per_term_query(obj, i, w, j)
+                    assert _same_bits(obj.component_value(i, j, w), val)
+                    assert _same_bits(obj.component_gradient(i, j, w), grad)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_batched_queries_equal_per_node(self, n):
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(30 + n)
+        for nodes in ([7, 4, 0, 5, 2, 8], [3, 6, 1], [8, 0, 3, 1, 4, 2, 6, 5, 7], [2, 2, 6, 5]):
+            X = np.stack([_partly_activated(rng, (obj.d,), obj.scale_c) for _ in nodes])
+            per_node = np.stack([obj.local_gradient(i, x) for i, x in zip(nodes, X)])
+            assert _same_bits(obj.batch_local_gradients(np.array(nodes), X), per_node)
+            per_node = np.stack([obj.local_component_gradients(i, x) for i, x in zip(nodes, X)])
+            assert _same_bits(obj.batch_component_gradients(np.array(nodes), X), per_node)
+
     def test_finite_differences(self):
         obj, _ = nonconvex_hard_objective(6, 3, 1.5, 1.0, budget_comms=24, budget_oracle=30)
         rng = np.random.default_rng(11)
@@ -330,6 +443,21 @@ class TestProgressAudit:
         x2 = np.zeros((2, 5))  # later zero iterate must not lower the counter
         tracker.update(x2, 2, 2)
         assert tracker.global_prog == 1
+
+    def test_update_matches_per_node_prog(self):
+        rng = np.random.default_rng(14)
+        tracker, expected = ProgressTracker(m=6), np.zeros(6, dtype=int)
+        for _ in range(50):
+            x = rng.normal(size=(6, 7)) * (rng.random((6, 7)) < 0.3)
+            x[rng.random((6, 7)) < 0.2] = -0.0
+            x[0] = 0.0  # an all-zero row
+            x[1] = np.where(np.arange(7) == 6, 2.0, -0.0)  # nonzero only in the last column
+            if rng.random() < 0.3:
+                x[:] = 0.0  # a later zero iterate must not lower any count
+            tracker.update(x, 0, 0)
+            expected = np.maximum(expected, [prog(row) for row in x])
+            assert np.array_equal(tracker.node_prog, expected)
+        assert tracker.node_prog[1] == 7
 
     def test_single_node_descent_gains_at_most_one_per_call(self):
         # Full-gradient descent on the raw chain: one oracle call per step.
