@@ -192,8 +192,6 @@ class ChainObjective(FiniteSumObjective):
         self.x_star_slot = self.q ** np.arange(1, dim + 1)
         self.tail_error = self.q ** (2 * dim) / (1.0 - self.q * self.q)
         mu_other = mu / (m - 2)
-        self.mu_i = np.full(m, mu_other)
-        self.mu_i[[_V_LEFT, _V_RIGHT]] = mu
         l_ij = np.full((m, n), mu_other)
         l_ij[[_V_LEFT, _V_RIGHT]] = big_l
         self.info = SmoothnessInfo(L=float(big_l), mu=float(mu_other), L_ij=l_ij, Lhat=float(big_l))

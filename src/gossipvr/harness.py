@@ -99,6 +99,8 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
                 label = float(parts[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
             pairs = []
             for token in parts[1:]:
                 if ":" not in token:
@@ -108,6 +110,8 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric pair {token!r}") from None
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: index must be >= 1, got {idx}")
                 if idx > max_features:
@@ -498,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             configs = [cfg]
         if args.jobs > 1 and len(configs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
                 for line in pool.map(_run_one, configs):
                     print(line)
         else:

@@ -49,6 +49,8 @@ _KERNEL_CUTOFF = 1e-8
 # A run's ``.graphs`` dump covers at most its first DUMP_STEPS steps.
 DUMP_STEPS = 1000
 
+MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -227,7 +229,7 @@ class RandomGeometricSequence(GraphSequence):
 
     CACHE_LIMIT = 4096  # steps are pure functions of (seed, k); eviction is safe
 
-    def __init__(self, m: int, radius: float, seed: int, max_retries: int = 1000):
+    def __init__(self, m: int, radius: float, seed: int):
         if m < 2:
             raise ValueError("random geometric sequence needs m >= 2")
         if radius <= 0:
@@ -235,7 +237,6 @@ class RandomGeometricSequence(GraphSequence):
         self.m = m
         self.radius = float(radius)
         self.seed = int(seed)
-        self.max_retries = int(max_retries)
         self._dumped: dict[int, GossipMatrix] = {}  # steps below DUMP_STEPS
         self._later: dict[int, GossipMatrix] = {}  # the rest, oldest first
         self.built = 0
@@ -261,7 +262,7 @@ class RandomGeometricSequence(GraphSequence):
     def _build(self, k: int) -> GossipMatrix:
         rng = np.random.default_rng((self.seed, k))
         r2 = self.radius * self.radius
-        for _ in range(self.max_retries):
+        for _ in range(MAX_RETRIES):
             pts = rng.uniform(size=(self.m, 2))
             diff = pts[:, None, :] - pts[None, :, :]
             adj = np.sum(diff * diff, axis=2) <= r2
@@ -273,7 +274,7 @@ class RandomGeometricSequence(GraphSequence):
                 return w
             self.resamples += 1
         raise RuntimeError(
-            f"no connected geometric graph after {self.max_retries} resamples "
+            f"no connected geometric graph after {MAX_RETRIES} resamples "
             f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
         )
 

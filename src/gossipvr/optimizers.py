@@ -1,13 +1,14 @@
 """Decentralized variance-reduced optimizers over gossip networks.
 
-Three methods share a common driver:
+Each method is a frozen class driven by :func:`run` through ``init(obj, x0)``
+and ``step(state, obj, seq, seed)``, which reads graphs ``state.comms`` on:
 
-* an accelerated primal method for strongly convex finite sums that combines
-  a saddle-point consensus scheme with a loopless negative-momentum gradient
-  estimator and importance-sampled minibatches ("adom_vr");
-* a gradient-tracking method for nonconvex finite sums with a probabilistic
-  full-gradient restart estimator and multi-stage consensus ("gt_page");
-* a plain full-gradient gradient-tracking baseline ("gt_baseline").
+* ``AdomVr`` ("adom_vr"), an accelerated primal method for strongly convex
+  finite sums that combines a saddle-point consensus scheme with a loopless
+  negative-momentum gradient estimator and importance-sampled minibatches;
+* ``GtPage`` ("gt_page"), gradient tracking for nonconvex finite sums with a
+  probabilistic full-gradient restart estimator and multi-stage consensus;
+* ``GtBaseline`` ("gt_baseline"), plain full-gradient gradient tracking.
 
 Parameter schedules are computed from problem constants, never tuned per run.
 All randomness is derived counter-style from ``(seed, iteration)`` so traces
@@ -22,15 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import GossipMatrix, GraphSequence, consensus_error, consensus_residual, node_mean
+from .network import GraphSequence, consensus_error, consensus_residual, node_mean
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
     "AdomVrParams",
     "AdomVrState",
     "adom_vr_params",
-    "adom_vr_init",
-    "adom_vr_step",
     "adom_vr_estimator",
     "importance_probabilities",
     "adom_vr_iteration_budget",
@@ -41,11 +40,7 @@ __all__ = [
     "GtPageParams",
     "GtPageState",
     "gt_page_params",
-    "gt_page_init",
-    "gt_page_step",
     "GtBaselineState",
-    "gt_baseline_init",
-    "gt_baseline_step",
     "AdomVr",
     "GtPage",
     "GtBaseline",
@@ -322,22 +317,6 @@ def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
     return x
 
 
-def adom_vr_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> AdomVrState:
-    """State with the dual variables in the zero-sum subspace and a fresh
-    reference-point gradient cache (n oracle calls per node)."""
-    m, d = obj.m, obj.d
-    x = _start_point(obj, x0)
-    omega_grads = obj.batch_component_gradients(np.arange(m), x)
-    probs = importance_probabilities(obj.info.L_ij)
-    return AdomVrState(
-        x=x.copy(), x_f=x.copy(), omega=x.copy(),
-        y=np.zeros((m, d)), y_f=np.zeros((m, d)),
-        z=np.zeros((m, d)), z_f=np.zeros((m, d)), momentum=np.zeros((m, d)),
-        omega_grads=omega_grads, grad_omega=omega_grads.mean(axis=1),
-        stale=np.zeros(m, dtype=bool), probs=probs, cum_probs=np.cumsum(probs, axis=1),
-    )
-
-
 def _batch_estimator(obj, nodes, x_g, idx, probs, omega_grads, grad_omega):
     """:func:`adom_vr_estimator` of several nodes: row r is node ``nodes[r]``'s estimate.
 
@@ -381,79 +360,96 @@ def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
     return og, go
 
 
-def adom_vr_step(
-    state: AdomVrState,
-    params: AdomVrParams,
-    obj: FiniteSumObjective,
-    gossip: GossipMatrix,
-    seed: int,
-    eager_refresh: bool = True,
-) -> AdomVrState:
-    """One full iteration (one communication round).
+@dataclass(frozen=True)
+class AdomVr:
+    params: AdomVrParams
+    eager_omega_refresh: bool = True
 
-    The primal and dual updates are mutually implicit; they are resolved by
-    the closed-form 2x2 solve per coordinate (the determinant
-    ``(1+eta a)(1+theta b) + eta theta`` is always positive).
-    """
-    p = params
-    m, n = obj.m, obj.n
-    rng = np.random.default_rng((seed, state.k))
-    batch_u = rng.random((m, p.b))
-    omega_u = rng.random(m)
+    name = "adom_vr"
 
-    # Lazy refresh mode charges deferred recomputations here instead of at reset.
-    omega_grads, grad_omega = _refresh_omega_cache(state.omega_grads, state.grad_omega, state.stale, state.omega, obj)
+    @staticmethod
+    def init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> AdomVrState:
+        """State with the dual variables in the zero-sum subspace and a fresh
+        reference-point gradient cache (n oracle calls per node)."""
+        m, d = obj.m, obj.d
+        x = _start_point(obj, x0)
+        omega_grads = obj.batch_component_gradients(np.arange(m), x)
+        probs = importance_probabilities(obj.info.L_ij)
+        return AdomVrState(
+            x=x.copy(), x_f=x.copy(), omega=x.copy(),
+            y=np.zeros((m, d)), y_f=np.zeros((m, d)),
+            z=np.zeros((m, d)), z_f=np.zeros((m, d)), momentum=np.zeros((m, d)),
+            omega_grads=omega_grads, grad_omega=omega_grads.mean(axis=1),
+            stale=np.zeros(m, dtype=bool), probs=probs, cum_probs=np.cumsum(probs, axis=1),
+        )
 
-    x_g = p.tau1 * state.x + p.tau0 * state.omega + (1.0 - p.tau1 - p.tau0) * state.x_f
+    def step(self, state: AdomVrState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> AdomVrState:
+        """One full iteration (one communication round, on graph ``state.comms``).
 
-    # Inverse-CDF sampling: the count of running sums <= u is searchsorted(side="right").
-    idx = np.minimum((batch_u[..., None] >= state.cum_probs[:, None, :]).sum(axis=-1), n - 1)
-    est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, omega_grads, grad_omega)
+        The primal and dual updates are mutually implicit; they are resolved by
+        the closed-form 2x2 solve per coordinate (the determinant
+        ``(1+eta a)(1+theta b) + eta theta`` is always positive).
+        """
+        p = self.params
+        m, n = obj.m, obj.n
+        rng = np.random.default_rng((seed, state.k))
+        batch_u = rng.random((m, p.b))
+        omega_u = rng.random(m)
 
-    y_g = p.sigma1 * state.y + (1.0 - p.sigma1) * state.y_f
-    z_g = p.sigma1 * state.z + (1.0 - p.sigma1) * state.z_f
+        # Lazy refresh mode charges deferred recomputations here instead of at reset.
+        omega_grads, grad_omega = _refresh_omega_cache(state.omega_grads, state.grad_omega, state.stale, state.omega, obj)
 
-    drive = est - p.nu * x_g
-    r_x = state.x + p.eta * p.alpha * x_g - p.eta * drive
-    r_y = state.y + p.theta * p.beta * drive - (p.theta / p.nu) * (y_g + z_g)
-    det = (1.0 + p.eta * p.alpha) * (1.0 + p.theta * p.beta) + p.eta * p.theta
-    x_new = ((1.0 + p.theta * p.beta) * r_x + p.eta * r_y) / det
-    y_new = ((1.0 + p.eta * p.alpha) * r_y - p.theta * r_x) / det
+        x_g = p.tau1 * state.x + p.tau0 * state.omega + (1.0 - p.tau1 - p.tau0) * state.x_f
 
-    x_f_new = x_g + p.tau2 * (x_new - state.x)
-    y_f_new = y_g + p.sigma2 * (y_new - state.y)
+        # Inverse-CDF sampling: the count of running sums <= u is searchsorted(side="right").
+        idx = np.minimum((batch_u[..., None] >= state.cum_probs[:, None, :]).sum(axis=-1), n - 1)
+        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, omega_grads, grad_omega)
 
-    omega_new = state.omega.copy()
-    take_f = omega_u < p.p1
-    take_g = (~take_f) & (omega_u < p.p1 + p.p2)
-    omega_new[take_f] = state.x_f[take_f]
-    omega_new[take_g] = x_g[take_g]
-    changed = take_f | take_g
+        y_g = p.sigma1 * state.y + (1.0 - p.sigma1) * state.y_f
+        z_g = p.sigma1 * state.z + (1.0 - p.sigma1) * state.z_f
 
-    yz = y_g + z_g
-    w_yz = gossip.matrix @ yz
-    mix_target = (p.gamma / p.nu) * yz + state.momentum
-    w_mix = (p.gamma / p.nu) * w_yz + gossip.matrix @ state.momentum
-    z_new = state.z + p.gamma * p.delta * (z_g - state.z) - w_mix
-    momentum_new = mix_target - w_mix
-    z_f_new = z_g - p.zeta * w_yz
+        drive = est - p.nu * x_g
+        r_x = state.x + p.eta * p.alpha * x_g - p.eta * drive
+        r_y = state.y + p.theta * p.beta * drive - (p.theta / p.nu) * (y_g + z_g)
+        det = (1.0 + p.eta * p.alpha) * (1.0 + p.theta * p.beta) + p.eta * p.theta
+        x_new = ((1.0 + p.theta * p.beta) * r_x + p.eta * r_y) / det
+        y_new = ((1.0 + p.eta * p.alpha) * r_y - p.theta * r_x) / det
 
-    if eager_refresh:
-        omega_grads, grad_omega = _refresh_omega_cache(omega_grads, grad_omega, changed, omega_new, obj)
-        stale_new = np.zeros_like(changed)
-    else:
-        stale_new = changed
+        x_f_new = x_g + p.tau2 * (x_new - state.x)
+        y_f_new = y_g + p.sigma2 * (y_new - state.y)
 
-    new_state = AdomVrState(
-        x=x_new, x_f=x_f_new, omega=omega_new, y=y_new, y_f=y_f_new,
-        z=z_new, z_f=z_f_new, momentum=momentum_new,
-        omega_grads=omega_grads, grad_omega=grad_omega, stale=stale_new,
-        probs=state.probs, cum_probs=state.cum_probs, k=state.k + 1, comms=state.comms + 1,
-    )
-    _check_finite(new_state.x, new_state.k, "x")
-    _check_finite(new_state.y, new_state.k, "y")
-    _check_finite(new_state.z, new_state.k, "z")
-    return new_state
+        omega_new = state.omega.copy()
+        take_f = omega_u < p.p1
+        take_g = (~take_f) & (omega_u < p.p1 + p.p2)
+        omega_new[take_f] = state.x_f[take_f]
+        omega_new[take_g] = x_g[take_g]
+        changed = take_f | take_g
+
+        w = seq.gossip(state.comms).matrix
+        yz = y_g + z_g
+        w_yz = w @ yz
+        mix_target = (p.gamma / p.nu) * yz + state.momentum
+        w_mix = (p.gamma / p.nu) * w_yz + w @ state.momentum
+        z_new = state.z + p.gamma * p.delta * (z_g - state.z) - w_mix
+        momentum_new = mix_target - w_mix
+        z_f_new = z_g - p.zeta * w_yz
+
+        if self.eager_omega_refresh:
+            omega_grads, grad_omega = _refresh_omega_cache(omega_grads, grad_omega, changed, omega_new, obj)
+            stale_new = np.zeros_like(changed)
+        else:
+            stale_new = changed
+
+        new_state = AdomVrState(
+            x=x_new, x_f=x_f_new, omega=omega_new, y=y_new, y_f=y_f_new,
+            z=z_new, z_f=z_f_new, momentum=momentum_new,
+            omega_grads=omega_grads, grad_omega=grad_omega, stale=stale_new,
+            probs=state.probs, cum_probs=state.cum_probs, k=state.k + 1, comms=state.comms + 1,
+        )
+        _check_finite(new_state.x, new_state.k, "x")
+        _check_finite(new_state.y, new_state.k, "y")
+        _check_finite(new_state.z, new_state.k, "z")
+        return new_state
 
 
 # ---------------------------------------------------------------------------
@@ -470,50 +466,51 @@ class GtPageState:
     comms: int = 0
 
 
-def gt_page_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtPageState:
-    """Consensus start with tracker seeded by the full gradient (n calls per node)."""
-    x = _start_point(obj, x0)
-    y = obj.batch_local_gradients(np.arange(obj.m), x)
-    v = np.tile(y.mean(axis=0), (obj.m, 1))
-    return GtPageState(x=x, y=y, v=v)
+@dataclass(frozen=True)
+class GtPage:
+    params: GtPageParams
+    per_node_coins: bool = False
 
+    name = "gt_page"
 
-def gt_page_step(
-    state: GtPageState,
-    params: GtPageParams,
-    obj: FiniteSumObjective,
-    seq: GraphSequence,
-    seed: int,
-    per_node_coins: bool = False,
-) -> GtPageState:
-    """One iteration consuming ``stages`` consecutive graphs.
+    @staticmethod
+    def init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtPageState:
+        """Consensus start with tracker seeded by the full gradient (n calls per node)."""
+        x = _start_point(obj, x0)
+        y = obj.batch_local_gradients(np.arange(obj.m), x)
+        v = np.tile(y.mean(axis=0), (obj.m, 1))
+        return GtPageState(x=x, y=y, v=v)
 
-    The same communication rounds mix both the iterate and the tracker, so an
-    iteration costs ``stages`` communications.  A single shared coin switches
-    every node to a full gradient (per-node coins behind a flag).
-    """
-    m, n = obj.m, obj.n
-    rng = np.random.default_rng((seed, state.k))
-    idx = rng.integers(0, n, size=(m, params.b))
-    coins = rng.random(m if per_node_coins else 1)
+    def step(self, state: GtPageState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtPageState:
+        """One iteration consuming ``stages`` consecutive graphs from ``state.comms``.
 
-    x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
+        The same communication rounds mix both the iterate and the tracker, so an
+        iteration costs ``stages`` communications.  A single shared coin switches
+        every node to a full gradient (one coin per node with ``per_node_coins``).
+        """
+        params = self.params
+        m, n = obj.m, obj.n
+        rng = np.random.default_rng((seed, state.k))
+        idx = rng.integers(0, n, size=(m, params.b))
+        coins = rng.random(m if self.per_node_coins else 1)
 
-    y_new = np.empty_like(state.y)
-    full = np.broadcast_to(coins < params.p, (m,))
-    if full.any():
-        nodes = np.flatnonzero(full)
-        y_new[nodes] = obj.batch_local_gradients(nodes, x_new[nodes])
-    if not full.all():
-        nodes = np.flatnonzero(~full)
-        g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx[nodes], x_new[nodes], state.x[nodes])
-        y_new[nodes] = state.y[nodes] + (g_new - g_old).mean(axis=1)
+        x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
 
-    v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
-    new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
-    _check_finite(new_state.x, new_state.k, "x")
-    _check_finite(new_state.v, new_state.k, "v")
-    return new_state
+        y_new = np.empty_like(state.y)
+        full = np.broadcast_to(coins < params.p, (m,))
+        if full.any():
+            nodes = np.flatnonzero(full)
+            y_new[nodes] = obj.batch_local_gradients(nodes, x_new[nodes])
+        if not full.all():
+            nodes = np.flatnonzero(~full)
+            g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx[nodes], x_new[nodes], state.x[nodes])
+            y_new[nodes] = state.y[nodes] + (g_new - g_old).mean(axis=1)
+
+        v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
+        new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
+        _check_finite(new_state.x, new_state.k, "x")
+        _check_finite(new_state.v, new_state.k, "v")
+        return new_state
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +527,27 @@ class GtBaselineState:
     comms: int = 0
 
 
-def gt_baseline_init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtBaselineState:
-    x = _start_point(obj, x0)
-    grad = obj.batch_local_gradients(np.arange(obj.m), x)
-    return GtBaselineState(x=x, y=grad.copy(), grad=grad)
+@dataclass(frozen=True)
+class GtBaseline:
+    eta: float
 
+    name = "gt_baseline"
 
-def gt_baseline_step(state: GtBaselineState, eta: float, obj: FiniteSumObjective, gossip: GossipMatrix) -> GtBaselineState:
-    """Plain gradient tracking with full node gradients every step."""
-    x_new = (state.x - gossip.matrix @ state.x) - eta * state.y
-    grad_new = obj.batch_local_gradients(np.arange(obj.m), x_new)
-    y_new = (state.y - gossip.matrix @ state.y) + grad_new - state.grad
-    new_state = GtBaselineState(x=x_new, y=y_new, grad=grad_new, k=state.k + 1, comms=state.comms + 1)
-    _check_finite(new_state.x, new_state.k, "x")
-    return new_state
+    @staticmethod
+    def init(obj: FiniteSumObjective, x0: np.ndarray | None = None) -> GtBaselineState:
+        x = _start_point(obj, x0)
+        grad = obj.batch_local_gradients(np.arange(obj.m), x)
+        return GtBaselineState(x=x, y=grad.copy(), grad=grad)
+
+    def step(self, state: GtBaselineState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtBaselineState:
+        """Plain gradient tracking with full node gradients every step (graph ``state.comms``)."""
+        w = seq.gossip(state.comms).matrix
+        x_new = (state.x - w @ state.x) - self.eta * state.y
+        grad_new = obj.batch_local_gradients(np.arange(obj.m), x_new)
+        y_new = (state.y - w @ state.y) + grad_new - state.grad
+        new_state = GtBaselineState(x=x_new, y=y_new, grad=grad_new, k=state.k + 1, comms=state.comms + 1)
+        _check_finite(new_state.x, new_state.k, "x")
+        return new_state
 
 
 def _check_finite(arr: np.ndarray, k: int, name: str) -> None:
@@ -557,49 +561,6 @@ def _check_finite(arr: np.ndarray, k: int, name: str) -> None:
 # ---------------------------------------------------------------------------
 # Run driver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdomVr:
-    params: AdomVrParams
-    eager_omega_refresh: bool = True
-
-    name = "adom_vr"
-
-    def init(self, obj: FiniteSumObjective, x0=None):
-        return adom_vr_init(obj, x0)
-
-    def step(self, state, obj, seq, seed):
-        return adom_vr_step(
-            state, self.params, obj, seq.gossip(state.comms), seed, eager_refresh=self.eager_omega_refresh
-        )
-
-
-@dataclass(frozen=True)
-class GtPage:
-    params: GtPageParams
-    per_node_coins: bool = False
-
-    name = "gt_page"
-
-    def init(self, obj: FiniteSumObjective, x0=None):
-        return gt_page_init(obj, x0)
-
-    def step(self, state, obj, seq, seed):
-        return gt_page_step(state, self.params, obj, seq, seed, per_node_coins=self.per_node_coins)
-
-
-@dataclass(frozen=True)
-class GtBaseline:
-    eta: float
-
-    name = "gt_baseline"
-
-    def init(self, obj: FiniteSumObjective, x0=None):
-        return gt_baseline_init(obj, x0)
-
-    def step(self, state, obj, seq, seed):
-        return gt_baseline_step(state, self.eta, obj, seq.gossip(state.comms))
 
 
 @dataclass(frozen=True)

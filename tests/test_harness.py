@@ -46,6 +46,13 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match=":2"):
             parse_libsvm(f)
 
+    @pytest.mark.parametrize("line", ["nan 1:0.5", "-inf 1:0.5", "1 1:0.5 2:nan", "1 1:inf", "1 2:-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, line):
+        f = tmp_path / "toy.libsvm"
+        f.write_text(f"1 1:1\n{line}\n")
+        with pytest.raises(ValueError, match=r"toy\.libsvm:2: non-finite"):
+            parse_libsvm(f)
+
     def test_binary_01_labels_remapped(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("0 1:1\n1 1:2\n")
@@ -382,6 +389,31 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
         for name in ("gt_baseline_chain_static-ring_m4_n2_seed5.csv", "gt_baseline_chain_static-ring_m4_n2_seed6.csv"):
             assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
+        import gossipvr.harness as harness
+
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        args = ["--method", "gt_baseline", "--objective", "chain", "--topology", "static-ring", "--m", "4", "--n", "2"]
+        args += ["--budget-iters", "3", "--seeds", "0,1,2", "--jobs", "64", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert workers == [3]
+        assert len(list(tmp_path.glob("*.csv"))) == 3
 
     def test_fresh_process_determinism(self, tmp_path, fixture_path):
         import subprocess

@@ -239,7 +239,7 @@ class TestRandomGeometric:
         assert seq.built == built + 1  # step 6 was evicted before them
 
     def test_tiny_radius_errors(self):
-        seq = RandomGeometricSequence(50, 1e-6, seed=0, max_retries=20)
+        seq = RandomGeometricSequence(50, 1e-6, seed=0)
         with pytest.raises(RuntimeError, match="resamples"):
             seq.graph(0)
 

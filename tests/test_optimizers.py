@@ -20,16 +20,10 @@ from gossipvr.optimizers import (
     RunAbort,
     RunBudgets,
     adom_vr_estimator,
-    adom_vr_init,
     adom_vr_iteration_budget,
     adom_vr_params,
-    adom_vr_step,
     corollary_batch_size,
-    gt_baseline_init,
-    gt_baseline_step,
-    gt_page_init,
     gt_page_params,
-    gt_page_step,
     importance_probabilities,
     run,
 )
@@ -177,7 +171,7 @@ class TestAdomVrStep:
         grads = np.stack([self.obj.local_gradient(i, w_star) for i in range(self.obj.m)])
         y_star = grads - self.params.nu * x_star
         z_star = -grads
-        state = adom_vr_init(self.obj, x0=x_star)
+        state = AdomVr.init(self.obj, x0=x_star)
         state.y = y_star.copy()
         state.y_f = y_star.copy()
         state.z = z_star.copy()
@@ -186,9 +180,8 @@ class TestAdomVrStep:
 
     def test_saddle_point_is_fixed(self):
         state, x_star, y_star, z_star = self.saddle_state()
-        w = self.seq.gossip(0)
         for k in range(5):
-            state = adom_vr_step(state, self.params, self.obj, w, seed=9)
+            state = AdomVr(self.params).step(state, self.obj, self.seq, seed=9)
         assert np.max(np.abs(state.x - x_star)) < 1e-10
         assert np.max(np.abs(state.x_f - x_star)) < 1e-10
         assert np.max(np.abs(state.omega - x_star)) < 1e-10
@@ -197,10 +190,9 @@ class TestAdomVrStep:
         assert np.max(np.abs(state.z_f - z_star)) < 1e-10
 
     def test_z_stays_zero_sum(self):
-        state = adom_vr_init(self.obj)
-        w = self.seq.gossip(0)
+        state = AdomVr.init(self.obj)
         for _ in range(200):
-            state = adom_vr_step(state, self.params, self.obj, w, seed=3)
+            state = AdomVr(self.params).step(state, self.obj, self.seq, seed=3)
             scale = max(1.0, float(np.linalg.norm(state.z)))
             assert np.linalg.norm(state.z.sum(axis=0)) < 1e-8 * scale
             assert np.linalg.norm(state.z_f.sum(axis=0)) < 1e-8 * scale
@@ -212,7 +204,7 @@ class TestAdomVrStep:
 
         obj = CallableFiniteSum([[lambda w: (0.5 * (w[0] - 3.0) ** 2, np.array([w[0] - 3.0]))]], 1, info)
         params = adom_vr_params(1.0, 1.0, 1.0, 1.0, 1, 1)
-        state = adom_vr_init(obj)
+        state = AdomVr.init(obj)
         seq = SingleNodeSequence()
 
         # Independent scalar transcription of the update rules (W = 0, z = 0).
@@ -220,7 +212,7 @@ class TestAdomVrStep:
         xs = xf = om = ys = yf = 0.0
         dist_prev = 3.0
         for k in range(100):
-            state = adom_vr_step(state, params, obj, seq.gossip(k), seed=11)
+            state = AdomVr(params).step(state, obj, seq, seed=11)
             rng = np.random.default_rng((11, k))
             rng.random((1, 1))  # batch draw (single component, value irrelevant)
             omega_u = float(rng.random(1)[0])
@@ -250,16 +242,15 @@ class TestAdomVrStep:
 
     def test_oracle_cost_per_step(self):
         counting = CountingObjective(self.obj)
-        state = adom_vr_init(counting)
+        state = AdomVr.init(counting)
         assert counting.calls.tolist() == [self.obj.n] * self.obj.m
-        w = self.seq.gossip(0)
         for k in range(50):
             before = counting.calls.copy()
             rng = np.random.default_rng((5, state.k))
             rng.random((self.obj.m, self.params.b))
             omega_u = rng.random(self.obj.m)
             resets = omega_u < self.params.p1 + self.params.p2
-            state = adom_vr_step(state, self.params, counting, w, seed=5)
+            state = AdomVr(self.params).step(state, counting, self.seq, seed=5)
             delta = counting.calls - before
             expected = self.params.b + self.obj.n * resets.astype(int)
             assert delta.tolist() == expected.tolist()
@@ -267,12 +258,13 @@ class TestAdomVrStep:
     def test_lazy_refresh_same_trajectory_different_ledger(self):
         counting_eager = CountingObjective(self.obj)
         counting_lazy = CountingObjective(self.obj)
-        se = adom_vr_init(counting_eager)
-        sl = adom_vr_init(counting_lazy)
-        w = self.seq.gossip(0)
+        se = AdomVr.init(counting_eager)
+        sl = AdomVr.init(counting_lazy)
+        eager = AdomVr(self.params, eager_omega_refresh=True)
+        lazy = AdomVr(self.params, eager_omega_refresh=False)
         for _ in range(20):
-            se = adom_vr_step(se, self.params, counting_eager, w, seed=7, eager_refresh=True)
-            sl = adom_vr_step(sl, self.params, counting_lazy, w, seed=7, eager_refresh=False)
+            se = eager.step(se, counting_eager, self.seq, seed=7)
+            sl = lazy.step(sl, counting_lazy, self.seq, seed=7)
             assert np.allclose(se.x, sl.x, atol=1e-14)
         # Lazy mode defers the last reset's recomputation to the next step.
         lag = self.obj.n * int(sl.stale.sum())
@@ -324,27 +316,27 @@ class TestGtPageStep:
 
     def test_full_restart_equals_exact_tracking(self):
         params = gt_page_params(self.obj.info.L, self.obj.info.Lhat, self.seq.chi, self.obj.n, p=1.0, stages=1)
-        state = gt_page_init(self.obj)
+        state = GtPage.init(self.obj)
         for k in range(10):
-            state = gt_page_step(state, params, self.obj, self.seq, seed=1)
+            state = GtPage(params).step(state, self.obj, self.seq, seed=1)
             expected = np.stack([self.obj.local_gradient(i, state.x[i]) for i in range(self.obj.m)])
             assert np.allclose(state.y, expected, atol=1e-14)
 
     def test_tracker_mean_identity(self):
-        state = gt_page_init(self.obj)
+        state = GtPage.init(self.obj)
         for _ in range(200):
-            state = gt_page_step(state, self.params, self.obj, self.seq, seed=2)
+            state = GtPage(self.params).step(state, self.obj, self.seq, seed=2)
             vbar = node_mean(state.v)
             ybar = node_mean(state.y)
             scale = max(1.0, float(np.linalg.norm(ybar)))
             assert np.linalg.norm(vbar - ybar) < 1e-10 * scale
 
     def test_average_iterate_recursion(self):
-        state = gt_page_init(self.obj)
+        state = GtPage.init(self.obj)
         for _ in range(50):
             xbar = node_mean(state.x)
             vbar = node_mean(state.v)
-            state = gt_page_step(state, self.params, self.obj, self.seq, seed=3)
+            state = GtPage(self.params).step(state, self.obj, self.seq, seed=3)
             assert np.allclose(node_mean(state.x), xbar - self.params.eta * vbar, atol=1e-13)
 
     def test_zero_step_contracts_consensus_error(self):
@@ -354,13 +346,13 @@ class TestGtPageStep:
         params = dataclasses.replace(params, eta=1e-300)
         rng = np.random.default_rng(6)
         x0 = rng.normal(size=(4, 2))
-        state = gt_page_init(self.obj, x0=x0)
+        state = GtPage.init(self.obj, x0=x0)
         start = state.x.copy()
         errs = []
         for _ in range(40):
             base = node_mean(state.x)
             errs.append(float(np.sum((state.x - base) ** 2)))
-            state = gt_page_step(state, params, self.obj, self.seq, seed=7)
+            state = GtPage(params).step(state, self.obj, self.seq, seed=7)
         assert np.allclose(node_mean(state.x), node_mean(start), atol=1e-10)
         assert errs[-1] < 1e-6 * errs[0]
 
@@ -383,26 +375,26 @@ class TestGtPageStep:
 
     def test_init_replicates_flat_start_point(self):
         x0 = np.array([1.0, -2.0])
-        state = gt_page_init(self.obj, x0=x0)
+        state = GtPage.init(self.obj, x0=x0)
         assert np.allclose(state.x, np.tile(x0, (self.obj.m, 1)))
         assert np.allclose(state.v, np.tile(node_mean(state.y), (self.obj.m, 1)))
 
     def test_multi_stage_consumes_stage_graphs(self):
         params = gt_page_params(self.obj.info.L, self.obj.info.Lhat, self.seq.chi, self.obj.n)
-        state = gt_page_init(self.obj)
-        state = gt_page_step(state, params, self.obj, self.seq, seed=0)
+        state = GtPage.init(self.obj)
+        state = GtPage(params).step(state, self.obj, self.seq, seed=0)
         assert state.comms == params.stages
-        state = gt_page_step(state, params, self.obj, self.seq, seed=0)
+        state = GtPage(params).step(state, self.obj, self.seq, seed=0)
         assert state.comms == 2 * params.stages
 
     def test_per_node_coins_keep_tracker_identity(self):
         import dataclasses
 
         params = dataclasses.replace(self.params, p=0.5)
-        state = gt_page_init(self.obj)
+        state = GtPage.init(self.obj)
         saw_mixed = False
         for _ in range(100):
-            state = gt_page_step(state, params, self.obj, self.seq, seed=17, per_node_coins=True)
+            state = GtPage(params, per_node_coins=True).step(state, self.obj, self.seq, seed=17)
             vbar, ybar = node_mean(state.v), node_mean(state.y)
             assert np.linalg.norm(vbar - ybar) < 1e-10 * max(1.0, float(np.linalg.norm(ybar)))
             exact = np.stack([self.obj.local_gradient(i, state.x[i]) for i in range(self.obj.m)])
@@ -415,18 +407,20 @@ class TestGtPageStep:
         obj, _, _ = strongly_convex_quadratic(rng, m=2, n=5, d=2)
         params = gt_page_params(obj.info.L, obj.info.Lhat, 1.0, obj.n, b=2, stages=1)
         counting = CountingObjective(obj)
-        state = gt_page_init(counting)
+        state = GtPage.init(counting)
         base = counting.calls.copy()
         steps = 10_000
         seq = StaticSequence(complete_graph(2))
         for _ in range(steps):
-            state = gt_page_step(state, params, counting, seq, seed=13)
+            state = GtPage(params).step(state, counting, seq, seed=13)
         mean_cost = (counting.calls - base).mean() / steps
         expected = params.p * obj.n + (1 - params.p) * params.b
         assert abs(mean_cost - expected) / expected < 0.05
 
 
-@pytest.mark.parametrize("init", [adom_vr_init, gt_page_init, gt_baseline_init])
+@pytest.mark.parametrize(
+    "init", [AdomVr.init, GtPage.init, GtBaseline.init], ids=["adom_vr_init", "gt_page_init", "gt_baseline_init"]
+)
 class TestStartPoint:
     def setup_method(self):
         self.obj = random_quadratic(np.random.default_rng(22), m=3, n=2, d=4)
@@ -446,11 +440,11 @@ class TestGtBaseline:
         rng = np.random.default_rng(10)
         obj, mats, vecs = strongly_convex_quadratic(rng, m=1, n=2, d=3)
         seq = SingleNodeSequence()
-        state = gt_baseline_init(obj)
+        state = GtBaseline.init(obj)
         eta = 0.3
         w_manual = np.zeros(3)
         for k in range(25):
-            state = gt_baseline_step(state, eta, obj, seq.gossip(k))
+            state = GtBaseline(eta).step(state, obj, seq, seed=0)
             w_manual = w_manual - eta * obj.local_gradient(0, w_manual)
             assert np.allclose(state.x[0], w_manual, atol=1e-12)
 
@@ -458,9 +452,9 @@ class TestGtBaseline:
         rng = np.random.default_rng(11)
         obj, _, _ = strongly_convex_quadratic(rng, m=4, n=2, d=2)
         seq = TwoStarHopSequence(4)
-        state = gt_baseline_init(obj)
+        state = GtBaseline.init(obj)
         for k in range(30):
-            state = gt_baseline_step(state, 0.05, obj, seq.gossip(k))
+            state = GtBaseline(0.05).step(state, obj, seq, seed=0)
             grads = np.stack([obj.local_gradient(i, state.x[i]) for i in range(4)])
             assert np.allclose(node_mean(state.y), node_mean(grads), atol=1e-12)
 
@@ -469,14 +463,46 @@ class TestGtBaseline:
         obj, _, _ = strongly_convex_quadratic(rng, m=4, n=2, d=2)
         seq = StaticSequence(ring_graph(4))
         x0 = rng.normal(size=(4, 2))
-        state = gt_baseline_init(obj, x0=x0)
+        state = GtBaseline.init(obj, x0=x0)
         errs = []
         for k in range(60):
             base = node_mean(state.x)
             errs.append(float(np.sum((state.x - base) ** 2)))
-            state = gt_baseline_step(state, 0.0, obj, seq.gossip(k))
+            state = GtBaseline(0.0).step(state, obj, seq, seed=0)
         assert errs[-1] < 1e-8 * errs[0]
         assert np.allclose(node_mean(state.x), node_mean(x0), atol=1e-12)
+
+
+class RecordingSequence(GraphSequence):
+    """Forwards every gossip query to ``base`` and records the step it asked for."""
+
+    def __init__(self, base: GraphSequence):
+        self.base, self.m, self.chi, self.reads = base, base.m, base.chi, []
+
+    def gossip(self, k):
+        self.reads.append(k)
+        return self.base.gossip(k)
+
+
+@pytest.mark.parametrize("name", ["adom_vr", "gt_page", "gt_baseline"])
+def test_step_reads_its_graphs_from_comms(name):
+    # adom_vr and gt_baseline read graph `comms` once per step; gt_page reads
+    # its `stages` graphs from `comms` on twice, once for x and once for v.
+    obj, _, _ = strongly_convex_quadratic(np.random.default_rng(23), m=4, n=2, d=2)
+    seq = RecordingSequence(TwoStarHopSequence(4))
+    info = obj.info
+    method = {
+        "adom_vr": lambda: AdomVr(adom_vr_params(info.mu, info.L, info.Lbar, seq.chi, obj.n, b=obj.n)),
+        "gt_page": lambda: GtPage(gt_page_params(info.L, info.Lhat, seq.chi, obj.n, stages=3)),
+        "gt_baseline": lambda: GtBaseline(0.05),
+    }[name]()
+    state = method.init(obj)
+    for _ in range(6):
+        comms, seen = state.comms, len(seq.reads)
+        state = method.step(state, obj, seq, seed=4)
+        window = list(range(comms, state.comms))
+        assert seq.reads[seen:] == (2 * window if name == "gt_page" else window)
+    assert state.comms == (18 if name == "gt_page" else 6)
 
 
 def newton_logistic_minimizer(shards, reg, d, iters=60):
