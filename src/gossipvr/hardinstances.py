@@ -16,10 +16,10 @@ The chain coordinates are kept exactly zero in floating point until activated
 (bump values and slopes are exact zeros below the threshold), so progress
 accounting is exact, not approximate.
 
-Every zero-chain query runs through one node-batched kernel over a sorted
-term list: a batched query makes one kernel call per camp (and block) over
-all of that camp's rows, and a per-node query is its one-row view, bitwise
-equal to the batched row.  Node and block values are one-row sums.
+Every zero-chain query, value or gradient, makes one call of a node-batched
+kernel per camp (and block) over all of that camp's rows.  Each row is
+bitwise the answer of a one-row call, so the per-node queries, which
+``FiniteSumObjective`` defines as one-node views, agree with the batched ones.
 """
 
 from __future__ import annotations
@@ -130,11 +130,12 @@ def _chain_kernel(X: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(neg, value, 0.0 - value), grad[:, 1:]  # 0.0 - v: a term value is never -0.0
 
 
-def _chain_value(term_values: np.ndarray, terms: np.ndarray) -> float:
-    """Sum of one row's term values as the per-term formula adds them: term 1, then one 1-D sum."""
-    if terms.size and terms[0] == 1:
-        return term_values[0] + float(np.sum(term_values[1:]))
-    return float(np.sum(term_values))
+def _chain_values(term_values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Row sums of term values (k, T) as the per-term formula adds them: term 1, then one 1-D sum.
+    The kernel's term values are column-ordered; summed in place, their rows round differently."""
+    head = 1 if terms.size and terms[0] == 1 else 0
+    rest = np.sum(np.ascontiguousarray(term_values[:, head:]), axis=1)
+    return term_values[:, 0] + rest if head else rest
 
 
 def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray]:
@@ -146,7 +147,7 @@ def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray
         raise ValueError(f"expected dimension {d}, got {x.shape[0]}")
     terms = np.arange(1, d + 1)
     term_values, grad = _chain_kernel(x[None], terms)
-    return _chain_value(term_values[0], terms), grad[0]
+    return float(_chain_values(term_values, terms)[0]), grad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +225,31 @@ class ChainObjective(FiniteSumObjective):
         grad[first + 1 : end : 2] -= 2.0 * c * diff
         return val, grad
 
-    def component_value(self, i, j, w):
-        return float(self._g(i, self._slot(np.asarray(w, dtype=float), j))[0])
+    def _slot_terms(self, i, x: np.ndarray):
+        """Values and slot gradients of node i's n components at ``x``."""
+        return [self._g(int(i), self._slot(x, j)) for j in range(self.n)]
 
-    def component_gradient(self, i, j, w):
-        w = np.asarray(w, dtype=float)
-        g = np.zeros(self.d)
-        g[j * self.dim : (j + 1) * self.dim] = self._g(i, self._slot(w, j))[1]
-        return g
+    def batch_component_values(self, nodes, X):
+        return np.array([[val for val, _ in self._slot_terms(i, x)] for i, x in zip(nodes, X)])
 
-    def local_value(self, i, w):
-        w = np.asarray(w, dtype=float)
-        return float(sum(self._g(i, self._slot(w, j))[0] for j in range(self.n)) / self.n)
+    def batch_local_values(self, nodes, X):  # summed in slot order; a row mean rounds differently
+        return np.array([sum(row) / self.n for row in self.batch_component_values(nodes, X)])
 
-    def local_gradient(self, i, w):
-        w = np.asarray(w, dtype=float)
-        g = np.empty(self.d)
-        for j in range(self.n):
-            g[j * self.dim : (j + 1) * self.dim] = self._g(i, self._slot(w, j))[1]
-        return g / self.n
+    def batch_sampled_gradients(self, nodes, idx, X):
+        out = np.zeros((len(nodes), np.shape(idx)[1], self.d))
+        for r, (i, ix, x) in enumerate(zip(nodes, idx, X)):
+            for c, j in enumerate(ix):
+                self._slot(out[r, c], j)[:] = self._g(int(i), self._slot(x, j))[1]
+        return out
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        return self.batch_sampled_gradients(nodes, idx, X_new), self.batch_sampled_gradients(nodes, idx, X_old)
+
+    def batch_component_gradients(self, nodes, X):
+        return self.batch_sampled_gradients(nodes, np.tile(np.arange(self.n), (len(nodes), 1)), X)
+
+    def batch_local_gradients(self, nodes, X):
+        return np.array([np.concatenate([g for _, g in self._slot_terms(i, x)]) for i, x in zip(nodes, X)]) / self.n
 
 
 def strongly_convex_chain(m: int, n: int, big_l: float, mu: float, dim: int) -> ChainObjective:
@@ -305,43 +312,50 @@ class ZeroChainObjective(FiniteSumObjective):
         table.update({(c, j): (terms[terms % period == (2 * j + c) % period], block_coef) for c in (1, 2) for j in range(self.n)})
         return table
 
-    def _gradients(self, nodes, X, j: int | None = None) -> np.ndarray:
-        """Gradients of block ``j`` (node function if None) of each node at its row of ``X``: one kernel call per camp."""
+    def _camp_kernels(self, nodes, X, j: int | None):
+        """``(rows, terms, coef, kernel answer)`` per chain camp for block ``j`` (node function if None) of each
+        node at its row of ``X``: one kernel call per camp.  Camp 3 is identically zero."""
         X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape)
         camps = self._node_camp[np.asarray(nodes)]
         for camp in (1, 2):
             rows = np.flatnonzero(camps == camp)
             if rows.size:
                 terms, coef = self._terms[(camp, j)]
-                out[rows] = (self.value_coef / self.scale_c) * (coef * _chain_kernel(X[rows] / self.scale_c, terms)[1])
+                yield rows, terms, coef, _chain_kernel(X[rows] / self.scale_c, terms)
+
+    def _gradients(self, nodes, X, j: int | None = None) -> np.ndarray:
+        out = np.zeros(np.shape(X))
+        for rows, _, coef, (_, grad) in self._camp_kernels(nodes, X, j):
+            out[rows] = (self.value_coef / self.scale_c) * (coef * grad)
         return out
 
-    def _value(self, i: int, w, j: int | None = None) -> float:
-        camp = self._node_camp[i]
-        if camp == 3:
-            return 0.0
-        terms, coef = self._terms[(camp, j)]
-        term_values = _chain_kernel(np.asarray(w, dtype=float)[None] / self.scale_c, terms)[0]
-        return float(self.value_coef * (coef * _chain_value(term_values[0], terms)))
+    def _values(self, nodes, X, j: int | None = None) -> np.ndarray:
+        out = np.zeros(len(X))
+        for rows, terms, coef, (term_values, _) in self._camp_kernels(nodes, X, j):
+            out[rows] = self.value_coef * (coef * _chain_values(term_values, terms))
+        return out
 
-    def batch_local_gradients(self, nodes, X):
-        return self._gradients(nodes, X)
+    def batch_component_values(self, nodes, X):
+        return np.stack([self._values(nodes, X, j) for j in range(self.n)], axis=1)
+
+    def batch_local_values(self, nodes, X):
+        return self._values(nodes, X)
+
+    def batch_sampled_gradients(self, nodes, idx, X):  # only the drawn blocks, on the rows that drew them
+        out = np.zeros(np.shape(idx) + (self.d,))
+        for j in np.unique(idx):
+            rows, cols = np.nonzero(np.asarray(idx) == j)
+            out[rows, cols] = self._gradients(np.asarray(nodes)[rows], np.asarray(X)[rows], int(j))
+        return out
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        return self.batch_sampled_gradients(nodes, idx, X_new), self.batch_sampled_gradients(nodes, idx, X_old)
 
     def batch_component_gradients(self, nodes, X):
         return np.stack([self._gradients(nodes, X, j) for j in range(self.n)], axis=1)
 
-    def local_gradient(self, i, w):
-        return self._gradients([i], np.asarray(w)[None])[0]
-
-    def component_gradient(self, i, j, w):
-        return self._gradients([i], np.asarray(w)[None], j)[0]
-
-    def local_value(self, i, w):
-        return self._value(i, w)
-
-    def component_value(self, i, j, w):
-        return self._value(i, w, j)
+    def batch_local_gradients(self, nodes, X):
+        return self._gradients(nodes, X)
 
 
 def nonconvex_hard_objective(

@@ -87,7 +87,7 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
     must fail rather than allocate).  Binary {0, 1} label sets are remapped to
     {-1, +1}.
     """
-    raw: list[tuple[float, list[tuple[int, float]]]] = []
+    raw: list[tuple[float, dict[int, float]]] = []
     max_idx = 0
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -101,7 +101,7 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
             if not math.isfinite(label):
                 raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
-            pairs = []
+            pairs: dict[int, float] = {}
             for token in parts[1:]:
                 if ":" not in token:
                     raise ValueError(f"{path}:{lineno}: malformed pair {token!r}")
@@ -116,7 +116,9 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
                     raise ValueError(f"{path}:{lineno}: index must be >= 1, got {idx}")
                 if idx > max_features:
                     raise ValueError(f"{path}:{lineno}: feature index {idx} exceeds the cap {max_features}")
-                pairs.append((idx, val))
+                if idx in pairs:
+                    raise ValueError(f"{path}:{lineno}: feature index {idx} repeated")
+                pairs[idx] = val
                 max_idx = max(max_idx, idx)
             raw.append((label, pairs))
     if not raw:
@@ -126,7 +128,7 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
     rows = []
     for label, pairs in raw:
         vec = np.zeros(max_idx)
-        for idx, val in pairs:
+        for idx, val in pairs.items():
             vec[idx - 1] = val
         if remap and label == 0.0:
             label = -1.0
@@ -497,10 +499,9 @@ def main(argv: list[str] | None = None) -> int:
             if k not in ("config", "seeds", "jobs") and v is not None
         }
         cfg = cfg.replace(**overrides)
-        if args.seeds:
-            configs = [cfg.replace(seed=s) for s in args.seeds.split(",")]
-        else:
-            configs = [cfg]
+        configs = [cfg.replace(seed=s) for s in args.seeds.split(",")] if args.seeds else [cfg]
+        if len({one.seed for one in configs}) < len(configs):
+            raise ValueError(f"--seeds repeats a seed: {args.seeds}")
         if args.jobs > 1 and len(configs) > 1:
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
                 for line in pool.map(_run_one, configs):

@@ -102,47 +102,30 @@ class DatasetShard:
 
 
 class FiniteSumObjective:
-    """Abstract m-node, n-component objective with gradient access."""
+    """Abstract m-node, n-component objective with gradient access.
+
+    Concrete objectives override the node-batched queries (``batch_*``), and
+    the per-node queries are one-node views of them.  Proxies override the
+    per-node queries, and the batched gradient queries loop over those.  A
+    subclass must override one of the two sets, or each calls the other.
+    """
 
     m: int
     n: int
     d: int
     info: SmoothnessInfo
 
-    # -- component oracle ---------------------------------------------------
-    def component_value(self, i: int, j: int, w: np.ndarray) -> float:
+    # -- node-batched queries: row r is node nodes[r]'s answer ------------------
+    def batch_component_values(self, nodes: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """All n component values of each node: nodes (k,), X (k, d) -> (k, n)."""
         raise NotImplementedError
 
-    def component_gradient(self, i: int, j: int, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def batch_local_values(self, nodes: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Node values: nodes (k,), X (k, d) -> (k,)."""
+        return self.batch_component_values(nodes, X).mean(axis=1)
 
-    def component_gradient_pair(self, i: int, j: int, w_new: np.ndarray, w_old: np.ndarray):
-        """Gradients of one component at two points (one oracle unit: one data
-        slice touched, as charged by :class:`CountingObjective`)."""
-        return self.component_gradient(i, j, w_new), self.component_gradient(i, j, w_old)
-
-    def sampled_gradients(self, i: int, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Component gradients for a batch of indices, shape (len(indices), d)."""
-        return np.stack([self.component_gradient(i, int(j), w) for j in indices])
-
-    def sampled_gradient_pairs(self, i: int, indices: np.ndarray, w_new: np.ndarray, w_old: np.ndarray):
-        """Batched difference-estimator queries: one oracle unit per index."""
-        return self.sampled_gradients(i, indices, w_new), self.sampled_gradients(i, indices, w_old)
-
-    # -- node-level helpers --------------------------------------------------
-    def local_value(self, i: int, w: np.ndarray) -> float:
-        return float(np.mean([self.component_value(i, j, w) for j in range(self.n)]))
-
-    def local_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.local_component_gradients(i, w).mean(axis=0)
-
-    def local_component_gradients(self, i: int, w: np.ndarray) -> np.ndarray:
-        """All n component gradients of node i at one point, shape (n, d)."""
-        return np.stack([self.component_gradient(i, j, w) for j in range(self.n)])
-
-    # -- node-batched queries: row r is node nodes[r]'s per-node answer ----------
-    # An override must keep each row bit-identical to the per-node query, because
-    # a proxy that forwards only the per-node queries falls back to these loops.
+    # The gradient loops are the proxies' fallback.  An override must keep each row
+    # bit-identical to a one-row call, so that a proxy's loop gives the same answer.
     def batch_sampled_gradients(self, nodes: np.ndarray, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Sampled component gradients: nodes (k,), idx (k, b), X (k, d) -> (k, b, d)."""
         return np.stack([self.sampled_gradients(int(i), ix, x) for i, ix, x in zip(nodes, idx, X)])
@@ -160,6 +143,40 @@ class FiniteSumObjective:
         """Node gradients: nodes (k,), X (k, d) -> (k, d)."""
         return np.stack([self.local_gradient(int(i), x) for i, x in zip(nodes, X)])
 
+    # -- per-node queries: one-node views of the batched ones -------------------
+    def component_value(self, i: int, j: int, w: np.ndarray) -> float:
+        return float(self.batch_component_values(*_one_node(i, w))[0, j])
+
+    def local_value(self, i: int, w: np.ndarray) -> float:
+        return float(self.batch_local_values(*_one_node(i, w))[0])
+
+    def component_gradient(self, i: int, j: int, w: np.ndarray) -> np.ndarray:
+        return self.sampled_gradients(i, [j], w)[0]
+
+    def component_gradient_pair(self, i: int, j: int, w_new: np.ndarray, w_old: np.ndarray):
+        """Gradients of one component at two points (one oracle unit: one data
+        slice touched, as charged by :class:`CountingObjective`)."""
+        g_new, g_old = self.sampled_gradient_pairs(i, [j], w_new, w_old)
+        return g_new[0], g_old[0]
+
+    def sampled_gradients(self, i: int, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Component gradients for a batch of indices, shape (len(indices), d)."""
+        nodes, x = _one_node(i, w)
+        return self.batch_sampled_gradients(nodes, np.asarray(indices)[None], x)[0]
+
+    def sampled_gradient_pairs(self, i: int, indices: np.ndarray, w_new: np.ndarray, w_old: np.ndarray):
+        """Batched difference-estimator queries: one oracle unit per index."""
+        nodes, x_new = _one_node(i, w_new)
+        g_new, g_old = self.batch_sampled_gradient_pairs(nodes, np.asarray(indices)[None], x_new, _one_node(i, w_old)[1])
+        return g_new[0], g_old[0]
+
+    def local_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.batch_local_gradients(*_one_node(i, w))[0]
+
+    def local_component_gradients(self, i: int, w: np.ndarray) -> np.ndarray:
+        """All n component gradients of node i at one point, shape (n, d)."""
+        return self.batch_component_gradients(*_one_node(i, w))[0]
+
     # -- stacked and averaged views -------------------------------------------
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.m, self.d):
@@ -167,18 +184,24 @@ class FiniteSumObjective:
         return self.batch_local_gradients(np.arange(self.m), x)
 
     def average_value(self, w: np.ndarray) -> float:
-        return float(np.mean([self.local_value(i, w) for i in range(self.m)]))
+        return float(np.mean(self.batch_local_values(np.arange(self.m), np.tile(w, (self.m, 1)))))
 
     def average_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.batch_local_gradients(np.arange(self.m), np.tile(w, (self.m, 1))).mean(axis=0)
 
 
+def _one_node(i, w):
+    """Arguments of a node-batched query for node ``i`` alone at point ``w``."""
+    return np.array([i]), np.asarray(w, dtype=float)[None]
+
+
 class CountingObjective(FiniteSumObjective):
     """Wrapper that charges one unit per component-gradient oracle query.
 
-    A paired query (same component at two points, as used by difference
-    estimators) charges a single unit; node-level full gradients charge n.
-    Values are free.
+    Only the node-batched gradient queries charge; the per-node queries are
+    views of them and so charge in the same units: one per sampled index (a
+    paired query, the same component at two points as difference estimators
+    use, counts once) and n per node-level full gradient.  Values are free.
     """
 
     def __init__(self, base: FiniteSumObjective):
@@ -187,35 +210,11 @@ class CountingObjective(FiniteSumObjective):
         self.info = base.info
         self.calls = np.zeros(base.m, dtype=np.int64)
 
-    def component_value(self, i, j, w):
-        return self.base.component_value(i, j, w)
+    def batch_component_values(self, nodes, X):
+        return self.base.batch_component_values(nodes, X)
 
-    def component_gradient(self, i, j, w):
-        self.calls[i] += 1
-        return self.base.component_gradient(i, j, w)
-
-    def component_gradient_pair(self, i, j, w_new, w_old):
-        self.calls[i] += 1
-        return self.base.component_gradient_pair(i, j, w_new, w_old)
-
-    def sampled_gradients(self, i, indices, w):
-        self.calls[i] += len(indices)
-        return self.base.sampled_gradients(i, indices, w)
-
-    def sampled_gradient_pairs(self, i, indices, w_new, w_old):
-        self.calls[i] += len(indices)
-        return self.base.sampled_gradient_pairs(i, indices, w_new, w_old)
-
-    def local_value(self, i, w):
-        return self.base.local_value(i, w)
-
-    def local_gradient(self, i, w):
-        self.calls[i] += self.n
-        return self.base.local_gradient(i, w)
-
-    def local_component_gradients(self, i, w):
-        self.calls[i] += self.n
-        return self.base.local_component_gradients(i, w)
+    def batch_local_values(self, nodes, X):
+        return self.base.batch_local_values(nodes, X)
 
     def batch_sampled_gradients(self, nodes, idx, X):
         np.add.at(self.calls, nodes, np.shape(idx)[1])
@@ -254,11 +253,24 @@ class CallableFiniteSum(FiniteSumObjective):
         self.info = info
         info.validate(self.n)
 
-    def component_value(self, i, j, w):
-        return float(self._components[i][j](np.asarray(w, dtype=float))[0])
+    def _call(self, i, j, x):
+        return self._components[int(i)][int(j)](np.asarray(x, dtype=float))
 
-    def component_gradient(self, i, j, w):
-        return np.asarray(self._components[i][j](np.asarray(w, dtype=float))[1], dtype=float)
+    def batch_component_values(self, nodes, X):
+        return np.array([[float(self._call(i, j, x)[0]) for j in range(self.n)] for i, x in zip(nodes, X)])
+
+    def batch_sampled_gradients(self, nodes, idx, X):
+        grads = [[np.asarray(self._call(i, j, x)[1], dtype=float) for j in ix] for i, ix, x in zip(nodes, idx, X)]
+        return np.array(grads).reshape(len(nodes), np.shape(idx)[1], self.d)
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        return self.batch_sampled_gradients(nodes, idx, X_new), self.batch_sampled_gradients(nodes, idx, X_old)
+
+    def batch_component_gradients(self, nodes, X):
+        return self.batch_sampled_gradients(nodes, np.tile(np.arange(self.n), (len(nodes), 1)), X)
+
+    def batch_local_gradients(self, nodes, X):
+        return self.batch_component_gradients(nodes, X).mean(axis=1)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -325,8 +337,7 @@ class ShardObjective(FiniteSumObjective):
         g = ((self.dloss((a @ x[..., None])[..., 0], y) * wt)[..., None, :] @ a)[..., 0, :]
         return g + self.reg * x if self.reg else g
 
-    def _values(self, nodes, X):
-        """All component values of each node: nodes (k,), X (k, d) -> (k, n)."""
+    def batch_component_values(self, nodes, X):
         a, y, wt = self._blocks(nodes)
         x = X[:, None, :]
         v = np.sum(self.loss((a @ x[..., None])[..., 0], y) * wt, axis=-1)
@@ -344,32 +355,6 @@ class ShardObjective(FiniteSumObjective):
 
     def batch_local_gradients(self, nodes, X):
         return self.batch_component_gradients(nodes, X).mean(axis=1)
-
-    # Per-node queries are one-node views of the batched ones (the inherited
-    # sampled_gradient_pairs calls sampled_gradients twice, which is the same kernel).
-    def component_value(self, i, j, w):
-        return float(self._values(*_one_node(i, w))[0, j])
-
-    def local_value(self, i, w):
-        return float(np.mean(self._values(*_one_node(i, w))[0]))
-
-    def component_gradient(self, i, j, w):
-        return self.sampled_gradients(i, [j], w)[0]
-
-    def sampled_gradients(self, i, indices, w):
-        nodes, x = _one_node(i, w)
-        return self.batch_sampled_gradients(nodes, np.asarray(indices)[None], x)[0]
-
-    def local_gradient(self, i, w):
-        return self.batch_local_gradients(*_one_node(i, w))[0]
-
-    def local_component_gradients(self, i, w):
-        return self.batch_component_gradients(*_one_node(i, w))[0]
-
-
-def _one_node(i, w):
-    """Arguments of a node-batched query for node ``i`` alone at point ``w``."""
-    return np.array([i]), np.asarray(w, dtype=float)[None]
 
 
 def _logistic_loss(t, y):

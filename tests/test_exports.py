@@ -7,6 +7,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gossipvr
@@ -34,15 +35,48 @@ def test_package_reexports_public_names():
             assert getattr(gossipvr, alias.asname or alias.name) is getattr(module, alias.name)
 
 
-def test_benchmark_tracer_names_exist(monkeypatch):
-    """``perfbench/tracer.py`` wraps these names by lookup; a deleted one would break ``--trace 1``."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+def _benchmark_tracer(monkeypatch):
+    """``perfbench/tracer.py``, loaded without writing bytecode under ``perfbench/``."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    """``perfbench/tracer.py`` wraps these names by lookup; a deleted one would break ``--trace 1``."""
+    tracer = _benchmark_tracer(monkeypatch)
     missing = [name for name in tracer.HARNESS_SPANS if not hasattr(harness, name)]
     assert not missing, f"gossipvr.harness lacks traced names {missing}"
     queries = [*tracer.ORACLE_UNITS, *tracer.METRIC_EVALS, *tracer.PASSTHROUGH]
     missing = [name for name in queries if not hasattr(FiniteSumObjective, name)]
     assert not missing, f"FiniteSumObjective lacks traced queries {missing}"
+
+
+def test_benchmark_traced_objective_answers_batched_queries(monkeypatch, objective_families):
+    """The benchmark's ``TracedObjective`` forwards only per-node queries, so its batched queries are
+    the base-class loops: they must answer the raw objective's bits and record one span per node,
+    named after the per-node query and tagged with its ``ORACLE_UNITS`` units."""
+    tracing = _benchmark_tracer(monkeypatch)
+    for family, obj in objective_families.items():
+        rng = np.random.default_rng(22)
+        nodes = np.array([obj.m - 1, 0, 1])
+        idx = rng.integers(0, obj.n, size=(3, 2))
+        X, X_old = rng.normal(size=(2, 3, obj.d))
+        module = type(obj).__module__.rsplit(".", 1)[-1]
+        tracer = tracing.Tracer()
+        traced = tracing.TracedObjective(obj, tracer)
+        for query, args, per_node, units in (
+            ("batch_sampled_gradients", (nodes, idx, X), "sampled_gradients", 2),
+            ("batch_sampled_gradient_pairs", (nodes, idx, X, X_old), "sampled_gradient_pairs", 2),
+            ("batch_component_gradients", (nodes, X), "local_component_gradients", obj.n),
+            ("batch_local_gradients", (nodes, X), "local_gradient", obj.n),
+        ):
+            first = len(tracer.spans)
+            got, want = getattr(traced, query)(*args), getattr(obj, query)(*args)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (family, query)
+            spans = [(name, parent, tag) for name, _, _, parent, tag in tracer.spans[first:]]
+            assert spans == [(f"{module}.{per_node}", -1, units)] * len(nodes), (family, query)
+            assert units == tracing.ORACLE_UNITS[per_node](obj, (nodes[0], idx[0]))

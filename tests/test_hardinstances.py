@@ -403,6 +403,22 @@ class TestZeroChainInstance:
             assert _same_bits(obj.batch_local_gradients(np.array(nodes), X), per_node)
             per_node = np.stack([obj.local_component_gradients(i, x) for i, x in zip(nodes, X)])
             assert _same_bits(obj.batch_component_gradients(np.array(nodes), X), per_node)
+            idx = rng.integers(0, n, size=(len(nodes), 2))  # repeats, and blocks no row drew
+            per_node = np.stack([[obj.component_gradient(i, j, x) for j in ix] for i, ix, x in zip(nodes, idx, X)])
+            assert _same_bits(obj.batch_sampled_gradients(np.array(nodes), idx, X), per_node)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_batched_values_match_per_term_reference(self, n):
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(40 + n)
+        for nodes in ([7, 4, 0, 5, 2, 8], [3, 6, 1], [8, 0, 3, 1, 4, 2, 6, 5, 7], [2, 2, 6, 5]):
+            assert len({obj._node_camp[i] for i in nodes}) == 3
+            for _ in range(10):
+                X = np.stack([_partly_activated(rng, (obj.d,), obj.scale_c) for _ in nodes])
+                local, blocks = obj.batch_local_values(np.array(nodes), X), obj.batch_component_values(np.array(nodes), X)
+                for r, (i, x) in enumerate(zip(nodes, X)):
+                    assert _same_bits(local[r], _per_term_query(obj, i, x)[0])
+                    assert _same_bits(blocks[r], [_per_term_query(obj, i, x, j)[0] for j in range(n)])
 
     def test_finite_differences(self):
         obj, _ = nonconvex_hard_objective(6, 3, 1.5, 1.0, budget_comms=24, budget_oracle=30)

@@ -53,6 +53,12 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match=r"toy\.libsvm:2: non-finite"):
             parse_libsvm(f)
 
+    def test_repeated_feature_index_rejected_with_line(self, tmp_path):
+        f = tmp_path / "toy.libsvm"
+        f.write_text("1 1:1\n1 1:0.5 1:0.7 2:1\n")
+        with pytest.raises(ValueError, match=r"toy\.libsvm:2: feature index 1 repeated"):
+            parse_libsvm(f)
+
     def test_binary_01_labels_remapped(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("0 1:1\n1 1:2\n")
@@ -300,13 +306,15 @@ class PerNodeProxy(FiniteSumObjective):
         dict(method="adom_vr", objective="logistic", seed=4, budget_iters=200, metric_every=5),
         dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3),
         dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3, per_node_coins=1),
+        dict(method="gt_baseline", objective="zero_chain", m=9, n=4, budget_iters=200, budget_comms=200, metric_every=5),
+        dict(method="adom_vr", objective="chain", topology="two-star-hop", m=6, n=4, budget_iters=200, metric_every=5),
     ],
-    ids=["adom_vr_logistic", "gt_page_nlls", "gt_page_nlls_per_node_coins"],
+    ids=["adom_vr_logistic", "gt_page_nlls", "gt_page_nlls_per_node_coins", "gt_baseline_zero_chain", "adom_vr_chain_two_star_hop"],
 )
 def test_per_node_proxy_writes_identical_csv(config, tmp_path, fixture_path, monkeypatch):
     import gossipvr.harness as harness
 
-    cfg = dict(config, dataset=str(fixture_path), topology="random-geometric", m=10, n=10)
+    cfg = {"dataset": str(fixture_path), "topology": "random-geometric", "m": 10, "n": 10, **config}
     _, direct, _ = run_experiment(ExperimentConfig().replace(**cfg, out=str(tmp_path / "direct")))
     proxies = []
     real_run = harness.run
@@ -389,6 +397,15 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
         for name in ("gt_baseline_chain_static-ring_m4_n2_seed5.csv", "gt_baseline_chain_static-ring_m4_n2_seed6.csv"):
             assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.parametrize("seeds", ["1,1", "1,01", "0,2,0"])
+    def test_repeated_seed_rejected_before_any_run(self, tmp_path, capsys, seeds):
+        args = ["--method", "gt_baseline", "--objective", "chain", "--topology", "static-ring", "--m", "4", "--n", "2"]
+        args += ["--budget-iters", "3", "--seeds", seeds, "--jobs", "2", "--out", str(tmp_path / "runs")]
+        assert main(args) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError" and "repeats a seed" in payload["message"]
+        assert not (tmp_path / "runs").exists()
 
     def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
         import gossipvr.harness as harness

@@ -343,6 +343,9 @@ class TestNodeBatchedQueries:
         ids=["chain", "zero_chain", "callable"],
     )
     def test_base_class_defaults_stack_per_node_queries(self, make):
+        """k-row answers of each family's own batched queries equal its one-row answers.  The base-class
+        loops are covered by ``test_benchmark_traced_objective_answers_batched_queries`` and
+        ``test_per_node_proxy_writes_identical_csv``."""
         obj = make()
         rng = np.random.default_rng(19)
         nodes = np.array([obj.m - 1, 0])
@@ -351,13 +354,44 @@ class TestNodeBatchedQueries:
         for got, want in zip(batched_answers(obj, nodes, idx, X, X_old), per_node_answers(obj, nodes, idx, X, X_old)):
             assert np.array_equal(got, want)
 
-    def test_counting_charges_equal_per_node_charges(self):
-        rng = np.random.default_rng(20)
-        base = random_quadratic(rng, m=4, n=3)
-        batched, per_node = CountingObjective(base), CountingObjective(base)
-        nodes = np.array([3, 1, 2])
-        idx = rng.integers(0, 3, size=(3, 2))
-        X, X_old = rng.normal(size=(2, 3, base.d))
-        batched_answers(batched, nodes, idx, X, X_old)
-        per_node_answers(per_node, nodes, idx, X, X_old)
-        assert batched.calls.tolist() == per_node.calls.tolist() == [0, 10, 10, 10]
+    def test_counting_charges_equal_per_node_charges(self, objective_families):
+        """The per-node queries charge through the batched charges, in their own units:
+        one per sampled index (a pair is one), n per node gradient, and nothing for values."""
+        for family, base in objective_families.items():
+            rng = np.random.default_rng(20)
+            nodes = np.array([base.m - 1, 1, 2])
+            idx = rng.integers(0, base.n, size=(3, 2))
+            X, X_old = rng.normal(size=(2, 3, base.d))
+            batched, per_node = CountingObjective(base), CountingObjective(base)
+            batched_answers(batched, nodes, idx, X, X_old)
+            per_node_answers(per_node, nodes, idx, X, X_old)
+            want = np.zeros(base.m, dtype=int)
+            np.add.at(want, nodes, 2 + 2 + 2 * base.n)
+            assert batched.calls.tolist() == per_node.calls.tolist() == want.tolist(), family
+
+            counting, w, w_old = CountingObjective(base), X[0], X_old[0]
+            for query, units in (
+                (lambda: counting.component_gradient(1, 2, w), 1),
+                (lambda: counting.component_gradient_pair(1, 2, w, w_old), 1),
+                (lambda: counting.sampled_gradients(1, idx[0], w), 2),
+                (lambda: counting.sampled_gradient_pairs(1, idx[0], w, w_old), 2),
+                (lambda: counting.local_gradient(1, w), base.n),
+                (lambda: counting.local_component_gradients(1, w), base.n),
+                (lambda: counting.component_value(1, 2, w), 0),
+                (lambda: counting.local_value(1, w), 0),
+            ):
+                before = counting.calls.copy()
+                query()
+                charged = counting.calls - before
+                assert charged[1] == units and charged.sum() == units, family
+
+    def test_batched_values_equal_one_row_calls(self, objective_families):
+        for family, obj in objective_families.items():
+            nodes = np.array([obj.m - 1, 0, 2, 1, 0])
+            X = np.random.default_rng(21).normal(size=(len(nodes), obj.d))
+            values, local = obj.batch_component_values(nodes, X), obj.batch_local_values(nodes, X)
+            assert values.shape == (len(nodes), obj.n) and local.shape == (len(nodes),), family
+            for r, (i, x) in enumerate(zip(nodes, X)):
+                one_row = [obj.component_value(int(i), j, x) for j in range(obj.n)]
+                assert values[r].tobytes() == np.array(one_row).tobytes(), family
+                assert local[r].tobytes() == np.float64(obj.local_value(int(i), x)).tobytes(), family
