@@ -50,6 +50,7 @@ _KERNEL_CUTOFF = 1e-8
 DUMP_STEPS = 1000
 
 MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
+BLOCK = 32  # random-geometric steps built per stacked pass
 
 
 @dataclass(frozen=True)
@@ -123,32 +124,23 @@ def path_graph(m: int, weight: float = 1.0) -> WeightedGraph:
 
 
 def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
-    """Build ``W = L(g)/lambda_max(L(g))`` with its exact condition number.
+    """Build ``W = L(g)/lambda_max(L(g))`` (symmetrized) with its exact condition number.
 
     Requires a connected graph on at least two nodes; otherwise the smallest
-    positive eigenvalue degenerates and chi is undefined.  A graph whose
-    ``chi`` would exceed ``1/_KERNEL_CUTOFF`` counts as disconnected.
+    positive eigenvalue degenerates and chi is undefined.  One ``eigvalsh``
+    decides both: the graph is connected iff the Laplacian kernel is
+    one-dimensional, i.e. the second-smallest eigenvalue exceeds
+    ``_KERNEL_CUTOFF * lambda_max`` (an edgeless graph has ``lambda_max == 0``),
+    and then ``chi = lambda_max / eigs[1]``.  A graph whose ``chi`` would exceed
+    ``1/_KERNEL_CUTOFF`` therefore counts as disconnected.
     """
     if g.m < 2:
         raise ValueError("gossip matrix needs at least 2 nodes")
-    w = _gossip(g.laplacian())
-    if w is None:
-        raise ValueError("graph is disconnected: chi would be infinite")
-    return w
-
-
-def _gossip(lap: np.ndarray) -> GossipMatrix | None:
-    """``W = lap / lambda_max`` (symmetrized) with ``chi``, or ``None`` if the graph is disconnected.
-
-    One ``eigvalsh`` decides both: the graph is connected iff the Laplacian
-    kernel is one-dimensional, i.e. the second-smallest eigenvalue exceeds
-    ``_KERNEL_CUTOFF * lambda_max`` (an edgeless graph has ``lambda_max == 0``),
-    and then ``chi = lambda_max / eigs[1]``.
-    """
+    lap = g.laplacian()
     eigs = np.linalg.eigvalsh(lap)
     fiedler, top = float(eigs[1]), float(eigs[-1])
     if not fiedler > _KERNEL_CUTOFF * top:
-        return None
+        raise ValueError("graph is disconnected: chi would be infinite")
     w = lap / top
     return GossipMatrix(matrix=0.5 * (w + w.T), chi=top / fiedler)
 
@@ -213,16 +205,24 @@ class RandomGeometricSequence(GraphSequence):
     """Fresh random geometric graph each step, resampled until connected.
 
     Points are uniform in the unit square; pairs within ``radius`` are joined
-    with unit weight.  Step ``k`` is a pure function of ``(seed, k)``, so runs
+    with unit weight.  Step ``k`` is a pure function of ``(seed, k)``: it draws
+    from its own ``default_rng((seed, k))`` until the graph connects, so runs
     can revisit steps in any order.
 
-    Gossip matrices are built straight from the boolean adjacency by the
-    spectral test of :func:`gossip_from_laplacian`, and disconnected draws are
-    resampled.  ``built``, ``resamples`` and ``chi_max`` count the matrices
-    built, the disconnected draws rejected and the largest exact per-step
-    ``chi`` built so far.  Of the ``CACHE_LIMIT`` cached steps,
-    the oldest at or past ``DUMP_STEPS`` are evicted first, so a run's dump
-    finds its steps cached.
+    Steps are built ``BLOCK`` at a time: a miss on step ``k`` builds the aligned
+    block holding it in stacked passes (one distance test and one ``eigvalsh``
+    over the ``(B, m, m)`` Laplacian stack, the spectral test of
+    :func:`gossip_from_laplacian`), each pass redrawing only the steps still
+    disconnected.  Built steps wait unserved until the next miss replaces
+    them; a step still disconnected after ``MAX_RETRIES`` draws fails when it
+    is served.
+
+    ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
+    disconnected draws rejected for them and the largest exact per-step
+    ``chi`` served: they are charged when a step is served, not when it is
+    built.  ``gossip`` caches what it serves; of the ``CACHE_LIMIT`` cached
+    steps, the oldest at or past ``DUMP_STEPS`` are evicted first, so a run's
+    dump finds its steps cached.
     """
 
     kind = "random-geometric"
@@ -239,13 +239,14 @@ class RandomGeometricSequence(GraphSequence):
         self.seed = int(seed)
         self._dumped: dict[int, GossipMatrix] = {}  # steps below DUMP_STEPS
         self._later: dict[int, GossipMatrix] = {}  # the rest, oldest first
+        self._unserved: dict[int, tuple[GossipMatrix | None, int]] = {}  # of the last built block
         self.built = 0
         self.resamples = 0
         self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
         cache = self._dumped if k < DUMP_STEPS else self._later
-        w = cache[k] if k in cache else self._build(k)
+        w = cache[k] if k in cache else self._serve(k)
         # Off the diagonal, W is nonzero exactly on the edges.
         ii, jj = np.nonzero(np.triu(w.matrix, k=1))
         return WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
@@ -253,30 +254,64 @@ class RandomGeometricSequence(GraphSequence):
     def gossip(self, k: int) -> GossipMatrix:
         cache = self._dumped if k < DUMP_STEPS else self._later
         if k not in cache:
-            cache[k] = self._build(k)
+            cache[k] = self._serve(k)
             if len(self._dumped) + len(self._later) > self.CACHE_LIMIT:
                 evict = self._later or self._dumped
                 evict.pop(next(iter(evict)))
         return cache[k]
 
-    def _build(self, k: int) -> GossipMatrix:
-        rng = np.random.default_rng((self.seed, k))
-        r2 = self.radius * self.radius
-        for _ in range(MAX_RETRIES):
-            pts = rng.uniform(size=(self.m, 2))
-            diff = pts[:, None, :] - pts[None, :, :]
-            adj = np.sum(diff * diff, axis=2) <= r2
-            np.fill_diagonal(adj, False)
-            w = _gossip(np.diag(adj.sum(axis=1).astype(float)) - adj)
-            if w is not None:
-                self.built += 1
-                self.chi_max = max(self.chi_max, w.chi)
-                return w
-            self.resamples += 1
-        raise RuntimeError(
-            f"no connected geometric graph after {MAX_RETRIES} resamples "
-            f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
-        )
+    def _serve(self, k: int) -> GossipMatrix:
+        """Hand out step ``k``, building its block if it is not waiting, and charge the counters."""
+        if k not in self._unserved:
+            self._unserved = self._build_block(k - k % BLOCK)
+        w, resamples = self._unserved.pop(k)
+        self.resamples += resamples
+        if w is None:
+            raise RuntimeError(
+                f"no connected geometric graph after {MAX_RETRIES} resamples "
+                f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
+            )
+        self.built += 1
+        self.chi_max = max(self.chi_max, w.chi)
+        return w
+
+    def _build_block(self, start: int) -> dict[int, tuple[GossipMatrix | None, int]]:
+        """Steps ``start .. start + BLOCK - 1`` as ``{k: (gossip matrix, resamples)}``;
+        the matrix is ``None`` for a step still disconnected after ``MAX_RETRIES`` draws."""
+        m, r2 = self.m, self.radius * self.radius
+        rngs = [np.random.default_rng((self.seed, k)) for k in range(start, start + BLOCK)]
+        diag = np.arange(m)
+        block: dict[int, tuple[GossipMatrix | None, int]] = {}
+        pending = np.arange(BLOCK)  # block offsets of the steps not yet connected
+        for draw in range(MAX_RETRIES):
+            pts = np.stack([rngs[i].uniform(size=(m, 2)) for i in pending])
+            dx, dy = (c[:, :, None] - c[:, None, :] for c in pts.transpose(2, 0, 1))
+            adj = dx * dx + dy * dy <= r2
+            adj[:, diag, diag] = False
+            deg = adj.sum(axis=2)
+            # A draw with an isolated node is disconnected: skip its eigensolve.
+            no_isolated = deg.all(axis=1)
+            # diag(deg) - adj, subtracted from zeros: a negated adjacency would put -0.0
+            # off the diagonal and move eigvalsh in the last ulp.
+            lap = np.zeros((int(no_isolated.sum()), m, m))
+            lap[:, diag, diag] = deg[no_isolated]
+            lap -= adj[no_isolated]
+            # The spectral test and normalization of gossip_from_laplacian, stacked.
+            eigs = np.linalg.eigvalsh(lap)
+            fiedler, top = eigs[:, 1], eigs[:, -1]
+            spectral = fiedler > _KERNEL_CUTOFF * top
+            w = lap[spectral] / top[spectral, None, None]
+            w = 0.5 * (w + w.transpose(0, 2, 1))
+            chi = top[spectral] / fiedler[spectral]
+            connected = no_isolated.copy()
+            connected[no_isolated] = spectral
+            for i, wi, ci in zip(pending[connected], w, chi):
+                block[start + int(i)] = (GossipMatrix(matrix=wi, chi=float(ci)), draw)
+            pending = pending[~connected]
+            if not pending.size:
+                return block
+        block.update((start + int(i), (None, MAX_RETRIES)) for i in pending)
+        return block
 
 
 class TwoStarHopSequence(_CyclicSequence):

@@ -29,6 +29,26 @@ def random_zero_mean(rng, m, d=3):
     return x - node_mean(x)
 
 
+# (m, radius, seed, resample total over steps 0..299), frozen from the WeightedGraph/BFS build.
+RANDOM_GEOMETRIC_CASES = [(10, 0.7, 3, 0), (10, 0.45, 1, 189), (10, 0.35, 2, 1619), (50, 0.3, 7, 11), (2, 2.0, 0, 0)]
+
+
+def per_step_reference(m, radius, seed, k):
+    """Step ``k`` of a random geometric sequence by its definition, one draw at a
+    time from ``default_rng((seed, k))``: (gossip matrix, rejected draws)."""
+    rng = np.random.default_rng((seed, k))
+    for resamples in range(network.MAX_RETRIES):
+        pts = rng.uniform(size=(m, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        ii, jj = np.nonzero(np.triu(np.sum(diff * diff, axis=2) <= radius * radius, k=1))
+        try:
+            graph = WeightedGraph(m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
+            return gossip_from_laplacian(graph), resamples
+        except ValueError:
+            continue
+    raise AssertionError(f"step {k} never connected")
+
+
 class TestWeightedGraph:
     def test_rejects_self_loops_and_bad_weights(self):
         with pytest.raises(ValueError):
@@ -176,11 +196,7 @@ class TestRandomGeometric:
         for k in range(1000):
             gossip_from_laplacian(seq.graph(k))  # raises if disconnected
 
-    @pytest.mark.parametrize(
-        "m, radius, seed, resamples",
-        # Resample totals over steps 0..299, frozen from the WeightedGraph/BFS build.
-        [(10, 0.7, 3, 0), (10, 0.45, 1, 189), (10, 0.35, 2, 1619), (50, 0.3, 7, 11), (2, 2.0, 0, 0)],
-    )
+    @pytest.mark.parametrize("m, radius, seed, resamples", RANDOM_GEOMETRIC_CASES)
     def test_gossip_bit_exact_with_graph_laplacian(self, m, radius, seed, resamples):
         seq = RandomGeometricSequence(m, radius, seed=seed)
         chis = []
@@ -238,10 +254,47 @@ class TestRandomGeometric:
         seq.gossip(6)
         assert seq.built == built + 1  # step 6 was evicted before them
 
+    @pytest.mark.parametrize("m, radius, seed", [case[:3] for case in RANDOM_GEOMETRIC_CASES])
+    def test_reading_order_does_not_change_steps(self, m, radius, seed):
+        """Forwards, backwards and block boundaries first: every step is bitwise the same."""
+        steps = [*range(300), *range(network.DUMP_STEPS - 2, network.DUMP_STEPS + 2)]
+        b, dump = network.BLOCK, network.DUMP_STEPS
+        boundaries = [b, b - 1, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, dump, dump - 1, dump + 1]
+        orders = [steps, steps[::-1], boundaries + [k for k in steps if k not in boundaries]]
+        reads = []
+        for order in orders:
+            seq = RandomGeometricSequence(m, radius, seed=seed)
+            read = {k: seq.gossip(k) for k in order}
+            reads.append({k: (read[k], seq.graph(k).edges) for k in steps})
+        for k in steps:
+            (w, edges), *others = (read[k] for read in reads)
+            for other, other_edges in others:
+                assert np.array_equal(other.matrix, w.matrix)
+                assert other.chi == w.chi
+                assert other_edges == edges
+        for k in boundaries:
+            ref, _ = per_step_reference(m, radius, seed, k)
+            assert np.array_equal(reads[0][k][0].matrix, ref.matrix)
+            assert reads[0][k][0].chi == ref.chi
+
+    def test_counters_charge_served_steps_only(self):
+        (w0, r0), (w5, r5) = (per_step_reference(10, 0.35, 2, k) for k in (0, 5))
+        seq = RandomGeometricSequence(10, 0.35, seed=2)
+        seq.gossip(0)
+        assert sorted(seq._unserved) == list(range(1, network.BLOCK))  # built, not served
+        assert (seq.built, seq.resamples, seq.chi_max) == (1, r0, w0.chi)
+        seq.gossip(5)
+        assert r5 > 0 and w5.chi > w0.chi
+        assert (seq.built, seq.resamples, seq.chi_max) == (2, r0 + r5, w5.chi)
+
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0)
         with pytest.raises(RuntimeError, match="resamples"):
             seq.graph(0)
+        # Every step of the block failed; the error names the step served, not its block.
+        with pytest.raises(RuntimeError, match=r"\(m=50, radius=1e-06, step=5\)"):
+            seq.gossip(5)
+        assert (seq.built, seq.resamples) == (0, 2 * network.MAX_RETRIES)
 
     def test_deterministic_given_seed(self):
         a = RandomGeometricSequence(12, 0.5, seed=3)
