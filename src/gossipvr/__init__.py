@@ -10,7 +10,6 @@ from .network import (
     WeightedGraph,
     gossip_from_laplacian,
     measure_chi,
-    multi_stage_mix,
 )
 from .objectives import (
     DatasetShard,

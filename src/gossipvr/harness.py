@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -49,7 +48,6 @@ from .optimizers import (
 
 __all__ = [
     "parse_libsvm",
-    "serialize_libsvm",
     "partition_dataset",
     "reference_solution",
     "ReferenceSolution",
@@ -136,24 +134,15 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
     return rows
 
 
-def serialize_libsvm(rows: list[tuple[np.ndarray, float]], path: str | Path) -> None:
-    with open(path, "w") as handle:
-        for vec, label in rows:
-            feats = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(vec) if v != 0.0)
-            handle.write(f"{float(label)!r} {feats}".rstrip() + "\n")
-
-
-def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed: int, allow_empty: bool = False) -> list[DatasetShard]:
+def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed: int) -> list[DatasetShard]:
     """Shuffle rows, split contiguously across nodes, round-robin into components.
 
     The remainder after equal division goes one row per node starting at node
     0.  With fewer than ``m * n`` rows some component would be empty, which is
-    an error unless explicitly allowed.
+    an error.
     """
     if len(rows) < m * n:
-        if not allow_empty:
-            raise ValueError(f"{len(rows)} rows cannot fill {m} nodes x {n} components; pass allow_empty to override")
-        warnings.warn(f"only {len(rows)} rows for {m}x{n} blocks: some components will be empty", stacklevel=2)
+        raise ValueError(f"{len(rows)} rows cannot fill {m} nodes x {n} components")
     order = np.random.default_rng(seed).permutation(len(rows))
     base, extra = divmod(len(rows), m)
     shards = []
@@ -262,7 +251,6 @@ class ExperimentConfig:
     stop_dist_sq: float = 0.0  # 0: disabled
     strict_step: int = 0
     per_node_coins: int = 0
-    lazy_omega: int = 0
     ref_tolerance: float = 1e-12
 
     def validate(self) -> None:
@@ -282,7 +270,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        values: dict[str, str] = {}
+        """Config from ``key=value`` lines; a malformed line, an unknown or repeated
+        key and a value of the wrong type fail naming ``path:line``."""
+        cfg, seen = cls(), set()
         with open(path) as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -290,9 +280,15 @@ class ExperimentConfig:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
-        return cls().replace(**values)
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key in seen:
+                    raise ValueError(f"{path}:{lineno}: config key {key!r} repeated")
+                seen.add(key)
+                try:
+                    cfg = cfg.replace(**{key: val})
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
+        return cfg
 
     def replace(self, **overrides) -> "ExperimentConfig":
         current = asdict(self)
@@ -385,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
             raise ValueError("adom_vr needs a strongly convex objective (mu > 0)")
         b = cfg.b or corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
         params = adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b)
-        method = AdomVr(params, eager_omega_refresh=not cfg.lazy_omega)
+        method = AdomVr(params)
     elif cfg.method == "gt_page":
         b = cfg.b or None
         params = gt_page_params(info.L, info.Lhat, chi, obj.n, b=b, strict_step=bool(cfg.strict_step))

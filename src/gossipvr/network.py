@@ -35,7 +35,6 @@ __all__ = [
     "gossip_from_laplacian",
     "measure_chi",
     "consensus_residual",
-    "multi_stage_mix",
     "node_mean",
     "consensus_error",
     "dump_sequence",
@@ -87,9 +86,6 @@ class WeightedGraph:
             lap[i, j] -= w
             lap[j, i] -= w
         return lap
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.edges}
 
 
 @dataclass(frozen=True)
@@ -220,9 +216,9 @@ class RandomGeometricSequence(GraphSequence):
     ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
     disconnected draws rejected for them and the largest exact per-step
     ``chi`` served: they are charged when a step is served, not when it is
-    built.  ``gossip`` caches what it serves; of the ``CACHE_LIMIT`` cached
-    steps, the oldest at or past ``DUMP_STEPS`` are evicted first, so a run's
-    dump finds its steps cached.
+    built.  ``gossip`` caches what it serves, and ``graph`` reads through
+    ``gossip``; of the ``CACHE_LIMIT`` cached steps, the oldest at or past
+    ``DUMP_STEPS`` are evicted first, so a run's dump finds its steps cached.
     """
 
     kind = "random-geometric"
@@ -245,10 +241,8 @@ class RandomGeometricSequence(GraphSequence):
         self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
-        cache = self._dumped if k < DUMP_STEPS else self._later
-        w = cache[k] if k in cache else self._serve(k)
         # Off the diagonal, W is nonzero exactly on the edges.
-        ii, jj = np.nonzero(np.triu(w.matrix, k=1))
+        ii, jj = np.nonzero(np.triu(self.gossip(k).matrix, k=1))
         return WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
 
     def gossip(self, k: int) -> GossipMatrix:
@@ -406,24 +400,11 @@ def measure_chi(seq: GraphSequence, trials: int) -> float:
 
 def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
     """``prod_q (I - W(q)) x`` over ``stages`` consecutive graphs, ``q`` running
-    chronologically from ``start_step``: what multi-stage consensus leaves of ``x``."""
+    chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
+    With ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e``."""
     for q in range(start_step, start_step + stages):
         x = x - seq.gossip(q).matrix @ x
     return x
-
-
-def multi_stage_mix(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
-    """Apply the multi-stage operator built from ``stages`` consecutive graphs.
-
-    Returns ``x - prod_q (I - W(q)) x`` (see :func:`consensus_residual`); with
-    ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e``.
-    """
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != seq.m:
-        raise ValueError(f"node vector shape {x.shape} does not match {seq.m} nodes")
-    return x - consensus_residual(seq, start_step, stages, x)
 
 
 def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +29,9 @@ __all__ = [
     "AdomVrParams",
     "AdomVrState",
     "adom_vr_params",
-    "adom_vr_estimator",
     "importance_probabilities",
     "adom_vr_iteration_budget",
     "corollary_batch_size",
-    "ComplexityBudget",
-    "strongly_convex_budgets",
-    "nonconvex_budgets",
     "GtPageParams",
     "GtPageState",
     "gt_page_params",
@@ -165,37 +160,6 @@ def corollary_batch_size(mu: float, L: float, Lbar: float, n: int) -> int:
     return max(b, int(math.ceil(Lbar / L)))
 
 
-@dataclass(frozen=True)
-class ComplexityBudget:
-    """Leading-order resource estimates (unit constants, no hidden factors)."""
-
-    oracle_calls_per_node: float
-    communications: float
-
-
-def strongly_convex_budgets(mu: float, L: float, Lbar: float, chi: float, n: int, eps_rel: float) -> ComplexityBudget:
-    """Oracle/communication budgets for the accelerated method at its tuned batch:
-    ``(n + sqrt(n Lbar / mu)) log(1/eps)`` calls and ``chi sqrt(L/mu) log(1/eps)`` rounds."""
-    if not (0 < eps_rel < 1):
-        raise ValueError("eps_rel must lie in (0, 1)")
-    log_term = math.log(1.0 / eps_rel)
-    return ComplexityBudget(
-        oracle_calls_per_node=(n + math.sqrt(n * Lbar / mu)) * log_term,
-        communications=chi * math.sqrt(L / mu) * log_term,
-    )
-
-
-def nonconvex_budgets(L: float, Lhat: float, delta: float, chi: float, n: int, eps: float) -> ComplexityBudget:
-    """Budgets to drive the squared gradient norm below ``eps**2``:
-    ``n + sqrt(n) Lhat delta / eps^2`` calls and ``chi L delta / eps^2`` rounds."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return ComplexityBudget(
-        oracle_calls_per_node=n + math.sqrt(n) * Lhat * delta / (eps * eps),
-        communications=chi * L * delta / (eps * eps),
-    )
-
-
 def importance_probabilities(l_ij: np.ndarray) -> np.ndarray:
     """Per-node sampling distribution proportional to component smoothness."""
     lbar_i = l_ij.mean(axis=1, keepdims=True)
@@ -299,7 +263,6 @@ class AdomVrState:
     momentum: np.ndarray
     omega_grads: np.ndarray  # (m, n, d) component gradients at omega
     grad_omega: np.ndarray  # (m, d) node gradients at omega
-    stale: np.ndarray  # nodes whose omega cache must be refreshed before use
     probs: np.ndarray  # (m, n) importance sampling distribution of each node
     cum_probs: np.ndarray  # (m, n) its running sums, for inverse-CDF sampling
     k: int = 0
@@ -318,8 +281,11 @@ def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
 
 
 def _batch_estimator(obj, nodes, x_g, idx, probs, omega_grads, grad_omega):
-    """:func:`adom_vr_estimator` of several nodes: row r is node ``nodes[r]``'s estimate.
+    """Importance-weighted difference estimator of several nodes at once.
 
+    Row r, for node ``i = nodes[r]`` and its batch ``idx[r]``, is
+    ``(1/b) sum_j [grad f_ij(x_g) - grad f_ij(omega)] / (n p_ij)`` plus the
+    cached node gradient at omega; unbiased for the node gradient at ``x_g``.
     ``x_g`` (k, d), ``idx`` (k, b), ``probs`` (k, n), ``omega_grads`` (k, n, d)
     and ``grad_omega`` (k, d) hold the rows of those nodes.
     """
@@ -328,25 +294,6 @@ def _batch_estimator(obj, nodes, x_g, idx, probs, omega_grads, grad_omega):
     inv = 1.0 / (obj.n * probs[rows, idx])
     diff = (fresh - omega_grads[rows, idx]) * inv[..., None]
     return diff.mean(axis=1) + grad_omega
-
-
-def adom_vr_estimator(
-    obj: FiniteSumObjective,
-    i: int,
-    x_g_i: np.ndarray,
-    indices: Sequence[int],
-    probs_i: np.ndarray,
-    omega_grads_i: np.ndarray,
-    grad_omega_i: np.ndarray,
-) -> np.ndarray:
-    """Importance-weighted difference estimator for one node.
-
-    ``(1/b) sum_j [grad f_ij(x_g) - grad f_ij(omega)] / (n p_ij)`` plus the
-    cached node gradient at omega; unbiased for the node gradient at ``x_g``.
-    """
-    idx = np.asarray(indices, dtype=int)[None]
-    est = _batch_estimator(obj, np.array([i]), x_g_i[None], idx, probs_i[None], omega_grads_i[None], grad_omega_i[None])
-    return est[0]
 
 
 def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
@@ -363,7 +310,6 @@ def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
 @dataclass(frozen=True)
 class AdomVr:
     params: AdomVrParams
-    eager_omega_refresh: bool = True
 
     name = "adom_vr"
 
@@ -380,7 +326,7 @@ class AdomVr:
             y=np.zeros((m, d)), y_f=np.zeros((m, d)),
             z=np.zeros((m, d)), z_f=np.zeros((m, d)), momentum=np.zeros((m, d)),
             omega_grads=omega_grads, grad_omega=omega_grads.mean(axis=1),
-            stale=np.zeros(m, dtype=bool), probs=probs, cum_probs=np.cumsum(probs, axis=1),
+            probs=probs, cum_probs=np.cumsum(probs, axis=1),
         )
 
     def step(self, state: AdomVrState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> AdomVrState:
@@ -396,14 +342,11 @@ class AdomVr:
         batch_u = rng.random((m, p.b))
         omega_u = rng.random(m)
 
-        # Lazy refresh mode charges deferred recomputations here instead of at reset.
-        omega_grads, grad_omega = _refresh_omega_cache(state.omega_grads, state.grad_omega, state.stale, state.omega, obj)
-
         x_g = p.tau1 * state.x + p.tau0 * state.omega + (1.0 - p.tau1 - p.tau0) * state.x_f
 
         # Inverse-CDF sampling: the count of running sums <= u is searchsorted(side="right").
         idx = np.minimum((batch_u[..., None] >= state.cum_probs[:, None, :]).sum(axis=-1), n - 1)
-        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, omega_grads, grad_omega)
+        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, state.omega_grads, state.grad_omega)
 
         y_g = p.sigma1 * state.y + (1.0 - p.sigma1) * state.y_f
         z_g = p.sigma1 * state.z + (1.0 - p.sigma1) * state.z_f
@@ -434,16 +377,12 @@ class AdomVr:
         momentum_new = mix_target - w_mix
         z_f_new = z_g - p.zeta * w_yz
 
-        if self.eager_omega_refresh:
-            omega_grads, grad_omega = _refresh_omega_cache(omega_grads, grad_omega, changed, omega_new, obj)
-            stale_new = np.zeros_like(changed)
-        else:
-            stale_new = changed
+        omega_grads, grad_omega = _refresh_omega_cache(state.omega_grads, state.grad_omega, changed, omega_new, obj)
 
         new_state = AdomVrState(
             x=x_new, x_f=x_f_new, omega=omega_new, y=y_new, y_f=y_f_new,
             z=z_new, z_f=z_f_new, momentum=momentum_new,
-            omega_grads=omega_grads, grad_omega=grad_omega, stale=stale_new,
+            omega_grads=omega_grads, grad_omega=grad_omega,
             probs=state.probs, cum_probs=state.cum_probs, k=state.k + 1, comms=state.comms + 1,
         )
         _check_finite(new_state.x, new_state.k, "x")

@@ -29,8 +29,8 @@ from gossipvr.network import (
     RotatingStarSequence,
     StaticSequence,
     complete_graph,
+    consensus_residual,
     measure_chi,
-    multi_stage_mix,
     node_mean,
     star_graph,
 )
@@ -40,7 +40,7 @@ from gossipvr.optimizers import (
     GtBaseline,
     GtPage,
     RunBudgets,
-    adom_vr_estimator,
+    _batch_estimator,
     adom_vr_iteration_budget,
     adom_vr_params,
     corollary_batch_size,
@@ -107,8 +107,8 @@ def test_02_multi_stage_consensus():
     worst = 0.0
     for trial in range(100):
         x = _zero_mean(rng.standard_normal((m, 4)))
-        out = multi_stage_mix(seq, start_step=trial, stages=stages, x=x)
-        worst = max(worst, float(np.sum((x - out) ** 2) / np.sum(x * x)))
+        residual = consensus_residual(seq, start_step=trial, stages=stages, x=x)
+        worst = max(worst, float(np.sum(residual**2) / np.sum(x * x)))
     elapsed = time.time() - start
     _report(2, "multi-stage consensus", worst <= math.exp(-1) and elapsed < 1.0,
             f"worst factor {worst:.4f} vs 1/e = {math.exp(-1):.4f}, {elapsed:.2f}s")
@@ -127,7 +127,10 @@ def test_03_estimator_unbiasedness():
         grad_omega = cache.mean(axis=0)
         mean = np.zeros(obj.d)
         for j in range(obj.n):  # enumerate all b=1 batches
-            mean += probs[i, j] * adom_vr_estimator(obj, i, x_g, [j], probs[i], cache, grad_omega)
+            (est,) = _batch_estimator(
+                obj, np.array([i]), x_g[None], np.array([[j]]), probs[i][None], cache[None], grad_omega[None]
+            )
+            mean += probs[i, j] * est
         worst = max(worst, float(np.max(np.abs(mean - obj.local_gradient(i, x_g)))))
 
     # Conditional mean of the recursive estimator: enumerate batch and coin.

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import gossipvr
 import gossipvr.harness as harness
 from gossipvr.objectives import FiniteSumObjective
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(gossipvr.__path__) if info.name != "__main__")
 
 
@@ -35,10 +39,19 @@ def test_package_reexports_public_names():
             assert getattr(gossipvr, alias.asname or alias.name) is getattr(module, alias.name)
 
 
+def test_readme_library_example_runs():
+    """The README's ``python`` block runs from the repo root and reaches its stated accuracy."""
+    (code,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1e-7
+
+
 def _benchmark_tracer(monkeypatch):
     """``perfbench/tracer.py``, loaded without writing bytecode under ``perfbench/``."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)

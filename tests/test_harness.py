@@ -10,7 +10,6 @@ from gossipvr.harness import (
     partition_dataset,
     reference_solution,
     run_experiment,
-    serialize_libsvm,
     main,
 )
 from gossipvr.hardinstances import strongly_convex_chain
@@ -75,7 +74,10 @@ class TestParseLibsvm:
     def test_round_trip(self, tmp_path, fixture_path):
         rows = parse_libsvm(fixture_path)
         out = tmp_path / "echo.libsvm"
-        serialize_libsvm(rows, out)
+        with open(out, "w") as handle:
+            for vec, label in rows:
+                feats = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(vec) if v != 0.0)
+                handle.write(f"{float(label)!r} {feats}".rstrip() + "\n")
         again = parse_libsvm(out)
         assert len(again) == len(rows)
         for (va, la), (vb, lb) in zip(rows, again):
@@ -99,7 +101,7 @@ class TestPartition:
             assert [rows.size for rows in s.block_rows] == [1, 1, 1]
 
     def test_remainder_spread_from_node_zero(self):
-        shards = partition_dataset(self.make_rows(7), m=2, n=3, seed=0, allow_empty=True)
+        shards = partition_dataset(self.make_rows(7), m=2, n=3, seed=0)
         assert [s.features.shape[0] for s in shards] == [4, 3]
 
     def test_deterministic(self):
@@ -113,7 +115,7 @@ class TestPartition:
             partition_dataset(self.make_rows(5), m=2, n=3, seed=0)
 
     def test_every_row_lands_in_one_block(self):
-        shards = partition_dataset(self.make_rows(11), m=3, n=2, seed=1, allow_empty=True)
+        shards = partition_dataset(self.make_rows(11), m=3, n=2, seed=1)
         for s in shards:
             seen = np.concatenate(s.block_rows)
             assert sorted(seen.tolist()) == list(range(s.features.shape[0]))
@@ -174,8 +176,19 @@ class TestExperimentConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "exp.cfg"
-        f.write_text("momentum=0.9\n")
-        with pytest.raises(ValueError, match="unknown config key"):
+        f.write_text("m=4\n# comment\nmomentum=0.9\n")
+        with pytest.raises(ValueError, match=r"exp\.cfg:3: unknown config key 'momentum'"):
+            ExperimentConfig.from_file(f)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("m=4\nseed=1\n m = 7\n", r"exp\.cfg:3: config key 'm' repeated"), ("m=4\nradius=wide\n", r"exp\.cfg:2: could not convert")],
+        ids=["repeated-key", "bad-value"],
+    )
+    def test_bad_line_named(self, tmp_path, text, match):
+        f = tmp_path / "exp.cfg"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_file(f)
 
 

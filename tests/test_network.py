@@ -14,10 +14,10 @@ from gossipvr.network import (
     WeightedGraph,
     complete_graph,
     consensus_error,
+    consensus_residual,
     dump_sequence,
     gossip_from_laplacian,
     measure_chi,
-    multi_stage_mix,
     node_mean,
     parse_sequence_dump,
     star_graph,
@@ -189,7 +189,7 @@ class TestRandomGeometric:
     def test_small_m_large_radius_is_complete(self):
         seq = RandomGeometricSequence(2, 2.0, seed=0)
         for k in range(5):
-            assert seq.graph(k).edge_set() == {(0, 1)}
+            assert {(i, j) for i, j, _ in seq.graph(k).edges} == {(0, 1)}
 
     def test_connected_over_horizon(self):
         seq = RandomGeometricSequence(50, 0.3, seed=7)
@@ -239,7 +239,14 @@ class TestRandomGeometric:
             seq.gossip(k)
         assert seq.graph(0) == first_graph
         assert np.array_equal(seq.gossip(0).matrix, first.matrix)
-        assert seq.built == 12  # step 0 was evicted and rebuilt twice
+        assert seq.built == 11  # step 0 was evicted and rebuilt once, by graph(0)
+
+    def test_graph_then_gossip_builds_the_step_once(self):
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        edges = seq.graph(0).edges
+        w = seq.gossip(0)
+        assert seq.built == 1
+        assert seq.graph(0).edges == edges and seq.gossip(0) is w
 
     def test_dumped_steps_outlive_later_steps(self, monkeypatch):
         monkeypatch.setattr(RandomGeometricSequence, "CACHE_LIMIT", 4)
@@ -336,7 +343,7 @@ class TestTwoStarHop:
     def test_consecutive_graphs_differ_by_one_hop(self):
         seq = TwoStarHopSequence(9)
         for k in range(2 * seq.period):
-            prev, cur = seq.graph(k).edge_set(), seq.graph(k + 1).edge_set()
+            prev, cur = ({(i, j) for i, j, _ in seq.graph(q).edges} for q in (k, k + 1))
             assert len(prev - cur) == 1
             assert len(cur - prev) == 1
 
@@ -369,12 +376,7 @@ class TestMultiStageMix:
         seq = TwoStarHopSequence(6)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 3))
-        assert np.allclose(multi_stage_mix(seq, 4, 1, x), seq.gossip(4).matrix @ x)
-
-    def test_dimension_mismatch(self):
-        seq = StaticSequence(star_graph(4))
-        with pytest.raises(ValueError):
-            multi_stage_mix(seq, 0, 1, np.zeros((3, 2)))
+        assert np.allclose(x - consensus_residual(seq, 4, 1, x), seq.gossip(4).matrix @ x)
 
     def test_matches_bruteforce_matrix_products(self):
         for m, stages in [(5, 3), (8, 5)]:
@@ -384,8 +386,7 @@ class TestMultiStageMix:
             prod = np.eye(m)
             for q in range(stages):
                 prod = (np.eye(m) - seq.gossip(q).matrix) @ prod
-            expected = (np.eye(m) - prod) @ x
-            assert np.allclose(multi_stage_mix(seq, 0, stages, x), expected, atol=1e-12)
+            assert np.allclose(consensus_residual(seq, 0, stages, x), prod @ x, atol=1e-12)
 
     def test_static_star_contracts_below_e_inverse(self):
         seq = StaticSequence(star_graph(4))
@@ -393,13 +394,13 @@ class TestMultiStageMix:
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = random_zero_mean(rng, 4)
-            out = multi_stage_mix(seq, 0, stages, x)
-            assert np.sum((x - out) ** 2) <= math.exp(-1) * np.sum(x * x)
+            residual = consensus_residual(seq, 0, stages, x)
+            assert np.sum(residual**2) <= math.exp(-1) * np.sum(x * x)
 
     def test_consensus_maps_to_zero(self):
         seq = RotatingStarSequence(6)
         x = np.tile([3.0, -1.0], (6, 1))
-        assert np.allclose(multi_stage_mix(seq, 0, 4, x), 0.0, atol=1e-12)
+        assert np.allclose(x - consensus_residual(seq, 0, 4, x), 0.0, atol=1e-12)
 
 
 class TestSerialization:
