@@ -49,7 +49,7 @@ _KERNEL_CUTOFF = 1e-8
 DUMP_STEPS = 1000
 
 MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
-BLOCK = 32  # random-geometric steps built per stacked pass
+BLOCK = 64  # random-geometric steps built per stacked pass
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,10 @@ class GraphSequence:
     def gossip(self, k: int) -> GossipMatrix:
         raise NotImplementedError
 
+    def _edges(self, k: int) -> Sequence[tuple[int, int, float]]:
+        """Step ``k``'s sorted edges ``(i, j, weight)``, ``i < j``: what the dump writes."""
+        return self.graph(k).edges
+
 
 class _CyclicSequence(GraphSequence):
     """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once."""
@@ -197,21 +201,113 @@ class StaticSequence(_CyclicSequence):
         self.chi = self._gossips[0].chi
 
 
+# The random-geometric stream, ``default_rng((seed, k)).uniform(size=(m, 2))`` per
+# draw, computed for every step of a block at once.  numpy keeps the three
+# algorithms it runs stable (NEP 19): SeedSequence hashing of the entropy words
+# ``(seed, k)``, PCG64 (a 128-bit LCG with XSL-RR output) and ``next_double``.
+# 128-bit values are held as uint64 ``(hi, lo)`` pairs; numpy wraps on overflow.
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STEP_LIMIT = 1 << 32  # steps below this are one entropy word
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multipliers a SeedSequence hash runs through over ``calls`` calls, as a column."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values``, row ``i`` taking call ``i`` of ``consts``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * 0xCA01F9DD - y * 0x4973F715
+    return r ^ r >> 16
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """``a * b mod 2**128``: the low words' full product from 32-bit halves, plus the cross terms."""
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _MASK32, b_lo >> 32, b_lo & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    carry = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_jumps(n: int) -> tuple[np.ndarray, ...]:
+    """``(M^j, sum_{i<j} M^i) mod 2**128`` for ``j = 1..n`` as hi/lo rows: PCG64's state
+    ``j`` outputs after ``s`` is ``M^j s + (sum_{i<j} M^i) inc``."""
+    power, total, rows = 1, 0, []
+    for _ in range(n):
+        power, total = power * _PCG_MULT & (1 << 128) - 1, (total * _PCG_MULT + 1) & (1 << 128) - 1
+        rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
+    return tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
+
+
+def _pcg64_streams(seed: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """PCG64 ``(state hi, state lo, inc hi, inc lo)`` as ``default_rng((seed, k))`` seeds it, per ``k``."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(words) + 1, len(steps)), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = steps
+    # SeedSequence.mix_entropy into a 4-word pool, its hash calls vectorized where they
+    # do not depend on each other, then generate_state(4, uint64).
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
+    pool = np.zeros((4, len(steps)), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool, call = _hashmix(pool, consts[:5]), 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call : call + 4]))
+        call += 3
+    for word in entropy[4:]:
+        pool, call = _mix(pool, _hashmix(word, consts[call : call + 5])), call + 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(0x8B51F9DD, 0x58F38DED, 8)).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = state[0::2] | state[1::2] << 32
+    # pcg_setseq_128_srandom_r: inc = 2 i + 1, then the state steps, takes s, steps again.
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    hi, lo = _mul128(*_add128(*inc, s_hi, s_lo), _PCG_MULT >> 64, _PCG_MULT & _MASK64)
+    return (*_add128(hi, lo, *inc), *inc)
+
+
+def _next_doubles(streams: tuple[np.ndarray, ...], jumps: tuple[np.ndarray, ...]):
+    """The next ``len(jumps[0])`` doubles of each stream, as ``Generator.random`` gives
+    them (XSL-RR output, top 53 bits), and the streams advanced past them."""
+    hi, lo, inc_hi, inc_lo = (s[:, None] for s in streams)
+    p_hi, p_lo, t_hi, t_lo = jumps
+    s_hi, s_lo = _add128(*_mul128(hi, lo, p_hi, p_lo), *_mul128(inc_hi, inc_lo, t_hi, t_lo))
+    x, rot = s_hi ^ s_lo, s_hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    return (out >> 11) * (1.0 / (1 << 53)), (s_hi[:, -1], s_lo[:, -1], *streams[2:])
+
+
 class RandomGeometricSequence(GraphSequence):
     """Fresh random geometric graph each step, resampled until connected.
 
     Points are uniform in the unit square; pairs within ``radius`` are joined
-    with unit weight.  Step ``k`` is a pure function of ``(seed, k)``: it draws
-    from its own ``default_rng((seed, k))`` until the graph connects, so runs
-    can revisit steps in any order.
+    with unit weight.  Step ``k`` is a pure function of ``(seed, k)``: draw
+    ``d`` of it is the ``d``-th ``default_rng((seed, k)).uniform(size=(m, 2))``,
+    and it draws until the graph connects, so runs can revisit steps in any
+    order.  The streams are computed by a vectorized replica of that generator,
+    and a test pins the two together bitwise.  ``seed`` must be non-negative
+    and steps below ``2**32``.
 
     Steps are built ``BLOCK`` at a time: a miss on step ``k`` builds the aligned
-    block holding it in stacked passes (one distance test and one ``eigvalsh``
-    over the ``(B, m, m)`` Laplacian stack, the spectral test of
-    :func:`gossip_from_laplacian`), each pass redrawing only the steps still
-    disconnected.  Built steps wait unserved until the next miss replaces
-    them; a step still disconnected after ``MAX_RETRIES`` draws fails when it
-    is served.
+    block holding it in stacked passes (the replica's draws for every pending
+    step, one distance test and one ``eigvalsh`` over the ``(B, m, m)``
+    Laplacian stack, the spectral test of :func:`gossip_from_laplacian`), each
+    pass redrawing only the steps still disconnected.  Built steps wait
+    unserved until the next miss replaces them; a step still disconnected
+    after ``MAX_RETRIES`` draws fails when it is served.
 
     ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
     disconnected draws rejected for them and the largest exact per-step
@@ -233,6 +329,9 @@ class RandomGeometricSequence(GraphSequence):
         self.m = m
         self.radius = float(radius)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self._jumps = _lcg_jumps(2 * m)
         self._dumped: dict[int, GossipMatrix] = {}  # steps below DUMP_STEPS
         self._later: dict[int, GossipMatrix] = {}  # the rest, oldest first
         self._unserved: dict[int, tuple[GossipMatrix | None, int]] = {}  # of the last built block
@@ -241,9 +340,12 @@ class RandomGeometricSequence(GraphSequence):
         self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
-        # Off the diagonal, W is nonzero exactly on the edges.
+        return WeightedGraph(self.m, tuple(self._edges(k)))
+
+    def _edges(self, k: int) -> list[tuple[int, int, float]]:
+        # Off the diagonal, W is nonzero exactly on the edges; row-major order is sorted.
         ii, jj = np.nonzero(np.triu(self.gossip(k).matrix, k=1))
-        return WeightedGraph(self.m, tuple((int(i), int(j), 1.0) for i, j in zip(ii, jj)))
+        return [(i, j, 1.0) for i, j in zip(ii.tolist(), jj.tolist())]
 
     def gossip(self, k: int) -> GossipMatrix:
         cache = self._dumped if k < DUMP_STEPS else self._later
@@ -257,6 +359,8 @@ class RandomGeometricSequence(GraphSequence):
     def _serve(self, k: int) -> GossipMatrix:
         """Hand out step ``k``, building its block if it is not waiting, and charge the counters."""
         if k not in self._unserved:
+            if not 0 <= k < _STEP_LIMIT:
+                raise ValueError(f"step {k} outside [0, 2**32)")
             self._unserved = self._build_block(k - k % BLOCK)
         w, resamples = self._unserved.pop(k)
         self.resamples += resamples
@@ -273,13 +377,15 @@ class RandomGeometricSequence(GraphSequence):
         """Steps ``start .. start + BLOCK - 1`` as ``{k: (gossip matrix, resamples)}``;
         the matrix is ``None`` for a step still disconnected after ``MAX_RETRIES`` draws."""
         m, r2 = self.m, self.radius * self.radius
-        rngs = [np.random.default_rng((self.seed, k)) for k in range(start, start + BLOCK)]
+        steps = np.arange(start, start + BLOCK)
+        streams = _pcg64_streams(self.seed, steps)
         diag = np.arange(m)
         block: dict[int, tuple[GossipMatrix | None, int]] = {}
-        pending = np.arange(BLOCK)  # block offsets of the steps not yet connected
+        pending = steps  # the steps not yet connected
         for draw in range(MAX_RETRIES):
-            pts = np.stack([rngs[i].uniform(size=(m, 2)) for i in pending])
-            dx, dy = (c[:, :, None] - c[:, None, :] for c in pts.transpose(2, 0, 1))
+            # Draw d of step k reads outputs [2m d, 2m (d + 1)) of its stream.
+            u, streams = _next_doubles(streams, self._jumps)
+            dx, dy = (c[:, :, None] - c[:, None, :] for c in u.reshape(-1, m, 2).transpose(2, 0, 1))
             adj = dx * dx + dy * dy <= r2
             adj[:, diag, diag] = False
             deg = adj.sum(axis=2)
@@ -294,17 +400,18 @@ class RandomGeometricSequence(GraphSequence):
             eigs = np.linalg.eigvalsh(lap)
             fiedler, top = eigs[:, 1], eigs[:, -1]
             spectral = fiedler > _KERNEL_CUTOFF * top
+            # The stack is exactly symmetric, so gossip_from_laplacian's symmetrization is a no-op.
             w = lap[spectral] / top[spectral, None, None]
-            w = 0.5 * (w + w.transpose(0, 2, 1))
             chi = top[spectral] / fiedler[spectral]
             connected = no_isolated.copy()
             connected[no_isolated] = spectral
-            for i, wi, ci in zip(pending[connected], w, chi):
-                block[start + int(i)] = (GossipMatrix(matrix=wi, chi=float(ci)), draw)
+            for k, wk, ck in zip(pending[connected].tolist(), w, chi):
+                block[k] = (GossipMatrix(matrix=wk, chi=float(ck)), draw)
             pending = pending[~connected]
             if not pending.size:
                 return block
-        block.update((start + int(i), (None, MAX_RETRIES)) for i in pending)
+            streams = tuple(s[~connected] for s in streams)
+        block.update((k, (None, MAX_RETRIES)) for k in pending.tolist())
         return block
 
 
@@ -411,9 +518,7 @@ def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:
     """Write ``steps`` graphs in the line format ``m``/``step``/``edge``."""
     sink.write(f"m {seq.m}\n")
     for k in range(steps):
-        sink.write(f"step {k}\n")
-        for i, j, w in seq.graph(k).edges:
-            sink.write(f"edge {i} {j} {w!r}\n")
+        sink.write(f"step {k}\n" + "".join(f"edge {i} {j} {w!r}\n" for i, j, w in seq._edges(k)))
 
 
 # Field types of each dump record: ``m <nodes>``, ``step <k>``, ``edge <i> <j> <weight>``.

@@ -490,10 +490,11 @@ class GtBaseline:
 
 
 def _check_finite(arr: np.ndarray, k: int, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(f"non-finite values in {name} at iteration {k}")
-    peak = float(np.max(np.abs(arr)))
-    if peak > DIVERGENCE_LIMIT:
+    # One reduction on the happy path: NaN and inf fail the comparison too.
+    if not np.abs(arr).max() <= DIVERGENCE_LIMIT:
+        if not np.all(np.isfinite(arr)):
+            raise DivergenceError(f"non-finite values in {name} at iteration {k}")
+        peak = float(np.max(np.abs(arr)))
         raise DivergenceError(f"{name} exceeded divergence limit at iteration {k}: max |entry| = {peak:.3e}")
 
 

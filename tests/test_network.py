@@ -49,6 +49,25 @@ def per_step_reference(m, radius, seed, k):
     raise AssertionError(f"step {k} never connected")
 
 
+def replica_draws(seed, steps, m, draws):
+    """The first ``draws`` point sets of each step as the block builder computes them: (steps, draws, m, 2)."""
+    streams, jumps = network._pcg64_streams(seed, np.asarray(steps)), network._lcg_jumps(2 * m)
+    out = []
+    for _ in range(draws):
+        u, streams = network._next_doubles(streams, jumps)
+        out.append(u.reshape(-1, m, 2))
+    return np.stack(out, axis=1)
+
+
+def dump_through_graph(seq, steps):
+    """The ``.graphs`` text written edge by edge from validated ``seq.graph(k)`` objects."""
+    lines = [f"m {seq.m}\n"]
+    for k in range(steps):
+        lines.append(f"step {k}\n")
+        lines += [f"edge {i} {j} {w!r}\n" for i, j, w in seq.graph(k).edges]
+    return "".join(lines)
+
+
 class TestWeightedGraph:
     def test_rejects_self_loops_and_bad_weights(self):
         with pytest.raises(ValueError):
@@ -303,6 +322,57 @@ class TestRandomGeometric:
             seq.gossip(5)
         assert (seq.built, seq.resamples) == (0, 2 * network.MAX_RETRIES)
 
+    # 2**32 and 2**64 + 3 give SeedSequence three and four entropy words with the step;
+    # 2**96 + 1 gives five, which takes its extra mixing loop.
+    @pytest.mark.parametrize("seed", [0, 7, 9_000_027, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1])
+    @pytest.mark.parametrize("m", [10, 3])
+    def test_replica_matches_default_rng(self, seed, m):
+        steps = [0, 1, 31, 32, 127, 128, 129, *range(8800, 8832), 10**6, 2**32 - 1]
+        draws = replica_draws(seed, steps, m, 3)
+        for k, got in zip(steps, draws):
+            rng = np.random.default_rng((seed, k))
+            for d in range(3):
+                assert np.array_equal(got[d], rng.uniform(size=(m, 2))), (k, d)
+
+    def test_redrawn_steps_match_reference(self):
+        seq = RandomGeometricSequence(10, 0.35, seed=2)
+        redraws = []
+        for k in range(2 * network.BLOCK + 3):
+            ref, resamples = per_step_reference(10, 0.35, 2, k)
+            assert np.array_equal(seq.gossip(k).matrix, ref.matrix) and seq.gossip(k).chi == ref.chi
+            redraws.append(resamples)
+        assert seq.resamples == sum(redraws)
+        assert sum(r >= 2 for r in redraws) > 50 and max(redraws) >= 10
+
+    @pytest.mark.parametrize("m, radius, seed", [(10, 0.35, 2), (50, 0.3, 7)])
+    def test_block_size_does_not_change_steps(self, monkeypatch, m, radius, seed):
+        steps = [*range(300), 8800, 10**6]
+        reads = []
+        for block in (1, 7, 128):
+            monkeypatch.setattr(network, "BLOCK", block)
+            seq = RandomGeometricSequence(m, radius, seed=seed)
+            matrices = [seq.gossip(k) for k in steps]
+            reads.append((matrices, (seq.built, seq.resamples, seq.chi_max)))
+        (first, counters), *others = reads
+        for other, other_counters in others:
+            assert other_counters == counters
+            for w, v in zip(first, other):
+                assert np.array_equal(w.matrix, v.matrix) and w.chi == v.chi
+
+    def test_last_step_below_two_to_the_32(self):
+        k = 2**32 - 1
+        ref, _ = per_step_reference(10, 0.7, 5, k)
+        assert np.array_equal(RandomGeometricSequence(10, 0.7, seed=5).gossip(k).matrix, ref.matrix)
+
+    @pytest.mark.parametrize("k", [-1, 2**32])
+    def test_step_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            RandomGeometricSequence(10, 0.7, seed=5).gossip(k)
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomGeometricSequence(10, 0.7, seed=-1)
+
     def test_deterministic_given_seed(self):
         a = RandomGeometricSequence(12, 0.5, seed=3)
         b = RandomGeometricSequence(12, 0.5, seed=3)
@@ -412,6 +482,17 @@ class TestSerialization:
         assert len(graphs) == 5
         for k, g in enumerate(graphs):
             assert g.edges == seq.graph(k).edges
+
+    @pytest.mark.parametrize(
+        "seq",
+        [RandomGeometricSequence(10, 0.45, seed=1), TwoStarHopSequence(7),
+         StaticSequence(WeightedGraph(4, ((0, 1, 0.1), (1, 2, 2.5), (2, 3, 1 / 3), (3, 0, 1e-3))))],
+        ids=["random-geometric", "two-star-hop", "weighted-static"],
+    )
+    def test_dump_matches_graph_round_trip(self, seq):
+        out = io.StringIO()
+        dump_sequence(seq, 300, out)
+        assert out.getvalue() == dump_through_graph(seq, 300)
 
     @pytest.mark.parametrize(
         "text, match",

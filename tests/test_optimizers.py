@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+
+import gossipvr.optimizers as optimizers
 
 from gossipvr.network import (
     GossipMatrix,
@@ -563,6 +566,38 @@ class TestRunDriver:
         with pytest.raises(RunAbort) as exc_info:
             run(GtBaseline(eta=1e9), obj, seq, RunBudgets(max_iterations=500), seed=0)
         assert len(exc_info.value.trace.records) >= 1
+
+    @pytest.mark.parametrize(
+        "method, field", [("adom_vr", "x"), ("adom_vr", "y"), ("adom_vr", "z"), ("gt_page", "x"), ("gt_page", "v"),
+                          ("gt_baseline", "x")],
+    )
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "non-finite values in {} at iteration 1"), (-np.inf, "non-finite values in {} at iteration 1"),
+         (np.inf, "non-finite values in {} at iteration 1"),
+         (2e12, "{} exceeded divergence limit at iteration 1: max |entry| = 2.000e+12"),
+         (-2e12, "{} exceeded divergence limit at iteration 1: max |entry| = 2.000e+12")],
+    )
+    def test_divergence_check_names_field_and_value(self, monkeypatch, method, field, value, message):
+        """A step whose new state holds one bad entry in a checked field aborts with that field's message."""
+        obj, seq, _ = self.make_setup()
+        method, state_cls = {
+            "adom_vr": (AdomVr(adom_vr_params(obj.info.mu, obj.info.L, obj.info.Lbar, seq.chi, obj.n, b=obj.n)),
+                        optimizers.AdomVrState),
+            "gt_page": (GtPage(gt_page_params(obj.info.L, obj.info.Lhat, seq.chi, obj.n)), optimizers.GtPageState),
+            "gt_baseline": (GtBaseline(eta=0.1), optimizers.GtBaselineState),
+        }[method]
+
+        def poisoned(**fields):
+            if fields.get("k") == 1:
+                fields[field] = fields[field].copy()
+                fields[field][1, 2] = value
+            return state_cls(**fields)
+
+        monkeypatch.setattr(optimizers, state_cls.__name__, poisoned)
+        with pytest.raises(RunAbort, match=f"^{re.escape(message.format(field))}$") as exc_info:
+            run(method, obj, seq, RunBudgets(max_iterations=5), seed=0)
+        assert [r.iteration for r in exc_info.value.trace.records] == [0, 0]
 
     def test_trace_counters_monotone(self):
         obj, seq, w_star = self.make_setup()
