@@ -296,6 +296,9 @@ class ZeroChainObjective(FiniteSumObjective):
         self._terms = self._build_terms()
         self._node_camp = np.full(m, 3)
         self._node_camp[list(self.s1)], self._node_camp[list(self.s2)] = 1, 2
+        # One node per camp 1, 2, 3, and each node's camp as an index into them.  With
+        # camp 3 empty, the last node stands in for it and its row is never read.
+        self._camp_nodes, self._camp_of = np.array([self.s1[0], self.s2[0], m - 1]), self._node_camp - 1
         # Tight node smoothness: camp_coef <= 3 so this never exceeds big_l.
         l_eff = big_l * self.camp_coef / 3.0
         l_ij = np.full((m, n), 1e-12 * l_eff)
@@ -356,6 +359,16 @@ class ZeroChainObjective(FiniteSumObjective):
 
     def batch_local_gradients(self, nodes, X):
         return self._gradients(nodes, X)
+
+    # The nodes of a camp share one function, so the averages evaluate one row per
+    # camp, scatter it to the camp's nodes and reduce in node order as the base class does.
+    def average_value(self, w):
+        reps = self._camp_nodes
+        return float(np.mean(self._values(reps, np.tile(w, (len(reps), 1)))[self._camp_of]))
+
+    def average_gradient(self, w):
+        reps = self._camp_nodes
+        return self._gradients(reps, np.tile(w, (len(reps), 1)))[self._camp_of].mean(axis=0)
 
 
 def nonconvex_hard_objective(

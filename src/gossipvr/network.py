@@ -15,6 +15,7 @@ left; the averaging operator actually applied by optimizers is ``I - W``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "consensus_residual",
     "node_mean",
     "consensus_error",
+    "stream_doubles",
     "dump_sequence",
     "parse_sequence_dump",
     "DUMP_STEPS",
@@ -201,8 +203,10 @@ class StaticSequence(_CyclicSequence):
         self.chi = self._gossips[0].chi
 
 
-# The random-geometric stream, ``default_rng((seed, k)).uniform(size=(m, 2))`` per
-# draw, computed for every step of a block at once.  numpy keeps the three
+# The streams of ``default_rng((seed, k))`` for a block of steps ``k`` at once: the
+# random-geometric draws here, and adom_vr's batch and coin draws (stream_doubles).
+# A seed is a non-negative integer and a step lies in [0, 2**32); _stream_seed and
+# _block_streams are the only places that check it.  numpy keeps the three
 # algorithms it runs stable (NEP 19): SeedSequence hashing of the entropy words
 # ``(seed, k)``, PCG64 (a 128-bit LCG with XSL-RR output) and ``next_double``.
 # 128-bit values are held as uint64 ``(hi, lo)`` pairs; numpy wraps on overflow.
@@ -253,6 +257,23 @@ def _lcg_jumps(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
 
 
+def _stream_seed(seed: int) -> int:
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _block_streams(seed: int, k: int, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The aligned block of ``size`` steps holding step ``k``, cut at ``2**32``, and
+    the PCG64 streams of its steps."""
+    if not 0 <= k < _STEP_LIMIT:
+        raise ValueError(f"step {k} outside [0, 2**32)")
+    start = k - k % size
+    steps = np.arange(start, min(start + size, _STEP_LIMIT))
+    return steps, _pcg64_streams(_stream_seed(seed), steps)
+
+
 def _pcg64_streams(seed: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     """PCG64 ``(state hi, state lo, inc hi, inc lo)`` as ``default_rng((seed, k))`` seeds it, per ``k``."""
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -288,6 +309,30 @@ def _next_doubles(streams: tuple[np.ndarray, ...], jumps: tuple[np.ndarray, ...]
     x, rot = s_hi ^ s_lo, s_hi >> 58
     out = x >> rot | x << (64 - rot & 63)
     return (out >> 11) * (1.0 / (1 << 53)), (s_hi[:, -1], s_lo[:, -1], *streams[2:])
+
+
+def stream_doubles(seed: int, k: int, size: int, count: int) -> tuple[int, np.ndarray]:
+    """The first ``count`` doubles of ``default_rng((seed, j)).random`` for every step
+    ``j`` of the aligned block of ``size`` steps holding ``k``: the block's first step
+    and a ``(steps, count)`` array.
+
+    The replica seeds the block's streams in one pass; numpy's PCG64, set to each
+    seeded state in turn, draws the doubles, so their cost per double is numpy's
+    and not the replica's 128-bit arithmetic.
+    """
+    steps, streams = _block_streams(seed, k, size)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    out = np.empty((len(steps), count))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, zip(*(s.tolist() for s in streams))):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(out=row)
+    return int(steps[0]), out
 
 
 class RandomGeometricSequence(GraphSequence):
@@ -328,9 +373,7 @@ class RandomGeometricSequence(GraphSequence):
             raise ValueError("radius must be positive")
         self.m = m
         self.radius = float(radius)
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        self.seed = _stream_seed(seed)
         self._jumps = _lcg_jumps(2 * m)
         self._dumped: dict[int, GossipMatrix] = {}  # steps below DUMP_STEPS
         self._later: dict[int, GossipMatrix] = {}  # the rest, oldest first
@@ -359,9 +402,7 @@ class RandomGeometricSequence(GraphSequence):
     def _serve(self, k: int) -> GossipMatrix:
         """Hand out step ``k``, building its block if it is not waiting, and charge the counters."""
         if k not in self._unserved:
-            if not 0 <= k < _STEP_LIMIT:
-                raise ValueError(f"step {k} outside [0, 2**32)")
-            self._unserved = self._build_block(k - k % BLOCK)
+            self._unserved = self._build_block(k)
         w, resamples = self._unserved.pop(k)
         self.resamples += resamples
         if w is None:
@@ -373,12 +414,12 @@ class RandomGeometricSequence(GraphSequence):
         self.chi_max = max(self.chi_max, w.chi)
         return w
 
-    def _build_block(self, start: int) -> dict[int, tuple[GossipMatrix | None, int]]:
-        """Steps ``start .. start + BLOCK - 1`` as ``{k: (gossip matrix, resamples)}``;
-        the matrix is ``None`` for a step still disconnected after ``MAX_RETRIES`` draws."""
+    def _build_block(self, k: int) -> dict[int, tuple[GossipMatrix | None, int]]:
+        """The aligned block of ``BLOCK`` steps holding ``k`` as ``{step: (gossip matrix,
+        resamples)}``; the matrix is ``None`` for a step still disconnected after
+        ``MAX_RETRIES`` draws."""
         m, r2 = self.m, self.radius * self.radius
-        steps = np.arange(start, start + BLOCK)
-        streams = _pcg64_streams(self.seed, steps)
+        steps, streams = _block_streams(self.seed, k, BLOCK)
         diag = np.arange(m)
         block: dict[int, tuple[GossipMatrix | None, int]] = {}
         pending = steps  # the steps not yet connected

@@ -12,7 +12,11 @@ and ``step(state, obj, seq, seed)``, which reads graphs ``state.comms`` on:
 
 Parameter schedules are computed from problem constants, never tuned per run.
 All randomness is derived counter-style from ``(seed, iteration)`` so traces
-are reproducible and independent of node evaluation order.
+are reproducible and independent of node evaluation order: iteration ``k``
+draws from ``np.random.default_rng((seed, k))``.  ``gt_page`` builds that
+generator each step; ``adom_vr`` takes the same draws for ``DRAW_BLOCK``
+iterations at once from :func:`gossipvr.network.stream_doubles`, which seeds
+their generators in one vectorized pass, and carries the block in its state.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import GraphSequence, consensus_error, consensus_residual, node_mean
+from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_doubles
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
@@ -251,6 +255,55 @@ def gt_page_params(
 # ---------------------------------------------------------------------------
 
 
+DRAW_BLOCK = 64  # iterations whose adom_vr draws are built together
+
+
+@dataclass(frozen=True, eq=False)
+class _AdomDraws:
+    """The draws of iterations ``start .. start + len(idx) - 1`` under ``seed``, for the
+    batch size and coin thresholds of ``params`` and the sampling of ``cum_probs``."""
+
+    seed: int
+    start: int
+    params: AdomVrParams
+    cum_probs: np.ndarray
+    idx: np.ndarray  # (B, m, b) batch indices
+    to_f: np.ndarray  # (B, m, 1) omega moves to x_f
+    to_g: np.ndarray  # (B, m, 1) omega moves to x_g
+    moved: list[np.ndarray]  # per iteration, the nodes whose omega moves
+
+    def holds(self, seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) -> bool:
+        return (
+            self.start <= k < self.start + len(self.idx)
+            and self.seed == seed
+            and self.params is params
+            and self.cum_probs is cum_probs
+        )
+
+
+def _draw_block(seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) -> _AdomDraws:
+    """The draws of the aligned block of ``DRAW_BLOCK`` iterations holding ``k``.
+
+    Iteration ``k`` reads ``default_rng((seed, k))``: ``random((m, b))`` for the
+    batch, then ``random(m)`` for the omega coins, i.e. its first ``m b + m``
+    doubles, which :func:`stream_doubles` gives for the whole block.
+    """
+    (m, n), b = cum_probs.shape, params.b
+    start, u = stream_doubles(seed, k, DRAW_BLOCK, m * b + m)
+    batch_u, omega_u = u[:, : m * b].reshape(-1, m, b), u[:, m * b :, None]
+    # Inverse-CDF sampling: the index is the count of running sums <= u.
+    idx = np.empty(batch_u.shape, dtype=np.intp)
+    for i in range(m):
+        idx[:, i] = np.searchsorted(cum_probs[i], batch_u[:, i], side="right")
+    np.minimum(idx, n - 1, out=idx)
+    to_f = omega_u < params.p1
+    to_g = ~to_f & (omega_u < params.p1 + params.p2)
+    moved = [np.flatnonzero(row) for row in (to_f | to_g)[..., 0]]
+    return _AdomDraws(
+        seed=seed, start=start, params=params, cum_probs=cum_probs, idx=idx, to_f=to_f, to_g=to_g, moved=moved
+    )
+
+
 @dataclass
 class AdomVrState:
     x: np.ndarray
@@ -263,10 +316,14 @@ class AdomVrState:
     momentum: np.ndarray
     omega_grads: np.ndarray  # (m, n, d) component gradients at omega
     grad_omega: np.ndarray  # (m, d) node gradients at omega
-    probs: np.ndarray  # (m, n) importance sampling distribution of each node
-    cum_probs: np.ndarray  # (m, n) its running sums, for inverse-CDF sampling
+    weights: np.ndarray  # (m, n) importance weights 1/(n p_ij) of the sampling distribution p
+    cum_probs: np.ndarray  # (m, n) running sums of p, for inverse-CDF sampling
     k: int = 0
     comms: int = 0
+    # The last block of draws built: a pure function of the seed, the block start,
+    # the method's params and cum_probs, all checked before it is read, so a state
+    # resumes exactly with or without it, under any method.
+    draws: _AdomDraws | None = None
 
 
 def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
@@ -280,31 +337,19 @@ def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
     return x
 
 
-def _batch_estimator(obj, nodes, x_g, idx, probs, omega_grads, grad_omega):
+def _batch_estimator(obj, nodes, x_g, idx, weights, omega_grads, grad_omega):
     """Importance-weighted difference estimator of several nodes at once.
 
     Row r, for node ``i = nodes[r]`` and its batch ``idx[r]``, is
     ``(1/b) sum_j [grad f_ij(x_g) - grad f_ij(omega)] / (n p_ij)`` plus the
     cached node gradient at omega; unbiased for the node gradient at ``x_g``.
-    ``x_g`` (k, d), ``idx`` (k, b), ``probs`` (k, n), ``omega_grads`` (k, n, d)
-    and ``grad_omega`` (k, d) hold the rows of those nodes.
+    ``x_g`` (k, d), ``idx`` (k, b), ``weights`` (k, n) (the ``1/(n p_ij)``),
+    ``omega_grads`` (k, n, d) and ``grad_omega`` (k, d) hold the rows of those nodes.
     """
     rows = np.arange(len(nodes))[:, None]
     fresh = obj.batch_sampled_gradients(nodes, idx, x_g)
-    inv = 1.0 / (obj.n * probs[rows, idx])
-    diff = (fresh - omega_grads[rows, idx]) * inv[..., None]
+    diff = (fresh - omega_grads[rows, idx]) * weights[rows, idx][..., None]
     return diff.mean(axis=1) + grad_omega
-
-
-def _refresh_omega_cache(omega_grads, grad_omega, nodes, omega, obj):
-    """Fresh cache arrays with the flagged nodes recomputed at their omega."""
-    if not nodes.any():
-        return omega_grads, grad_omega
-    og, go = omega_grads.copy(), grad_omega.copy()
-    which = np.flatnonzero(nodes)
-    og[which] = obj.batch_component_gradients(which, omega[which])
-    go[which] = og[which].mean(axis=1)
-    return og, go
 
 
 @dataclass(frozen=True)
@@ -326,7 +371,7 @@ class AdomVr:
             y=np.zeros((m, d)), y_f=np.zeros((m, d)),
             z=np.zeros((m, d)), z_f=np.zeros((m, d)), momentum=np.zeros((m, d)),
             omega_grads=omega_grads, grad_omega=omega_grads.mean(axis=1),
-            probs=probs, cum_probs=np.cumsum(probs, axis=1),
+            weights=1.0 / (obj.n * probs), cum_probs=np.cumsum(probs, axis=1),
         )
 
     def step(self, state: AdomVrState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> AdomVrState:
@@ -334,26 +379,28 @@ class AdomVr:
 
         The primal and dual updates are mutually implicit; they are resolved by
         the closed-form 2x2 solve per coordinate (the determinant
-        ``(1+eta a)(1+theta b) + eta theta`` is always positive).
+        ``(1+eta a)(1+theta b) + eta theta`` is always positive).  The draws
+        come from the carried block when it holds ``state.k``, else from a
+        newly built block (:func:`_draw_block`).
         """
         p = self.params
-        m, n = obj.m, obj.n
-        rng = np.random.default_rng((seed, state.k))
-        batch_u = rng.random((m, p.b))
-        omega_u = rng.random(m)
+        k, draws = state.k, state.draws
+        if draws is None or not draws.holds(seed, k, p, state.cum_probs):
+            draws = _draw_block(seed, k, p, state.cum_probs)
+        r = k - draws.start
 
         x_g = p.tau1 * state.x + p.tau0 * state.omega + (1.0 - p.tau1 - p.tau0) * state.x_f
-
-        # Inverse-CDF sampling: the count of running sums <= u is searchsorted(side="right").
-        idx = np.minimum((batch_u[..., None] >= state.cum_probs[:, None, :]).sum(axis=-1), n - 1)
-        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.probs, state.omega_grads, state.grad_omega)
+        est = _batch_estimator(
+            obj, np.arange(obj.m), x_g, draws.idx[r], state.weights, state.omega_grads, state.grad_omega
+        )
 
         y_g = p.sigma1 * state.y + (1.0 - p.sigma1) * state.y_f
         z_g = p.sigma1 * state.z + (1.0 - p.sigma1) * state.z_f
 
+        yz = y_g + z_g
         drive = est - p.nu * x_g
         r_x = state.x + p.eta * p.alpha * x_g - p.eta * drive
-        r_y = state.y + p.theta * p.beta * drive - (p.theta / p.nu) * (y_g + z_g)
+        r_y = state.y + p.theta * p.beta * drive - (p.theta / p.nu) * yz
         det = (1.0 + p.eta * p.alpha) * (1.0 + p.theta * p.beta) + p.eta * p.theta
         x_new = ((1.0 + p.theta * p.beta) * r_x + p.eta * r_y) / det
         y_new = ((1.0 + p.eta * p.alpha) * r_y - p.theta * r_x) / det
@@ -361,15 +408,7 @@ class AdomVr:
         x_f_new = x_g + p.tau2 * (x_new - state.x)
         y_f_new = y_g + p.sigma2 * (y_new - state.y)
 
-        omega_new = state.omega.copy()
-        take_f = omega_u < p.p1
-        take_g = (~take_f) & (omega_u < p.p1 + p.p2)
-        omega_new[take_f] = state.x_f[take_f]
-        omega_new[take_g] = x_g[take_g]
-        changed = take_f | take_g
-
         w = seq.gossip(state.comms).matrix
-        yz = y_g + z_g
         w_yz = w @ yz
         mix_target = (p.gamma / p.nu) * yz + state.momentum
         w_mix = (p.gamma / p.nu) * w_yz + w @ state.momentum
@@ -377,17 +416,23 @@ class AdomVr:
         momentum_new = mix_target - w_mix
         z_f_new = z_g - p.zeta * w_yz
 
-        omega_grads, grad_omega = _refresh_omega_cache(state.omega_grads, state.grad_omega, changed, omega_new, obj)
+        # Omega moves to x_f or x_g on the nodes whose coin says so; their cache
+        # rows are recomputed there (n oracle calls per moved node).
+        omega_new = np.where(draws.to_f[r], state.x_f, np.where(draws.to_g[r], x_g, state.omega))
+        omega_grads, grad_omega, moved = state.omega_grads, state.grad_omega, draws.moved[r]
+        if moved.size:
+            fresh = obj.batch_component_gradients(moved, omega_new[moved])
+            omega_grads, grad_omega = omega_grads.copy(), grad_omega.copy()
+            omega_grads[moved] = fresh
+            grad_omega[moved] = fresh.mean(axis=1)
 
         new_state = AdomVrState(
             x=x_new, x_f=x_f_new, omega=omega_new, y=y_new, y_f=y_f_new,
             z=z_new, z_f=z_f_new, momentum=momentum_new,
             omega_grads=omega_grads, grad_omega=grad_omega,
-            probs=state.probs, cum_probs=state.cum_probs, k=state.k + 1, comms=state.comms + 1,
+            weights=state.weights, cum_probs=state.cum_probs, k=k + 1, comms=state.comms + 1, draws=draws,
         )
-        _check_finite(new_state.x, new_state.k, "x")
-        _check_finite(new_state.y, new_state.k, "y")
-        _check_finite(new_state.z, new_state.k, "z")
+        _check_finite(new_state, "x", "y", "z")
         return new_state
 
 
@@ -447,8 +492,7 @@ class GtPage:
 
         v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
         new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
-        _check_finite(new_state.x, new_state.k, "x")
-        _check_finite(new_state.v, new_state.k, "v")
+        _check_finite(new_state, "x", "v")
         return new_state
 
 
@@ -485,17 +529,21 @@ class GtBaseline:
         grad_new = obj.batch_local_gradients(np.arange(obj.m), x_new)
         y_new = (state.y - w @ state.y) + grad_new - state.grad
         new_state = GtBaselineState(x=x_new, y=y_new, grad=grad_new, k=state.k + 1, comms=state.comms + 1)
-        _check_finite(new_state.x, new_state.k, "x")
+        _check_finite(new_state, "x")
         return new_state
 
 
-def _check_finite(arr: np.ndarray, k: int, name: str) -> None:
-    # One reduction on the happy path: NaN and inf fail the comparison too.
-    if not np.abs(arr).max() <= DIVERGENCE_LIMIT:
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(f"non-finite values in {name} at iteration {k}")
-        peak = float(np.max(np.abs(arr)))
-        raise DivergenceError(f"{name} exceeded divergence limit at iteration {k}: max |entry| = {peak:.3e}")
+def _check_finite(state, *fields: str) -> None:
+    """Raise :class:`DivergenceError` on the first of ``state``'s ``fields`` that holds a
+    non-finite entry or one beyond ``DIVERGENCE_LIMIT``."""
+    for name in fields:
+        arr = getattr(state, name)
+        # One comparison per field on the happy path: NaN fails it too.
+        if not np.abs(arr).max() <= DIVERGENCE_LIMIT:
+            if not np.all(np.isfinite(arr)):
+                raise DivergenceError(f"non-finite values in {name} at iteration {state.k}")
+            peak = float(np.max(np.abs(arr)))
+            raise DivergenceError(f"{name} exceeded divergence limit at iteration {state.k}: max |entry| = {peak:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,7 @@ def test_03_estimator_unbiasedness():
     rng = np.random.default_rng(2)
     obj = random_quadratic(rng, m=2, n=3, d=4)
     probs = importance_probabilities(obj.info.L_ij)
+    weights = AdomVr.init(obj).weights
     x_g = rng.normal(size=obj.d)
     omega = rng.normal(size=obj.d)
     worst = 0.0
@@ -128,7 +129,7 @@ def test_03_estimator_unbiasedness():
         mean = np.zeros(obj.d)
         for j in range(obj.n):  # enumerate all b=1 batches
             (est,) = _batch_estimator(
-                obj, np.array([i]), x_g[None], np.array([[j]]), probs[i][None], cache[None], grad_omega[None]
+                obj, np.array([i]), x_g[None], np.array([[j]]), weights[i][None], cache[None], grad_omega[None]
             )
             mean += probs[i, j] * est
         worst = max(worst, float(np.max(np.abs(mean - obj.local_gradient(i, x_g)))))

@@ -21,7 +21,7 @@ from gossipvr.hardinstances import (
     zero_chain_l,
 )
 from gossipvr.network import RotatingStarSequence
-from gossipvr.objectives import finite_difference_check
+from gossipvr.objectives import FiniteSumObjective, finite_difference_check
 
 # Scaled chain coordinates at the bump threshold (the bump of nextafter(0.5, 1)
 # underflows to 0.0, that of 0.52 is tiny but nonzero) and where erf saturates.
@@ -392,6 +392,16 @@ class TestZeroChainInstance:
                     val, grad = _per_term_query(obj, i, w, j)
                     assert _same_bits(obj.component_value(i, j, w), val)
                     assert _same_bits(obj.component_gradient(i, j, w), grad)
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 2), (9, 4), (10, 3), (12, 5)])
+    def test_averages_equal_the_node_reduction(self, m, n):
+        # One row per camp, scattered to the camp's nodes, against all m rows (m = 4 has no camp 3).
+        obj, _ = nonconvex_hard_objective(m, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(40 + m)
+        for _ in range(50):
+            w = _partly_activated(rng, (obj.d,), obj.scale_c)
+            assert _same_bits(obj.average_gradient(w), FiniteSumObjective.average_gradient(obj, w))
+            assert _same_bits(obj.average_value(w), FiniteSumObjective.average_value(obj, w))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_batched_queries_equal_per_node(self, n):

@@ -334,6 +334,15 @@ class TestRandomGeometric:
             for d in range(3):
                 assert np.array_equal(got[d], rng.uniform(size=(m, 2))), (k, d)
 
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("k, size, count", [(0, 64, 110), (100, 7, 1), (2**32 - 1, 7, 2000)])
+    def test_stream_doubles_match_default_rng(self, seed, k, size, count):
+        start, u = network.stream_doubles(seed, k, size, count)
+        # The aligned block holding k, cut at 2**32.
+        assert start == k - k % size and start + len(u) == min(start + size, 2**32)
+        for j, row in enumerate(u, start):
+            assert np.array_equal(row, np.random.default_rng((seed, j)).random(count)), j
+
     def test_redrawn_steps_match_reference(self):
         seq = RandomGeometricSequence(10, 0.35, seed=2)
         redraws = []

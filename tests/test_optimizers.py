@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -118,6 +119,7 @@ class TestImportanceSampling:
         rng = np.random.default_rng(1)
         obj, mats, vecs = strongly_convex_quadratic(rng, m=2, n=3)
         probs = importance_probabilities(obj.info.L_ij)
+        weights = AdomVr.init(obj).weights
         x_g = rng.normal(size=obj.d)
         omega = rng.normal(size=obj.d)
         for i in range(obj.m):
@@ -126,7 +128,7 @@ class TestImportanceSampling:
             mean = np.zeros(obj.d)
             for j in range(obj.n):
                 (est,) = _batch_estimator(
-                    obj, np.array([i]), x_g[None], np.array([[j]]), probs[i][None], cache[None], grad_omega[None]
+                    obj, np.array([i]), x_g[None], np.array([[j]]), weights[i][None], cache[None], grad_omega[None]
                 )
                 mean += probs[i, j] * est
             assert np.max(np.abs(mean - obj.local_gradient(i, x_g))) < 1e-12
@@ -137,6 +139,7 @@ class TestImportanceSampling:
         rng = np.random.default_rng(21)
         obj, _, _ = strongly_convex_quadratic(rng, m=1, n=4)
         probs = importance_probabilities(obj.info.L_ij)
+        weights = AdomVr.init(obj).weights
         x_g = rng.normal(size=obj.d)
         omega = rng.normal(size=obj.d)
         cache = obj.local_component_gradients(0, omega)
@@ -145,7 +148,7 @@ class TestImportanceSampling:
         for j1 in range(obj.n):
             for j2 in range(obj.n):
                 (est,) = _batch_estimator(
-                    obj, np.array([0]), x_g[None], np.array([[j1, j2]]), probs[0][None], cache[None], grad_omega[None]
+                    obj, np.array([0]), x_g[None], np.array([[j1, j2]]), weights[0][None], cache[None], grad_omega[None]
                 )
                 mean += probs[0, j1] * probs[0, j2] * est
         assert np.max(np.abs(mean - obj.local_gradient(0, x_g))) < 1e-12
@@ -249,6 +252,149 @@ class TestAdomVrStep:
             expected = self.params.b + self.obj.n * resets.astype(int)
             assert delta.tolist() == expected.tolist()
 
+
+ADOM_FIELDS = ("x", "x_f", "omega", "y", "y_f", "z", "z_f", "momentum", "omega_grads", "grad_omega")
+
+
+def reference_adom_step(params, st, obj, seq, seed, k):
+    """One adom_vr iteration transcribed independently of the step: its draws come from
+    ``default_rng((seed, k))`` directly, the estimator and omega refresh are spelled out.
+    ``st`` maps the fields of ``ADOM_FIELDS`` to arrays and comes back updated."""
+    p, m, n = params, obj.m, obj.n
+    probs = importance_probabilities(obj.info.L_ij)
+    rng = np.random.default_rng((seed, k))
+    batch_u = rng.random((m, p.b))
+    omega_u = rng.random(m)
+    x_g = p.tau1 * st["x"] + p.tau0 * st["omega"] + (1.0 - p.tau1 - p.tau0) * st["x_f"]
+    idx = np.minimum((batch_u[..., None] >= np.cumsum(probs, axis=1)[:, None, :]).sum(axis=-1), n - 1)
+    rows = np.arange(m)[:, None]
+    fresh = obj.batch_sampled_gradients(np.arange(m), idx, x_g)
+    inv = 1.0 / (n * probs[rows, idx])
+    est = ((fresh - st["omega_grads"][rows, idx]) * inv[..., None]).mean(axis=1) + st["grad_omega"]
+    y_g = p.sigma1 * st["y"] + (1.0 - p.sigma1) * st["y_f"]
+    z_g = p.sigma1 * st["z"] + (1.0 - p.sigma1) * st["z_f"]
+    drive = est - p.nu * x_g
+    r_x = st["x"] + p.eta * p.alpha * x_g - p.eta * drive
+    r_y = st["y"] + p.theta * p.beta * drive - (p.theta / p.nu) * (y_g + z_g)
+    det = (1.0 + p.eta * p.alpha) * (1.0 + p.theta * p.beta) + p.eta * p.theta
+    x_new = ((1.0 + p.theta * p.beta) * r_x + p.eta * r_y) / det
+    y_new = ((1.0 + p.eta * p.alpha) * r_y - p.theta * r_x) / det
+    omega = st["omega"].copy()
+    take_f = omega_u < p.p1
+    take_g = ~take_f & (omega_u < p.p1 + p.p2)
+    omega[take_f] = st["x_f"][take_f]
+    omega[take_g] = x_g[take_g]
+    w = seq.gossip(k).matrix
+    yz = y_g + z_g
+    w_mix = (p.gamma / p.nu) * (w @ yz) + w @ st["momentum"]
+    og, go = st["omega_grads"].copy(), st["grad_omega"].copy()
+    for i in np.flatnonzero(take_f | take_g):
+        og[i] = obj.batch_component_gradients(np.array([i]), omega[i][None])[0]
+        go[i] = og[i][None].mean(axis=1)[0]
+    return dict(
+        x=x_new, x_f=x_g + p.tau2 * (x_new - st["x"]), omega=omega, y=y_new, y_f=y_g + p.sigma2 * (y_new - st["y"]),
+        z=st["z"] + p.gamma * p.delta * (z_g - st["z"]) - w_mix, z_f=z_g - p.zeta * (w @ yz),
+        momentum=(p.gamma / p.nu) * yz + st["momentum"] - w_mix, omega_grads=og, grad_omega=go,
+    )
+
+
+def assert_same_adom_state(a, b):
+    """Bitwise equality (signed zeros included) of two adom_vr states or field maps."""
+    get = (lambda s, f: s[f]) if isinstance(a, dict) else getattr
+    for f in ADOM_FIELDS:
+        assert get(a, f).tobytes() == getattr(b, f).tobytes(), f
+    if not isinstance(a, dict):
+        assert (a.k, a.comms) == (b.k, b.comms)
+
+
+class TestAdomVrDraws:
+    """The step's block-built draws against ``default_rng((seed, k))``, per iteration."""
+
+    def setup_method(self):
+        shards = make_shards(np.random.default_rng(31), m=4, n=6, d=5, rows_per_block=3)
+        self.obj = logistic_objective(shards, 0.2)
+        self.seq = TwoStarHopSequence(4)
+        info = self.obj.info
+        self.b_small = math.ceil(info.Lbar / info.L)
+        assert self.b_small < self.obj.n
+        self.method = {
+            b: AdomVr(adom_vr_params(info.mu, info.L, info.Lbar, self.seq.chi, self.obj.n, b))
+            for b in (self.b_small, self.obj.n)
+        }
+
+    def solo(self, seed, steps, state=None):
+        method = self.method[self.b_small]
+        state = method.init(self.obj) if state is None else state
+        for _ in range(steps):
+            state = method.step(state, self.obj, self.seq, seed)
+        return state
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("batch", ["b<n", "b=n"])
+    def test_matches_default_rng_reference(self, seed, batch):
+        method = self.method[self.b_small if batch == "b<n" else self.obj.n]
+        counting, ref_counting = CountingObjective(self.obj), CountingObjective(self.obj)
+        state = method.init(counting)
+        ref_init = method.init(ref_counting)
+        ref = {f: getattr(ref_init, f) for f in ADOM_FIELDS}
+        moves = 0
+        for k in range(300):
+            omega = state.omega
+            ref = reference_adom_step(method.params, ref, ref_counting, self.seq, seed, k)
+            state = method.step(state, counting, self.seq, seed)
+            assert_same_adom_state(ref, state)
+            moves += int((state.omega != omega).any())
+            assert counting.calls.tolist() == ref_counting.calls.tolist()
+        assert moves > 0  # the omega coins moved omega on some iterations
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_block_size_does_not_change_the_run(self, monkeypatch, block):
+        expected = self.solo(5, 150)
+        monkeypatch.setattr(optimizers, "DRAW_BLOCK", block)
+        assert_same_adom_state(expected, self.solo(5, 150))
+
+    @pytest.mark.parametrize("at", [37, 64])
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_resumed_run_equals_uninterrupted(self, at, carried):
+        expected = self.solo(9, 150)
+        resumed = self.solo(9, at)
+        if not carried:
+            resumed = dataclasses.replace(resumed, draws=None)
+        assert_same_adom_state(expected, self.solo(9, 150 - at, state=resumed))
+
+    def test_foreign_draws_are_replaced(self):
+        # A state carrying another seed's block for the same iterations.
+        expected = self.solo(9, 100)
+        state = dataclasses.replace(self.solo(9, 10), draws=self.solo(8, 10).draws)
+        assert_same_adom_state(expected, self.solo(9, 90, state=state))
+
+    def test_block_of_another_method_is_replaced(self):
+        # The carried block holds b_small-wide batches; a method with b = n rebuilds it.
+        other = self.method[self.obj.n]
+        state = self.solo(9, 10)
+        expected = other.step(dataclasses.replace(state, draws=None), self.obj, self.seq, 9)
+        assert_same_adom_state(expected, other.step(state, self.obj, self.seq, 9))
+        assert other.step(state, self.obj, self.seq, 9).draws.idx.shape[-1] == self.obj.n
+
+    def test_interleaved_seeds_equal_solo_runs(self):
+        method = self.method[self.b_small]
+        a = b = method.init(self.obj)
+        for _ in range(150):
+            a = method.step(a, self.obj, self.seq, 1)
+            b = method.step(b, self.obj, self.seq, 2**40)
+        assert_same_adom_state(self.solo(1, 150), a)
+        assert_same_adom_state(self.solo(2**40, 150), b)
+
+    def test_seed_domain(self):
+        method = self.method[self.b_small]
+        state = method.init(self.obj)
+        assert_same_adom_state(self.solo(7, 70), self.solo(np.uint64(7), 70))
+        with pytest.raises(TypeError):
+            method.step(state, self.obj, self.seq, 1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            method.step(state, self.obj, self.seq, -1)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)"):
+            method.step(dataclasses.replace(state, k=2**32), self.obj, self.seq, 0)
 
 class TestGtPageParams:
     def test_defaults_n1(self):
