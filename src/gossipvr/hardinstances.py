@@ -16,10 +16,12 @@ The chain coordinates are kept exactly zero in floating point until activated
 (bump values and slopes are exact zeros below the threshold), so progress
 accounting is exact, not approximate.
 
-Every zero-chain query, value or gradient, makes one call of a node-batched
-kernel per camp (and block) over all of that camp's rows.  Each row is
-bitwise the answer of a one-row call, so the per-node queries, which
-``FiniteSumObjective`` defines as one-node views, agree with the batched ones.
+Every zero-chain query, value or gradient, makes one node-batched scan per
+camp (and block) over all of that camp's rows; it evaluates only the hot
+terms, ``|x_{j-1}| > 1/2``, so its cost follows the activated coordinates, not
+the chain length.  Each row is bitwise the answer of a one-row call, so the
+per-node queries, which ``FiniteSumObjective`` defines as one-node views,
+agree with the batched ones.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ RANGE_CONST = 12.0  # per-dimension bound on l(0) - inf l
 GRADIENT_CONST = 23.0  # sup-norm bound on grad l
 
 _SQRT_E = math.sqrt(math.e)
-_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def psi(z):
@@ -83,9 +84,10 @@ def psi_prime(z):
 
 
 def phi(z):
-    """Scaled Gaussian integral, in closed form through the error function."""
+    """Scaled Gaussian integral, in closed form through ``math.erf`` at each entry."""
     z = np.asarray(z, dtype=float)
-    out = _SQRT_E * math.sqrt(math.pi / 2.0) * (1.0 + _erf(z / math.sqrt(2.0)))
+    erf = np.fromiter(map(math.erf, (z / math.sqrt(2.0)).ravel().tolist()), float, z.size).reshape(z.shape)
+    out = _SQRT_E * math.sqrt(math.pi / 2.0) * (1.0 + erf)
     return out if out.ndim else float(out)
 
 
@@ -102,40 +104,58 @@ def prog(x) -> int:
     return int(nz[-1] + 1) if nz.size else 0
 
 
-def _chain_kernel(X: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Term values (k, T) and gradients (k, d) of ``sum over terms`` at each row of ``X`` (k, d).
+class _ChainScan:
+    """One pass over the term list that finds the hot terms of ``sum over terms`` at each row of ``X`` (k, d).
 
-    Term 1 is ``-psi(1) phi(x_1)``; term ``j >= 2`` is ``psi(-a) phi(-b) -
-    psi(a) phi(b)`` with ``a, b = x_{j-1}, x_j``.  A leading column of ones
-    makes term 1 a coupling term too (``psi(1) = 1``).  At most one of
-    ``psi(+-a)`` is nonzero, and ``phi`` is evaluated only where it is: its
-    product with an exact-zero bump is 0.0 either way at finite ``b``.  Every
-    row is bitwise the per-term formula's answer, and the answer of a one-row
-    call.
+    Term 1 is ``-psi(1) phi(x_1)``; term ``j >= 2`` is ``psi(-a) phi(-b) - psi(a) phi(b)`` with ``a, b =
+    x_{j-1}, x_j``; a leading column of ones makes term 1 a coupling term too (``psi(1) = 1``).  ``terms``
+    is a ``range``, so the ``a`` columns are a strided view.  A term is hot where ``|a| > 1/2``.  A cold
+    term's bumps, value and gradient share are exact zeros and nothing is evaluated for it, so
+    :meth:`values` and :meth:`gradients` cost the hot terms, and neither computes what only the other
+    needs.  Answers are bitwise the per-term formula's, and a one-row call's, with a product by a zero
+    bump taken as 0.0 (``phi`` is evaluated only where the bump is nonzero).  The one dense answer kept
+    at a zero bump: a cold term at a NaN ``x_j`` puts ``0.0 - 0.0 * phi_prime(NaN)`` at ``x_j`` and
+    touches nothing at ``x_{j-1}``.
     """
-    y = np.hstack([np.ones((len(X), 1)), X])
-    a, b = y[:, terms - 1], y[:, terms]
-    hot = np.abs(a) > 0.5
-    t = 2.0 * np.abs(a[hot]) - 1.0
-    e = np.exp(1.0 - 1.0 / (t * t))
-    bump, slope, phi_ab = np.zeros_like(a), np.zeros_like(a), np.zeros_like(a)
-    bump[hot], slope[hot] = e, e * 4.0 / (t * t * t)  # psi(|a|) and psi_prime(|a|)
-    neg, live = a < 0.0, bump != 0.0
-    phi_ab[live] = phi(np.where(neg, -b, b)[live])
-    grad = np.zeros_like(y)
-    # Each term list is strictly increasing, so each scatter target is unique.
-    grad[:, terms] -= bump * phi_prime(b)  # phi_prime(-b) is the same bits
-    grad[:, terms - 1] -= slope * phi_ab
-    value = bump * phi_ab
-    return np.where(neg, value, 0.0 - value), grad[:, 1:]  # 0.0 - v: a term value is never -0.0
 
+    def __init__(self, X: np.ndarray, terms: range):
+        self.terms, self.y = terms, np.empty((len(X), X.shape[1] + 1))
+        self.y[:, 0], self.y[:, 1:] = 1.0, X
+        self.rows, self.cols = (np.abs(self.y[:, terms.start - 1 : terms.stop - 1 : terms.step]) > 0.5).nonzero()
+        if self.rows.size:  # with no hot term, every term value and gradient entry is an exact zero
+            self.j = terms.start + terms.step * self.cols
+            a, self.b = self.y[self.rows, self.j - 1], self.y[self.rows, self.j]
+            self.t = 2.0 * np.abs(a) - 1.0
+            self.bump = np.exp(1.0 - 1.0 / (self.t * self.t))  # psi(|a|)
+            self.neg, live = a < 0.0, self.bump != 0.0
+            self.phi_ab = np.zeros(len(a))
+            self.phi_ab[live] = phi(np.where(self.neg, -self.b, self.b)[live])
 
-def _chain_values(term_values: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Row sums of term values (k, T) as the per-term formula adds them: term 1, then one 1-D sum.
-    The kernel's term values are column-ordered; summed in place, their rows round differently."""
-    head = 1 if terms.size and terms[0] == 1 else 0
-    rest = np.sum(np.ascontiguousarray(term_values[:, head:]), axis=1)
-    return term_values[:, 0] + rest if head else rest
+    def values(self) -> np.ndarray:
+        """Row sums of the term values as the per-term formula adds them: term 1, then one 1-D sum
+        over the full width of the others, so the rows round as a dense sum does."""
+        if not self.rows.size:
+            return np.zeros(len(self.y))
+        head = 1 if self.terms.start == 1 else 0
+        term_values = np.zeros((len(self.y), len(self.terms)))
+        value = self.bump * self.phi_ab
+        term_values[self.rows, self.cols] = np.where(self.neg, value, 0.0 - value)  # 0.0 - v: never -0.0
+        rest = np.sum(term_values[:, head:], axis=1)
+        return term_values[:, 0] + rest if head else rest
+
+    def gradients(self) -> np.ndarray:
+        """Gradients (k, d); each term list is strictly increasing, so each scatter target is unique."""
+        grad, terms = np.zeros(self.y.shape), self.terms
+        if np.isnan(self.y.min()):  # the dense answer at a NaN x_j of a cold term
+            rows, cols = np.isnan(self.y[:, terms.start : terms.stop : terms.step]).nonzero()
+            j = terms.start + terms.step * cols
+            grad[rows, j] = 0.0 - 0.0 * phi_prime(self.y[rows, j])
+        if not self.rows.size:
+            return grad[:, 1:]
+        grad[self.rows, self.j] = 0.0 - self.bump * phi_prime(self.b)  # phi_prime(-b) is the same bits
+        slope = self.bump * 4.0 / (self.t * self.t * self.t)  # psi_prime(|a|)
+        grad[self.rows, self.j - 1] -= slope * self.phi_ab
+        return grad[:, 1:]
 
 
 def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray]:
@@ -145,9 +165,8 @@ def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray
         d = x.shape[0]
     if x.shape[0] != d:
         raise ValueError(f"expected dimension {d}, got {x.shape[0]}")
-    terms = np.arange(1, d + 1)
-    term_values, grad = _chain_kernel(x[None], terms)
-    return float(_chain_values(term_values, terms)[0]), grad[0]
+    scan = _ChainScan(x[None], range(1, d + 1))
+    return float(scan.values()[0]), scan.gradients()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,36 +325,36 @@ class ZeroChainObjective(FiniteSumObjective):
         self.info = SmoothnessInfo(L=float(l_eff), mu=0.0, L_ij=l_ij, Lhat=float(math.sqrt(n) * l_eff))
         self.info.validate(n)
 
-    def _build_terms(self) -> dict[tuple[int, int | None], tuple[np.ndarray, float]]:
+    def _build_terms(self) -> dict[tuple[int, int | None], tuple[range, float]]:
         """Terms and coefficient per (camp, block): block ``j`` of camp ``c`` holds the terms ``= 2j + c (mod 2n)``,
         scaled by n.  A camp's blocks touch disjoint coordinates, so their mean, block ``None`` (the node
         function), is one chain over the camp's parity terms."""
-        terms, period, block_coef = np.arange(1, self.d + 1), 2 * self.n, self.n * self.camp_coef
-        table = {(c, None): (terms[c - 1 :: 2], self.camp_coef) for c in (1, 2)}
-        table.update({(c, j): (terms[terms % period == (2 * j + c) % period], block_coef) for c in (1, 2) for j in range(self.n)})
+        period, block_coef = 2 * self.n, self.n * self.camp_coef
+        table = {(c, None): (range(c, self.d + 1, 2), self.camp_coef) for c in (1, 2)}
+        table.update({(c, j): (range((2 * j + c - 1) % period + 1, self.d + 1, period), block_coef) for c in (1, 2) for j in range(self.n)})
         return table
 
-    def _camp_kernels(self, nodes, X, j: int | None):
-        """``(rows, terms, coef, kernel answer)`` per chain camp for block ``j`` (node function if None) of each
-        node at its row of ``X``: one kernel call per camp.  Camp 3 is identically zero."""
+    def _camp_scans(self, nodes, X, j: int | None):
+        """``(rows, coef, scan)`` per chain camp for block ``j`` (node function if None) of each node at
+        its row of ``X``: one :class:`_ChainScan` per camp.  Camp 3 is identically zero."""
         X = np.asarray(X, dtype=float)
         camps = self._node_camp[np.asarray(nodes)]
         for camp in (1, 2):
-            rows = np.flatnonzero(camps == camp)
+            (rows,) = (camps == camp).nonzero()
             if rows.size:
                 terms, coef = self._terms[(camp, j)]
-                yield rows, terms, coef, _chain_kernel(X[rows] / self.scale_c, terms)
+                yield rows, coef, _ChainScan(X[rows] / self.scale_c, terms)
 
     def _gradients(self, nodes, X, j: int | None = None) -> np.ndarray:
         out = np.zeros(np.shape(X))
-        for rows, _, coef, (_, grad) in self._camp_kernels(nodes, X, j):
-            out[rows] = (self.value_coef / self.scale_c) * (coef * grad)
+        for rows, coef, scan in self._camp_scans(nodes, X, j):
+            out[rows] = (self.value_coef / self.scale_c) * (coef * scan.gradients())
         return out
 
     def _values(self, nodes, X, j: int | None = None) -> np.ndarray:
         out = np.zeros(len(X))
-        for rows, terms, coef, (term_values, _) in self._camp_kernels(nodes, X, j):
-            out[rows] = self.value_coef * (coef * _chain_values(term_values, terms))
+        for rows, coef, scan in self._camp_scans(nodes, X, j):
+            out[rows] = self.value_coef * (coef * scan.values())
         return out
 
     def batch_component_values(self, nodes, X):

@@ -267,6 +267,8 @@ class ExperimentConfig:
                 raise ValueError(f"dataset file not found: {self.dataset}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -498,6 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         configs = [cfg.replace(seed=s) for s in args.seeds.split(",")] if args.seeds else [cfg]
         if len({one.seed for one in configs}) < len(configs):
             raise ValueError(f"--seeds repeats a seed: {args.seeds}")
+        for one in configs:  # every run's config is checked before the first one writes a file
+            one.validate()
         if args.jobs > 1 and len(configs) > 1:
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
                 for line in pool.map(_run_one, configs):

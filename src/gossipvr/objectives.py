@@ -275,7 +275,7 @@ class CallableFiniteSum(FiniteSumObjective):
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(t))  # at most 1, so neither branch overflows
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 class ShardObjective(FiniteSumObjective):
@@ -362,7 +362,8 @@ def _logistic_loss(t, y):
 
 
 def _logistic_dloss(t, y):
-    return -y * _sigmoid(-y * t)
+    neg_y = -y
+    return neg_y * _sigmoid(neg_y * t)
 
 
 def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:

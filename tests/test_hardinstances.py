@@ -444,6 +444,122 @@ class TestZeroChainInstance:
             assert report.passed, report
 
 
+# Non-finite and signed-zero coordinates, on top of the threshold points.
+_SPECIAL_POINTS = (np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+def _special_rows(rng, k, d, scale):
+    """``k`` rows of ``d`` coordinates times ``scale``: an all-cold row (every ``|x_j| <= 1/2``, so only
+    term 1 is hot), an all-hot row (every ``|x_j| > 1/2``), and partly activated rows, each with NaN,
+    +-inf, -0.0 and the threshold points mixed in."""
+    rows = []
+    for r in range(k):
+        if r % 3 == 0:
+            x = rng.uniform(-0.5, 0.5, size=d)
+            points = (0.5, -0.5, np.nan, -np.nan, -0.0)
+        elif r % 3 == 1:
+            x = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.51, 3.0, size=d)
+            points = (np.inf, -np.inf, np.nextafter(0.5, 1.0), -0.52, 40.0, -1e3, np.nan)
+        else:
+            x = _partly_activated(rng, (d,), 1.0)
+            points = _SPECIAL_POINTS + _THRESHOLD_POINTS
+        mask = rng.random(d) < 0.15
+        x[mask] = rng.choice(points, size=int(mask.sum()))
+        rows.append(x * scale)
+    return np.array(rows)
+
+
+def _nan_blind(v):
+    """``v`` with every NaN made the same NaN: the per-term formula takes a NaN gradient entry's sign
+    from ``phi_prime(-x_j)``, the kernel from ``phi_prime(x_j)``."""
+    v = np.array(v, dtype=float)
+    v[np.isnan(v)] = np.nan
+    return v
+
+
+def _zero_bump_reference(reference, w, scale, terms):
+    """The kernel's answer at ``w``, from ``reference``, the per-term formula's (value, gradient).
+
+    The kernel takes a product by a zero bump or slope as 0.0, where the formula's ``0 * phi(NaN)`` is
+    NaN.  So a NaN ``x_j`` whose term has ``psi(|x_{j-1}|) = 0`` counts as 0.0, except at ``x_j`` itself
+    when term ``j`` is in ``terms``: that entry keeps the dense ``0.0 - 0.0 * phi_prime(NaN)``."""
+    prev = np.concatenate([[1.0], (w / scale)[:-1]])
+    dead = np.isnan(w) & (psi(np.abs(prev)) == 0.0)
+    val, grad = reference(np.where(dead, 0.0, w))
+    grad[dead & np.isin(np.arange(1, len(w) + 1), terms)] = np.nan
+    return val, grad
+
+
+def _query_terms(obj, i, j=None):
+    """The terms of node ``i``'s block ``j`` (its node function if None), as :func:`_per_term_query` picks them."""
+    camp, every = 1 if i in obj.s1 else 2 if i in obj.s2 else 3, np.arange(1, obj.d + 1)
+    if camp == 3:
+        return every[:0]
+    return every[camp - 1 :: 2] if j is None else every[every % (2 * obj.n) == (2 * j + camp) % (2 * obj.n)]
+
+
+class TestActiveSupportKernel:
+    """The chain kernel evaluates only the hot terms, ``|x_{j-1}| > 1/2``, and answers as the per-term
+    formula does, bit for bit but for a NaN's sign, on inputs with NaN, +-inf, -0.0 and the threshold
+    points, with a product by a zero bump taken as 0.0 (see :func:`_zero_bump_reference`)."""
+
+    def test_consecutive_terms_match_per_term_reference(self):
+        rng = np.random.default_rng(50)
+        for d in list(range(1, 30)) + [64, 129, 446]:
+            terms = np.arange(1, d + 1)
+            for x in _special_rows(rng, 6, d, 1.0):
+                val, grad = zero_chain_l(x)
+                ref_val, ref_grad = _zero_bump_reference(lambda w: _per_term_chain(w, terms, 1.0), x, 1.0, terms)
+                assert _same_bits(_nan_blind([val, *grad]), _nan_blind([ref_val, *ref_grad])), x
+
+    @pytest.mark.parametrize("n, budget_comms", [(3, 90), (4, 90), (4, 1000)])
+    def test_camp_and_block_queries_match_per_term_reference(self, n, budget_comms):
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=budget_comms, budget_oracle=40 * n)
+        rng = np.random.default_rng(60 + n)
+        nodes = np.array([7, 4, 0, 5, 2, 8, 3, 6, 1])
+        for _ in range(4):
+            X = _special_rows(rng, len(nodes), obj.d, obj.scale_c)
+            local_values, local_grads = obj.batch_local_values(nodes, X), obj.batch_local_gradients(nodes, X)
+            block_values, block_grads = obj.batch_component_values(nodes, X), obj.batch_component_gradients(nodes, X)
+            for r, (i, w) in enumerate(zip(nodes, X)):
+                for j, value, grad in [(None, local_values[r], local_grads[r])] + [
+                    (j, block_values[r, j], block_grads[r, j]) for j in range(n)
+                ]:
+                    reference = lambda v: _per_term_query(obj, i, v, j)  # noqa: E731
+                    ref_val, ref_grad = _zero_bump_reference(reference, w, obj.scale_c, _query_terms(obj, i, j))
+                    assert _same_bits(_nan_blind([value, *grad]), _nan_blind([ref_val, *ref_grad])), (i, j)
+
+    def test_cold_term_at_nan_keeps_the_dense_gradient_entry(self):
+        x = np.zeros(6)
+        x[3] = np.nan  # x_4 = NaN after x_3 = 0: term 4 is cold, term 5 reads a NaN x_4 and is cold too
+        val, grad = zero_chain_l(x)
+        expected = 0.0 - 0.0 * phi_prime(np.array([np.nan]))
+        assert _same_bits(grad[3], expected[0])
+        assert _same_bits(grad[[1, 2, 4, 5]], np.zeros(4))
+        x[3] = 0.0
+        assert _same_bits(val, zero_chain_l(x)[0])
+        assert _same_bits(grad[0], zero_chain_l(x)[1][0])
+
+    def test_cold_term_at_nan_in_camp_queries(self):
+        obj, _ = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=90, budget_oracle=160)
+        w = np.zeros(obj.d)
+        w[3] = np.nan  # term 4 is camp 2's, cold; camp 1's term 5 reads the NaN as its x_{j-1}
+        grads = obj.batch_local_gradients(np.array([obj.s1[0], obj.s2[0]]), np.tile(w, (2, 1)))
+        assert np.flatnonzero(grads[0]).tolist() == [0] and np.isnan(grads[1]).tolist() == [j == 3 for j in range(obj.d)]
+        assert _same_bits(np.delete(grads[1], 3), np.zeros(obj.d - 1))
+
+    def test_work_scales_with_the_hot_terms(self, monkeypatch):
+        from gossipvr import hardinstances
+
+        sizes = {"phi": [], "phi_prime": []}
+        for name, fn in (("phi", phi), ("phi_prime", phi_prime)):
+            monkeypatch.setattr(hardinstances, name, lambda z, name=name, fn=fn: sizes[name].append(np.size(z)) or fn(z))
+        x = np.zeros(446)
+        x[:10] = 0.75  # terms 1-11 are hot, 12-446 cold
+        zero_chain_l(x)
+        assert sizes == {"phi": [11], "phi_prime": [11]}
+
+
 class TestProgressAudit:
     def test_zero_iterations(self):
         tracker = ProgressTracker(m=4)

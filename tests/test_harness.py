@@ -420,6 +420,21 @@ class TestCli:
         assert payload["error"] == "ValueError" and "repeats a seed" in payload["message"]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config-line", "seeds"])
+    def test_negative_seed_rejected_before_any_file(self, tmp_path, capsys, how):
+        args = ["--method", "gt_baseline", "--objective", "zero_chain", "--m", "9", "--n", "4", "--budget-iters", "3"]
+        if how == "flag":
+            args += ["--seed", "-1"]
+        elif how == "config-line":
+            (tmp_path / "exp.cfg").write_text("objective=zero_chain\nseed=-1\n")
+            args += ["--config", str(tmp_path / "exp.cfg")]
+        else:
+            args += ["--seeds", "0,-1"]
+        assert main(args + ["--out", str(tmp_path / "runs")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValueError", "message": "seed must be non-negative, got -1"}
+        assert not (tmp_path / "runs").exists()
+
     def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
         import gossipvr.harness as harness
 
