@@ -20,11 +20,11 @@ from .objectives import (
     nlls_objective,
 )
 from .hardinstances import (
+    ChainObjective,
     lower_bound_value,
     nonconvex_hard_objective,
     prog,
     progress_audit,
-    strongly_convex_chain,
     zero_chain_l,
 )
 from .optimizers import (

@@ -42,7 +42,6 @@ __all__ = [
     "zero_chain_l",
     "prog",
     "ChainObjective",
-    "strongly_convex_chain",
     "chain_q",
     "ZeroChainObjective",
     "nonconvex_hard_objective",
@@ -113,9 +112,9 @@ class _ChainScan:
     term's bumps, value and gradient share are exact zeros and nothing is evaluated for it, so
     :meth:`values` and :meth:`gradients` cost the hot terms, and neither computes what only the other
     needs.  Answers are bitwise the per-term formula's, and a one-row call's, with a product by a zero
-    bump taken as 0.0 (``phi`` is evaluated only where the bump is nonzero).  The one dense answer kept
-    at a zero bump: a cold term at a NaN ``x_j`` puts ``0.0 - 0.0 * phi_prime(NaN)`` at ``x_j`` and
-    touches nothing at ``x_{j-1}``.
+    bump taken as 0.0 (``phi`` is evaluated only where the bump is nonzero).  The dense answers kept at a
+    zero bump: a term at a NaN ``x_j`` makes its row's value NaN, and a cold one puts
+    ``0.0 - 0.0 * phi_prime(NaN)`` at ``x_j`` and touches nothing at ``x_{j-1}``.
     """
 
     def __init__(self, X: np.ndarray, terms: range):
@@ -133,15 +132,19 @@ class _ChainScan:
 
     def values(self) -> np.ndarray:
         """Row sums of the term values as the per-term formula adds them: term 1, then one 1-D sum
-        over the full width of the others, so the rows round as a dense sum does."""
-        if not self.rows.size:
-            return np.zeros(len(self.y))
-        head = 1 if self.terms.start == 1 else 0
-        term_values = np.zeros((len(self.y), len(self.terms)))
-        value = self.bump * self.phi_ab
-        term_values[self.rows, self.cols] = np.where(self.neg, value, 0.0 - value)  # 0.0 - v: never -0.0
-        rest = np.sum(term_values[:, head:], axis=1)
-        return term_values[:, 0] + rest if head else rest
+        over the full width of the others, so the rows round as a dense sum does.  A row with a NaN
+        ``x_j`` in any term is NaN, as the formula's ``0 * phi(NaN)`` is."""
+        out, terms = np.zeros(len(self.y)), self.terms
+        if self.rows.size:
+            head = 1 if terms.start == 1 else 0
+            term_values = np.zeros((len(self.y), len(terms)))
+            value = self.bump * self.phi_ab
+            term_values[self.rows, self.cols] = np.where(self.neg, value, 0.0 - value)  # 0.0 - v: never -0.0
+            rest = np.sum(term_values[:, head:], axis=1)
+            out = term_values[:, 0] + rest if head else rest
+        if np.isnan(self.y.min()):
+            out[np.isnan(self.y[:, terms.start : terms.stop : terms.step]).any(axis=1)] = np.nan
+        return out
 
     def gradients(self) -> np.ndarray:
         """Gradients (k, d); each term list is strictly increasing, so each scatter target is unique."""
@@ -158,14 +161,10 @@ class _ChainScan:
         return grad[:, 1:]
 
 
-def zero_chain_l(x: np.ndarray, d: int | None = None) -> tuple[float, np.ndarray]:
-    """Value and gradient of the base zero-chain function on R^d."""
+def zero_chain_l(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient of the base zero-chain function on R^d, ``d = len(x)``."""
     x = np.asarray(x, dtype=float)
-    if d is None:
-        d = x.shape[0]
-    if x.shape[0] != d:
-        raise ValueError(f"expected dimension {d}, got {x.shape[0]}")
-    scan = _ChainScan(x[None], range(1, d + 1))
+    scan = _ChainScan(x[None], range(1, len(x) + 1))
     return float(scan.values()[0]), scan.gradients()[0]
 
 
@@ -269,10 +268,6 @@ class ChainObjective(FiniteSumObjective):
 
     def batch_local_gradients(self, nodes, X):
         return np.array([np.concatenate([g for _, g in self._slot_terms(i, x)]) for i, x in zip(nodes, X)]) / self.n
-
-
-def strongly_convex_chain(m: int, n: int, big_l: float, mu: float, dim: int) -> ChainObjective:
-    return ChainObjective(m, n, big_l, mu, dim)
 
 
 # ---------------------------------------------------------------------------

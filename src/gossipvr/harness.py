@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hardinstances import ProgressTracker, nonconvex_hard_objective, strongly_convex_chain
+from .hardinstances import ChainObjective, ProgressTracker, nonconvex_hard_objective
 from .network import (
     DUMP_STEPS,
     GraphSequence,
@@ -163,45 +163,40 @@ def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed
 # ---------------------------------------------------------------------------
 
 
+REF_MAX_ITERATIONS = 10_000_000
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
-    x_star: np.ndarray | None
+    x_star: np.ndarray
     f_star: float
     grad_norm: float
     iterations: int
 
 
-def reference_solution(
-    obj: FiniteSumObjective,
-    tolerance: float = 1e-12,
-    require_minimizer: bool = True,
-    max_iterations: int = 10_000_000,
-) -> ReferenceSolution:
-    """Accelerated full-gradient solve of the averaged objective.
+def reference_solution(obj: FiniteSumObjective, tolerance: float = 1e-12) -> ReferenceSolution:
+    """Accelerated full-gradient solve of the averaged objective, which must be
+    strongly convex (``mu > 0``) for the minimizer to be certified.
 
     Stops when the gradient norm falls below ``tolerance * max(1, |grad at
-    0|)``.  A certified minimizer requires strong convexity; without it only
-    the best value found is returned (``x_star`` is None unless
-    ``require_minimizer`` is disabled by the caller).
+    0|)``, and fails after ``REF_MAX_ITERATIONS`` iterations.
     """
     mu, L = obj.info.mu, obj.info.L
-    if require_minimizer and mu <= 0:
+    if mu <= 0:
         raise ValueError("a certified minimizer needs a strongly convex objective (mu > 0)")
     w = np.zeros(obj.d)
     g0 = obj.average_gradient(w)
     target = tolerance * max(1.0, float(np.linalg.norm(g0)))
-    momentum = 0.0
-    if mu > 0:
-        kappa = L / mu
-        momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    kappa = L / mu
+    momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     step = 1.0 / L
     prev = w.copy()
     best_val = obj.average_value(w)
     grad = g0
     k = 0
     while float(np.linalg.norm(grad)) > target:
-        if k >= max_iterations:
-            raise RuntimeError(f"reference solve exceeded {max_iterations} iterations (|grad| = {np.linalg.norm(grad):.3e})")
+        if k >= REF_MAX_ITERATIONS:
+            raise RuntimeError(f"reference solve exceeded {REF_MAX_ITERATIONS} iterations (|grad| = {np.linalg.norm(grad):.3e})")
         look = w + momentum * (w - prev)
         g_look = obj.average_gradient(look)
         prev, w = w, look - step * g_look
@@ -212,7 +207,7 @@ def reference_solution(
         grad = obj.average_gradient(w)
         k += 1
     return ReferenceSolution(
-        x_star=w if mu > 0 else None,
+        x_star=w,
         f_star=float(min(best_val, obj.average_value(w))),
         grad_norm=float(np.linalg.norm(grad)),
         iterations=k,
@@ -251,7 +246,6 @@ class ExperimentConfig:
     stop_dist_sq: float = 0.0  # 0: disabled
     strict_step: int = 0
     per_node_coins: int = 0
-    ref_tolerance: float = 1e-12
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -329,20 +323,19 @@ def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
     return StaticSequence(maker(cfg.m))
 
 
-def _build_objective(cfg: ExperimentConfig, seq: GraphSequence | None):
-    """Returns (objective, graph sequence); the zero-chain instance brings its own rotating star."""
+def _build_objective(cfg: ExperimentConfig) -> tuple[FiniteSumObjective, GraphSequence | None]:
+    """Returns (objective, its own graph sequence or None): the zero-chain instance brings its rotating star."""
     if cfg.objective == "logistic":
         rows = parse_libsvm(cfg.dataset)
-        return logistic_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed), cfg.reg), seq
+        return logistic_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed), cfg.reg), None
     if cfg.objective == "nlls":
         rows = parse_libsvm(cfg.dataset)
-        return nlls_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed)), seq
+        return nlls_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed)), None
     if cfg.objective == "chain":
-        return strongly_convex_chain(cfg.m, cfg.n, cfg.chain_L, cfg.chain_mu, cfg.chain_dim), seq
+        return ChainObjective(cfg.m, cfg.n, cfg.chain_L, cfg.chain_mu, cfg.chain_dim), None
     comms = cfg.budget_comms or 4 * cfg.budget_iters
     oracle = cfg.budget_oracle or max(cfg.n, cfg.budget_iters * cfg.n)
-    obj, hard_seq = nonconvex_hard_objective(cfg.m, cfg.n, cfg.zc_L, cfg.zc_delta, comms, oracle)
-    return obj, hard_seq
+    return nonconvex_hard_objective(cfg.m, cfg.n, cfg.zc_L, cfg.zc_delta, comms, oracle)
 
 
 def _format_metric(v: float) -> str:
@@ -367,15 +360,15 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     Returns ``(trace, csv_path, meta_path)``.
     """
     cfg.validate()
-    seq = None if cfg.objective == "zero_chain" else _build_sequence(cfg)
-    obj, seq = _build_objective(cfg, seq)
+    obj, hard_seq = _build_objective(cfg)
+    seq = hard_seq or _build_sequence(cfg)
     info = obj.info
 
     chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
 
     x_star = None
     if info.mu > 0:
-        ref = reference_solution(obj, tolerance=cfg.ref_tolerance)
+        ref = reference_solution(obj)
         x_star = ref.x_star
 
     if cfg.method == "adom_vr":

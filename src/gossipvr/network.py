@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "consensus_error",
     "stream_doubles",
     "dump_sequence",
-    "parse_sequence_dump",
     "DUMP_STEPS",
 ]
 
@@ -103,44 +102,53 @@ class GossipMatrix:
     chi: float
 
 
-def complete_graph(m: int, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph(m, tuple((i, j, weight) for i in range(m) for j in range(i + 1, m)))
+# Unit weights: a uniform weight cancels in W = L / lambda_max.
+def complete_graph(m: int) -> WeightedGraph:
+    return WeightedGraph(m, tuple((i, j, 1.0) for i in range(m) for j in range(i + 1, m)))
 
 
-def star_graph(m: int, center: int = 0, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph(m, tuple((center, v, weight) for v in range(m) if v != center))
+def star_graph(m: int, center: int = 0) -> WeightedGraph:
+    return WeightedGraph(m, tuple((center, v, 1.0) for v in range(m) if v != center))
 
 
-def ring_graph(m: int, weight: float = 1.0) -> WeightedGraph:
+def ring_graph(m: int) -> WeightedGraph:
     if m == 2:
-        return WeightedGraph(2, ((0, 1, weight),))
-    return WeightedGraph(m, tuple((i, (i + 1) % m, weight) for i in range(m)))
+        return WeightedGraph(2, ((0, 1, 1.0),))
+    return WeightedGraph(m, tuple((i, (i + 1) % m, 1.0) for i in range(m)))
 
 
-def path_graph(m: int, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph(m, tuple((i, i + 1, weight) for i in range(m - 1)))
+def path_graph(m: int) -> WeightedGraph:
+    return WeightedGraph(m, tuple((i, i + 1, 1.0) for i in range(m - 1)))
+
+
+def _spectral(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of a stack of exactly symmetric Laplacians ``(B, m, m)``, ``m >= 2``, are connected, and
+    their ``W = L / lambda_max`` and exact ``chi = lambda_max / eigs[1]``.  One ``eigvalsh`` decides
+    both: a graph is connected iff ``eigs[1] > _KERNEL_CUTOFF * lambda_max`` (an edgeless graph has
+    ``lambda_max == 0``), so a graph with ``chi > 1/_KERNEL_CUTOFF`` counts as disconnected."""
+    eigs = np.linalg.eigvalsh(lap)
+    fiedler, top = eigs[:, 1], eigs[:, -1]
+    connected = fiedler > _KERNEL_CUTOFF * top
+    return connected, lap[connected] / top[connected, None, None], top[connected] / fiedler[connected]
 
 
 def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
-    """Build ``W = L(g)/lambda_max(L(g))`` (symmetrized) with its exact condition number.
+    """Build ``W = L(g)/lambda_max(L(g))`` with its exact condition number, by :func:`_spectral`.
 
     Requires a connected graph on at least two nodes; otherwise the smallest
-    positive eigenvalue degenerates and chi is undefined.  One ``eigvalsh``
-    decides both: the graph is connected iff the Laplacian kernel is
-    one-dimensional, i.e. the second-smallest eigenvalue exceeds
-    ``_KERNEL_CUTOFF * lambda_max`` (an edgeless graph has ``lambda_max == 0``),
-    and then ``chi = lambda_max / eigs[1]``.  A graph whose ``chi`` would exceed
-    ``1/_KERNEL_CUTOFF`` therefore counts as disconnected.
+    positive eigenvalue degenerates and chi is undefined.
     """
-    if g.m < 2:
+    return _gossip_matrices([g])[0]
+
+
+def _gossip_matrices(graphs: Sequence[WeightedGraph]) -> list[GossipMatrix]:
+    """:func:`gossip_from_laplacian` of graphs on one node count, with one stacked :func:`_spectral`."""
+    if graphs[0].m < 2:
         raise ValueError("gossip matrix needs at least 2 nodes")
-    lap = g.laplacian()
-    eigs = np.linalg.eigvalsh(lap)
-    fiedler, top = float(eigs[1]), float(eigs[-1])
-    if not fiedler > _KERNEL_CUTOFF * top:
+    connected, w, chi = _spectral(np.stack([g.laplacian() for g in graphs]))
+    if not connected.all():
         raise ValueError("graph is disconnected: chi would be infinite")
-    w = lap / top
-    return GossipMatrix(matrix=0.5 * (w + w.T), chi=top / fiedler)
+    return [GossipMatrix(matrix=wk, chi=float(ck)) for wk, ck in zip(w, chi)]
 
 
 def node_mean(x: np.ndarray) -> np.ndarray:
@@ -178,11 +186,11 @@ class GraphSequence:
 
 
 class _CyclicSequence(GraphSequence):
-    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once."""
+    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once, stacked."""
 
     def __init__(self, graphs: Sequence[WeightedGraph]):
         self._graphs = list(graphs)
-        self._gossips = [gossip_from_laplacian(g) for g in self._graphs]
+        self._gossips = _gossip_matrices(self._graphs)
         self.m = self._graphs[0].m
         self.period = len(self._graphs)
 
@@ -348,8 +356,8 @@ class RandomGeometricSequence(GraphSequence):
 
     Steps are built ``BLOCK`` at a time: a miss on step ``k`` builds the aligned
     block holding it in stacked passes (the replica's draws for every pending
-    step, one distance test and one ``eigvalsh`` over the ``(B, m, m)``
-    Laplacian stack, the spectral test of :func:`gossip_from_laplacian`), each
+    step, one distance test and the spectral test of
+    :func:`gossip_from_laplacian` over the ``(B, m, m)`` Laplacian stack), each
     pass redrawing only the steps still disconnected.  Built steps wait
     unserved until the next miss replaces them; a step still disconnected
     after ``MAX_RETRIES`` draws fails when it is served.
@@ -437,13 +445,7 @@ class RandomGeometricSequence(GraphSequence):
             lap = np.zeros((int(no_isolated.sum()), m, m))
             lap[:, diag, diag] = deg[no_isolated]
             lap -= adj[no_isolated]
-            # The spectral test and normalization of gossip_from_laplacian, stacked.
-            eigs = np.linalg.eigvalsh(lap)
-            fiedler, top = eigs[:, 1], eigs[:, -1]
-            spectral = fiedler > _KERNEL_CUTOFF * top
-            # The stack is exactly symmetric, so gossip_from_laplacian's symmetrization is a no-op.
-            w = lap[spectral] / top[spectral, None, None]
-            chi = top[spectral] / fiedler[spectral]
+            spectral, w, chi = _spectral(lap)
             connected = no_isolated.copy()
             connected[no_isolated] = spectral
             for k, wk, ck in zip(pending[connected].tolist(), w, chi):
@@ -560,58 +562,3 @@ def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:
     sink.write(f"m {seq.m}\n")
     for k in range(steps):
         sink.write(f"step {k}\n" + "".join(f"edge {i} {j} {w!r}\n" for i, j, w in seq._edges(k)))
-
-
-# Field types of each dump record: ``m <nodes>``, ``step <k>``, ``edge <i> <j> <weight>``.
-_DUMP_RECORDS = {"m": (int,), "step": (int,), "edge": (int, int, float)}
-
-
-def parse_sequence_dump(source: Iterable[str]) -> list[WeightedGraph]:
-    """Parse a dump produced by :func:`dump_sequence` back into graphs; every malformed
-    record, also one that :class:`WeightedGraph` rejects, fails with its line number."""
-    m: int | None = None
-    steps: list[tuple[int, list[tuple[int, tuple]]]] = []  # (m, [(lineno, edge)]) per step block
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind, *fields = line.split()
-        if kind not in _DUMP_RECORDS:
-            raise ValueError(f"line {lineno}: unknown record {kind!r}")
-        types = _DUMP_RECORDS[kind]
-        if len(fields) != len(types):
-            raise ValueError(f"line {lineno}: {kind!r} record needs {len(types)} field(s), got {line!r}")
-        try:
-            values = [conv(f) for conv, f in zip(types, fields)]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
-        if kind == "m":
-            (m,) = values
-            _graph_at(lineno, m, ())
-        elif kind == "step":
-            if m is None:
-                raise ValueError(f"line {lineno}: 'step' before 'm' header")
-            steps.append((m, []))
-        elif not steps:
-            raise ValueError(f"line {lineno}: 'edge' outside a step block")
-        else:
-            steps[-1][1].append((lineno, tuple(values)))
-    return [_step_graph(nodes, records) for nodes, records in steps]
-
-
-def _graph_at(lineno: int, m: int, edges: tuple) -> WeightedGraph:
-    try:
-        return WeightedGraph(m, edges)
-    except ValueError as err:
-        raise ValueError(f"line {lineno}: {err}") from None
-
-
-def _step_graph(m: int, records: list[tuple[int, tuple]]) -> WeightedGraph:
-    edges = tuple(edge for _, edge in records)
-    try:
-        return WeightedGraph(m, edges)
-    except ValueError:
-        # The shortest prefix of the step that fails ends at the offending record.
-        for k, (lineno, _) in enumerate(records, start=1):
-            _graph_at(lineno, m, edges[:k])
-        raise

@@ -392,9 +392,10 @@ def _nlls_dloss(t, y):
 _NLLS_SAFETY = 1.2  # padding on the estimated sigmoid-least-squares smoothness constants
 
 
-def _nlls_smoothness(obj: ShardObjective, pairs: int, radius: float, seed: int) -> SmoothnessInfo:
-    """Constants estimated from seeded random gradient-difference ratios, padded by ``_NLLS_SAFETY``."""
-    rng = np.random.default_rng(seed)
+def _nlls_smoothness(obj: ShardObjective, pairs: int) -> SmoothnessInfo:
+    """Constants estimated from gradient-difference ratios at ``pairs`` random point pairs within radius 10
+    (generator seed 1234), padded by ``_NLLS_SAFETY``."""
+    rng, radius = np.random.default_rng(1234), 10.0
     u = rng.uniform(-1, 1, size=(pairs, obj.d))
     u *= (radius * rng.uniform(0, 1, size=(pairs, 1)) ** (1.0 / obj.d)) / np.maximum(
         np.linalg.norm(u, axis=1, keepdims=True), 1e-12
@@ -435,17 +436,13 @@ def logistic_objective(shards: Sequence[DatasetShard], lambda_reg: float) -> Sha
     return ShardObjective(shards, _logistic_loss, _logistic_dloss, lambda_reg, _logistic_smoothness)
 
 
-def nlls_objective(
-    shards: Sequence[DatasetShard], probe_pairs: int = 1000, probe_radius: float = 10.0, probe_seed: int = 1234
-) -> ShardObjective:
+def nlls_objective(shards: Sequence[DatasetShard], probe_pairs: int = 1000) -> ShardObjective:
     """Nonconvex sigmoid least squares ``(y - sigmoid(<a, w>))^2``.
 
     No closed-form smoothness constants exist; they are estimated from
-    ``probe_pairs`` seeded random point pairs within ``probe_radius``.
+    ``probe_pairs`` seeded random point pairs within radius 10.
     """
-    return ShardObjective(
-        shards, _nlls_loss, _nlls_dloss, 0.0, lambda obj: _nlls_smoothness(obj, probe_pairs, probe_radius, probe_seed)
-    )
+    return ShardObjective(shards, _nlls_loss, _nlls_dloss, 0.0, lambda obj: _nlls_smoothness(obj, probe_pairs))
 
 
 @dataclass(frozen=True)

@@ -604,11 +604,10 @@ def run(
     metric_every: int = 1,
     seed: int = 0,
     x_star: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
     progress_tracker=None,
     stop_dist_sq: float | None = None,
 ) -> RunTrace:
-    """Drive a method against budgets, recording metrics at a fixed cadence.
+    """Drive a method from the origin against budgets, recording metrics at a fixed cadence.
 
     Metrics are evaluated through the raw objective so they never touch the
     oracle counters.  ``stop_dist_sq`` ends the run early once the recorded
@@ -620,7 +619,7 @@ def run(
     counting = CountingObjective(obj)
     trace = RunTrace(metadata={"method": method.name, "seed": seed, "m": obj.m, "n": obj.n, "d": obj.d})
 
-    state = method.init(counting, x0)
+    state = method.init(counting)
 
     def record(st):
         xbar = node_mean(st.x)

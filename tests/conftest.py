@@ -17,7 +17,7 @@ def fixture_path() -> Path:
 @pytest.fixture(scope="session")
 def objective_families(fixture_path) -> dict:
     """One small objective of every family, by name, for tests of the shared query surface."""
-    from gossipvr.hardinstances import nonconvex_hard_objective, strongly_convex_chain
+    from gossipvr.hardinstances import ChainObjective, nonconvex_hard_objective
     from gossipvr.harness import parse_libsvm, partition_dataset
     from gossipvr.objectives import logistic_objective, nlls_objective
     from test_objectives import random_quadratic
@@ -26,7 +26,7 @@ def objective_families(fixture_path) -> dict:
     return {
         "logistic": logistic_objective(shards, 0.1),
         "nlls": nlls_objective(shards, probe_pairs=100),
-        "chain": strongly_convex_chain(4, 3, big_l=4.0, mu=1.0, dim=8),
+        "chain": ChainObjective(4, 3, big_l=4.0, mu=1.0, dim=8),
         "zero_chain": nonconvex_hard_objective(6, 3, big_l=1.0, delta=1.0, budget_comms=40, budget_oracle=40)[0],
         "callable": random_quadratic(np.random.default_rng(18), m=3, n=3),
     }

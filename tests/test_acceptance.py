@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from gossipvr.hardinstances import (
+    ChainObjective,
     ProgressTracker,
     lower_bound_components,
     lower_bound_value,
     nonconvex_hard_objective,
     progress_audit,
-    strongly_convex_chain,
 )
 from gossipvr.harness import (
     ExperimentConfig,
@@ -243,7 +243,7 @@ def test_06_zero_chain_progress_bound():
 
 def test_07_chain_optimum():
     start = time.time()
-    obj = strongly_convex_chain(4, 2, big_l=4.0, mu=1.0, dim=12)
+    obj = ChainObjective(4, 2, big_l=4.0, mu=1.0, dim=12)
     assert obj.tail_error < 1e-10
     ref = reference_solution(obj, tolerance=1e-13)
     target = obj.x_star()
@@ -276,7 +276,7 @@ def test_09_gradient_checks(fixture_path):
     shards = partition_dataset(rows, 5, 5, seed=9)
     log_obj = logistic_objective(shards, 0.1)
     nl_obj = nlls_objective(shards, probe_pairs=200)
-    chain = strongly_convex_chain(4, 2, 4.0, 1.0, dim=6)
+    chain = ChainObjective(4, 2, 4.0, 1.0, dim=6)
     zc, _ = nonconvex_hard_objective(6, 3, 1.5, 1.0, budget_comms=24, budget_oracle=30)
     ok = True
     details = []

@@ -17,7 +17,6 @@ from gossipvr.hardinstances import (
     progress_audit,
     psi,
     psi_prime,
-    strongly_convex_chain,
     zero_chain_l,
 )
 from gossipvr.network import RotatingStarSequence
@@ -183,10 +182,10 @@ class TestZeroChain:
 class TestChainInstance:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
-            strongly_convex_chain(2, 1, 4.0, 1.0, 8)
+            ChainObjective(2, 1, 4.0, 1.0, 8)
 
     def test_bystander_gradient_is_weak_quadratic(self):
-        obj = strongly_convex_chain(5, 2, 4.0, 1.0, 6)
+        obj = ChainObjective(5, 2, 4.0, 1.0, 6)
         rng = np.random.default_rng(4)
         w = rng.normal(size=obj.d)
         expected = (1.0 / (5 - 2)) * w / obj.n
@@ -199,7 +198,7 @@ class TestChainInstance:
 
     def test_aggregate_minimizer_is_geometric(self):
         # Exact solve of the aggregate quadratic must match the geometric series.
-        obj = strongly_convex_chain(4, 3, 4.0, 1.0, 12)
+        obj = ChainObjective(4, 3, 4.0, 1.0, 12)
         dim = obj.dim
         a = np.zeros((dim, dim))
         rhs = np.zeros(dim)
@@ -217,13 +216,13 @@ class TestChainInstance:
         assert np.abs(slot - obj.x_star_slot).max() < 1e-6
 
     def test_stationarity_at_x_star(self):
-        obj = strongly_convex_chain(4, 2, 4.0, 1.0, 14)
+        obj = ChainObjective(4, 2, 4.0, 1.0, 14)
         x = obj.x_star()
         g = obj.average_gradient(x)
         assert np.linalg.norm(g) < 1e-5
 
     def test_finite_differences(self):
-        obj = strongly_convex_chain(4, 2, 4.0, 1.0, 6)
+        obj = ChainObjective(4, 2, 4.0, 1.0, 6)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(obj.m, obj.d))
         report = finite_difference_check(obj, x, h=1e-6, tolerance=1e-4)
@@ -231,7 +230,7 @@ class TestChainInstance:
 
     @pytest.mark.parametrize("dim", [2, 3, 6, 7])
     def test_pair_slices_match_pair_loop(self, dim):
-        obj = strongly_convex_chain(4, 2, 4.0, 1.0, dim)
+        obj = ChainObjective(4, 2, 4.0, 1.0, dim)
         c = (4.0 - 1.0) / 4.0
         rng = np.random.default_rng(dim)
         for _ in range(20):
@@ -253,7 +252,7 @@ class TestChainInstance:
                     assert obj.component_value(i, j, w) == pytest.approx(val, rel=1e-12)
 
     def test_tail_error_reported(self):
-        obj = strongly_convex_chain(4, 1, 4.0, 1.0, 12)
+        obj = ChainObjective(4, 1, 4.0, 1.0, 12)
         assert obj.tail_error == pytest.approx(obj.q ** 24 / (1 - obj.q**2))
         assert obj.tail_error < 1e-10
 
@@ -480,14 +479,15 @@ def _nan_blind(v):
 def _zero_bump_reference(reference, w, scale, terms):
     """The kernel's answer at ``w``, from ``reference``, the per-term formula's (value, gradient).
 
-    The kernel takes a product by a zero bump or slope as 0.0, where the formula's ``0 * phi(NaN)`` is
-    NaN.  So a NaN ``x_j`` whose term has ``psi(|x_{j-1}|) = 0`` counts as 0.0, except at ``x_j`` itself
-    when term ``j`` is in ``terms``: that entry keeps the dense ``0.0 - 0.0 * phi_prime(NaN)``."""
+    The value is the formula's.  The gradient kernel takes a product by a zero bump or slope as 0.0,
+    where the formula's ``0 * phi(NaN)`` is NaN.  So in the gradient a NaN ``x_j`` whose term has
+    ``psi(|x_{j-1}|) = 0`` counts as 0.0, except at ``x_j`` itself when term ``j`` is in ``terms``: that
+    entry keeps the dense ``0.0 - 0.0 * phi_prime(NaN)``."""
     prev = np.concatenate([[1.0], (w / scale)[:-1]])
     dead = np.isnan(w) & (psi(np.abs(prev)) == 0.0)
-    val, grad = reference(np.where(dead, 0.0, w))
+    _, grad = reference(np.where(dead, 0.0, w))
     grad[dead & np.isin(np.arange(1, len(w) + 1), terms)] = np.nan
-    return val, grad
+    return reference(w)[0], grad
 
 
 def _query_terms(obj, i, j=None):
@@ -501,7 +501,7 @@ def _query_terms(obj, i, j=None):
 class TestActiveSupportKernel:
     """The chain kernel evaluates only the hot terms, ``|x_{j-1}| > 1/2``, and answers as the per-term
     formula does, bit for bit but for a NaN's sign, on inputs with NaN, +-inf, -0.0 and the threshold
-    points, with a product by a zero bump taken as 0.0 (see :func:`_zero_bump_reference`)."""
+    points, with a product by a zero bump taken as 0.0 in the gradient (see :func:`_zero_bump_reference`)."""
 
     def test_consecutive_terms_match_per_term_reference(self):
         rng = np.random.default_rng(50)
@@ -536,9 +536,27 @@ class TestActiveSupportKernel:
         expected = 0.0 - 0.0 * phi_prime(np.array([np.nan]))
         assert _same_bits(grad[3], expected[0])
         assert _same_bits(grad[[1, 2, 4, 5]], np.zeros(4))
+        assert math.isnan(val)
         x[3] = 0.0
-        assert _same_bits(val, zero_chain_l(x)[0])
         assert _same_bits(grad[0], zero_chain_l(x)[1][0])
+
+    @pytest.mark.parametrize("base", [0.0, 1.0], ids=["cold", "hot"])
+    @pytest.mark.parametrize("pos", range(6))
+    def test_value_is_nan_wherever_the_nan_sits(self, base, pos):
+        x = np.full(6, base)
+        x[pos] = np.nan
+        assert math.isnan(zero_chain_l(x)[0]) and math.isnan(_per_term_chain(x, np.arange(1, 7), 1.0)[0])
+
+    def test_value_at_nan_in_a_cold_term_is_nan(self):
+        x = np.zeros(6)
+        x[4] = np.nan  # x_5: term 5 is cold (x_4 = 0), and its 0 * phi(NaN) is NaN
+        assert math.isnan(zero_chain_l(x)[0]) and math.isnan(_per_term_chain(x, np.arange(1, 7), 1.0)[0])
+        obj, _ = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=90, budget_oracle=160)
+        w = np.zeros(obj.d)
+        w[3] = np.nan  # x_4: a cold term of camp 2; camp 1 reads it only as the x_{j-1} of term 5
+        values = obj.batch_local_values(np.array([obj.s1[0], obj.s2[0]]), np.tile(w, (2, 1)))
+        assert np.isfinite(values[0]) and np.isnan(values[1])
+        assert np.isnan(obj.average_value(w))
 
     def test_cold_term_at_nan_in_camp_queries(self):
         obj, _ = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=90, budget_oracle=160)

@@ -12,7 +12,7 @@ from gossipvr.harness import (
     run_experiment,
     main,
 )
-from gossipvr.hardinstances import strongly_convex_chain
+from gossipvr.hardinstances import ChainObjective
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
 
 from test_objectives import make_shards
@@ -129,7 +129,7 @@ class TestReferenceSolution:
         assert ref.x_star[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_chain_matches_geometric_series(self):
-        obj = strongly_convex_chain(4, 2, 4.0, 1.0, dim=12)
+        obj = ChainObjective(4, 2, 4.0, 1.0, dim=12)
         ref = reference_solution(obj, tolerance=1e-13)
         target = obj.x_star()
         assert np.max(np.abs(ref.x_star - target)) < 1e-6
@@ -147,16 +147,13 @@ class TestReferenceSolution:
         stacked = obj.stacked_gradient(np.tile(ref.x_star, (obj.m, 1)))
         assert np.linalg.norm(stacked.mean(axis=0)) < 1e-10
 
-    def test_nonconvex_requires_flag(self):
+    def test_nonconvex_rejected(self):
         rng = np.random.default_rng(1)
         from gossipvr.objectives import nlls_objective
 
         obj = nlls_objective(make_shards(rng, labels="real"), probe_pairs=50)
         with pytest.raises(ValueError, match="strongly convex"):
             reference_solution(obj)
-        ref = reference_solution(obj, tolerance=1e-4, require_minimizer=False)
-        assert ref.x_star is None
-        assert np.isfinite(ref.f_star)
 
 
 class TestExperimentConfig:
@@ -221,15 +218,12 @@ class TestRunExperiment:
         assert meta["chi"] >= 1.0
         assert "tau2" in meta["parameters"]
 
-    def test_graph_dump_written_and_parseable(self, tmp_path, fixture_path):
-        from gossipvr.network import parse_sequence_dump
-
+    def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)
         trace, csv_path, _ = run_experiment(cfg)
-        dump = csv_path.with_suffix(".graphs")
-        graphs = parse_sequence_dump(dump.read_text().splitlines())
-        assert len(graphs) == trace.final().comms
-        assert all(g.m == cfg.m for g in graphs)
+        lines = csv_path.with_suffix(".graphs").read_text().splitlines()
+        assert lines[0] == f"m {cfg.m}"
+        assert sum(line.startswith("step ") for line in lines) == trace.final().comms
 
     def test_missing_dataset_rejected_at_validate(self, tmp_path):
         cfg = ExperimentConfig().replace(objective="logistic", dataset=str(tmp_path / "nope.libsvm"))

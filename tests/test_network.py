@@ -19,7 +19,6 @@ from gossipvr.network import (
     gossip_from_laplacian,
     measure_chi,
     node_mean,
-    parse_sequence_dump,
     star_graph,
 )
 
@@ -69,18 +68,30 @@ def dump_through_graph(seq, steps):
 
 
 class TestWeightedGraph:
-    def test_rejects_self_loops_and_bad_weights(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(3, ((0, 0, 1.0),))
-        with pytest.raises(ValueError):
-            WeightedGraph(3, ((0, 1, 0.0),))
-        with pytest.raises(ValueError):
-            WeightedGraph(3, ((0, 5, 1.0),))
-
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_rejects_nonfinite_weights(self, weight):
         with pytest.raises(ValueError, match="finite"):
             WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
+
+    @pytest.mark.parametrize(
+        "m, edges, match",
+        [
+            (3, ((0, 0, 1.0),), r"self-loop \(0,0\)"),
+            (3, ((0, 1, 1.0), (0, 5, 1.0)), r"edge \(0,5\) outside node range \[0,3\)"),
+            (3, ((-1, 1, 1.0),), r"edge \(-1,1\) outside node range"),
+            (3, ((0, 1, 0.0),), "weight 0.0; weights must be positive"),
+            (3, ((0, 1, -2.0),), "weight -2.0; weights must be positive"),
+            (4, ((0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)), r"duplicate edge \(0, 1\)"),
+            (4, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)), r"duplicate edge \(0, 1\)"),
+            (0, (), "node count must be positive, got 0"),
+            (-2, (), "node count must be positive, got -2"),
+        ],
+        ids=["self-loop", "node-out-of-range", "negative-node", "zero-weight", "negative-weight", "duplicate-edge",
+             "duplicate-edge-same-order", "m-zero", "m-negative"],
+    )
+    def test_malformed_rejected(self, m, edges, match):
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph(m, edges)
 
     def test_connectivity(self):
         assert gossip_from_laplacian(complete_graph(4)).matrix.shape == (4, 4)
@@ -118,6 +129,12 @@ class TestGossipFromLaplacian:
         w = gossip_from_laplacian(self.two_triangles(1e-6))
         assert w.chi == pytest.approx(4.5e6, rel=1e-5)
         assert np.linalg.eigvalsh(w.matrix)[1] == pytest.approx(1.0 / w.chi, rel=1e-6)
+
+    def test_cyclic_sequences_match_one_graph_at_a_time(self):
+        for seq in [StaticSequence(star_graph(5)), TwoStarHopSequence(7), RotatingStarSequence(6)]:
+            for k in range(seq.period):
+                one = gossip_from_laplacian(seq.graph(k))
+                assert np.array_equal(seq.gossip(k).matrix, one.matrix) and seq.gossip(k).chi == one.chi
 
     def test_symmetry_and_zero_row_sums(self):
         rng = np.random.default_rng(0)
@@ -487,10 +504,7 @@ class TestSerialization:
         seq = TwoStarHopSequence(7)
         buf = io.StringIO()
         dump_sequence(seq, 5, buf)
-        graphs = parse_sequence_dump(io.StringIO(buf.getvalue()))
-        assert len(graphs) == 5
-        for k, g in enumerate(graphs):
-            assert g.edges == seq.graph(k).edges
+        assert buf.getvalue() == dump_through_graph(seq, 5)
 
     @pytest.mark.parametrize(
         "seq",
@@ -502,33 +516,6 @@ class TestSerialization:
         out = io.StringIO()
         dump_sequence(seq, 300, out)
         assert out.getvalue() == dump_through_graph(seq, 300)
-
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("m 4\nedge 0 1 1.0\n", "line 2: 'edge' outside a step block"),
-            ("step 0\n", "line 1: 'step' before 'm'"),
-            ("m 4\nstep 0\nedge 0 1\n", "line 3: 'edge' record needs 3"),
-            ("m\nstep 0\n", "line 1: 'm' record needs 1"),
-            ("m 4\nstep 0\nedge 0 x 1.0\n", "line 3: non-numeric"),
-            ("m 4\nstep 0\nedge 0 1 1.0 2.0\n", "line 3: 'edge' record needs 3"),
-            ("m four\n", "line 1: non-numeric"),
-            ("m 4\nstep 0\nnode 3\n", "line 3: unknown record"),
-            ("m 4\nstep 0\nedge 0 1 nan\n", "line 3: .*finite"),
-            ("m 4\nstep 0\nedge 0 1 1.0\nedge 1 2 inf\nstep 1\n", "line 4: .*finite"),
-            ("m 3\nstep 0\nedge 0 1 1.0\nstep 1\nedge 0 1 1.0\nedge 0 5 1.0\n", r"line 6: edge \(0,5\) outside"),
-            ("m 4\nstep 0\nedge 0 1 1.0\nedge 1 2 1.0\nedge 1 0 2.0\n", "line 5: duplicate edge"),
-            ("m 4\nstep 0\nedge 2 2 1.0\n", "line 3: self-loop"),
-            ("m 0\n", "line 1: node count"),
-            ("m 2\nstep 0\nedge 0 1 1.0\n\nm 0\nstep 1\n", "line 5: node count"),
-        ],
-        ids=["edge-before-step", "step-before-m", "short-edge", "bare-m", "non-numeric-edge", "long-edge",
-             "non-numeric-m", "unknown", "nan-weight", "inf-weight", "node-out-of-range", "duplicate-edge",
-             "self-loop", "m-zero", "m-zero-later"],
-    )
-    def test_malformed_rejected(self, text, match):
-        with pytest.raises(ValueError, match=match):
-            parse_sequence_dump(io.StringIO(text))
 
 
 def test_consensus_error_zero_at_consensus():

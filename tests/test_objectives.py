@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gossipvr.hardinstances import nonconvex_hard_objective, strongly_convex_chain
+from gossipvr.hardinstances import ChainObjective, nonconvex_hard_objective
 from gossipvr.harness import parse_libsvm, partition_dataset
 from gossipvr.objectives import (
     CallableFiniteSum,
@@ -336,7 +336,7 @@ class TestNodeBatchedQueries:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: strongly_convex_chain(4, 3, big_l=4.0, mu=1.0, dim=8),
+            lambda: ChainObjective(4, 3, big_l=4.0, mu=1.0, dim=8),
             lambda: nonconvex_hard_objective(3, 2, big_l=1.0, delta=1.0, budget_comms=40, budget_oracle=40)[0],
             lambda: random_quadratic(np.random.default_rng(18), m=3, n=3),
         ],

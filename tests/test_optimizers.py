@@ -754,10 +754,10 @@ class TestRunDriver:
 
     def test_adom_vr_on_chain_over_two_star(self):
         # Hard strongly convex instance over its intended hard topology.
-        from gossipvr.hardinstances import strongly_convex_chain
+        from gossipvr.hardinstances import ChainObjective
         from gossipvr.harness import reference_solution
 
-        obj = strongly_convex_chain(4, 2, big_l=4.0, mu=1.0, dim=8)
+        obj = ChainObjective(4, 2, big_l=4.0, mu=1.0, dim=8)
         seq = TwoStarHopSequence(4)
         info = obj.info
         b = corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
