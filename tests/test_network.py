@@ -32,6 +32,19 @@ def random_zero_mean(rng, m, d=3):
 RANDOM_GEOMETRIC_CASES = [(10, 0.7, 3, 0), (10, 0.45, 1, 189), (10, 0.35, 2, 1619), (50, 0.3, 7, 11), (2, 2.0, 0, 0)]
 
 
+def count_builds(monkeypatch):
+    """Wrap ``RandomGeometricSequence._build_block``; the returned list collects the
+    start of every block built."""
+    builds, build = [], RandomGeometricSequence._build_block
+
+    def counted(seq, k):
+        builds.append(k - k % network.BLOCK)
+        return build(seq, k)
+
+    monkeypatch.setattr(RandomGeometricSequence, "_build_block", counted)
+    return builds
+
+
 def per_step_reference(m, radius, seed, k):
     """Step ``k`` of a random geometric sequence by its definition, one draw at a
     time from ``default_rng((seed, k))``: (gossip matrix, rejected draws)."""
@@ -202,12 +215,14 @@ class TestMeasureChi:
         chi = measure_chi(StaticSequence(star_graph(4)), trials=1)
         assert chi == pytest.approx(4.0, abs=1e-9)
 
-    def test_two_star_hop_within_certificate(self):
-        m = 12
-        seq = TwoStarHopSequence(m)
-        chi = measure_chi(seq, trials=10 * seq.period)  # one period covers every step
-        assert chi == seq.chi
-        assert chi <= 8 * m
+    def test_two_star_hop_is_exact_worst_step(self):
+        seq = TwoStarHopSequence(12)
+        assert measure_chi(seq, trials=10 * seq.period) == seq.chi  # one period covers every step
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 25, 26, 40, 80])
+    def test_two_star_hop_chi_grows_as_m_squared(self, m):
+        # Measured over m = 4..80: 0.3030 (m = 80) to 0.3789 (m = 5).
+        assert 0.30 <= TwoStarHopSequence(m).chi / m**2 <= 0.38
 
     def test_random_geometric_is_exact_worst_step(self):
         # Config seed 97's graphs, on which a power-iteration estimate over
@@ -268,14 +283,21 @@ class TestRandomGeometric:
         assert all(w == 1.0 for _, _, w in seq.graph(k).edges)
 
     def test_evicted_steps_rebuild_identically(self, monkeypatch):
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_LIMIT", 4)
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
+        b = network.BLOCK
+        served = (0, 8, b, 2 * b)  # the third block evicts the oldest, step 0's
+        r0, r8, *_ = resamples = [per_step_reference(10, 0.45, 1, k)[1] for k in served]
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         first, first_graph = seq.gossip(0), seq.graph(0)
-        for k in range(1, 10):
+        for k in served[1:]:
             seq.gossip(k)
+        assert (seq.built, seq.resamples) == (4, sum(resamples)) and r8 > 0
         assert seq.graph(0) == first_graph
-        assert np.array_equal(seq.gossip(0).matrix, first.matrix)
-        assert seq.built == 11  # step 0 was evicted and rebuilt once, by graph(0)
+        rebuilt = seq.gossip(0)
+        assert rebuilt is not first and np.array_equal(rebuilt.matrix, first.matrix) and rebuilt.chi == first.chi
+        assert seq.built == 5  # step 0's block was evicted and rebuilt once, by graph(0)
+        seq.gossip(8)
+        assert (seq.built, seq.resamples) == (6, sum(resamples) + r0 + r8)  # rebuilt steps are charged again
 
     def test_graph_then_gossip_builds_the_step_once(self):
         seq = RandomGeometricSequence(10, 0.45, seed=1)
@@ -285,17 +307,27 @@ class TestRandomGeometric:
         assert seq.graph(0).edges == edges and seq.gossip(0) is w
 
     def test_dumped_steps_outlive_later_steps(self, monkeypatch):
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_LIMIT", 4)
+        b = network.BLOCK
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
         monkeypatch.setattr(network, "DUMP_STEPS", 2)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
-        for k in range(10):
+        for k in range(4 * b):
             seq.gossip(k)
         built = seq.built
-        out = io.StringIO()
-        dump_sequence(seq, 2, out)
+        dump_sequence(seq, 2, io.StringIO())
         assert seq.built == built  # steps 0 and 1 were still cached
-        seq.gossip(6)
-        assert seq.built == built + 1  # step 6 was evicted before them
+        seq.gossip(2 * b)
+        assert seq.built == built + 1  # step 2b's block was evicted before theirs
+
+    def test_block_just_built_is_kept(self, monkeypatch):
+        b = network.BLOCK
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
+        monkeypatch.setattr(network, "DUMP_STEPS", 2 * b)
+        builds = count_builds(monkeypatch)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        for k in (0, b, 2 * b, 2 * b + 1, b + 1, 1):  # the third block is the only one past DUMP_STEPS
+            seq.gossip(k)
+        assert builds == [0, b, 2 * b, 0]  # the oldest dumped block went instead
 
     @pytest.mark.parametrize("m, radius, seed", [case[:3] for case in RANDOM_GEOMETRIC_CASES])
     def test_reading_order_does_not_change_steps(self, m, radius, seed):
@@ -320,15 +352,35 @@ class TestRandomGeometric:
             assert np.array_equal(reads[0][k][0].matrix, ref.matrix)
             assert reads[0][k][0].chi == ref.chi
 
-    def test_counters_charge_served_steps_only(self):
+    def test_counters_charge_served_steps_only(self, monkeypatch):
         (w0, r0), (w5, r5) = (per_step_reference(10, 0.35, 2, k) for k in (0, 5))
+        builds = count_builds(monkeypatch)
         seq = RandomGeometricSequence(10, 0.35, seed=2)
         seq.gossip(0)
-        assert sorted(seq._unserved) == list(range(1, network.BLOCK))  # built, not served
+        assert builds == [0]  # the whole block is built; only step 0 is charged
         assert (seq.built, seq.resamples, seq.chi_max) == (1, r0, w0.chi)
         seq.gossip(5)
-        assert r5 > 0 and w5.chi > w0.chi
+        seq.gossip(5)
+        assert builds == [0] and r5 > 0 and w5.chi > w0.chi
         assert (seq.built, seq.resamples, seq.chi_max) == (2, r0 + r5, w5.chi)
+
+    def test_gt_page_traffic_builds_each_block_once(self, monkeypatch):
+        """gt_page's reads (measure_chi, an 11-step window twice per iteration, then
+        the dump) past a small bound: no block is built twice."""
+        b, stages, iterations = network.BLOCK, 11, 60
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 4)
+        monkeypatch.setattr(network, "DUMP_STEPS", b + 10)  # two dumped blocks
+        builds = count_builds(monkeypatch)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        measure_chi(seq, trials=20)
+        x = np.ones((10, 1))
+        for t in range(iterations):
+            for _ in range(2):
+                consensus_residual(seq, stages * t, stages, x)
+        dump_sequence(seq, network.DUMP_STEPS, io.StringIO())
+        walked = stages * iterations
+        assert builds == list(range(0, walked, b)) and len(builds) > 4
+        assert seq.built == walked
 
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0)
@@ -336,6 +388,9 @@ class TestRandomGeometric:
             seq.graph(0)
         # Every step of the block failed; the error names the step served, not its block.
         with pytest.raises(RuntimeError, match=r"\(m=50, radius=1e-06, step=5\)"):
+            seq.gossip(5)
+        assert (seq.built, seq.resamples) == (0, 2 * network.MAX_RETRIES)
+        with pytest.raises(RuntimeError, match="step=5"):  # a failed step raises on every serve, charged once
             seq.gossip(5)
         assert (seq.built, seq.resamples) == (0, 2 * network.MAX_RETRIES)
 
