@@ -16,12 +16,15 @@ The chain coordinates are kept exactly zero in floating point until activated
 (bump values and slopes are exact zeros below the threshold), so progress
 accounting is exact, not approximate.
 
-Every zero-chain query, value or gradient, makes one node-batched scan per
-camp (and block) over all of that camp's rows; it evaluates only the hot
-terms, ``|x_{j-1}| > 1/2``, so its cost follows the activated coordinates, not
-the chain length.  Each row is bitwise the answer of a one-row call, so the
-per-node queries, which ``FiniteSumObjective`` defines as one-node views,
-agree with the batched ones.
+Every zero-chain gradient query makes one node-batched scan per block drawn
+(one for node gradients) over the rows of both chain camps, each row with its
+own term list; a value query makes one scan per camp (and block), whose dense
+sum rounds as the per-term formula's.  A scan reads only the columns up to one
+past the last nonzero one and evaluates only the hot terms, ``|x_{j-1}| >
+1/2``, so its cost follows the activated coordinates, not the chain length.
+Each row is bitwise the answer of a one-row call, so the per-node queries,
+which ``FiniteSumObjective`` defines as one-node views, agree with the batched
+ones.
 """
 
 from __future__ import annotations
@@ -104,26 +107,37 @@ def prog(x) -> int:
 
 
 class _ChainScan:
-    """One pass over the term list that finds the hot terms of ``sum over terms`` at each row of ``X`` (k, d).
+    """One pass that finds the hot terms of ``sum over terms`` at each row of ``X / scale`` (k, d).
 
     Term 1 is ``-psi(1) phi(x_1)``; term ``j >= 2`` is ``psi(-a) phi(-b) - psi(a) phi(b)`` with ``a, b =
-    x_{j-1}, x_j``; a leading column of ones makes term 1 a coupling term too (``psi(1) = 1``).  ``terms``
-    is a ``range``, so the ``a`` columns are a strided view.  A term is hot where ``|a| > 1/2``.  A cold
-    term's bumps, value and gradient share are exact zeros and nothing is evaluated for it, so
-    :meth:`values` and :meth:`gradients` cost the hot terms, and neither computes what only the other
-    needs.  Answers are bitwise the per-term formula's, and a one-row call's, with a product by a zero
-    bump taken as 0.0 (``phi`` is evaluated only where the bump is nonzero).  The dense answers kept at a
-    zero bump: a term at a NaN ``x_j`` makes its row's value NaN, and a cold one puts
-    ``0.0 - 0.0 * phi_prime(NaN)`` at ``x_j`` and touches nothing at ``x_{j-1}``.
+    x_{j-1}, x_j``; a leading column of ones makes term 1 a coupling term too (``psi(1) = 1``).  ``mask``,
+    (d,) for every row or (k, d) per row, holds the terms: entry ``j - 1``, under term ``j``'s ``a``
+    column, is term ``j``.  A term is hot where it is in the mask and ``|a| > 1/2``.  A cold term's bumps,
+    value and gradient share are exact zeros and nothing is evaluated for it, so :meth:`values` and
+    :meth:`gradients` cost the hot terms, and neither computes what only the other needs.
+
+    The scan reads and scales the first ``width`` columns only: one past the last column where a row of
+    ``X`` is nonzero (NaN and +-inf count, ``-0.0`` does not, as in :func:`prog`), or 1 for an all-zero
+    ``X``, at most d.  Every ``a`` beyond it is 0, so those terms are cold, and so its cost follows the
+    activated coordinates, not the chain length.
+
+    Answers are bitwise the per-term formula's, and a one-row call's, with a product by a zero bump taken
+    as 0.0 (``phi`` is evaluated only where the bump is nonzero).  The dense answers kept at a zero bump:
+    a term at a NaN ``x_j`` makes its row's value NaN, and a cold one puts ``0.0 - 0.0 * phi_prime(NaN)``
+    at ``x_j`` and touches nothing at ``x_{j-1}``.
     """
 
-    def __init__(self, X: np.ndarray, terms: range):
-        self.terms, self.y = terms, np.empty((len(X), X.shape[1] + 1))
-        self.y[:, 0], self.y[:, 1:] = 1.0, X
-        self.rows, self.cols = (np.abs(self.y[:, terms.start - 1 : terms.stop - 1 : terms.step]) > 0.5).nonzero()
+    def __init__(self, X: np.ndarray, mask: np.ndarray, scale: float):
+        (nonzero,) = (X != 0).any(axis=0).nonzero()
+        self.width = w = min(int(nonzero[-1]) + 2 if nonzero.size else 1, X.shape[1])
+        self.mask, self.mask_w = mask, mask[..., :w]
+        self.y = np.empty((len(X), w + 1))
+        self.y[:, 0] = 1.0
+        np.divide(X[:, :w], scale, out=self.y[:, 1:])
+        self.rows, self.cols = ((np.abs(self.y[:, :w]) > 0.5) & self.mask_w).nonzero()
         if self.rows.size:  # with no hot term, every term value and gradient entry is an exact zero
-            self.j = terms.start + terms.step * self.cols
-            a, self.b = self.y[self.rows, self.j - 1], self.y[self.rows, self.j]
+            self.j = self.cols + 1
+            a, self.b = self.y[self.rows, self.cols], self.y[self.rows, self.j]
             self.t = 2.0 * np.abs(a) - 1.0
             self.bump = np.exp(1.0 - 1.0 / (self.t * self.t))  # psi(|a|)
             self.neg, live = a < 0.0, self.bump != 0.0
@@ -131,41 +145,43 @@ class _ChainScan:
             self.phi_ab[live] = phi(np.where(self.neg, -self.b, self.b)[live])
 
     def values(self) -> np.ndarray:
-        """Row sums of the term values as the per-term formula adds them: term 1, then one 1-D sum
-        over the full width of the others, so the rows round as a dense sum does.  A row with a NaN
-        ``x_j`` in any term is NaN, as the formula's ``0 * phi(NaN)`` is."""
-        out, terms = np.zeros(len(self.y)), self.terms
+        """Row sums of the term values as the per-term formula adds them, for a (d,) mask: term 1,
+        then one 1-D sum over all the other terms of the mask, so the rows round as a dense sum does.
+        A row with a NaN ``x_j`` in any term is NaN, as the formula's ``0 * phi(NaN)`` is."""
+        out = np.zeros(len(self.y))
         if self.rows.size:
-            head = 1 if terms.start == 1 else 0
-            term_values = np.zeros((len(self.y), len(terms)))
+            head = int(self.mask[0])
+            term_values = np.zeros((len(self.y), np.count_nonzero(self.mask)))
             value = self.bump * self.phi_ab
-            term_values[self.rows, self.cols] = np.where(self.neg, value, 0.0 - value)  # 0.0 - v: never -0.0
+            position = np.cumsum(self.mask) - 1
+            term_values[self.rows, position[self.cols]] = np.where(self.neg, value, 0.0 - value)  # never -0.0
             rest = np.sum(term_values[:, head:], axis=1)
             out = term_values[:, 0] + rest if head else rest
         if np.isnan(self.y.min()):
-            out[np.isnan(self.y[:, terms.start : terms.stop : terms.step]).any(axis=1)] = np.nan
+            out[(np.isnan(self.y[:, 1:]) & self.mask_w).any(axis=1)] = np.nan
         return out
 
     def gradients(self) -> np.ndarray:
-        """Gradients (k, d); each term list is strictly increasing, so each scatter target is unique."""
-        grad, terms = np.zeros(self.y.shape), self.terms
+        """The first ``width`` columns of the gradients (k, d); the others are zeros.  Each row's terms
+        are distinct, so each scatter target is unique."""
+        grad = np.zeros(self.y.shape)
         if np.isnan(self.y.min()):  # the dense answer at a NaN x_j of a cold term
-            rows, cols = np.isnan(self.y[:, terms.start : terms.stop : terms.step]).nonzero()
-            j = terms.start + terms.step * cols
-            grad[rows, j] = 0.0 - 0.0 * phi_prime(self.y[rows, j])
+            rows, cols = (np.isnan(self.y[:, 1:]) & self.mask_w).nonzero()
+            grad[rows, cols + 1] = 0.0 - 0.0 * phi_prime(self.y[rows, cols + 1])
         if not self.rows.size:
             return grad[:, 1:]
         grad[self.rows, self.j] = 0.0 - self.bump * phi_prime(self.b)  # phi_prime(-b) is the same bits
         slope = self.bump * 4.0 / (self.t * self.t * self.t)  # psi_prime(|a|)
-        grad[self.rows, self.j - 1] -= slope * self.phi_ab
+        grad[self.rows, self.cols] -= slope * self.phi_ab
         return grad[:, 1:]
 
 
 def zero_chain_l(x: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient of the base zero-chain function on R^d, ``d = len(x)``."""
     x = np.asarray(x, dtype=float)
-    scan = _ChainScan(x[None], range(1, len(x) + 1))
-    return float(scan.values()[0]), scan.gradients()[0]
+    scan, grad = _ChainScan(x[None], np.ones(len(x), dtype=bool), 1.0), np.zeros(len(x))
+    grad[: scan.width] = scan.gradients()[0]
+    return float(scan.values()[0]), grad
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,7 @@ class ZeroChainObjective(FiniteSumObjective):
         )
         self.camp_coef = m / third  # multiplier on the camp chain functions
         self.value_coef = big_l * self.scale_c**2 / (3.0 * SMOOTHNESS_CONST)
-        self._terms = self._build_terms()
+        self._masks: dict[int | None, np.ndarray] = {}  # term masks per block, built on first use
         self._node_camp = np.full(m, 3)
         self._node_camp[list(self.s1)], self._node_camp[list(self.s2)] = 1, 2
         # One node per camp 1, 2, 3, and each node's camp as an index into them.  With
@@ -320,36 +336,35 @@ class ZeroChainObjective(FiniteSumObjective):
         self.info = SmoothnessInfo(L=float(l_eff), mu=0.0, L_ij=l_ij, Lhat=float(math.sqrt(n) * l_eff))
         self.info.validate(n)
 
-    def _build_terms(self) -> dict[tuple[int, int | None], tuple[range, float]]:
-        """Terms and coefficient per (camp, block): block ``j`` of camp ``c`` holds the terms ``= 2j + c (mod 2n)``,
-        scaled by n.  A camp's blocks touch disjoint coordinates, so their mean, block ``None`` (the node
-        function), is one chain over the camp's parity terms."""
-        period, block_coef = 2 * self.n, self.n * self.camp_coef
-        table = {(c, None): (range(c, self.d + 1, 2), self.camp_coef) for c in (1, 2)}
-        table.update({(c, j): (range((2 * j + c - 1) % period + 1, self.d + 1, period), block_coef) for c in (1, 2) for j in range(self.n)})
-        return table
-
-    def _camp_scans(self, nodes, X, j: int | None):
-        """``(rows, coef, scan)`` per chain camp for block ``j`` (node function if None) of each node at
-        its row of ``X``: one :class:`_ChainScan` per camp.  Camp 3 is identically zero."""
-        X = np.asarray(X, dtype=float)
-        camps = self._node_camp[np.asarray(nodes)]
-        for camp in (1, 2):
-            (rows,) = (camps == camp).nonzero()
-            if rows.size:
-                terms, coef = self._terms[(camp, j)]
-                yield rows, coef, _ChainScan(X[rows] / self.scale_c, terms)
+    def _terms(self, j: int | None) -> tuple[np.ndarray, float]:
+        """Term masks (3, d) of block ``j`` (the node function if None), one per camp, as
+        :class:`_ChainScan` takes them, and the block's coefficient.  Block ``j`` of camp ``c`` holds the
+        terms ``= 2j + c (mod 2n)``, scaled by n.  A camp's blocks touch disjoint coordinates, so their
+        mean, the node function, is one chain over the camp's parity terms.  Camp 3 holds no term."""
+        masks = self._masks.get(j)
+        if masks is None:
+            masks = self._masks[j] = np.zeros((3, self.d), dtype=bool)
+            for c in (1, 2):
+                start, step = (c, 2) if j is None else ((2 * j + c - 1) % (2 * self.n) + 1, 2 * self.n)
+                masks[c - 1, start - 1 :: step] = True
+        return masks, self.camp_coef if j is None else self.n * self.camp_coef
 
     def _gradients(self, nodes, X, j: int | None = None) -> np.ndarray:
+        """Block ``j`` gradients of each node at its row of ``X``: one scan over every camp's rows."""
+        masks, coef = self._terms(j)
+        scan = _ChainScan(np.asarray(X, dtype=float), masks[self._camp_of[np.asarray(nodes)]], self.scale_c)
         out = np.zeros(np.shape(X))
-        for rows, coef, scan in self._camp_scans(nodes, X, j):
-            out[rows] = (self.value_coef / self.scale_c) * (coef * scan.gradients())
+        out[:, : scan.width] = (self.value_coef / self.scale_c) * (coef * scan.gradients())
         return out
 
     def _values(self, nodes, X, j: int | None = None) -> np.ndarray:
-        out = np.zeros(len(X))
-        for rows, coef, scan in self._camp_scans(nodes, X, j):
-            out[rows] = self.value_coef * (coef * scan.values())
+        """Block ``j`` values: one scan per chain camp, whose dense sum rounds as the per-term formula's."""
+        X, camps = np.asarray(X, dtype=float), self._camp_of[np.asarray(nodes)]
+        (masks, coef), out = self._terms(j), np.zeros(len(X))
+        for camp in (0, 1):
+            (rows,) = (camps == camp).nonzero()
+            if rows.size:
+                out[rows] = self.value_coef * (coef * _ChainScan(X[rows], masks[camp], self.scale_c).values())
         return out
 
     def batch_component_values(self, nodes, X):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "consensus_residual",
     "node_mean",
     "consensus_error",
+    "stream_generators",
     "stream_doubles",
     "dump_sequence",
     "DUMP_STEPS",
@@ -213,7 +214,7 @@ class StaticSequence(_CyclicSequence):
 
 
 # The streams of ``default_rng((seed, k))`` for a block of steps ``k`` at once: the
-# random-geometric draws here, and adom_vr's batch and coin draws (stream_doubles).
+# random-geometric draws here, and the optimizers' batch and coin draws (stream_generators).
 # A seed is a non-negative integer and a step lies in [0, 2**32); _stream_seed and
 # _block_streams are the only places that check it.  numpy keeps the three
 # algorithms it runs stable (NEP 19): SeedSequence hashing of the entropy words
@@ -320,28 +321,38 @@ def _next_doubles(streams: tuple[np.ndarray, ...], jumps: tuple[np.ndarray, ...]
     return (out >> 11) * (1.0 / (1 << 53)), (s_hi[:, -1], s_lo[:, -1], *streams[2:])
 
 
-def stream_doubles(seed: int, k: int, size: int, count: int) -> tuple[int, np.ndarray]:
-    """The first ``count`` doubles of ``default_rng((seed, j)).random`` for every step
-    ``j`` of the aligned block of ``size`` steps holding ``k``: the block's first step
-    and a ``(steps, count)`` array.
+def stream_generators(seed: int, k: int, size: int) -> tuple[int, Iterator[np.random.Generator]]:
+    """The aligned block of ``size`` steps holding ``k``: its first step, and an iterator
+    that yields, for each of its steps ``j`` in turn, one numpy Generator set to the state
+    ``default_rng((seed, j))`` starts from.
 
-    The replica seeds the block's streams in one pass; numpy's PCG64, set to each
-    seeded state in turn, draws the doubles, so their cost per double is numpy's
-    and not the replica's 128-bit arithmetic.
+    The replica seeds the block's streams in one pass; numpy's PCG64 draws from each
+    seeded state, so the cost per draw is numpy's and not the replica's 128-bit
+    arithmetic, and the draws are numpy's own.  The iterator yields the same Generator
+    each time: draw from it before taking the next.
     """
     steps, streams = _block_streams(seed, k, size)
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    out = np.empty((len(steps), count))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, zip(*(s.tolist() for s in streams))):
+
+    def seeded(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> np.random.Generator:
         bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        gen.random(out=row)
-    return int(steps[0]), out
+        return gen
+
+    return int(steps[0]), (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
+
+
+def stream_doubles(seed: int, k: int, size: int, count: int) -> tuple[int, np.ndarray]:
+    """The first ``count`` doubles of ``default_rng((seed, j)).random`` for every step
+    ``j`` of the aligned block of ``size`` steps holding ``k``: the block's first step
+    and a ``(steps, count)`` array, from :func:`stream_generators`."""
+    start, gens = stream_generators(seed, k, size)
+    return start, np.stack([gen.random(count) for gen in gens])
 
 
 class RandomGeometricSequence(GraphSequence):

@@ -13,10 +13,10 @@ and ``step(state, obj, seq, seed)``, which reads graphs ``state.comms`` on:
 Parameter schedules are computed from problem constants, never tuned per run.
 All randomness is derived counter-style from ``(seed, iteration)`` so traces
 are reproducible and independent of node evaluation order: iteration ``k``
-draws from ``np.random.default_rng((seed, k))``.  ``gt_page`` builds that
-generator each step; ``adom_vr`` takes the same draws for ``DRAW_BLOCK``
-iterations at once from :func:`gossipvr.network.stream_doubles`, which seeds
-their generators in one vectorized pass, and carries the block in its state.
+draws from ``np.random.default_rng((seed, k))``.  ``adom_vr`` and ``gt_page``
+take those draws for ``DRAW_BLOCK`` iterations at once from
+:func:`gossipvr.network.stream_generators`, which seeds their generators in one
+vectorized pass, and carry the block in their state.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_doubles
+from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_doubles, stream_generators
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
@@ -255,7 +255,7 @@ def gt_page_params(
 # ---------------------------------------------------------------------------
 
 
-DRAW_BLOCK = 64  # iterations whose adom_vr draws are built together
+DRAW_BLOCK = 64  # iterations whose adom_vr or gt_page draws are built together
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,6 +441,27 @@ class AdomVr:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _PageDraws:
+    """The draws of iterations ``start .. start + len(idx) - 1`` for ``key = (seed, n, (m, b),
+    coins)``: iteration ``k`` reads ``default_rng((seed, k))``, ``integers(0, n, (m, b))`` for
+    the batch, then ``random(coins)``, one coin per node or one shared coin."""
+
+    key: tuple
+    start: int
+    idx: np.ndarray  # (B, m, b) batch indices
+    coins: np.ndarray  # (B, coins) restart coins
+
+
+def _page_block(key: tuple, k: int) -> _PageDraws:
+    """The draws of the aligned block of ``DRAW_BLOCK`` iterations holding ``k``, numpy's own
+    on each iteration's seeded generator from :func:`stream_generators`."""
+    seed, n, batch, coins = key
+    start, gens = stream_generators(seed, k, DRAW_BLOCK)
+    idx, draws = zip(*((gen.integers(0, n, size=batch), gen.random(coins)) for gen in gens))
+    return _PageDraws(key=key, start=start, idx=np.stack(idx), coins=np.stack(draws))
+
+
 @dataclass
 class GtPageState:
     x: np.ndarray
@@ -448,6 +469,8 @@ class GtPageState:
     v: np.ndarray
     k: int = 0
     comms: int = 0
+    # The last block of draws built, checked before it is read, as AdomVrState.draws.
+    draws: _PageDraws | None = None
 
 
 @dataclass(frozen=True)
@@ -473,10 +496,11 @@ class GtPage:
         every node to a full gradient (one coin per node with ``per_node_coins``).
         """
         params = self.params
-        m, n = obj.m, obj.n
-        rng = np.random.default_rng((seed, state.k))
-        idx = rng.integers(0, n, size=(m, params.b))
-        coins = rng.random(m if self.per_node_coins else 1)
+        m, k, draws = obj.m, state.k, state.draws
+        key = (seed, obj.n, (m, params.b), m if self.per_node_coins else 1)
+        if draws is None or draws.key != key or not draws.start <= k < draws.start + len(draws.idx):
+            draws = _page_block(key, k)
+        idx, coins = draws.idx[k - draws.start], draws.coins[k - draws.start]
 
         x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
 
@@ -491,7 +515,7 @@ class GtPage:
             y_new[nodes] = state.y[nodes] + (g_new - g_old).mean(axis=1)
 
         v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
-        new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=state.k + 1, comms=state.comms + params.stages)
+        new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages, draws=draws)
         _check_finite(new_state, "x", "v")
         return new_state
 

@@ -7,6 +7,7 @@ from gossipvr.hardinstances import (
     GRADIENT_CONST,
     ChainObjective,
     ProgressTracker,
+    _ChainScan,
     chain_q,
     lower_bound_components,
     lower_bound_value,
@@ -565,6 +566,62 @@ class TestActiveSupportKernel:
         grads = obj.batch_local_gradients(np.array([obj.s1[0], obj.s2[0]]), np.tile(w, (2, 1)))
         assert np.flatnonzero(grads[0]).tolist() == [0] and np.isnan(grads[1]).tolist() == [j == 3 for j in range(obj.d)]
         assert _same_bits(np.delete(grads[1], 3), np.zeros(obj.d - 1))
+
+    def test_one_scan_per_gradient_query(self, monkeypatch):
+        from gossipvr import hardinstances
+
+        built = []  # the rows of each scan
+        scan = lambda X, mask, scale: built.append(len(X)) or _ChainScan(X, mask, scale)  # noqa: E731
+        monkeypatch.setattr(hardinstances, "_ChainScan", scan)
+        obj, _ = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=90, budget_oracle=160)
+        rng = np.random.default_rng(70)
+        X, nodes = _partly_activated(rng, (9, obj.d), obj.scale_c), np.arange(9)
+        obj.batch_local_gradients(nodes, X)
+        assert built == [9]  # camps 1, 2 and 3 in one scan
+        for idx in (rng.integers(0, 4, size=(9, 3)), np.full((9, 2), 2), np.array([[0, 3]] * 9)):
+            built.clear()
+            obj.batch_sampled_gradients(nodes, idx, X)
+            assert sorted(built) == sorted(np.count_nonzero(idx == j) for j in np.unique(idx))
+        built.clear()
+        obj.average_gradient(X[0])
+        assert built == [3]
+
+    def test_scan_width_is_the_frontier(self):
+        d = 12
+        assert _ChainScan(np.zeros((3, d)), np.ones(d, dtype=bool), 1.0).width == 1
+        assert _ChainScan(np.full((3, d), -0.0), np.ones(d, dtype=bool), 1.0).width == 1  # -0.0 counts as zero
+        for last in range(d):
+            for value in (0.3, -1e-300, np.nan, np.inf, -np.inf):
+                X = np.zeros((3, d))
+                X[0, : last // 2] = 1.0  # a row of less progress
+                X[1, last], X[2, last + 1 :] = value, -0.0
+                scan = _ChainScan(X, np.ones(d, dtype=bool), 1.0)
+                assert scan.width == min(last + 2, d), (last, value)
+                assert scan.gradients().shape == (3, scan.width)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_past_each_others_frontier(self, n):
+        """Rows of different progress and camps in one scan, each with NaN, +-inf or -0.0 beyond the
+        others' frontiers, answer as one-row calls do, and as the per-term formula does."""
+        obj, _ = nonconvex_hard_objective(9, n, 1.0, 1.0, budget_comms=1000, budget_oracle=40 * n)
+        rng = np.random.default_rng(80 + n)
+        for _ in range(6):
+            nodes = rng.permutation(9)
+            X = np.zeros((9, obj.d))
+            for r, progress in enumerate(rng.choice([0, 1, 2, 3, 7, 40, obj.d // 2, obj.d - 1, obj.d], 9, replace=False)):
+                X[r, :progress] = rng.uniform(-2, 2, size=progress)
+                if progress < obj.d and rng.random() < 0.8:  # one special point past this row's frontier
+                    X[r, rng.integers(progress, obj.d)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.75, -40.0])
+            X *= obj.scale_c
+            idx = rng.integers(0, n, size=(9, 2))
+            local, sampled = obj.batch_local_gradients(nodes, X), obj.batch_sampled_gradients(nodes, idx, X)
+            for r, (i, w) in enumerate(zip(nodes, X)):
+                assert _same_bits(local[r], obj.batch_local_gradients(nodes[r : r + 1], X[r : r + 1])[0])
+                assert _same_bits(sampled[r], obj.batch_sampled_gradients(nodes[r : r + 1], idx[r : r + 1], X[r : r + 1])[0])
+                for j, grad in [(None, local[r])] + [(int(j), g) for j, g in zip(idx[r], sampled[r])]:
+                    reference = lambda v: _per_term_query(obj, i, v, j)  # noqa: E731
+                    _, ref_grad = _zero_bump_reference(reference, w, obj.scale_c, _query_terms(obj, i, j))
+                    assert _same_bits(_nan_blind(grad), _nan_blind(ref_grad)), (i, j)
 
     def test_work_scales_with_the_hot_terms(self, monkeypatch):
         from gossipvr import hardinstances

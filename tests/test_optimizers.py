@@ -543,6 +543,89 @@ class TestGtPageStep:
         assert abs(mean_cost - expected) / expected < 0.05
 
 
+class QueryRecorder(CountingObjective):
+    """Records the nodes of every full-gradient query and the nodes and batches of every paired query."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.full, self.paired = [], []
+
+    def batch_local_gradients(self, nodes, X):
+        self.full.append(np.array(nodes))
+        return super().batch_local_gradients(nodes, X)
+
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        self.paired.append((np.array(nodes), np.array(idx)))
+        return super().batch_sampled_gradient_pairs(nodes, idx, X_new, X_old)
+
+
+class TestGtPageDraws:
+    """``gt_page`` draws its batches and coins in blocks of ``DRAW_BLOCK`` iterations, bitwise those of
+    ``default_rng((seed, k))``: ``integers(0, n, (m, b))``, then ``random(m)`` or ``random(1)``."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.obj, _, _ = strongly_convex_quadratic(rng, m=4, n=5, d=2)
+        self.seq = TwoStarHopSequence(4)
+        info = self.obj.info
+        self.params = dataclasses.replace(gt_page_params(info.L, info.Lhat, self.seq.chi, self.obj.n, b=3, stages=1), p=0.4)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 3])
+    @pytest.mark.parametrize("per_node_coins", [False, True])
+    def test_block_matches_default_rng(self, seed, per_node_coins):
+        m, n, b, coins = self.obj.m, self.obj.n, self.params.b, self.obj.m if per_node_coins else 1
+        for k in [*range(130), 2**32 - 1]:
+            draws = optimizers._page_block((seed, n, (m, b), coins), k)
+            rng = np.random.default_rng((seed, k))
+            assert np.array_equal(draws.idx[k - draws.start], rng.integers(0, n, size=(m, b))), k
+            assert np.array_equal(draws.coins[k - draws.start], rng.random(coins)), k
+
+    @pytest.mark.parametrize("per_node_coins", [False, True])
+    def test_steps_take_the_default_rng_draws(self, per_node_coins):
+        m, n, b, seed = self.obj.m, self.obj.n, self.params.b, 11
+        method, recorder = GtPage(self.params, per_node_coins=per_node_coins), QueryRecorder(self.obj)
+        state = method.init(recorder)
+        recorder.full.clear()
+        kinds = set()
+        for k in range(150):
+            rng = np.random.default_rng((seed, k))
+            idx, coins = rng.integers(0, n, size=(m, b)), rng.random(m if per_node_coins else 1)
+            full = np.broadcast_to(coins < self.params.p, (m,))
+            recorder.full.clear(), recorder.paired.clear()
+            state = method.step(state, recorder, self.seq, seed)
+            assert [q.tolist() for q in recorder.full] == ([np.flatnonzero(full).tolist()] if full.any() else [])
+            if full.all():
+                assert recorder.paired == []
+            else:
+                ((nodes, got),) = recorder.paired
+                assert nodes.tolist() == np.flatnonzero(~full).tolist() and np.array_equal(got, idx[~full])
+            kinds.add((bool(full.any()), bool(full.all())))
+        assert len(kinds) == (3 if per_node_coins else 2)  # restarts, sampled steps and (per node) mixed ones
+
+    def solo(self, seed, steps, state=None, per_node_coins=False):
+        method = GtPage(self.params, per_node_coins=per_node_coins)
+        state = method.init(self.obj) if state is None else state
+        for _ in range(steps):
+            state = method.step(state, self.obj, self.seq, seed)
+        return state
+
+    @staticmethod
+    def assert_same_state(a, b):
+        for name in ("x", "y", "v", "k", "comms"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("at", [37, 64])
+    def test_resumed_or_foreign_blocks_are_replaced(self, at):
+        expected = self.solo(9, 100)
+        resumed = self.solo(9, at)
+        self.assert_same_state(expected, self.solo(9, 100 - at, state=dataclasses.replace(resumed, draws=None)))
+        foreign = dataclasses.replace(resumed, draws=self.solo(8, at).draws)  # another seed, same iterations
+        self.assert_same_state(expected, self.solo(9, 100 - at, state=foreign))
+        other_coins = dataclasses.replace(resumed, draws=self.solo(9, at, per_node_coins=True).draws)
+        self.assert_same_state(expected, self.solo(9, 100 - at, state=other_coins))
+        assert self.solo(9, 1, state=other_coins).draws.coins.shape[1] == 1
+
+
 @pytest.mark.parametrize(
     "init", [AdomVr.init, GtPage.init, GtBaseline.init], ids=["adom_vr_init", "gt_page_init", "gt_baseline_init"]
 )
