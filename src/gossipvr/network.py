@@ -52,6 +52,7 @@ DUMP_STEPS = 1000
 
 MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
 BLOCK = 64  # random-geometric steps built per stacked pass
+SEED_BLOCKS = 16  # blocks whose streams one replica pass seeds
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,9 @@ class GraphSequence:
     def gossip(self, k: int) -> GossipMatrix:
         raise NotImplementedError
 
-    def _edges(self, k: int) -> Sequence[tuple[int, int, float]]:
-        """Step ``k``'s sorted edges ``(i, j, weight)``, ``i < j``: what the dump writes."""
-        return self.graph(k).edges
+    def _dump_blocks(self, steps: int) -> Iterator[str]:
+        """The ``step``/``edge`` records of steps ``0 .. steps - 1``, one string per ``BLOCK`` steps."""
+        raise NotImplementedError
 
 
 class _CyclicSequence(GraphSequence):
@@ -202,6 +203,11 @@ class _CyclicSequence(GraphSequence):
     def gossip(self, k: int) -> GossipMatrix:
         return self._gossips[k % self.period]
 
+    def _dump_blocks(self, steps: int) -> Iterator[str]:
+        edges = ["".join(f"edge {i} {j} {w!r}\n" for i, j, w in g.edges) for g in self._graphs]
+        for start in range(0, steps, BLOCK):
+            yield "".join(f"step {k}\n{edges[k % self.period]}" for k in range(start, min(start + BLOCK, steps)))
+
 
 class StaticSequence(_CyclicSequence):
     """The same graph (and gossip matrix) at every step."""
@@ -214,7 +220,9 @@ class StaticSequence(_CyclicSequence):
 
 
 # The streams of ``default_rng((seed, k))`` for a block of steps ``k`` at once: the
-# random-geometric draws here, and the optimizers' batch and coin draws (stream_generators).
+# random-geometric draws here, seeded SEED_BLOCKS blocks per pass because each pass costs
+# about 100 numpy calls whatever its width, and the optimizers' batch and coin draws
+# (stream_generators), seeded one block per pass.
 # A seed is a non-negative integer and a step lies in [0, 2**32); _stream_seed and
 # _block_streams are the only places that check it.  numpy keeps the three
 # algorithms it runs stable (NEP 19): SeedSequence hashing of the entropy words
@@ -274,14 +282,14 @@ def _stream_seed(seed: int) -> int:
     return seed
 
 
-def _block_streams(seed: int, k: int, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _block_streams(seed: int, k: int, size: int) -> tuple[range, tuple[np.ndarray, ...]]:
     """The aligned block of ``size`` steps holding step ``k``, cut at ``2**32``, and
     the PCG64 streams of its steps."""
     if not 0 <= k < _STEP_LIMIT:
         raise ValueError(f"step {k} outside [0, 2**32)")
     start = k - k % size
-    steps = np.arange(start, min(start + size, _STEP_LIMIT))
-    return steps, _pcg64_streams(_stream_seed(seed), steps)
+    steps = range(start, min(start + size, _STEP_LIMIT))
+    return steps, _pcg64_streams(_stream_seed(seed), np.arange(steps.start, steps.stop))
 
 
 def _pcg64_streams(seed: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -344,7 +352,7 @@ def stream_generators(seed: int, k: int, size: int) -> tuple[int, Iterator[np.ra
         }
         return gen
 
-    return int(steps[0]), (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
+    return steps.start, (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
 
 
 def stream_doubles(seed: int, k: int, size: int, count: int) -> tuple[int, np.ndarray]:
@@ -372,6 +380,11 @@ class RandomGeometricSequence(GraphSequence):
     :func:`gossip_from_laplacian` over the ``(B, m, m)`` Laplacian stack), each
     pass redrawing only the steps still disconnected.  A step still
     disconnected after ``MAX_RETRIES`` draws fails every time it is served.
+    The replica seeds the streams of ``SEED_BLOCKS`` aligned blocks in one pass
+    and keeps the last such chunk, so its fixed per-call cost is paid once per
+    chunk; a block's draws are sliced from its chunk.  The ``.graphs`` dump
+    reads each block's matrices through ``gossip`` and finds all their edges
+    with one stacked test.
 
     ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
     disconnected draws rejected for them and the largest exact per-step
@@ -396,6 +409,9 @@ class RandomGeometricSequence(GraphSequence):
         self.radius = float(radius)
         self.seed = _stream_seed(seed)
         self._jumps = _lcg_jumps(2 * m)
+        # The steps and PCG64 streams of the last chunk of SEED_BLOCKS blocks seeded; a block never
+        # straddles two chunks, since a chunk is SEED_BLOCKS * BLOCK aligned steps cut at 2**32.
+        self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
         # block start -> (matrix per offset, resamples per offset until first served), oldest first
         self._blocks: dict[int, tuple[list[GossipMatrix | None], list[int | None]]] = {}
         self.built = 0
@@ -403,12 +419,23 @@ class RandomGeometricSequence(GraphSequence):
         self.chi_max = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
-        return WeightedGraph(self.m, tuple(self._edges(k)))
-
-    def _edges(self, k: int) -> list[tuple[int, int, float]]:
         # Off the diagonal, W is nonzero exactly on the edges; row-major order is sorted.
         ii, jj = np.nonzero(np.triu(self.gossip(k).matrix, k=1))
-        return [(i, j, 1.0) for i, j in zip(ii.tolist(), jj.tolist())]
+        return WeightedGraph(self.m, tuple((i, j, 1.0) for i, j in zip(ii.tolist(), jj.tolist())))
+
+    def _dump_blocks(self, steps: int) -> Iterator[str]:
+        # The matrices are read through gossip, so the dump finds the cached blocks; one nonzero
+        # over a block's (B, m * m) stack, masked to i < j, finds its edges in step, i, j order.
+        m = self.m
+        upper = np.triu(np.ones((m, m), dtype=bool), k=1).ravel()
+        table = [f"edge {i} {j} 1.0\n" for i in range(m) for j in range(m)]
+        for start in range(0, steps, BLOCK):
+            block = range(start, min(start + BLOCK, steps))
+            stack = np.stack([self.gossip(k).matrix for k in block]).reshape(len(block), -1)
+            step, flat = np.nonzero((stack != 0) & upper)
+            lines = [table[f] for f in flat.tolist()]
+            ends = np.cumsum(np.bincount(step, minlength=len(block))).tolist()
+            yield "".join(f"step {k}\n" + "".join(lines[lo:hi]) for k, lo, hi in zip(block, [0, *ends], ends))
 
     def gossip(self, k: int) -> GossipMatrix:
         i = k % BLOCK
@@ -438,11 +465,16 @@ class RandomGeometricSequence(GraphSequence):
         steps holding ``k``, indexed by offset in the block; the matrix is ``None``
         for a step still disconnected after ``MAX_RETRIES`` draws."""
         m, r2 = self.m, self.radius * self.radius
-        steps, streams = _block_streams(self.seed, k, BLOCK)
+        if k not in self._chunk[0]:
+            self._chunk = _block_streams(self.seed, k, SEED_BLOCKS * BLOCK)
+        chunk, streams = self._chunk
+        lo = k - k % BLOCK - chunk.start
+        streams = tuple(s[lo : lo + BLOCK] for s in streams)
+        size = len(streams[0])
         diag = np.arange(m)
-        matrices: list[GossipMatrix | None] = [None] * len(steps)
-        resamples = [MAX_RETRIES] * len(steps)
-        pending = np.arange(len(steps))  # the offsets not yet connected
+        matrices: list[GossipMatrix | None] = [None] * size
+        resamples = [MAX_RETRIES] * size
+        pending = np.arange(size)  # the offsets not yet connected
         for draw in range(MAX_RETRIES):
             # Draw d of step k reads outputs [2m d, 2m (d + 1)) of its stream.
             u, streams = _next_doubles(streams, self._jumps)
@@ -460,8 +492,8 @@ class RandomGeometricSequence(GraphSequence):
             spectral, w, chi = _spectral(lap)
             connected = no_isolated.copy()
             connected[no_isolated] = spectral
-            for i, wi, ci in zip(pending[connected].tolist(), w, chi):
-                matrices[i], resamples[i] = GossipMatrix(matrix=wi, chi=float(ci)), draw
+            for i, wi, ci in zip(pending[connected].tolist(), w, chi.tolist()):
+                matrices[i], resamples[i] = GossipMatrix(matrix=wi, chi=ci), draw
             pending = pending[~connected]
             if not pending.size:
                 break
@@ -565,7 +597,10 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
 
 
 def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:
-    """Write ``steps`` graphs in the line format ``m``/``step``/``edge``."""
+    """Write ``steps`` graphs in the line format ``m``/``step``/``edge``: ``m <nodes>``,
+    then per step ``step <k>`` and one ``edge <i> <j> <weight>`` line per edge, ``i < j``
+    in sorted order, the weight as ``repr`` prints it.  One ``write`` per block of
+    ``BLOCK`` steps."""
     sink.write(f"m {seq.m}\n")
-    for k in range(steps):
-        sink.write(f"step {k}\n" + "".join(f"edge {i} {j} {w!r}\n" for i, j, w in seq._edges(k)))
+    for text in seq._dump_blocks(steps):
+        sink.write(text)

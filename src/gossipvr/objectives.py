@@ -347,8 +347,9 @@ class ShardObjective(FiniteSumObjective):
         return self._kernel(*self._blocks(nodes, idx), X[:, None, :])
 
     def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
-        blocks = self._blocks(nodes, idx)
-        return self._kernel(*blocks, X_new[:, None, :]), self._kernel(*blocks, X_old[:, None, :])
+        # One kernel pass over (2, k) points: each block's products are the per-point ones.
+        g_new, g_old = self._kernel(*self._blocks(nodes, idx), np.stack([X_new, X_old])[:, :, None, :])
+        return g_new, g_old
 
     def batch_component_gradients(self, nodes, X):
         return self._kernel(*self._blocks(nodes), X[:, None, :])

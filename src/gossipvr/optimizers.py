@@ -462,6 +462,15 @@ def _page_block(key: tuple, k: int) -> _PageDraws:
     return _PageDraws(key=key, start=start, idx=np.stack(idx), coins=np.stack(draws))
 
 
+def _page_tracker(obj: FiniteSumObjective, nodes, restart: bool, idx, x_new, x, y) -> np.ndarray:
+    """The new tracker rows of ``nodes``: their node gradients at ``x_new`` on a restart,
+    else ``y`` plus the paired batch's mean gradient difference between ``x_new`` and ``x``."""
+    if restart:
+        return obj.batch_local_gradients(nodes, x_new)
+    g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx, x_new, x)
+    return y + (g_new - g_old).mean(axis=1)
+
+
 @dataclass
 class GtPageState:
     x: np.ndarray
@@ -504,15 +513,15 @@ class GtPage:
 
         x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
 
-        y_new = np.empty_like(state.y)
-        full = np.broadcast_to(coins < params.p, (m,))
-        if full.any():
-            nodes = np.flatnonzero(full)
-            y_new[nodes] = obj.batch_local_gradients(nodes, x_new[nodes])
-        if not full.all():
-            nodes = np.flatnonzero(~full)
-            g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx[nodes], x_new[nodes], state.x[nodes])
-            y_new[nodes] = state.y[nodes] + (g_new - g_old).mean(axis=1)
+        full = coins < params.p
+        if full.all() == full.any():  # one coin for every node: query all rows as they are
+            y_new = _page_tracker(obj, np.arange(m), bool(full[0]), idx, x_new, state.x, state.y)
+        else:  # per-node coins that disagree: restarts first, then the paired steps
+            y_new = np.empty_like(state.y)
+            for restart in (True, False):
+                nodes = np.flatnonzero(full == restart)
+                rows = (idx[nodes], x_new[nodes], state.x[nodes], state.y[nodes])
+                y_new[nodes] = _page_tracker(obj, nodes, restart, *rows)
 
         v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
         new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages, draws=draws)

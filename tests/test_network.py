@@ -45,6 +45,20 @@ def count_builds(monkeypatch):
     return builds
 
 
+def count_seedings(monkeypatch):
+    """Wrap ``network._block_streams``, the replica's seeding pass; the returned list
+    collects the first step of every range it seeds."""
+    seedings, seed_streams = [], network._block_streams
+
+    def counted(seed, k, size):
+        steps, streams = seed_streams(seed, k, size)
+        seedings.append(steps.start)
+        return steps, streams
+
+    monkeypatch.setattr(network, "_block_streams", counted)
+    return seedings
+
+
 def per_step_reference(m, radius, seed, k):
     """Step ``k`` of a random geometric sequence by its definition, one draw at a
     time from ``default_rng((seed, k))``: (gossip matrix, rejected draws)."""
@@ -382,6 +396,34 @@ class TestRandomGeometric:
         assert builds == list(range(0, walked, b)) and len(builds) > 4
         assert seq.built == walked
 
+    def test_gt_page_walk_seeds_one_chunk_per_sixteen_blocks(self, monkeypatch):
+        """A README gt_page run's reads (measure_chi, then 800 windows of 11 steps) seed
+        the replica once per chunk of SEED_BLOCKS blocks: 9 times for 8,800 steps."""
+        seedings = count_seedings(monkeypatch)
+        seq = RandomGeometricSequence(10, 0.45, seed=0)
+        measure_chi(seq, trials=20)
+        x = np.ones((10, 1))
+        for t in range(800):
+            consensus_residual(seq, 11 * t, 11, x)
+        chunk = network.SEED_BLOCKS * network.BLOCK
+        assert seedings == list(range(0, 8800, chunk)) and len(seedings) == 9
+        assert seq.built == 8800
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_chunk_boundary_read_backwards(self, monkeypatch, block):
+        """Steps 16 B, 16 B - 1 and 0 (B = BLOCK) sit in two chunks: each is seeded once,
+        and the block of step 0 is sliced from the chunk that step 16 B - 1 seeded."""
+        if block is not None:
+            monkeypatch.setattr(network, "BLOCK", block)
+        seedings = count_seedings(monkeypatch)
+        edge = network.SEED_BLOCKS * network.BLOCK
+        seq = RandomGeometricSequence(10, 0.35, seed=2)
+        for k in (edge, edge - 1, 0):
+            ref, _ = per_step_reference(10, 0.35, 2, k)
+            w = seq.gossip(k)
+            assert np.array_equal(w.matrix, ref.matrix) and w.chi == ref.chi
+        assert seedings == [edge, 0]
+
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0)
         with pytest.raises(RuntimeError, match="resamples"):
@@ -561,16 +603,26 @@ class TestSerialization:
         dump_sequence(seq, 5, buf)
         assert buf.getvalue() == dump_through_graph(seq, 5)
 
+    # Random-geometric dumps end inside, and just past, a block; the cyclic ones (periods 74
+    # and 66, both longer than a block) end inside, at the end of, and past their period.
     @pytest.mark.parametrize(
-        "seq",
-        [RandomGeometricSequence(10, 0.45, seed=1), TwoStarHopSequence(7),
-         StaticSequence(WeightedGraph(4, ((0, 1, 0.1), (1, 2, 2.5), (2, 3, 1 / 3), (3, 0, 1e-3))))],
-        ids=["random-geometric", "two-star-hop", "weighted-static"],
+        "make, steps",
+        [
+            *((lambda: RandomGeometricSequence(10, 0.45, seed=1), steps)
+              for steps in (1, network.BLOCK - 1, network.BLOCK + 1, network.DUMP_STEPS)),
+            *((lambda: TwoStarHopSequence(40), steps) for steps in (37, 74, 185)),
+            *((lambda: RotatingStarSequence(100), steps) for steps in (33, 66, 165)),
+            (lambda: StaticSequence(WeightedGraph(4, ((0, 1, 0.1), (1, 2, 2.5), (2, 3, 1 / 3), (3, 0, 1e-3)))), 300),
+        ],
+        ids=["random-geometric-1", "random-geometric-block-1", "random-geometric-block+1", "random-geometric-dump",
+             "two-star-hop-half-period", "two-star-hop-period", "two-star-hop-2.5-periods",
+             "rotating-star-half-period", "rotating-star-period", "rotating-star-2.5-periods", "weighted-static"],
     )
-    def test_dump_matches_graph_round_trip(self, seq):
+    def test_dump_matches_graph_round_trip(self, make, steps):
+        seq = make()
         out = io.StringIO()
-        dump_sequence(seq, 300, out)
-        assert out.getvalue() == dump_through_graph(seq, 300)
+        dump_sequence(seq, steps, out)
+        assert out.getvalue() == dump_through_graph(seq, steps)
 
 
 def test_consensus_error_zero_at_consensus():
