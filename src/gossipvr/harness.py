@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -84,54 +85,87 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
     at ``max_features`` (rows are densified, so an unexpectedly huge index
     must fail rather than allocate).  Binary {0, 1} label sets are remapped to
     {-1, +1}.
+
+    The whole file is converted and checked in bulk.  A file that fails a bulk
+    check goes to :func:`_check_lines`, which raises its first bad line.
     """
-    raw: list[tuple[float, dict[int, float]]] = []
-    max_idx = 0
     with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                label = float(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
-            if not math.isfinite(label):
-                raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
-            pairs: dict[int, float] = {}
-            for token in parts[1:]:
-                if ":" not in token:
-                    raise ValueError(f"{path}:{lineno}: malformed pair {token!r}")
-                idx_s, val_s = token.split(":", 1)
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric pair {token!r}") from None
-                if not math.isfinite(val):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
-                if idx < 1:
-                    raise ValueError(f"{path}:{lineno}: index must be >= 1, got {idx}")
-                if idx > max_features:
-                    raise ValueError(f"{path}:{lineno}: feature index {idx} exceeds the cap {max_features}")
-                if idx in pairs:
-                    raise ValueError(f"{path}:{lineno}: feature index {idx} repeated")
-                pairs[idx] = val
-                max_idx = max(max_idx, idx)
-            raw.append((label, pairs))
-    if not raw:
+        lines = handle.read().split("\n")
+    data = [parts for parts in map(str.split, lines) if parts and not parts[0].startswith("#")]
+    if not data:
         raise ValueError(f"{path}: no data rows")
-    labels = {lab for lab, _ in raw}
-    remap = labels == {0.0, 1.0}
-    rows = []
-    for label, pairs in raw:
-        vec = np.zeros(max_idx)
-        for idx, val in pairs.items():
-            vec[idx - 1] = val
-        if remap and label == 0.0:
-            label = -1.0
-        rows.append((vec, label))
-    return rows
+    arrays = _convert(data, max_features)
+    if arrays is None:
+        _check_lines(path, lines, max_features)
+    labels, width, cells, vals = arrays
+    dense = np.zeros((len(data), width))
+    dense.reshape(-1)[cells] = vals
+    if set(labels.tolist()) == {0.0, 1.0}:
+        labels = np.where(labels == 0.0, -1.0, labels)
+    return list(zip(dense, labels.tolist()))
+
+
+def _convert(data: list[list[str]], max_features: int):
+    """Labels, dense width, and each pair's dense offset and value, of the split data lines.
+
+    None if a check fails: a pair token without exactly one colon, a number that
+    does not convert, a non-finite label or value, an index out of
+    ``[1, max_features]`` or repeated in its row.
+    """
+    pairs = list(chain.from_iterable(parts[1:] for parts in data))
+    flat = " ".join(pairs)
+    # The colons and spaces of `flat` alternate ": : ... :" exactly when every pair token holds one colon.
+    text = np.frombuffer(flat.encode(), dtype=np.uint8)
+    if text[(text == ord(":")) | (text == ord(" "))].tobytes() != (b": " * len(pairs))[:-1]:
+        return None
+    halves = flat.replace(":", " ").split(" ")
+    try:
+        labels = np.fromiter(map(float, (parts[0] for parts in data)), dtype=float, count=len(data))
+        idx = np.fromiter(map(int, halves[0::2]), dtype=np.int64, count=len(pairs))
+        vals = np.fromiter(map(float, halves[1::2]), dtype=float, count=len(pairs))
+    except (ValueError, OverflowError):
+        return None
+    row = np.repeat(np.arange(len(data)), [len(parts) - 1 for parts in data])
+    if not (np.isfinite(labels).all() and np.isfinite(vals).all() and np.all((idx >= 1) & (idx <= max_features))):
+        return None
+    width = int(idx.max(initial=0))
+    cells = row * width + idx - 1  # each pair's offset in the dense (rows, width) matrix
+    if np.any(np.diff(np.sort(cells)) == 0):
+        return None  # an index repeated in a row
+    return labels, width, cells, vals
+
+
+def _check_lines(path: str | Path, lines: list[str], max_features: int) -> NoReturn:
+    """Raise the first failure of a ``parse_libsvm`` file, walking its lines token by token."""
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+        if not math.isfinite(label):
+            raise ValueError(f"{path}:{lineno}: non-finite label {parts[0]!r}")
+        seen: set[int] = set()
+        for token in parts[1:]:
+            if ":" not in token:
+                raise ValueError(f"{path}:{lineno}: malformed pair {token!r}")
+            idx_s, val_s = token.split(":", 1)
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric pair {token!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
+            if idx < 1:
+                raise ValueError(f"{path}:{lineno}: index must be >= 1, got {idx}")
+            if idx > max_features:
+                raise ValueError(f"{path}:{lineno}: feature index {idx} exceeds the cap {max_features}")
+            if idx in seen:
+                raise ValueError(f"{path}:{lineno}: feature index {idx} repeated")
+            seen.add(idx)
+    raise ValueError(f"{path}: the feature indices are too large to densify")
 
 
 def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed: int) -> list[DatasetShard]:
@@ -144,17 +178,17 @@ def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed
     if len(rows) < m * n:
         raise ValueError(f"{len(rows)} rows cannot fill {m} nodes x {n} components")
     order = np.random.default_rng(seed).permutation(len(rows))
+    features = np.array([vec for vec, _ in rows])[order]
+    labels = np.array([label for _, label in rows])[order]
     base, extra = divmod(len(rows), m)
     shards = []
     cursor = 0
     for i in range(m):
         size = base + (1 if i < extra else 0)
-        picked = order[cursor : cursor + size]
+        own = slice(cursor, cursor + size)
         cursor += size
-        feats = np.stack([rows[r][0] for r in picked])
-        labels = np.array([rows[r][1] for r in picked])
         blocks = tuple(np.arange(j, size, n) for j in range(n))
-        shards.append(DatasetShard(node=i, features=feats, labels=labels, block_rows=blocks))
+        shards.append(DatasetShard(node=i, features=features[own], labels=labels[own], block_rows=blocks))
     return shards
 
 
@@ -489,6 +523,8 @@ def main(argv: list[str] | None = None) -> int:
         for one in configs:  # every run's config is checked before the first one writes a file
             one.validate()
         if args.jobs > 1 and len(configs) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
                 for line in pool.map(_run_one, configs):
                     print(line)

@@ -184,10 +184,10 @@ class FiniteSumObjective:
         return self.batch_local_gradients(np.arange(self.m), x)
 
     def average_value(self, w: np.ndarray) -> float:
-        return float(np.mean(self.batch_local_values(np.arange(self.m), np.tile(w, (self.m, 1)))))
+        return float(np.mean(self.batch_local_values(np.arange(self.m), np.broadcast_to(w, (self.m, self.d)))))
 
     def average_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.batch_local_gradients(np.arange(self.m), np.tile(w, (self.m, 1))).mean(axis=0)
+        return self.batch_local_gradients(np.arange(self.m), np.broadcast_to(w, (self.m, self.d))).mean(axis=0)
 
 
 def _one_node(i, w):
@@ -289,7 +289,8 @@ class ShardObjective(FiniteSumObjective):
     The blocks are stored zero-padded to the largest block, as ``(m, n, R, d)``
     features, ``(m, n, R)`` labels and ``(m, n, R)`` row weights ``1/|block|``
     (0 on padding).  Every gradient query, per node or node-batched, gathers
-    its blocks and runs the same kernel, so the two forms agree bit for bit.
+    its blocks and runs the same kernel, so the two forms agree bit for bit;
+    the averages run it on all the stored blocks in place.
     """
 
     def __init__(
@@ -314,15 +315,20 @@ class ShardObjective(FiniteSumObjective):
             for j, rows in enumerate(s.block_rows):
                 if rows.size == 0:
                     raise ValueError(f"empty component block (node {s.node}, component {j})")
-        R = max(rows.size for s in self._shards for rows in s.block_rows)
+        # Block (i, j) is slot i * n + j; each of its rows goes to (slot, position in the block).
+        blocks = [rows for s in self._shards for rows in s.block_rows]
+        sizes = np.array([rows.size for rows in blocks])
+        R = int(sizes.max())
+        starts = np.cumsum([0] + [len(s.features) for s in self._shards[:-1]])
+        source = np.concatenate(blocks) + np.repeat(np.repeat(starts, self.n), sizes)
+        slot = np.repeat(np.arange(self.m * self.n), sizes)
+        pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         self._features = np.zeros((self.m, self.n, R, self.d))
         self._labels = np.ones((self.m, self.n, R))  # padding rows get a valid label and weight 0
         self._weights = np.zeros((self.m, self.n, R))
-        for i, s in enumerate(self._shards):
-            for j, rows in enumerate(s.block_rows):
-                self._features[i, j, : rows.size] = s.features[rows]
-                self._labels[i, j, : rows.size] = s.labels[rows]
-                self._weights[i, j, : rows.size] = 1.0 / rows.size
+        self._features.reshape(-1, R, self.d)[slot, pos] = np.concatenate([s.features for s in self._shards])[source]
+        self._labels.reshape(-1, R)[slot, pos] = np.concatenate([s.labels for s in self._shards])[source]
+        self._weights.reshape(-1, R)[slot, pos] = np.repeat(1.0 / sizes, sizes)
         self.info = smoothness(self)
         self.info.validate(self.n)
 
@@ -337,11 +343,13 @@ class ShardObjective(FiniteSumObjective):
         g = ((self.dloss((a @ x[..., None])[..., 0], y) * wt)[..., None, :] @ a)[..., 0, :]
         return g + self.reg * x if self.reg else g
 
-    def batch_component_values(self, nodes, X):
-        a, y, wt = self._blocks(nodes)
-        x = X[:, None, :]
+    def _values(self, a, y, wt, x):
+        """Component values, in the argument shapes of :meth:`_kernel`."""
         v = np.sum(self.loss((a @ x[..., None])[..., 0], y) * wt, axis=-1)
         return v + 0.5 * self.reg * np.sum(x * x, axis=-1) if self.reg else v
+
+    def batch_component_values(self, nodes, X):
+        return self._values(*self._blocks(nodes), X[:, None, :])
 
     def batch_sampled_gradients(self, nodes, idx, X):
         return self._kernel(*self._blocks(nodes, idx), X[:, None, :])
@@ -356,6 +364,13 @@ class ShardObjective(FiniteSumObjective):
 
     def batch_local_gradients(self, nodes, X):
         return self.batch_component_gradients(nodes, X).mean(axis=1)
+
+    # The one point is broadcast by the products: no node gather, and bitwise the base class's answers.
+    def average_value(self, w):
+        return float(np.mean(self._values(self._features, self._labels, self._weights, w).mean(axis=1)))
+
+    def average_gradient(self, w):
+        return self._kernel(self._features, self._labels, self._weights, w).mean(axis=1).mean(axis=0)
 
 
 def _logistic_loss(t, y):
@@ -430,10 +445,10 @@ def _nlls_smoothness(obj: ShardObjective, pairs: int) -> SmoothnessInfo:
 
 def logistic_objective(shards: Sequence[DatasetShard], lambda_reg: float) -> ShardObjective:
     """l2-regularized logistic loss ``log(1 + exp(-y <a, w>))``; labels must be +-1."""
-    for s in shards:
-        if not np.all(np.isin(s.labels, (-1.0, 1.0))):
-            bad = s.labels[~np.isin(s.labels, (-1.0, 1.0))][0]
-            raise ValueError(f"logistic labels must be +-1, got {bad}")
+    labels = np.concatenate([s.labels for s in shards])
+    bad = labels[(labels != -1.0) & (labels != 1.0)]
+    if bad.size:
+        raise ValueError(f"logistic labels must be +-1, got {bad[0]}")
     return ShardObjective(shards, _logistic_loss, _logistic_dloss, lambda_reg, _logistic_smoothness)
 
 

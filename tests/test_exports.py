@@ -48,6 +48,15 @@ def test_readme_library_example_runs():
     assert float(proc.stdout.split()[-1]) < 1e-7
 
 
+def test_import_loads_no_process_pool():
+    """``import gossipvr`` stays free of multiprocessing; only a ``--jobs`` sweep loads it."""
+    code = "import sys, gossipvr; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _benchmark_tracer(monkeypatch):
     """``perfbench/tracer.py``, loaded without writing bytecode under ``perfbench/``."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

@@ -71,6 +71,40 @@ class TestParseLibsvm:
             parse_libsvm(f)
         assert parse_libsvm(f, max_features=10**6)[0][0].shape == (900000,)
 
+    def test_first_failure_in_file_order_wins(self, tmp_path):
+        f = tmp_path / "toy.libsvm"
+        f.write_text("1 1:1\n1 2;3\nx 1:1\n")
+        with pytest.raises(ValueError, match=r"toy\.libsvm:2: malformed pair '2;3'"):
+            parse_libsvm(f)
+        f.write_text("1 1:1\n1 1:nan 2;3\n")
+        with pytest.raises(ValueError, match=r"toy\.libsvm:2: non-finite value '1:nan'"):
+            parse_libsvm(f)
+
+    def test_colon_count_is_checked_per_token(self, tmp_path):
+        f = tmp_path / "toy.libsvm"
+        f.write_text("1 4 1:2:3\n")  # two pair tokens and two colons, but not one colon each
+        with pytest.raises(ValueError, match=r"toy\.libsvm:1: malformed pair '4'"):
+            parse_libsvm(f)
+        f.write_text("1 1:2:3\n")
+        with pytest.raises(ValueError, match=r"toy\.libsvm:1: non-numeric pair '1:2:3'"):
+            parse_libsvm(f)
+
+    def test_index_beyond_int64_reports_the_cap(self, tmp_path):
+        f = tmp_path / "toy.libsvm"
+        f.write_text(f"1 1:1 {2**64}:1\n")
+        with pytest.raises(ValueError, match=f"feature index {2**64} exceeds the cap 100000"):
+            parse_libsvm(f)
+        with pytest.raises(ValueError, match="too large to densify"):
+            parse_libsvm(f, max_features=2**70)
+
+    def test_layout_variants_parse_as_the_reference(self, tmp_path):
+        f = tmp_path / "toy.libsvm"
+        f.write_bytes(b"0 1:1 3:-0.0\r\n  # indented comment\r\n1\r\n\t1 2:2.5e-3\r\n0\r\n")
+        rows = parse_libsvm(f)
+        assert_same_rows(rows, reference_parse(f))
+        assert [label for _, label in rows] == [-1.0, 1.0, 1.0, -1.0]
+        assert rows[1][0].tolist() == [0.0, 0.0, 0.0]
+
     def test_round_trip(self, tmp_path, fixture_path):
         rows = parse_libsvm(fixture_path)
         out = tmp_path / "echo.libsvm"
@@ -88,6 +122,94 @@ class TestParseLibsvm:
         rows = parse_libsvm(fixture_path)
         assert len(rows) == 500
         assert rows[0][0].shape == (20,)
+
+
+def reference_parse(path):
+    """Token-by-token reader: the reference that ``parse_libsvm``'s bulk passes must match bit for bit."""
+    raw, max_idx = [], 0
+    with open(path) as handle:
+        for line in handle:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            pairs = {}
+            for token in parts[1:]:
+                idx_s, val_s = token.split(":", 1)
+                pairs[int(idx_s)] = float(val_s)
+                max_idx = max(max_idx, int(idx_s))
+            raw.append((float(parts[0]), pairs))
+    remap = {label for label, _ in raw} == {0.0, 1.0}
+    rows = []
+    for label, pairs in raw:
+        vec = np.zeros(max_idx)
+        for idx, val in pairs.items():
+            vec[idx - 1] = val
+        rows.append((vec, -1.0 if remap and label == 0.0 else label))
+    return rows
+
+
+def reference_partition(rows, m, n, seed):
+    """Row-by-row partition: the reference for ``partition_dataset``."""
+    order = np.random.default_rng(seed).permutation(len(rows))
+    base, extra = divmod(len(rows), m)
+    shards, cursor = [], 0
+    for i in range(m):
+        size = base + (1 if i < extra else 0)
+        picked = order[cursor : cursor + size]
+        cursor += size
+        feats = np.stack([rows[r][0] for r in picked])
+        labels = np.array([rows[r][1] for r in picked])
+        shards.append((feats, labels, tuple(np.arange(j, size, n) for j in range(n))))
+    return shards
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for (vec, label), (ref_vec, ref_label) in zip(got, want):
+        assert type(label) is float and np.float64(label).tobytes() == np.float64(ref_label).tobytes()
+        assert vec.dtype == ref_vec.dtype and vec.shape == ref_vec.shape and vec.tobytes() == ref_vec.tobytes()
+
+
+def synthetic_libsvm(path, rows=2000, d=37, seed=19):
+    """Seeded sparse file with label-only rows, unsorted indices, -0.0, exponents and comment lines."""
+    rng = np.random.default_rng(seed)
+    lines = ["# synthetic"]
+    for r in range(rows):
+        cols = rng.permutation(d)[: rng.integers(0, 9)] + 1
+        vals = rng.normal(scale=10.0 ** rng.integers(-5, 5), size=cols.size)
+        vals[rng.random(cols.size) < 0.05] = -0.0
+        pairs = " ".join(f"{c}:{float(v)!r}" for c, v in zip(cols, vals))
+        lines.append(f"{rng.choice(['+1', '-1', '1.0', '-1e0'])} {pairs}")
+        if r % 500 == 7:
+            lines.append("   # indented comment")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestIngestionPin:
+    """``parse_libsvm`` and ``partition_dataset`` equal the token-by-token reference byte for byte."""
+
+    @pytest.fixture(params=["fixture", "synthetic"])
+    def dataset(self, request, tmp_path, fixture_path):
+        return fixture_path if request.param == "fixture" else synthetic_libsvm(tmp_path / "synthetic.libsvm")
+
+    def test_rows(self, dataset):
+        assert_same_rows(parse_libsvm(dataset), reference_parse(dataset))
+
+    def test_shards(self, dataset):
+        rows = parse_libsvm(dataset)
+        for m, n, seed in ((10, 10, 4), (7, 9, 3)):
+            shards = partition_dataset(rows, m, n, seed)
+            want = reference_partition(reference_parse(dataset), m, n, seed)
+            assert [s.node for s in shards] == list(range(m))
+            for shard, (feats, labels, blocks) in zip(shards, want):
+                assert shard.features.shape == feats.shape and shard.features.tobytes() == feats.tobytes()
+                assert shard.labels.dtype == labels.dtype and shard.labels.tobytes() == labels.tobytes()
+                assert all(np.array_equal(a, b) for a, b in zip(shard.block_rows, blocks, strict=True))
+
+    def test_synthetic_blocks_are_unequal(self, tmp_path):
+        shards = partition_dataset(parse_libsvm(synthetic_libsvm(tmp_path / "s.libsvm")), 7, 9, 3)
+        assert len({rows.size for s in shards for rows in s.block_rows}) > 1
 
 
 class TestPartition:
@@ -430,7 +552,7 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
-        import gossipvr.harness as harness
+        import concurrent.futures
 
         workers = []
 
@@ -447,7 +569,7 @@ class TestCli:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # main imports it at the --jobs branch
         args = ["--method", "gt_baseline", "--objective", "chain", "--topology", "static-ring", "--m", "4", "--n", "2"]
         args += ["--budget-iters", "3", "--seeds", "0,1,2", "--jobs", "64", "--out", str(tmp_path)]
         assert main(args) == 0

@@ -10,6 +10,7 @@ from gossipvr.objectives import (
     CallableFiniteSum,
     CountingObjective,
     DatasetShard,
+    FiniteSumObjective,
     SmoothnessInfo,
     finite_difference_check,
     logistic_objective,
@@ -82,9 +83,10 @@ class TestLogistic:
         assert g_reg == pytest.approx(g_no)
 
     def test_rejects_bad_labels(self):
-        shard = DatasetShard(0, np.eye(2), np.array([1.0, 2.0]), (np.array([0]), np.array([1])))
-        with pytest.raises(ValueError, match=r"\+-1"):
-            logistic_objective([shard], 0.0)
+        good = DatasetShard(0, np.eye(2), np.array([1.0, -1.0]), (np.array([0]), np.array([1])))
+        bad = [DatasetShard(i, np.eye(2), np.array([1.0, y]), (np.array([0]), np.array([1]))) for i, y in ((1, 2.0), (2, 3.0))]
+        with pytest.raises(ValueError, match=r"\+-1, got 2\.0$"):  # the first bad label in node order
+            logistic_objective([good, *bad], 0.0)
 
     def test_rejects_empty_block(self):
         shard = DatasetShard(0, np.eye(2), np.array([1.0, -1.0]), (np.arange(2), np.array([], dtype=int)))
@@ -157,6 +159,33 @@ def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
         got = _sigmoid(t)
     assert got.shape == t.shape
     assert np.array_equal(got, two_branch(t))
+
+
+def test_padded_block_tensors_match_the_block_loop(objective_families):
+    """The one-scatter fill of the padded tensors equals filling them block by block."""
+    obj = objective_families["logistic"]  # 7 x 9 blocks of unequal sizes
+    R = max(rows.size for s in obj._shards for rows in s.block_rows)
+    feats, labels, weights = np.zeros((obj.m, obj.n, R, obj.d)), np.ones((obj.m, obj.n, R)), np.zeros((obj.m, obj.n, R))
+    for i, s in enumerate(obj._shards):
+        for j, rows in enumerate(s.block_rows):
+            feats[i, j, : rows.size] = s.features[rows]
+            labels[i, j, : rows.size] = s.labels[rows]
+            weights[i, j, : rows.size] = 1.0 / rows.size
+    assert obj._features.tobytes() == feats.tobytes()
+    assert obj._labels.tobytes() == labels.tobytes()
+    assert obj._weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("family", ["logistic", "nlls"])
+def test_shard_averages_match_the_node_batched_form(objective_families, family):
+    """The in-place averages answer the base class's node-batched averages bit for bit."""
+    obj = objective_families[family]
+    rng = np.random.default_rng(23)
+    for scale in (0.0, 1e-3, 1.0, 30.0):
+        w = scale * rng.normal(size=obj.d)
+        w[rng.random(obj.d) < 0.2] = -0.0
+        assert obj.average_gradient(w).tobytes() == FiniteSumObjective.average_gradient(obj, w).tobytes()
+        assert np.float64(obj.average_value(w)).tobytes() == np.float64(FiniteSumObjective.average_value(obj, w)).tobytes()
 
 
 def test_logistic_rejects_negative_regularization():
