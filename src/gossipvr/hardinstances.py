@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .network import GraphSequence, RotatingStarSequence
-from .objectives import FiniteSumObjective, SmoothnessInfo
+from .objectives import CallableFiniteSum, FiniteSumObjective, SmoothnessInfo
 
 __all__ = [
     "psi",
@@ -199,7 +200,7 @@ def chain_q(kappa: float) -> float:
 _V_LEFT, _V_RIGHT = 0, 1
 
 
-class ChainObjective(FiniteSumObjective):
+class ChainObjective(CallableFiniteSum):
     """Coupled quadratic chains split across two designated nodes.
 
     The variable holds ``n`` slots of ``dim`` coordinates; component
@@ -220,8 +221,7 @@ class ChainObjective(FiniteSumObjective):
             raise ValueError("need 0 < mu < L")
         if dim < 2:
             raise ValueError("need dim >= 2")
-        self.m, self.n, self.dim = m, n, dim
-        self.d = n * dim
+        self.dim = dim
         self.big_l, self.mu_chain = float(big_l), float(mu)
         self.q = chain_q(big_l / mu)
         self.x_star_slot = self.q ** np.arange(1, dim + 1)
@@ -229,15 +229,19 @@ class ChainObjective(FiniteSumObjective):
         mu_other = mu / (m - 2)
         l_ij = np.full((m, n), mu_other)
         l_ij[[_V_LEFT, _V_RIGHT]] = big_l
-        self.info = SmoothnessInfo(L=float(big_l), mu=float(mu_other), L_ij=l_ij, Lhat=float(big_l))
-        self.info.validate(n)
+        info = SmoothnessInfo(L=float(big_l), mu=float(mu_other), L_ij=l_ij, Lhat=float(big_l))
+        components = [[partial(self._component, i, j) for j in range(n)] for i in range(m)]
+        super().__init__(components, n * dim, info)
 
     def x_star(self) -> np.ndarray:
         """Minimizer of the aggregate objective: the slot-wise geometric series."""
         return np.tile(self.x_star_slot, self.n)
 
-    def _slot(self, x: np.ndarray, j: int) -> np.ndarray:
-        return x[j * self.dim : (j + 1) * self.dim]
+    def _component(self, i: int, j: int, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Component (i, j): node i's chain function of slot j, with its gradient on R^d."""
+        slot, grad = slice(j * self.dim, (j + 1) * self.dim), np.zeros(self.d)
+        val, grad[slot] = self._g(i, x[slot])
+        return val, grad
 
     def _g(self, i: int, y: np.ndarray) -> tuple[float, np.ndarray]:
         mu, big_l = self.mu_chain, self.big_l
@@ -258,32 +262,6 @@ class ChainObjective(FiniteSumObjective):
         grad[first:end:2] += 2.0 * c * diff
         grad[first + 1 : end : 2] -= 2.0 * c * diff
         return val, grad
-
-    def _slot_terms(self, i, x: np.ndarray):
-        """Values and slot gradients of node i's n components at ``x``."""
-        return [self._g(int(i), self._slot(x, j)) for j in range(self.n)]
-
-    def batch_component_values(self, nodes, X):
-        return np.array([[val for val, _ in self._slot_terms(i, x)] for i, x in zip(nodes, X)])
-
-    def batch_local_values(self, nodes, X):  # summed in slot order; a row mean rounds differently
-        return np.array([sum(row) / self.n for row in self.batch_component_values(nodes, X)])
-
-    def batch_sampled_gradients(self, nodes, idx, X):
-        out = np.zeros((len(nodes), np.shape(idx)[1], self.d))
-        for r, (i, ix, x) in enumerate(zip(nodes, idx, X)):
-            for c, j in enumerate(ix):
-                self._slot(out[r, c], j)[:] = self._g(int(i), self._slot(x, j))[1]
-        return out
-
-    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
-        return self.batch_sampled_gradients(nodes, idx, X_new), self.batch_sampled_gradients(nodes, idx, X_old)
-
-    def batch_component_gradients(self, nodes, X):
-        return self.batch_sampled_gradients(nodes, np.tile(np.arange(self.n), (len(nodes), 1)), X)
-
-    def batch_local_gradients(self, nodes, X):
-        return np.array([np.concatenate([g for _, g in self._slot_terms(i, x)]) for i, x in zip(nodes, X)]) / self.n
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,9 @@ TOPOLOGIES = (
 # ---------------------------------------------------------------------------
 
 
-def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np.ndarray, float]]:
-    """Parse a sparse `label idx:val ...` file into dense rows.
+def parse_libsvm(path: str | Path, max_features: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a sparse `label idx:val ...` file into a dense ``(rows, d)`` feature
+    matrix and its ``(rows,)`` labels.
 
     Indices are 1-based; the dense dimension is the maximum index seen, capped
     at ``max_features`` (rows are densified, so an unexpectedly huge index
@@ -102,7 +103,7 @@ def parse_libsvm(path: str | Path, max_features: int = 100_000) -> list[tuple[np
     dense.reshape(-1)[cells] = vals
     if set(labels.tolist()) == {0.0, 1.0}:
         labels = np.where(labels == 0.0, -1.0, labels)
-    return list(zip(dense, labels.tolist()))
+    return dense, labels
 
 
 def _convert(data: list[list[str]], max_features: int):
@@ -168,19 +169,23 @@ def _check_lines(path: str | Path, lines: list[str], max_features: int) -> NoRet
     raise ValueError(f"{path}: the feature indices are too large to densify")
 
 
-def partition_dataset(rows: list[tuple[np.ndarray, float]], m: int, n: int, seed: int) -> list[DatasetShard]:
-    """Shuffle rows, split contiguously across nodes, round-robin into components.
+def partition_dataset(data: tuple[np.ndarray, np.ndarray], m: int, n: int, seed: int) -> list[DatasetShard]:
+    """Shuffle the rows of ``data = (features, labels)``, as :func:`parse_libsvm`
+    returns them, split them contiguously across nodes, round-robin into components.
 
     The remainder after equal division goes one row per node starting at node
     0.  With fewer than ``m * n`` rows some component would be empty, which is
     an error.
     """
-    if len(rows) < m * n:
-        raise ValueError(f"{len(rows)} rows cannot fill {m} nodes x {n} components")
-    order = np.random.default_rng(seed).permutation(len(rows))
-    features = np.array([vec for vec, _ in rows])[order]
-    labels = np.array([label for _, label in rows])[order]
-    base, extra = divmod(len(rows), m)
+    features, labels = data
+    rows = len(labels)
+    if len(features) != rows:
+        raise ValueError(f"{len(features)} feature rows for {rows} labels")
+    if rows < m * n:
+        raise ValueError(f"{rows} rows cannot fill {m} nodes x {n} components")
+    order = np.random.default_rng(seed).permutation(rows)
+    features, labels = features[order], labels[order]
+    base, extra = divmod(rows, m)
     shards = []
     cursor = 0
     for i in range(m):
@@ -352,12 +357,9 @@ def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
 
 def _build_objective(cfg: ExperimentConfig) -> tuple[FiniteSumObjective, GraphSequence | None]:
     """Returns (objective, its own graph sequence or None): the zero-chain instance brings its rotating star."""
-    if cfg.objective == "logistic":
-        rows = parse_libsvm(cfg.dataset)
-        return logistic_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed), cfg.reg), None
-    if cfg.objective == "nlls":
-        rows = parse_libsvm(cfg.dataset)
-        return nlls_objective(partition_dataset(rows, cfg.m, cfg.n, cfg.seed)), None
+    if cfg.objective in ("logistic", "nlls"):
+        shards = partition_dataset(parse_libsvm(cfg.dataset), cfg.m, cfg.n, cfg.seed)
+        return (logistic_objective(shards, cfg.reg) if cfg.objective == "logistic" else nlls_objective(shards)), None
     if cfg.objective == "chain":
         return ChainObjective(cfg.m, cfg.n, cfg.chain_L, cfg.chain_mu, cfg.chain_dim), None
     comms = cfg.budget_comms or 4 * cfg.budget_iters

@@ -39,7 +39,6 @@ __all__ = [
     "node_mean",
     "consensus_error",
     "stream_generators",
-    "stream_doubles",
     "dump_sequence",
     "DUMP_STEPS",
 ]
@@ -189,11 +188,13 @@ class GraphSequence:
 
 
 class _CyclicSequence(GraphSequence):
-    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once, stacked."""
+    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once, stacked.
+    ``chi`` is the worst exact per-step ``chi`` over the period."""
 
     def __init__(self, graphs: Sequence[WeightedGraph]):
         self._graphs = list(graphs)
         self._gossips = _gossip_matrices(self._graphs)
+        self.chi = max(g.chi for g in self._gossips)
         self.m = self._graphs[0].m
         self.period = len(self._graphs)
 
@@ -216,7 +217,6 @@ class StaticSequence(_CyclicSequence):
 
     def __init__(self, graph: WeightedGraph):
         super().__init__([graph])
-        self.chi = self._gossips[0].chi
 
 
 # The streams of ``default_rng((seed, k))`` for a block of steps ``k`` at once: the
@@ -353,14 +353,6 @@ def stream_generators(seed: int, k: int, size: int) -> tuple[int, Iterator[np.ra
         return gen
 
     return steps.start, (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
-
-
-def stream_doubles(seed: int, k: int, size: int, count: int) -> tuple[int, np.ndarray]:
-    """The first ``count`` doubles of ``default_rng((seed, j)).random`` for every step
-    ``j`` of the aligned block of ``size`` steps holding ``k``: the block's first step
-    and a ``(steps, count)`` array, from :func:`stream_generators`."""
-    start, gens = stream_generators(seed, k, size)
-    return start, np.stack([gen.random(count) for gen in gens])
 
 
 class RandomGeometricSequence(GraphSequence):
@@ -521,7 +513,6 @@ class TwoStarHopSequence(_CyclicSequence):
         if m < 4:
             raise ValueError("two-star hop topology needs m >= 4")
         super().__init__(self._build_cycle(m))
-        self.chi = max(g.chi for g in self._gossips)
 
     @staticmethod
     def _build_cycle(m: int) -> list[WeightedGraph]:
@@ -572,7 +563,7 @@ class RotatingStarSequence(_CyclicSequence):
         self.s3 = tuple(range(2 * third, m))
         self.centers = [*self.s3, self.s1[0], *self.s3, self.s2[0]]
         super().__init__([star_graph(m, center=c) for c in self.centers])
-        self.chi = float(m)
+        self.chi = float(m)  # analytic: the measured star chi can differ from m in the last ulp
 
     def center(self, k: int) -> int:
         return self.centers[k % self.period]

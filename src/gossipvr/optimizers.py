@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_doubles, stream_generators
+from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_generators
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
@@ -286,10 +286,11 @@ def _draw_block(seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) 
 
     Iteration ``k`` reads ``default_rng((seed, k))``: ``random((m, b))`` for the
     batch, then ``random(m)`` for the omega coins, i.e. its first ``m b + m``
-    doubles, which :func:`stream_doubles` gives for the whole block.
+    doubles, which each generator of :func:`stream_generators` draws for its iteration.
     """
     (m, n), b = cum_probs.shape, params.b
-    start, u = stream_doubles(seed, k, DRAW_BLOCK, m * b + m)
+    start, gens = stream_generators(seed, k, DRAW_BLOCK)
+    u = np.stack([gen.random(m * b + m) for gen in gens])
     batch_u, omega_u = u[:, : m * b].reshape(-1, m, b), u[:, m * b :, None]
     # Inverse-CDF sampling: the index is the count of running sums <= u.
     idx = np.empty(batch_u.shape, dtype=np.intp)
@@ -644,7 +645,10 @@ def run(
 
     Metrics are evaluated through the raw objective so they never touch the
     oracle counters.  ``stop_dist_sq`` ends the run early once the recorded
-    mean squared distance falls below it.
+    mean squared distance falls below it.  A step that raises a ``RuntimeError``
+    (a :class:`DivergenceError`, or a graph the sequence cannot serve) ends the
+    run with :class:`RunAbort`, which carries the records so far; a
+    ``NotImplementedError`` propagates as it is.
     """
     budgets.validate()
     if metric_every < 1:
@@ -689,7 +693,9 @@ def run(
             break
         try:
             state = method.step(state, counting, seq, seed)
-        except DivergenceError as exc:
+        except NotImplementedError:
+            raise
+        except RuntimeError as exc:  # a divergence, or a graph sequence that cannot serve the step
             record(state)
             raise RunAbort(str(exc), trace) from exc
         if progress_tracker is not None:

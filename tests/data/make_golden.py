@@ -4,6 +4,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_golden.py           # rewrite golden_traces.json
     PYTHONPATH=src python tests/data/make_golden.py --check   # compare, write nothing
+    PYTHONPATH=src python tests/data/make_golden.py --case adom_vr_logistic_rg   # rewrite one record
+
+``--case NAME`` (repeatable) limits a rewrite or a check to the named cases; a
+rewrite leaves the other records as they are, drift and all.
 
 ``--check`` re-runs every case and prints, per float column, the largest
 relative deviation from the frozen rows, which shows how much of the test's
@@ -81,11 +85,13 @@ def largest_deviations(fresh: dict, golden: dict) -> dict[str, float] | None:
     return out
 
 
-def check() -> int:
+def check(names: list[str]) -> int:
     golden = json.loads(GOLDEN_PATH.read_text())
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, record in golden.items():
+            if name not in names:
+                continue
             worst = largest_deviations(run_case(record["config"], Path(tmp)), record)
             if worst is None:
                 print(f"{name}: counts or rows differ")
@@ -95,15 +101,25 @@ def check() -> int:
     return status
 
 
+def regenerate(names: list[str], path: Path = GOLDEN_PATH) -> None:
+    """Re-run the named cases and rewrite their records in ``path``; the other records stay as they are."""
+    golden = json.loads(path.read_text()) if path.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            golden[name] = run_case(CASES[name], Path(tmp))
+    path.write_text(json.dumps(golden, indent=1) + "\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="compare fresh runs with the golden traces; write nothing")
-    if parser.parse_args().check:
-        return check()
-    with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: run_case(config, Path(tmp)) for name, config in CASES.items()}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    parser.add_argument("--case", action="append", choices=sorted(CASES), help="only this case (repeatable)")
+    args = parser.parse_args()
+    names = args.case or list(CASES)
+    if args.check:
+        return check(names)
+    regenerate(names)
+    print(f"wrote {', '.join(names)} to {GOLDEN_PATH}")
     return 0
 
 

@@ -39,3 +39,18 @@ def test_trace_matches_golden(name, tmp_path):
     want_counts, want_floats = _split(golden["rows"])
     np.testing.assert_array_equal(counts, want_counts)  # iter, comms, oracle_calls
     np.testing.assert_allclose(floats, want_floats, rtol=RTOL, atol=0.0, equal_nan=True)
+
+
+def test_case_rewrite_leaves_other_records(tmp_path):
+    """``make_golden.py --case NAME`` rewrites the named record only: every other record keeps its bytes."""
+    import make_golden
+
+    text = GOLDEN_PATH.read_text()
+    assert text == json.dumps(GOLDEN, indent=1) + "\n"
+    name = "gt_baseline_zero_chain"
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({**GOLDEN, name: dict(GOLDEN[name], rows=[])}, indent=1) + "\n")
+    make_golden.regenerate([name], path)
+    fresh = json.loads(path.read_text())[name]
+    assert fresh == run_case(make_golden.CASES[name], tmp_path)
+    assert path.read_text() == json.dumps({**GOLDEN, name: fresh}, indent=1) + "\n"

@@ -248,9 +248,19 @@ class TestChainInstance:
                         val += c * diff * diff
                         grad[lo] += 2.0 * c * diff
                         grad[lo + 1] -= 2.0 * c * diff
-                    assert _same_bits(obj.component_gradient(i, j, w)[j * dim : (j + 1) * dim], grad)
+                    full = np.zeros(obj.d)
+                    full[j * dim : (j + 1) * dim] = grad
+                    assert _same_bits(obj.component_gradient(i, j, w), full)
                     # The slices sum the pair terms in another order.
                     assert obj.component_value(i, j, w) == pytest.approx(val, rel=1e-12)
+            mu_other = 1.0 / (4 - 2)
+            for i in (2, 3):  # the bystanders: a weak quadratic of the slot, bitwise
+                for j in range(obj.n):
+                    y = w[j * dim : (j + 1) * dim]
+                    full = np.zeros(obj.d)
+                    full[j * dim : (j + 1) * dim] = mu_other * y
+                    assert _same_bits(obj.component_gradient(i, j, w), full)
+                    assert _same_bits(obj.component_value(i, j, w), 0.5 * mu_other * y @ y)
 
     def test_tail_error_reported(self):
         obj = ChainObjective(4, 1, 4.0, 1.0, 12)

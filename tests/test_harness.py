@@ -22,16 +22,16 @@ class TestParseLibsvm:
     def test_basic_line(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("+1 1:0.5 3:2\n")
-        rows = parse_libsvm(f)
-        assert rows[0][1] == 1.0
-        assert rows[0][0] == pytest.approx([0.5, 0.0, 2.0])
+        features, labels = parse_libsvm(f)
+        assert labels.tolist() == [1.0]
+        assert features[0] == pytest.approx([0.5, 0.0, 2.0])
 
     def test_label_only_line(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("+1 2:1\n-1\n")
-        rows = parse_libsvm(f)
-        assert rows[1][1] == -1.0
-        assert rows[1][0] == pytest.approx([0.0, 0.0])
+        features, labels = parse_libsvm(f)
+        assert labels[1] == -1.0
+        assert features[1].tolist() == [0.0, 0.0]
 
     def test_zero_index_rejected(self, tmp_path):
         f = tmp_path / "toy.libsvm"
@@ -61,15 +61,15 @@ class TestParseLibsvm:
     def test_binary_01_labels_remapped(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("0 1:1\n1 1:2\n")
-        rows = parse_libsvm(f)
-        assert sorted(label for _, label in rows) == [-1.0, 1.0]
+        _, labels = parse_libsvm(f)
+        assert labels.tolist() == [-1.0, 1.0]
 
     def test_feature_cap(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_text("1 900000:1\n")
         with pytest.raises(ValueError, match="cap"):
             parse_libsvm(f)
-        assert parse_libsvm(f, max_features=10**6)[0][0].shape == (900000,)
+        assert parse_libsvm(f, max_features=10**6)[0].shape == (1, 900000)
 
     def test_first_failure_in_file_order_wins(self, tmp_path):
         f = tmp_path / "toy.libsvm"
@@ -100,28 +100,25 @@ class TestParseLibsvm:
     def test_layout_variants_parse_as_the_reference(self, tmp_path):
         f = tmp_path / "toy.libsvm"
         f.write_bytes(b"0 1:1 3:-0.0\r\n  # indented comment\r\n1\r\n\t1 2:2.5e-3\r\n0\r\n")
-        rows = parse_libsvm(f)
-        assert_same_rows(rows, reference_parse(f))
-        assert [label for _, label in rows] == [-1.0, 1.0, 1.0, -1.0]
-        assert rows[1][0].tolist() == [0.0, 0.0, 0.0]
+        features, labels = parse_libsvm(f)
+        assert_same_data((features, labels), reference_parse(f))
+        assert labels.tolist() == [-1.0, 1.0, 1.0, -1.0]
+        assert features[1].tolist() == [0.0, 0.0, 0.0]
 
     def test_round_trip(self, tmp_path, fixture_path):
-        rows = parse_libsvm(fixture_path)
+        features, labels = parse_libsvm(fixture_path)
         out = tmp_path / "echo.libsvm"
         with open(out, "w") as handle:
-            for vec, label in rows:
+            for vec, label in zip(features, labels):
                 feats = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(vec) if v != 0.0)
                 handle.write(f"{float(label)!r} {feats}".rstrip() + "\n")
-        again = parse_libsvm(out)
-        assert len(again) == len(rows)
-        for (va, la), (vb, lb) in zip(rows, again):
-            assert la == lb
-            assert np.array_equal(va, vb)
+        again_features, again_labels = parse_libsvm(out)
+        assert np.array_equal(again_labels, labels)
+        assert np.array_equal(again_features, features)
 
     def test_fixture_shape(self, fixture_path):
-        rows = parse_libsvm(fixture_path)
-        assert len(rows) == 500
-        assert rows[0][0].shape == (20,)
+        features, labels = parse_libsvm(fixture_path)
+        assert features.shape == (500, 20) and labels.shape == (500,)
 
 
 def reference_parse(path):
@@ -139,35 +136,36 @@ def reference_parse(path):
                 max_idx = max(max_idx, int(idx_s))
             raw.append((float(parts[0]), pairs))
     remap = {label for label, _ in raw} == {0.0, 1.0}
-    rows = []
+    vecs, labels = [], []
     for label, pairs in raw:
         vec = np.zeros(max_idx)
         for idx, val in pairs.items():
             vec[idx - 1] = val
-        rows.append((vec, -1.0 if remap and label == 0.0 else label))
-    return rows
+        vecs.append(vec)
+        labels.append(-1.0 if remap and label == 0.0 else label)
+    return np.stack(vecs), np.array(labels)
 
 
-def reference_partition(rows, m, n, seed):
+def reference_partition(data, m, n, seed):
     """Row-by-row partition: the reference for ``partition_dataset``."""
-    order = np.random.default_rng(seed).permutation(len(rows))
-    base, extra = divmod(len(rows), m)
+    features, labels = data
+    order = np.random.default_rng(seed).permutation(len(labels))
+    base, extra = divmod(len(labels), m)
     shards, cursor = [], 0
     for i in range(m):
         size = base + (1 if i < extra else 0)
         picked = order[cursor : cursor + size]
         cursor += size
-        feats = np.stack([rows[r][0] for r in picked])
-        labels = np.array([rows[r][1] for r in picked])
-        shards.append((feats, labels, tuple(np.arange(j, size, n) for j in range(n))))
+        feats = np.stack([features[r] for r in picked])
+        own = np.array([float(labels[r]) for r in picked])
+        shards.append((feats, own, tuple(np.arange(j, size, n) for j in range(n))))
     return shards
 
 
-def assert_same_rows(got, want):
-    assert len(got) == len(want)
-    for (vec, label), (ref_vec, ref_label) in zip(got, want):
-        assert type(label) is float and np.float64(label).tobytes() == np.float64(ref_label).tobytes()
-        assert vec.dtype == ref_vec.dtype and vec.shape == ref_vec.shape and vec.tobytes() == ref_vec.tobytes()
+def assert_same_data(got, want):
+    """The ``(features, labels)`` pairs agree in dtype, shape and bytes."""
+    for arr, ref in zip(got, want, strict=True):
+        assert arr.dtype == ref.dtype == np.float64 and arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
 
 
 def synthetic_libsvm(path, rows=2000, d=37, seed=19):
@@ -194,12 +192,12 @@ class TestIngestionPin:
         return fixture_path if request.param == "fixture" else synthetic_libsvm(tmp_path / "synthetic.libsvm")
 
     def test_rows(self, dataset):
-        assert_same_rows(parse_libsvm(dataset), reference_parse(dataset))
+        assert_same_data(parse_libsvm(dataset), reference_parse(dataset))
 
     def test_shards(self, dataset):
-        rows = parse_libsvm(dataset)
+        data = parse_libsvm(dataset)
         for m, n, seed in ((10, 10, 4), (7, 9, 3)):
-            shards = partition_dataset(rows, m, n, seed)
+            shards = partition_dataset(data, m, n, seed)
             want = reference_partition(reference_parse(dataset), m, n, seed)
             assert [s.node for s in shards] == list(range(m))
             for shard, (feats, labels, blocks) in zip(shards, want):
@@ -214,7 +212,7 @@ class TestIngestionPin:
 
 class TestPartition:
     def make_rows(self, count, d=3):
-        return [(np.full(d, float(r)), 1.0) for r in range(count)]
+        return np.repeat(np.arange(count, dtype=float)[:, None], d, axis=1), np.ones(count)
 
     def test_even_split(self):
         shards = partition_dataset(self.make_rows(6), m=2, n=3, seed=0)
@@ -235,6 +233,11 @@ class TestPartition:
     def test_too_few_rows_errors(self):
         with pytest.raises(ValueError, match="components"):
             partition_dataset(self.make_rows(5), m=2, n=3, seed=0)
+
+    def test_label_count_must_match_rows(self):
+        features, labels = self.make_rows(7)
+        with pytest.raises(ValueError, match="7 feature rows for 6 labels"):
+            partition_dataset((features, labels[:6]), m=2, n=3, seed=0)
 
     def test_every_row_lands_in_one_block(self):
         shards = partition_dataset(self.make_rows(11), m=3, n=2, seed=1)

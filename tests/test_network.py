@@ -450,11 +450,12 @@ class TestRandomGeometric:
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("k, size, count", [(0, 64, 110), (100, 7, 1), (2**32 - 1, 7, 2000)])
-    def test_stream_doubles_match_default_rng(self, seed, k, size, count):
-        start, u = network.stream_doubles(seed, k, size, count)
+    def test_stream_generators_match_default_rng(self, seed, k, size, count):
+        start, gens = network.stream_generators(seed, k, size)
+        rows = [gen.random(count) for gen in gens]
         # The aligned block holding k, cut at 2**32.
-        assert start == k - k % size and start + len(u) == min(start + size, 2**32)
-        for j, row in enumerate(u, start):
+        assert start == k - k % size and start + len(rows) == min(start + size, 2**32)
+        for j, row in enumerate(rows, start):
             assert np.array_equal(row, np.random.default_rng((seed, j)).random(count)), j
 
     def test_redrawn_steps_match_reference(self):

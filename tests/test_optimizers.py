@@ -796,6 +796,30 @@ class TestRunDriver:
             run(GtBaseline(eta=1e9), obj, seq, RunBudgets(max_iterations=500), seed=0)
         assert len(exc_info.value.trace.records) >= 1
 
+    def test_graph_failure_aborts_with_trace(self):
+        """A graph the sequence cannot serve mid-run ends it with the records so far."""
+        obj, seq, _ = self.make_setup()
+
+        class FailingSequence(StaticSequence):
+            def gossip(self, k):
+                if k >= 30:
+                    raise RuntimeError(f"no connected geometric graph (step={k})")
+                return super().gossip(k)
+
+        failing = FailingSequence(ring_graph(obj.m))
+        with pytest.raises(RunAbort, match=r"^no connected geometric graph \(step=30\)$") as exc_info:
+            run(GtBaseline(eta=0.1), obj, failing, RunBudgets(max_iterations=100), metric_every=10, seed=0)
+        assert [r.iteration for r in exc_info.value.trace.records] == [0, 10, 20, 30, 30]
+
+    def test_unimplemented_sequence_propagates(self):
+        obj, _, _ = self.make_setup()
+
+        class Unimplemented(GraphSequence):
+            m = obj.m
+
+        with pytest.raises(NotImplementedError):
+            run(GtBaseline(eta=0.1), obj, Unimplemented(), RunBudgets(max_iterations=5), seed=0)
+
     @pytest.mark.parametrize(
         "method, field", [("adom_vr", "x"), ("adom_vr", "y"), ("adom_vr", "z"), ("gt_page", "x"), ("gt_page", "v"),
                           ("gt_baseline", "x")],
