@@ -39,6 +39,7 @@ from .optimizers import (
     AdomVr,
     GtBaseline,
     GtPage,
+    RunAbort,
     RunBudgets,
     RunTrace,
     adom_vr_params,
@@ -386,7 +387,9 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
 def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | None = None):
     """Wire topology + objective + optimizer, run, and write trace artifacts.
 
-    Returns ``(trace, csv_path, meta_path)``.
+    Returns ``(trace, csv_path, meta_path)``.  A run that ends in a :class:`RunAbort`
+    carrying its records writes the artifacts of those records, with an ``abort`` entry
+    in the sidecar, and then re-raises the abort.
     """
     cfg.validate()
     obj, hard_seq = _build_objective(cfg)
@@ -421,17 +424,16 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         max_communications=cfg.budget_comms or None,
         max_oracle_calls_per_node=cfg.budget_oracle or None,
     )
-    trace = run(
-        method,
-        obj,
-        seq,
-        budgets,
-        metric_every=cfg.metric_every,
-        seed=cfg.seed,
-        x_star=x_star,
-        progress_tracker=progress_tracker,
-        stop_dist_sq=cfg.stop_dist_sq or None,
-    )
+    abort = None
+    try:
+        trace = run(
+            method, obj, seq, budgets, metric_every=cfg.metric_every, seed=cfg.seed, x_star=x_star,
+            progress_tracker=progress_tracker, stop_dist_sq=cfg.stop_dist_sq or None,
+        )
+    except RunAbort as exc:
+        if exc.trace is None:
+            raise
+        trace, abort = exc.trace, exc
     graphs = None  # sequences other than random-geometric build their graphs once, up front
     if isinstance(seq, RandomGeometricSequence):
         graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max}
@@ -466,7 +468,12 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
             "oracle_calls": trace.final().oracle_calls,
         },
     }
+    if abort is not None:  # the failing step started from the last recorded state
+        final, cause = trace.final(), abort.__cause__ or abort
+        meta["abort"] = {"iteration": final.iteration, "comms": final.comms, "type": type(cause).__name__, "message": str(abort)}
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True, default=float) + "\n")
+    if abort is not None:
+        raise abort
     return trace, csv_path, meta_path
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import gossipvr.harness as harness
 from gossipvr.harness import (
     ExperimentConfig,
     _build_sequence,
@@ -14,6 +16,7 @@ from gossipvr.harness import (
 )
 from gossipvr.hardinstances import ChainObjective
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
+from gossipvr.optimizers import AdomVrParams, RunAbort
 
 from test_objectives import make_shards
 
@@ -343,6 +346,15 @@ class TestRunExperiment:
         assert meta["chi"] >= 1.0
         assert "tau2" in meta["parameters"]
 
+    def test_adom_sidecar_parameters_are_the_params_fields(self, tmp_path, fixture_path):
+        # The README adom_vr run, cut to 5 iterations: the sidecar's table is the schedule alone.
+        cfg = self.small_cfg(
+            tmp_path, fixture_path, objective="logistic", topology="random-geometric", m=10, n=10, reg=0.1, seed=4,
+        )
+        _, _, meta_path = run_experiment(cfg)
+        params = json.loads(meta_path.read_text())["parameters"]
+        assert sorted(params) == sorted(f.name for f in dataclasses.fields(AdomVrParams))
+
     def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)
         trace, csv_path, _ = run_experiment(cfg)
@@ -498,6 +510,40 @@ class TestCli:
         err = capsys.readouterr().err
         payload = json.loads(err)
         assert "error" in payload
+
+    def test_aborted_run_keeps_its_artifacts(self, tmp_path, fixture_path, capsys):
+        # gt_baseline at step 100 diverges at iteration 12; the run exits 1 with the
+        # artifacts of its records, and a rerun writes the same bytes.
+        argv = [
+            "--method", "gt_baseline", "--objective", "logistic", "--dataset", str(fixture_path),
+            "--topology", "static-ring", "--m", "10", "--n", "10", "--budget-iters", "300", "--gt-eta", "100",
+            "--out", str(tmp_path / "runs"),
+        ]
+        written = []
+        for _ in range(2):
+            assert main(argv) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "RunAbort"
+            written.append({p.name: p.read_bytes() for p in sorted((tmp_path / "runs").iterdir())})
+        assert written[0] == written[1]
+        tag = "gt_baseline_logistic_static-ring_m10_n10_seed0"
+        assert sorted(written[0]) == [f"{tag}.{ext}" for ext in ("csv", "graphs", "json")]
+        meta = json.loads(written[0][f"{tag}.json"])
+        assert meta["abort"] == {
+            "iteration": 11, "comms": 11, "type": "DivergenceError",
+            "message": "x exceeded divergence limit at iteration 12: max |entry| = 1.370e+12",
+        }
+        rows = written[0][f"{tag}.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "10", "11"]
+
+    def test_abort_without_records_writes_nothing(self, tmp_path, fixture_path, monkeypatch):
+        def abort(*args, **kwargs):
+            raise RunAbort("diverged", trace=None)
+
+        monkeypatch.setattr(harness, "run", abort)
+        cfg = ExperimentConfig().replace(method="gt_baseline", objective="chain", m=4, n=2, out=str(tmp_path / "runs"))
+        with pytest.raises(RunAbort, match="^diverged$"):
+            run_experiment(cfg)
+        assert not (tmp_path / "runs").exists()
 
     def test_seed_sweep(self, tmp_path, fixture_path, capsys):
         code = main(
