@@ -395,48 +395,50 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     obj, hard_seq = _build_objective(cfg)
     seq = hard_seq or _build_sequence(cfg)
     info = obj.info
-
-    chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
-
-    x_star = None
-    if info.mu > 0:
-        ref = reference_solution(obj)
-        x_star = ref.x_star
-
-    if cfg.method == "adom_vr":
-        if info.mu <= 0:
-            raise ValueError("adom_vr needs a strongly convex objective (mu > 0)")
-        b = cfg.b or corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
-        params = adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b)
-        method = AdomVr(params)
-    elif cfg.method == "gt_page":
-        b = cfg.b or None
-        params = gt_page_params(info.L, info.Lhat, chi, obj.n, b=b, strict_step=bool(cfg.strict_step))
-        method = GtPage(params, per_node_coins=bool(cfg.per_node_coins))
-    else:
-        rho = 1.0 / chi
-        eta = cfg.gt_eta or rho * rho / (4.0 * info.L)
-        params = None
-        method = GtBaseline(eta=eta)
-
-    budgets = RunBudgets(
-        max_iterations=cfg.budget_iters,
-        max_communications=cfg.budget_comms or None,
-        max_oracle_calls_per_node=cfg.budget_oracle or None,
-    )
-    abort = None
     try:
-        trace = run(
-            method, obj, seq, budgets, metric_every=cfg.metric_every, seed=cfg.seed, x_star=x_star,
-            progress_tracker=progress_tracker, stop_dist_sq=cfg.stop_dist_sq or None,
+        chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
+
+        x_star = None
+        if info.mu > 0:
+            ref = reference_solution(obj)
+            x_star = ref.x_star
+
+        if cfg.method == "adom_vr":
+            if info.mu <= 0:
+                raise ValueError("adom_vr needs a strongly convex objective (mu > 0)")
+            b = cfg.b or corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
+            params = adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b)
+            method = AdomVr(params)
+        elif cfg.method == "gt_page":
+            b = cfg.b or None
+            params = gt_page_params(info.L, info.Lhat, chi, obj.n, b=b, strict_step=bool(cfg.strict_step))
+            method = GtPage(params, per_node_coins=bool(cfg.per_node_coins))
+        else:
+            rho = 1.0 / chi
+            eta = cfg.gt_eta or rho * rho / (4.0 * info.L)
+            params = None
+            method = GtBaseline(eta=eta)
+
+        budgets = RunBudgets(
+            max_iterations=cfg.budget_iters,
+            max_communications=cfg.budget_comms or None,
+            max_oracle_calls_per_node=cfg.budget_oracle or None,
         )
-    except RunAbort as exc:
-        if exc.trace is None:
-            raise
-        trace, abort = exc.trace, exc
+        abort = None
+        try:
+            trace = run(
+                method, obj, seq, budgets, metric_every=cfg.metric_every, seed=cfg.seed, x_star=x_star,
+                progress_tracker=progress_tracker, stop_dist_sq=cfg.stop_dist_sq or None,
+            )
+        except RunAbort as exc:
+            if exc.trace is None:
+                raise
+            trace, abort = exc.trace, exc
+    finally:  # a random-geometric walk may have forked a builder child; it ends with the run
+        seq.close()
     graphs = None  # sequences other than random-geometric build their graphs once, up front
     if isinstance(seq, RandomGeometricSequence):
-        graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max}
+        graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max, "builder_blocks": seq.builder_blocks}
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,15 @@ left; the averaging operator actually applied by optimizers is ``I - W``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import select
+import signal
+import sys
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
@@ -186,6 +193,9 @@ class GraphSequence:
         """The ``step``/``edge`` records of steps ``0 .. steps - 1``, one string per ``BLOCK`` steps."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the sequence runs beside the caller; only a random-geometric one runs anything."""
+
 
 class _CyclicSequence(GraphSequence):
     """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once, stacked.
@@ -355,6 +365,66 @@ def stream_generators(seed: int, k: int, size: int) -> tuple[int, Iterator[np.ra
     return steps.start, (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
 
 
+def _builder_can_run() -> bool:
+    """Whether a random-geometric walk may fork its builder child: ``os.fork`` exists, this
+    process may run on at least two CPUs, one for the walk and one for the child, it runs no
+    other Python thread, which a fork could copy in the middle of holding a lock, and it is
+    not a process that ``multiprocessing`` started.  Such a process is a pool worker, as in
+    a ``--seeds`` sweep with ``--jobs``, whose sibling runs already share the CPUs: a
+    builder beside each would compete with them rather than overlap with its own walk."""
+    mp = sys.modules.get("multiprocessing")
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+        and (mp is None or mp.parent_process() is None)
+    )
+
+
+def _block_bytes(size: int, m: int) -> int:
+    return size * (8 * m * m + 17)
+
+
+def _block_fields(buf: np.ndarray, size: int, m: int) -> tuple[np.ndarray, ...]:
+    """A built block as the builder's pipe carries it, as views of the uint8 buffer ``buf``:
+    the ``(size, m, m)`` matrices, the ``chi`` values, the resample counts and the connected
+    flags (a step still disconnected after ``MAX_RETRIES`` draws has a zero matrix and ``chi``)."""
+    a, b = size * m * m * 8, size * 8
+    return (
+        buf[:a].view(np.float64).reshape(size, m, m),
+        buf[a : a + b].view(np.float64),
+        buf[a + b : a + 2 * b].view(np.int64),
+        buf[a + 2 * b :].view(bool),
+    )
+
+
+def _write_blocks(seq: RandomGeometricSequence, start: int, fd: int) -> None:
+    """The builder child's loop: build the blocks from ``start`` on, in order, and write each
+    to ``fd``.  Returns when the steps run out at ``2**32``; raises when the pipe breaks."""
+    while start < _STEP_LIMIT:
+        matrices, counts = seq._build_block(start)
+        buf = np.zeros(_block_bytes(len(matrices), seq.m), dtype=np.uint8)
+        w, chi, resamples, connected = _block_fields(buf, len(matrices), seq.m)
+        resamples[:] = counts
+        for i, wi in enumerate(matrices):
+            if wi is not None:
+                w[i], chi[i], connected[i] = wi.matrix, wi.chi, True
+        view = memoryview(buf)
+        while view:
+            view = view[os.write(fd, view) :]
+        start += BLOCK
+
+
+def _stop_child(pid: int, fd: int) -> None:
+    """Kill and reap a builder child and close its pipe."""
+    with contextlib.suppress(OSError):
+        os.kill(pid, signal.SIGKILL)
+    with contextlib.suppress(OSError):
+        os.waitpid(pid, 0)
+    os.close(fd)
+
+
 class RandomGeometricSequence(GraphSequence):
     """Fresh random geometric graph each step, resampled until connected.
 
@@ -386,11 +456,26 @@ class RandomGeometricSequence(GraphSequence):
     the oldest starting at or past ``DUMP_STEPS`` is evicted first, so a run's
     dump finds its steps cached.  An evicted block is rebuilt, and charged
     again, on its next miss.
+
+    A forward walk builds ahead in a child process.  The first miss on the
+    block right after a cached one forks one builder child, when
+    :func:`_builder_can_run` allows it; the child runs ``_build_block`` on the
+    blocks that follow, in order, and writes each to a pipe, whose capacity
+    keeps it about one block ahead.  A miss on the block the child writes next
+    reads it from the pipe; every other miss builds in-process, and so does
+    every miss once the child has died.  The pipe carries the built bits, so
+    the steps and the counters do not depend on who built them;
+    ``builder_blocks`` counts the blocks the child served.  A child that writes
+    nothing for ``PIPE_TIMEOUT`` seconds is taken for dead, say one stopped, or
+    one deadlocked because the fork copied a lock that a native thread pool of
+    the BLAS held.  ``close`` kills and reaps the child, and so does collecting
+    the sequence.
     """
 
     kind = "random-geometric"
 
     CACHE_BLOCKS = 64  # steps are pure functions of (seed, k); eviction is safe
+    PIPE_TIMEOUT = 10.0  # seconds; a block takes the child milliseconds
 
     def __init__(self, m: int, radius: float, seed: int):
         if m < 2:
@@ -406,9 +491,16 @@ class RandomGeometricSequence(GraphSequence):
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
         # block start -> (matrix per offset, resamples per offset until first served), oldest first
         self._blocks: dict[int, tuple[list[GossipMatrix | None], list[int | None]]] = {}
+        # The builder child's pid and pipe, the start of the block it writes next (None when no
+        # child runs) and the finalizer that stops it; a sequence forks at most once, and never once closed.
+        self._may_fork = True
+        self._child: tuple[int, int] | None = None
+        self._piped: int | None = None
+        self._stop: weakref.finalize | None = None
         self.built = 0
         self.resamples = 0
         self.chi_max = 0.0
+        self.builder_blocks = 0
 
     def graph(self, k: int) -> WeightedGraph:
         # Off the diagonal, W is nonzero exactly on the edges; row-major order is sorted.
@@ -433,7 +525,7 @@ class RandomGeometricSequence(GraphSequence):
         i = k % BLOCK
         block = self._blocks.get(k - i)
         if block is None:
-            block = self._blocks[k - i] = self._build_block(k)
+            block = self._blocks[k - i] = self._fetch_block(k)
             if len(self._blocks) > self.CACHE_BLOCKS:
                 *older, _ = self._blocks  # never the block just built
                 del self._blocks[next((s for s in older if s >= DUMP_STEPS), older[0])]
@@ -451,6 +543,62 @@ class RandomGeometricSequence(GraphSequence):
                 f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
             )
         return w
+
+    def close(self) -> None:
+        """Kill and reap the builder child, if one runs; later misses build in-process."""
+        if self._stop is not None:
+            self._stop()
+        self._may_fork, self._piped = False, None
+
+    def _fetch_block(self, k: int) -> tuple[list[GossipMatrix | None], list[int]]:
+        """The block holding step ``k``: read from the builder child when it is the one the child
+        writes next, else built in-process.  A miss right after a cached block, a forward walk,
+        forks the child first, on the blocks after this one."""
+        start = k - k % BLOCK
+        if start == self._piped:
+            block = self._read_piped(start)
+            if block is not None:
+                return block
+        elif self._may_fork and start - BLOCK in self._blocks and _builder_can_run():
+            self._fork_builder(start + BLOCK)
+        return self._build_block(k)
+
+    def _fork_builder(self, start: int) -> None:
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit: it never runs the parent's exit handlers or flushes its buffers
+            try:
+                os.close(read)
+                _write_blocks(self, start, write)
+            finally:
+                os._exit(0)
+        os.close(write)
+        self._may_fork, self._child, self._piped = False, (pid, read), start
+        self._stop = weakref.finalize(self, _stop_child, pid, read)
+
+    def _read_piped(self, start: int) -> tuple[list[GossipMatrix | None], list[int]] | None:
+        """The block the child wrote at ``start``, or None (and the child stopped) if it died
+        or fell silent for ``PIPE_TIMEOUT`` seconds first."""
+        size = min(BLOCK, _STEP_LIMIT - start)
+        buf = np.empty(_block_bytes(size, self.m), dtype=np.uint8)
+        view = memoryview(buf)
+        poll = select.poll()
+        poll.register(self._child[1], select.POLLIN)
+        while view:
+            try:
+                got = os.readv(self._child[1], [view]) if poll.poll(1000 * self.PIPE_TIMEOUT) else 0
+            except OSError:
+                got = 0
+            if not got:
+                self.close()
+                return None
+            view = view[got:]
+        self._piped = start + BLOCK
+        self.builder_blocks += 1
+        w, chi, resamples, connected = _block_fields(buf, size, self.m)
+        matrices = [GossipMatrix(matrix=wi, chi=ci) if ok else None
+                    for wi, ci, ok in zip(w, chi.tolist(), connected.tolist())]
+        return matrices, resamples.tolist()
 
     def _build_block(self, k: int) -> tuple[list[GossipMatrix | None], list[int]]:
         """The gossip matrices and resample counts of the aligned block of ``BLOCK``

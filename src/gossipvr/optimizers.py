@@ -719,7 +719,9 @@ def run(
         except NotImplementedError:
             raise
         except RuntimeError as exc:  # a divergence, or a graph sequence that cannot serve the step
-            record(state)
+            if trace.records[-1].iteration != state.k:  # the state the failing step started from
+                record(state)
+            trace.metadata["oracle_calls_per_node"] = counting.calls.tolist()
             raise RunAbort(str(exc), trace) from exc
         if progress_tracker is not None:
             progress_tracker.update(state.x, state.comms, counting.max_calls())

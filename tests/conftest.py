@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,24 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURE_500 = Path(__file__).parent / "data" / "logreg500.libsvm"
+
+
+def child_left() -> bool:
+    """Whether this process still has a child, running or exited but unreaped (which it reaps)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test after which this process still has a child: a random-geometric builder
+    child must end with its run."""
+    yield
+    if child_left():
+        pytest.fail("a child process outlived the test")
 
 
 @pytest.fixture(scope="session")

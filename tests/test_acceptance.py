@@ -72,13 +72,18 @@ def _fit_line(x, y):
 
 
 @pytest.fixture(scope="module")
-def logistic_setup(fixture_path):
-    rows = parse_libsvm(fixture_path)
-    shards = partition_dataset(rows, 10, 10, seed=4)
-    obj = logistic_objective(shards, 0.1)
+def logistic_data(fixture_path):
+    shards = partition_dataset(parse_libsvm(fixture_path), 10, 10, seed=4)
+    return shards, logistic_objective(shards, 0.1)
+
+
+@pytest.fixture
+def logistic_setup(logistic_data):
+    """A fresh graph sequence per test, closed after it, so its builder child ends with the test."""
     seq = RandomGeometricSequence(10, 0.7, seed=123)
     chi = measure_chi(seq, trials=20)
-    return shards, obj, seq, chi
+    yield (*logistic_data, seq, chi)
+    seq.close()
 
 
 def test_01_gossip_contraction():

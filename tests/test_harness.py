@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
 
 import gossipvr.harness as harness
+import gossipvr.network as network
 from gossipvr.harness import (
     ExperimentConfig,
     _build_sequence,
@@ -400,19 +403,24 @@ class TestRunExperiment:
         assert meta["topology"] == "rotating-star"
         assert meta["graphs"] is None
 
-    def test_random_geometric_graph_counters_in_sidecar(self, tmp_path, fixture_path):
+    def test_random_geometric_graph_counters_in_sidecar(self, tmp_path, fixture_path, monkeypatch):
+        monkeypatch.setattr(network, "_builder_can_run", lambda: True)  # a builder child on any host
         cfg = self.small_cfg(
             tmp_path, fixture_path, method="gt_page", objective="chain", topology="random-geometric",
-            radius=0.45, budget_iters=5, chi_trials=3,
+            radius=0.45, budget_iters=40, chi_trials=3,
         )
         _, _, meta_path = run_experiment(cfg)
         meta = json.loads(meta_path.read_text())
         assert meta["topology"] == "random-geometric"
-        steps = 5 * meta["parameters"]["stages"]  # the chi_trials steps are the run's first steps
+        steps = 40 * meta["parameters"]["stages"]  # the chi_trials steps are the run's first steps
         replay = _build_sequence(cfg)
         chi_max = max(replay.gossip(k).chi for k in range(steps))
+        replay.close()
         assert replay.resamples > 0
-        assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max}
+        # measure_chi builds block 0 and the walk block 1 while the child starts on block 2
+        piped = math.ceil(steps / network.BLOCK) - 2
+        assert piped > 0 and replay.builder_blocks == piped
+        assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max, "builder_blocks": piped}
 
     def test_gt_baseline_on_chain(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)
@@ -535,6 +543,18 @@ class TestCli:
         rows = written[0][f"{tag}.csv"].decode().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0", "10", "11"]
 
+    def test_aborted_run_records_each_iteration_once(self, tmp_path, fixture_path, capsys):
+        # The same divergence recorded every iteration: one CSV row per iteration reached.
+        argv = [
+            "--method", "gt_baseline", "--objective", "logistic", "--dataset", str(fixture_path),
+            "--topology", "static-ring", "--m", "10", "--n", "10", "--budget-iters", "300", "--gt-eta", "100",
+            "--metric-every", "1", "--out", str(tmp_path / "runs"),
+        ]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RunAbort"
+        rows = (tmp_path / "runs" / "gt_baseline_logistic_static-ring_m10_n10_seed0.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(12)]
+
     def test_abort_without_records_writes_nothing(self, tmp_path, fixture_path, monkeypatch):
         def abort(*args, **kwargs):
             raise RunAbort("diverged", trace=None)
@@ -575,6 +595,20 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
         for name in ("gt_baseline_chain_static-ring_m4_n2_seed5.csv", "gt_baseline_chain_static-ring_m4_n2_seed6.csv"):
             assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_pool_workers_build_graphs_in_process(self, tmp_path, monkeypatch):
+        # A --jobs sweep's runs already share the CPUs: only a serial sweep forks builder children.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two CPUs on any host
+        args = ["--method", "gt_baseline", "--objective", "chain", "--topology", "random-geometric",
+                "--m", "6", "--n", "2", "--budget-iters", "300", "--seeds", "5,6"]
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
+        for seed in (5, 6):
+            tag = f"gt_baseline_chain_random-geometric_m6_n2_seed{seed}"
+            serial, par = (json.loads((tmp_path / out / f"{tag}.json").read_text())["graphs"] for out in ("serial", "par"))
+            assert serial["builder_blocks"] == 3 and par == {**serial, "builder_blocks": 0}  # blocks 2, 3 and 4
+            for ext in ("csv", "graphs"):
+                assert (tmp_path / "par" / f"{tag}.{ext}").read_bytes() == (tmp_path / "serial" / f"{tag}.{ext}").read_bytes()
 
     @pytest.mark.parametrize("seeds", ["1,1", "1,01", "0,2,0"])
     def test_repeated_seed_rejected_before_any_run(self, tmp_path, capsys, seeds):

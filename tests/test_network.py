@@ -1,9 +1,12 @@
 import io
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
+import gossipvr.harness as harness
 import gossipvr.network as network
 from gossipvr.network import (
     GossipMatrix,
@@ -21,6 +24,9 @@ from gossipvr.network import (
     node_mean,
     star_graph,
 )
+from gossipvr.optimizers import DivergenceError, GtBaseline, RunAbort
+
+from conftest import child_left
 
 
 def random_zero_mean(rng, m, d=3):
@@ -32,9 +38,15 @@ def random_zero_mean(rng, m, d=3):
 RANDOM_GEOMETRIC_CASES = [(10, 0.7, 3, 0), (10, 0.45, 1, 189), (10, 0.35, 2, 1619), (50, 0.3, 7, 11), (2, 2.0, 0, 0)]
 
 
+def in_process(monkeypatch):
+    """Keep every random-geometric build in this process: no builder child is forked."""
+    monkeypatch.setattr(network, "_builder_can_run", lambda: False)
+
+
 def count_builds(monkeypatch):
-    """Wrap ``RandomGeometricSequence._build_block``; the returned list collects the
-    start of every block built."""
+    """Wrap ``RandomGeometricSequence._build_block``, with every build in-process; the
+    returned list collects the start of every block built."""
+    in_process(monkeypatch)
     builds, build = [], RandomGeometricSequence._build_block
 
     def counted(seq, k):
@@ -46,8 +58,9 @@ def count_builds(monkeypatch):
 
 
 def count_seedings(monkeypatch):
-    """Wrap ``network._block_streams``, the replica's seeding pass; the returned list
-    collects the first step of every range it seeds."""
+    """Wrap ``network._block_streams``, the replica's seeding pass, with every build
+    in-process; the returned list collects the first step of every range it seeds."""
+    in_process(monkeypatch)
     seedings, seed_streams = [], network._block_streams
 
     def counted(seed, k, size):
@@ -624,6 +637,123 @@ class TestSerialization:
         out = io.StringIO()
         dump_sequence(seq, steps, out)
         assert out.getvalue() == dump_through_graph(seq, steps)
+
+
+def walk(seq, steps):
+    """Serve ``steps`` in order: each step's (matrix bytes, chi) or its error message, then the counters."""
+    served = []
+    for k in steps:
+        try:
+            w = seq.gossip(k)
+            served.append((w.matrix.tobytes(), w.chi))
+        except RuntimeError as err:
+            served.append(str(err))
+    return served, (seq.built, seq.resamples, seq.chi_max)
+
+
+class TestBuilderChild:
+    """A forward walk forks a builder child that builds the blocks ahead; it serves the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def child_on_any_host(self, monkeypatch):
+        monkeypatch.setattr(network, "_builder_can_run", lambda: True)
+
+    def walk_both_ways(self, monkeypatch, m, radius, seed, steps, kill_after=None, sig=signal.SIGKILL):
+        """The walk served with the child (sent ``sig`` after step ``kill_after``, if given) and in-process."""
+        seq = RandomGeometricSequence(m, radius, seed=seed)
+        first, _ = walk(seq, steps[: kill_after or 0])
+        if kill_after is not None:
+            os.kill(seq._child[0], sig)
+        rest, counters = walk(seq, steps[kill_after or 0 :])
+        piped = seq.builder_blocks
+        seq.close()
+        in_process(monkeypatch)
+        reference = RandomGeometricSequence(m, radius, seed=seed)
+        served = walk(reference, steps)
+        assert reference.builder_blocks == 0
+        return (first + rest, counters), served, piped
+
+    @pytest.mark.parametrize("m, radius, seed", [(10, 0.7, 0), (10, 0.35, 2), (50, 0.3, 7)])
+    def test_piped_walk_matches_in_process(self, monkeypatch, m, radius, seed):
+        steps = range(5 * network.BLOCK + 3)
+        piped_walk, reference, piped = self.walk_both_ways(monkeypatch, m, radius, seed, steps)
+        assert piped_walk == reference
+        assert piped == 4  # blocks 2..5: block 1 is built in-process while the child starts on block 2
+
+    def test_step_that_never_connects_fails_alike(self, monkeypatch):
+        monkeypatch.setattr(network, "MAX_RETRIES", 3)  # before the fork: the child draws at most 3 times too
+        steps = range(4 * network.BLOCK)
+        (served, counters), reference, piped = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps)
+        assert (served, counters) == reference and piped == 2
+        failed = [k for k, step in zip(steps, served) if isinstance(step, str)]
+        assert any(k >= 2 * network.BLOCK for k in failed)  # some in a block the child built
+        k = failed[-1]
+        assert served[k] == f"no connected geometric graph after 3 resamples (m=10, radius=0.35, step={k}); increase the radius"
+
+    def test_killed_child_leaves_the_walk_in_process(self, monkeypatch):
+        b = network.BLOCK
+        steps = range(6 * b)
+        walked, reference, piped = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
+        assert walked == reference
+        assert 2 <= piped <= 3  # blocks 2 and 3, and block 4 if the pipe held it whole; block 5 in-process
+
+    def test_stopped_child_leaves_the_walk_in_process(self, monkeypatch):
+        monkeypatch.setattr(RandomGeometricSequence, "PIPE_TIMEOUT", 0.2)
+        b = network.BLOCK
+        steps = range(6 * b)
+        walked, reference, piped = self.walk_both_ways(
+            monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5, sig=signal.SIGSTOP
+        )
+        assert walked == reference
+        assert 2 <= piped <= 3  # what the pipe held whole when the child stopped; the rest in-process
+
+    def test_close_reaps_the_child_and_stops_forking(self):
+        seq = RandomGeometricSequence(10, 0.7, seed=0)
+        for k in range(3 * network.BLOCK):
+            seq.gossip(k)
+        pid = seq._child[0]
+        seq.close()
+        assert not child_left()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        for k in range(3 * network.BLOCK, 6 * network.BLOCK):
+            seq.gossip(k)
+        assert seq.builder_blocks == 1 and not child_left()  # no second child
+
+    def test_collected_sequence_reaps_its_child(self):
+        seq = RandomGeometricSequence(10, 0.7, seed=0)
+        for k in range(3 * network.BLOCK):
+            seq.gossip(k)
+        assert seq.builder_blocks == 1 and child_left()
+        del seq
+        assert not child_left()
+
+    def test_run_experiment_leaves_no_child(self, monkeypatch, tmp_path):
+        seqs, real_build = [], harness._build_sequence
+
+        def build_sequence(cfg):
+            seqs.append(real_build(cfg))
+            return seqs[-1]
+
+        monkeypatch.setattr(harness, "_build_sequence", build_sequence)
+        cfg = harness.ExperimentConfig().replace(
+            method="gt_baseline", objective="chain", topology="random-geometric", m=6, n=2,
+            budget_iters=300, out=str(tmp_path),
+        )
+        harness.run_experiment(cfg)
+        assert seqs[-1].builder_blocks == 3 and not child_left()  # steps 0..299: blocks 2, 3 and 4
+
+        real_step = GtBaseline.step
+
+        def step(self, state, obj, seq, seed):
+            if state.k == 250:
+                raise DivergenceError("diverged")
+            return real_step(self, state, obj, seq, seed)
+
+        monkeypatch.setattr(GtBaseline, "step", step)
+        with pytest.raises(RunAbort, match="^diverged$"):
+            harness.run_experiment(cfg)
+        assert seqs[-1].builder_blocks == 2 and not child_left()  # steps 0..249: blocks 2 and 3
 
 
 def test_consensus_error_zero_at_consensus():

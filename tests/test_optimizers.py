@@ -877,7 +877,8 @@ class TestRunDriver:
         failing = FailingSequence(ring_graph(obj.m))
         with pytest.raises(RunAbort, match=r"^no connected geometric graph \(step=30\)$") as exc_info:
             run(GtBaseline(eta=0.1), obj, failing, RunBudgets(max_iterations=100), metric_every=10, seed=0)
-        assert [r.iteration for r in exc_info.value.trace.records] == [0, 10, 20, 30, 30]
+        assert [r.iteration for r in exc_info.value.trace.records] == [0, 10, 20, 30]
+        assert len(exc_info.value.trace.metadata["oracle_calls_per_node"]) == obj.m  # the failed step's charges
 
     def test_unimplemented_sequence_propagates(self):
         obj, _, _ = self.make_setup()
@@ -912,7 +913,7 @@ class TestRunDriver:
         poison_first_step(monkeypatch, state_cls, field, value)
         with pytest.raises(RunAbort, match=f"^{re.escape(message.format(field))}$") as exc_info:
             run(method, obj, seq, RunBudgets(max_iterations=5), seed=0)
-        assert [r.iteration for r in exc_info.value.trace.records] == [0, 0]
+        assert [r.iteration for r in exc_info.value.trace.records] == [0]  # iteration 0 is recorded once
 
     @pytest.mark.parametrize("value", [np.nan, 2e12])
     def test_adom_vr_checks_only_x_y_z(self, monkeypatch, value):
