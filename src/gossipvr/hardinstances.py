@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .network import GraphSequence, RotatingStarSequence
-from .objectives import CallableFiniteSum, FiniteSumObjective, SmoothnessInfo
+from .objectives import CallableFiniteSum, FiniteSumObjective, SmoothnessInfo, _at_nodes
 
 __all__ = [
     "psi",
@@ -367,15 +367,22 @@ class ZeroChainObjective(FiniteSumObjective):
     def batch_local_gradients(self, nodes, X):
         return self._gradients(nodes, X)
 
-    # The nodes of a camp share one function, so the averages evaluate one row per
-    # camp, scatter it to the camp's nodes and reduce in node order as the base class does.
+    # The nodes of a camp share one function, so the averages evaluate one row per camp and
+    # point, one query for a stack of points, and reduce each point's camp rows over the nodes
+    # in node order, bitwise as the base class's node reduction: the values through ``np.take``,
+    # which keeps the scattered rows C-ordered (``[:, nodes]`` would not), the gradients by
+    # adding one node's row at a time, without a (K, m, d) scatter.
     def average_value(self, w):
-        reps = self._camp_nodes
-        return float(np.mean(self._values(reps, np.tile(w, (len(reps), 1)))[self._camp_of]))
+        values = self._values(*_at_nodes(w, self._camp_nodes, self.d)).reshape(-1, 3)
+        means = np.take(values, self._camp_of, axis=1).mean(axis=1)
+        return float(means[0]) if np.ndim(w) == 1 else means
 
     def average_gradient(self, w):
-        reps = self._camp_nodes
-        return self._gradients(reps, np.tile(w, (len(reps), 1)))[self._camp_of].mean(axis=0)
+        grads = self._gradients(*_at_nodes(w, self._camp_nodes, self.d)).reshape(-1, 3, self.d)
+        total = grads[:, self._camp_of[0]].copy()
+        for camp in self._camp_of[1:]:
+            total += grads[:, camp]
+        return (total / self.m).reshape(np.shape(w))
 
 
 def nonconvex_hard_objective(

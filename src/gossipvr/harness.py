@@ -461,6 +461,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         },
         "parameters": asdict(params) if params is not None else {"eta": method.eta},
         "records": len(trace.records),
+        "counters": trace.metadata["counters"],
         "f_best_observed": float(values.min()),
         # Best-observed gap; a lower bound on the true initial suboptimality.
         "delta_observed": float(values[0] - values.min()),

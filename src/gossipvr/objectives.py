@@ -183,11 +183,24 @@ class FiniteSumObjective:
             raise ValueError(f"expected node vector of shape {(self.m, self.d)}, got {x.shape}")
         return self.batch_local_gradients(np.arange(self.m), x)
 
-    def average_value(self, w: np.ndarray) -> float:
-        return float(np.mean(self.batch_local_values(np.arange(self.m), np.broadcast_to(w, (self.m, self.d)))))
+    # The averages take one point (d,) or a stack of K points (K, d), one point being K = 1:
+    # one batched query over K * m rows, each point's node means reduced as a lone point's.
+    def average_value(self, w: np.ndarray):
+        """Mean node value: a float at a point (d,), a (K,) array at a stack (K, d)."""
+        values = self.batch_local_values(*_at_nodes(w, np.arange(self.m), self.d)).reshape(-1, self.m).mean(axis=1)
+        return float(values[0]) if np.ndim(w) == 1 else values
 
     def average_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.batch_local_gradients(np.arange(self.m), np.broadcast_to(w, (self.m, self.d))).mean(axis=0)
+        """Mean node gradient, in the shape of ``w``: (d,) or (K, d)."""
+        grads = self.batch_local_gradients(*_at_nodes(w, np.arange(self.m), self.d)).reshape(-1, self.m, self.d)
+        return grads.mean(axis=1).reshape(np.shape(w))
+
+
+def _at_nodes(w, nodes, d):
+    """Arguments of a node-batched query at the point ``w`` (d,), or each point of a stack
+    (K, d), for each of ``nodes``: the rows run point by point, the nodes tiled."""
+    points = np.reshape(w, (-1, d))
+    return np.tile(nodes, len(points)), np.repeat(points, len(nodes), axis=0)
 
 
 def _one_node(i, w):
@@ -365,12 +378,16 @@ class ShardObjective(FiniteSumObjective):
     def batch_local_gradients(self, nodes, X):
         return self.batch_component_gradients(nodes, X).mean(axis=1)
 
-    # The one point is broadcast by the products: no node gather, and bitwise the base class's answers.
+    # The points are broadcast by the products over every stored block, (K, m, n) answers for a
+    # stack, (m, n) for one point: no node gather, and bitwise the base class's answers.
     def average_value(self, w):
-        return float(np.mean(self._values(self._features, self._labels, self._weights, w).mean(axis=1)))
+        points = np.asarray(w, dtype=float)[..., None, None, :]
+        values = self._values(self._features, self._labels, self._weights, points).mean(axis=-1).mean(axis=-1)
+        return float(values) if values.ndim == 0 else values
 
     def average_gradient(self, w):
-        return self._kernel(self._features, self._labels, self._weights, w).mean(axis=1).mean(axis=0)
+        points = np.asarray(w, dtype=float)[..., None, None, :]
+        return self._kernel(self._features, self._labels, self._weights, points).mean(axis=-2).mean(axis=-2)
 
 
 def _logistic_loss(t, y):

@@ -257,6 +257,7 @@ def gt_page_params(
 
 
 DRAW_BLOCK = 64  # iterations whose adom_vr or gt_page draws are built together
+RECORD_BLOCK = 16  # trace records whose objective metrics run() evaluates together
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +273,7 @@ class _AdomDraws:
     to_f: np.ndarray  # (B, m, 1) omega moves to x_f
     to_g: np.ndarray  # (B, m, 1) omega moves to x_g
     moved: list[np.ndarray]  # per iteration, the nodes whose omega moves
+    moves: list[tuple[int, int]]  # per iteration, the counts of moves to x_f and to x_g
 
     def holds(self, seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) -> bool:
         return (
@@ -301,8 +303,10 @@ def _draw_block(seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) 
     to_f = omega_u < params.p1
     to_g = ~to_f & (omega_u < params.p1 + params.p2)
     moved = [np.flatnonzero(row) for row in (to_f | to_g)[..., 0]]
+    moves = list(zip(to_f.sum(axis=(1, 2)).tolist(), to_g.sum(axis=(1, 2)).tolist()))
     return _AdomDraws(
-        seed=seed, start=start, params=params, cum_probs=cum_probs, idx=idx, to_f=to_f, to_g=to_g, moved=moved
+        seed=seed, start=start, params=params, cum_probs=cum_probs, idx=idx, to_f=to_f, to_g=to_g, moved=moved,
+        moves=moves,
     )
 
 
@@ -334,12 +338,18 @@ class AdomVrState:
     cum_probs: np.ndarray  # (m, n) running sums of p, for inverse-CDF sampling
     k: int = 0
     comms: int = 0
+    omega_to_x_f: int = 0  # node omega moves so far, by the p1 coin
+    omega_to_x_g: int = 0  # and by the p2 coin
     # The last block of draws built: a pure function of the seed, the block start,
     # the method's params and cum_probs, all checked before it is read, so a state
     # resumes exactly with or without it, under any method.
     draws: _AdomDraws | None = None
 
     x, y, z, x_f, y_f, z_f, momentum, omega = (_Block() for _ in ADOM_BLOCKS)
+
+    @property
+    def counters(self) -> dict:
+        return {"omega_to_x_f": self.omega_to_x_f, "omega_to_x_g": self.omega_to_x_g}
 
 
 def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
@@ -450,9 +460,11 @@ class AdomVr:
             omega_grads[moved] = fresh
             grad_omega[moved] = fresh.mean(axis=1)
 
+        to_f, to_g = draws.moves[r]
         new_state = AdomVrState(
             blocks=new, omega_grads=omega_grads, grad_omega=grad_omega,
-            weights=state.weights, cum_probs=state.cum_probs, k=k + 1, comms=state.comms + 1, draws=draws,
+            weights=state.weights, cum_probs=state.cum_probs, k=k + 1, comms=state.comms + 1,
+            omega_to_x_f=state.omega_to_x_f + to_f, omega_to_x_g=state.omega_to_x_g + to_g, draws=draws,
         )
         # One comparison over the x, y, z slab on the happy path; a failure is worded per field.
         if not np.abs(new[:3]).max() <= DIVERGENCE_LIMIT:
@@ -502,8 +514,13 @@ class GtPageState:
     v: np.ndarray
     k: int = 0
     comms: int = 0
+    full_restarts: int = 0  # restart coins below p so far: iterations, or node-iterations with per-node coins
     # The last block of draws built, checked before it is read, as AdomVrState.draws.
     draws: _PageDraws | None = None
+
+    @property
+    def counters(self) -> dict:
+        return {"full_restarts": self.full_restarts}
 
 
 @dataclass(frozen=True)
@@ -548,7 +565,10 @@ class GtPage:
                 y_new[nodes] = _page_tracker(obj, nodes, restart, *rows)
 
         v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
-        new_state = GtPageState(x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages, draws=draws)
+        new_state = GtPageState(
+            x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages,
+            full_restarts=state.full_restarts + int(np.count_nonzero(full)), draws=draws,
+        )
         _check_finite(new_state, "x", "v")
         return new_state
 
@@ -666,24 +686,30 @@ def run(
 ) -> RunTrace:
     """Drive a method from the origin against budgets, recording metrics at a fixed cadence.
 
-    Metrics are evaluated through the raw objective so they never touch the
-    oracle counters.  ``stop_dist_sq`` ends the run early once the recorded
+    A record takes its iteration, comms, oracle count, ``dist_sq`` and ``consensus_err``
+    when it is made.  Its objective metrics, ``grad_norm_sq`` and ``avg_value`` at the node
+    mean, are evaluated for ``RECORD_BLOCK`` records at once, by one stacked call of each
+    average: when the block fills, when the run ends and before a :class:`RunAbort` is
+    raised, so the returned or carried trace holds every record, in order, each bitwise
+    as if evaluated alone.  Metrics are evaluated through the raw objective so they never
+    touch the oracle counters.  ``stop_dist_sq`` ends the run early once the recorded
     mean squared distance falls below it.  A step that raises a ``RuntimeError``
     (a :class:`DivergenceError`, or a graph the sequence cannot serve) ends the
     run with :class:`RunAbort`, which carries the records so far; a
-    ``NotImplementedError`` propagates as it is.
+    ``NotImplementedError`` propagates as it is.  The metadata holds the oracle calls
+    per node and the method state's ``counters`` (none for ``gt_baseline``).
     """
     budgets.validate()
     if metric_every < 1:
         raise ValueError("metric_every must be >= 1")
     counting = CountingObjective(obj)
     trace = RunTrace(metadata={"method": method.name, "seed": seed, "m": obj.m, "n": obj.n, "d": obj.d})
+    pending: list[tuple[TraceRecord, np.ndarray]] = []  # records awaiting their objective metrics, and node means
 
     state = method.init(counting)
 
     def record(st):
-        xbar = node_mean(st.x)
-        grad = obj.average_gradient(xbar)
+        """Make the record of ``st``, its objective metrics NaN until its block is evaluated."""
         if x_star is not None:
             diff = st.x - x_star[None, :]
             dist = float(np.mean(np.sum(diff * diff, axis=1)))
@@ -694,12 +720,32 @@ def run(
             comms=st.comms,
             oracle_calls=counting.max_calls(),
             dist_sq=dist,
-            grad_norm_sq=float(np.dot(grad, grad)),
+            grad_norm_sq=math.nan,
             consensus_err=consensus_error(st.x),
-            avg_value=obj.average_value(xbar),
+            avg_value=math.nan,
         )
-        trace.records.append(rec)
+        pending.append((rec, node_mean(st.x)))
+        if len(pending) == RECORD_BLOCK:
+            flush()
         return rec
+
+    def flush():
+        """Evaluate the pending records' objective metrics in one stacked call each, and append them."""
+        if not pending:
+            return
+        points = np.stack([xbar for _, xbar in pending])
+        grads, values = obj.average_gradient(points), obj.average_value(points)
+        for (rec, _), grad, value in zip(pending, grads, values):
+            trace.records.append(
+                TraceRecord(rec.iteration, rec.comms, rec.oracle_calls, rec.dist_sq,
+                            float(np.dot(grad, grad)), rec.consensus_err, float(value))
+            )
+        pending.clear()
+
+    def finish():
+        flush()
+        trace.metadata["oracle_calls_per_node"] = counting.calls.tolist()
+        trace.metadata["counters"] = getattr(state, "counters", {})
 
     if progress_tracker is not None:
         progress_tracker.update(state.x, state.comms, counting.max_calls())
@@ -719,16 +765,16 @@ def run(
         except NotImplementedError:
             raise
         except RuntimeError as exc:  # a divergence, or a graph sequence that cannot serve the step
-            if trace.records[-1].iteration != state.k:  # the state the failing step started from
+            if last.iteration != state.k:  # the state the failing step started from
                 record(state)
-            trace.metadata["oracle_calls_per_node"] = counting.calls.tolist()
+            finish()
             raise RunAbort(str(exc), trace) from exc
         if progress_tracker is not None:
             progress_tracker.update(state.x, state.comms, counting.max_calls())
         if state.k % metric_every == 0:
             last = record(state)
 
-    if trace.records[-1].iteration != state.k:
+    if last.iteration != state.k:
         record(state)
-    trace.metadata["oracle_calls_per_node"] = counting.calls.tolist()
+    finish()
     return trace

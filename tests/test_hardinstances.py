@@ -23,6 +23,8 @@ from gossipvr.hardinstances import (
 from gossipvr.network import RotatingStarSequence
 from gossipvr.objectives import FiniteSumObjective, finite_difference_check
 
+from test_objectives import assert_stacked_averages
+
 # Scaled chain coordinates at the bump threshold (the bump of nextafter(0.5, 1)
 # underflows to 0.0, that of 0.52 is tiny but nonzero) and where erf saturates.
 _THRESHOLD_POINTS = (0.5, -0.5, np.nextafter(0.5, 1.0), -np.nextafter(0.5, 1.0), 0.52, -0.52, 40.0, -40.0, 1e3, -0.0)
@@ -222,6 +224,10 @@ class TestChainInstance:
         g = obj.average_gradient(x)
         assert np.linalg.norm(g) < 1e-5
 
+    def test_averages_of_a_stack_equal_each_point_alone(self):
+        obj = ChainObjective(5, 3, 4.0, 1.0, 6)
+        assert_stacked_averages(obj, np.random.default_rng(6).normal(size=(12, obj.d)))
+
     def test_finite_differences(self):
         obj = ChainObjective(4, 2, 4.0, 1.0, 6)
         rng = np.random.default_rng(5)
@@ -412,6 +418,20 @@ class TestZeroChainInstance:
             w = _partly_activated(rng, (obj.d,), obj.scale_c)
             assert _same_bits(obj.average_gradient(w), FiniteSumObjective.average_gradient(obj, w))
             assert _same_bits(obj.average_value(w), FiniteSumObjective.average_value(obj, w))
+
+    @pytest.mark.parametrize("m, n", [(4, 2), (9, 4), (12, 5)])
+    def test_averages_of_a_stack_equal_each_point_alone(self, m, n):
+        # The rows of a camp share one scan, which reads the columns up to the frontier of the
+        # whole stack, past each row's own; one row is all zeros, one holds a NaN.
+        obj, _ = nonconvex_hard_objective(m, n, 1.0, 1.0, budget_comms=90, budget_oracle=40 * n)
+        rng = np.random.default_rng(50 + m)
+        W = np.stack([_partly_activated(rng, (obj.d,), obj.scale_c) for _ in range(30)])
+        W[3] = 0.0
+        W[7, : obj.d // 2] = 1.5 * obj.scale_c
+        W[11, 2] = np.nan
+        assert len({prog(w) for w in W}) > 5
+        assert np.isnan(obj.average_value(W)[11]) and not np.isnan(np.delete(obj.average_value(W), 11)).any()
+        assert_stacked_averages(obj, W)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_batched_queries_equal_per_node(self, n):

@@ -358,6 +358,18 @@ class TestRunExperiment:
         params = json.loads(meta_path.read_text())["parameters"]
         assert sorted(params) == sorted(f.name for f in dataclasses.fields(AdomVrParams))
 
+    @pytest.mark.parametrize(
+        "method, objective, keys",
+        [("adom_vr", "logistic", ["omega_to_x_f", "omega_to_x_g"]), ("gt_page", "nlls", ["full_restarts"]),
+         ("gt_baseline", "chain", [])],
+    )
+    def test_sidecar_counters_are_the_run_counters(self, tmp_path, fixture_path, method, objective, keys):
+        cfg = self.small_cfg(tmp_path, fixture_path, method=method, objective=objective, n=4, budget_iters=60)
+        trace, _, meta_path = run_experiment(cfg)
+        counters = json.loads(meta_path.read_text())["counters"]
+        assert sorted(counters) == keys and counters == trace.metadata["counters"]
+        assert all(count > 0 for count in counters.values())
+
     def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)
         trace, csv_path, _ = run_experiment(cfg)

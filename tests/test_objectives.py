@@ -188,6 +188,32 @@ def test_shard_averages_match_the_node_batched_form(objective_families, family):
         assert np.float64(obj.average_value(w)).tobytes() == np.float64(FiniteSumObjective.average_value(obj, w)).tobytes()
 
 
+def assert_stacked_averages(obj, W):
+    """``average_*(W)[k]`` is bitwise ``average_*(W[k])``, for the stack ``W`` and a stack of one
+    point; a lone point gives a float and a (d,) array."""
+    for stack in (W, W[:1]):
+        grads, values = obj.average_gradient(stack), obj.average_value(stack)
+        assert grads.shape == stack.shape and values.shape == (len(stack),)
+        for k, w in enumerate(stack):
+            grad, value = obj.average_gradient(w), obj.average_value(w)
+            assert type(value) is float and grad.shape == (obj.d,)
+            assert grads[k].tobytes() == grad.tobytes(), k
+            assert values[k].tobytes() == np.float64(value).tobytes(), k
+
+
+@pytest.mark.parametrize("family", ["logistic", "nlls"])
+def test_shard_averages_of_a_stack_equal_each_point_alone(objective_families, family):
+    obj = objective_families[family]
+    rng = np.random.default_rng(24)
+    W = rng.normal(size=(40, obj.d)) * np.repeat([0.0, 1e-3, 1.0, 30.0], 10)[:, None]
+    W[rng.random(W.shape) < 0.2] = -0.0
+    assert_stacked_averages(obj, W)
+    # Both through the base class's node-batched form too: one query over K * m rows.
+    base = FiniteSumObjective.average_gradient(obj, W), FiniteSumObjective.average_value(obj, W)
+    assert base[0].tobytes() == obj.average_gradient(W).tobytes()
+    assert base[1].tobytes() == obj.average_value(W).tobytes()
+
+
 def test_logistic_rejects_negative_regularization():
     with pytest.raises(ValueError, match="nonnegative"):
         logistic_objective(make_shards(np.random.default_rng(6)), -0.1)

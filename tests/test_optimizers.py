@@ -7,12 +7,14 @@ import pytest
 
 import gossipvr.optimizers as optimizers
 
+from gossipvr.hardinstances import nonconvex_hard_objective
 from gossipvr.network import (
     GossipMatrix,
     GraphSequence,
     StaticSequence,
     TwoStarHopSequence,
     complete_graph,
+    consensus_error,
     node_mean,
     ring_graph,
 )
@@ -22,8 +24,10 @@ from gossipvr.optimizers import (
     AdomVr,
     GtBaseline,
     GtPage,
+    RECORD_BLOCK,
     RunAbort,
     RunBudgets,
+    TraceRecord,
     _batch_estimator,
     adom_vr_iteration_budget,
     adom_vr_params,
@@ -341,7 +345,7 @@ def assert_same_adom_state(a, b):
     """Bitwise equality (signed zeros included) of two adom_vr states."""
     for f in ADOM_FIELDS:
         assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
-    assert (a.k, a.comms) == (b.k, b.comms)
+    assert (a.k, a.comms, a.counters) == (b.k, b.comms, b.counters)
 
 
 class TestAdomVrDraws:
@@ -439,6 +443,15 @@ class TestAdomVrDraws:
             b = method.step(b, self.obj, self.seq, 2**40)
         assert_same_adom_state(self.solo(1, 150), a)
         assert_same_adom_state(self.solo(2**40, 150), b)
+
+    def test_state_counts_the_omega_moves_of_its_draws(self):
+        method, iters = self.method[self.b_small], 150
+        trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=9)
+        cum_probs = np.cumsum(importance_probabilities(self.obj.info.L_ij), axis=1)
+        blocks = [optimizers._draw_block(9, k, method.params, cum_probs) for k in range(0, iters, optimizers.DRAW_BLOCK)]
+        to_f, to_g = (int(np.concatenate([getattr(b, f) for b in blocks])[:iters].sum()) for f in ("to_f", "to_g"))
+        assert to_f > 0 and to_g > 0
+        assert trace.metadata["counters"] == {"omega_to_x_f": to_f, "omega_to_x_g": to_g}
 
     def test_seed_domain(self):
         method = self.method[self.b_small]
@@ -666,8 +679,20 @@ class TestGtPageDraws:
 
     @staticmethod
     def assert_same_state(a, b):
-        for name in ("x", "y", "v", "k", "comms"):
+        for name in ("x", "y", "v", "k", "comms", "full_restarts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("per_node_coins", [False, True])
+    def test_state_counts_the_restart_coins_of_its_draws(self, per_node_coins):
+        (m, n), iters = (self.obj.m, self.obj.n), 150
+        method = GtPage(self.params, per_node_coins=per_node_coins)
+        trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=11)
+        key = (11, n, (m, self.params.b), m if per_node_coins else 1)
+        blocks = [optimizers._page_block(key, k) for k in range(0, iters, optimizers.DRAW_BLOCK)]
+        coins = np.concatenate([b.coins for b in blocks])[:iters]
+        restarts = int(np.count_nonzero(coins < self.params.p))
+        assert 0 < restarts < coins.size
+        assert trace.metadata["counters"] == {"full_restarts": restarts}
 
     @pytest.mark.parametrize("at", [37, 64])
     def test_resumed_or_foreign_blocks_are_replaced(self, at):
@@ -796,6 +821,40 @@ def poison_first_step(monkeypatch, state_cls, field, value):
     monkeypatch.setattr(optimizers, state_cls.__name__, poisoned)
 
 
+class FailingSequence(StaticSequence):
+    """A static sequence that cannot serve step 30 or later."""
+
+    def gossip(self, k):
+        if k >= 30:
+            raise RuntimeError(f"no connected geometric graph (step={k})")
+        return super().gossip(k)
+
+
+def records_one_at_a_time(method, obj, seq, seed, iterations, x_star=None):
+    """The records of a ``metric_every=1`` run of ``iterations`` steps, each one's objective metrics
+    evaluated alone, at its own node mean."""
+    counting, records = CountingObjective(obj), []
+    state = method.init(counting)
+    while True:
+        xbar, dist = node_mean(state.x), math.nan
+        if x_star is not None:
+            diff = state.x - x_star[None, :]
+            dist = float(np.mean(np.sum(diff * diff, axis=1)))
+        grad = obj.average_gradient(xbar)
+        records.append(TraceRecord(
+            iteration=state.k, comms=state.comms, oracle_calls=counting.max_calls(), dist_sq=dist,
+            grad_norm_sq=float(np.dot(grad, grad)), consensus_err=consensus_error(state.x),
+            avg_value=obj.average_value(xbar),
+        ))
+        if state.k == iterations:
+            return records
+        state = method.step(state, counting, seq, seed)
+
+
+def record_bytes(records) -> bytes:
+    return np.array([dataclasses.astuple(r) for r in records], dtype=float).tobytes()
+
+
 class TestRunDriver:
     def make_setup(self, seed=0, m=4, n=3, rows_per_block=4, d=5, reg=0.2):
         rng = np.random.default_rng(seed)
@@ -832,7 +891,10 @@ class TestRunDriver:
         d0 = trace.records[0].dist_sq
         dN = trace.final().dist_sq
         assert dN / d0 <= 1e-8
-        assert trace.final().iteration <= 20 * budget
+        # stop_dist_sq reads each record's dist_sq when it is made, not when its block of
+        # objective metrics is evaluated: the run stops at the first record below the target.
+        assert trace.final().iteration == 440 and len(trace.records) == 45
+        assert trace.records[-2].dist_sq > 1e-8 * float(np.dot(w_star, w_star))
         # Log-linear decay: negative slope with strong fit.
         ks = trace.column("iteration")
         ds = trace.column("dist_sq")
@@ -865,20 +927,54 @@ class TestRunDriver:
         assert len(exc_info.value.trace.records) >= 1
 
     def test_graph_failure_aborts_with_trace(self):
-        """A graph the sequence cannot serve mid-run ends it with the records so far."""
+        """A graph the sequence cannot serve mid-run ends it with the records so far (all four still
+        pending, mid-block, when the step fails)."""
         obj, seq, _ = self.make_setup()
-
-        class FailingSequence(StaticSequence):
-            def gossip(self, k):
-                if k >= 30:
-                    raise RuntimeError(f"no connected geometric graph (step={k})")
-                return super().gossip(k)
-
         failing = FailingSequence(ring_graph(obj.m))
         with pytest.raises(RunAbort, match=r"^no connected geometric graph \(step=30\)$") as exc_info:
             run(GtBaseline(eta=0.1), obj, failing, RunBudgets(max_iterations=100), metric_every=10, seed=0)
         assert [r.iteration for r in exc_info.value.trace.records] == [0, 10, 20, 30]
         assert len(exc_info.value.trace.metadata["oracle_calls_per_node"]) == obj.m  # the failed step's charges
+
+    def test_abort_mid_block_keeps_every_record(self):
+        """Records 0..30 span more than one block; those pending when step 30 fails are evaluated before the abort."""
+        obj, seq, _ = self.make_setup()
+        with pytest.raises(RunAbort) as exc_info:
+            run(GtBaseline(eta=0.1), obj, FailingSequence(ring_graph(obj.m)), RunBudgets(max_iterations=100), seed=0)
+        records = exc_info.value.trace.records
+        assert [r.iteration for r in records] == list(range(31)) and 31 % RECORD_BLOCK
+        assert record_bytes(records) == record_bytes(records_one_at_a_time(GtBaseline(eta=0.1), obj, seq, 0, 30))
+
+    @pytest.mark.parametrize("instance", ["adom_vr_logistic", "gt_baseline_zero_chain"])
+    def test_block_records_equal_records_evaluated_alone(self, instance):
+        """A 200-step ``metric_every=1`` run crosses 12 full blocks of records and ends mid-block."""
+        if instance == "adom_vr_logistic":
+            obj, seq, x_star = self.make_setup()
+            method = AdomVr(adom_vr_params(obj.info.mu, obj.info.L, obj.info.Lbar, seq.chi, obj.n, b=obj.n))
+        else:
+            obj, seq = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=200, budget_oracle=800)
+            method, x_star = GtBaseline(eta=5.0), None
+        trace = run(method, obj, seq, RunBudgets(max_iterations=200), seed=4, x_star=x_star)
+        expected = records_one_at_a_time(method, obj, seq, 4, 200, x_star)
+        assert len(trace.records) == 201 and 201 % RECORD_BLOCK
+        assert record_bytes(trace.records) == record_bytes(expected)
+        assert len({r.grad_norm_sq for r in expected}) > 100  # the metrics move along the run
+
+    def test_metrics_take_one_call_per_block(self):
+        """The objective metrics of a block of records take one call of each average: evaluating
+        records one at a time (201 calls each here) fails this test."""
+        obj, seq, w_star = self.make_setup()
+        calls = dict.fromkeys(("average_gradient", "average_value"), 0)
+        for name in calls:
+            def counted(w, name=name, real=getattr(obj, name)):
+                calls[name] += 1
+                return real(w)
+
+            setattr(obj, name, counted)
+        method = AdomVr(adom_vr_params(obj.info.mu, obj.info.L, obj.info.Lbar, seq.chi, obj.n, b=obj.n))
+        trace = run(method, obj, seq, RunBudgets(max_iterations=200), seed=0, x_star=w_star)
+        assert len(trace.records) == 201
+        assert 0 < max(calls.values()) <= math.ceil(201 / RECORD_BLOCK) < 201
 
     def test_unimplemented_sequence_propagates(self):
         obj, _, _ = self.make_setup()
