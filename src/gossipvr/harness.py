@@ -522,6 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
         overrides = {
             k: v

@@ -97,7 +97,7 @@ class WeightedGraph:
         return lap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GossipMatrix:
     """Normalized-Laplacian gossip matrix with its contraction certificate.
 
@@ -386,10 +386,12 @@ def _block_bytes(size: int, m: int) -> int:
     return size * (8 * m * m + 17)
 
 
-def _block_fields(buf: np.ndarray, size: int, m: int) -> tuple[np.ndarray, ...]:
-    """A built block as the builder's pipe carries it, as views of the uint8 buffer ``buf``:
-    the ``(size, m, m)`` matrices, the ``chi`` values, the resample counts and the connected
-    flags (a step still disconnected after ``MAX_RETRIES`` draws has a zero matrix and ``chi``)."""
+def _block_fields(buf: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The one form of a built block: views of its uint8 buffer ``buf``, which the build fills, the
+    builder's pipe carries and the cache keeps.  Per offset in the block of ``size`` steps: the ``(size,
+    m, m)`` gossip matrices, exact ``chi`` values, resample counts and connected flags; a step still
+    disconnected after ``MAX_RETRIES`` draws has a zero matrix and ``chi`` and ``MAX_RETRIES`` resamples."""
+    size = len(buf) // _block_bytes(1, m)
     a, b = size * m * m * 8, size * 8
     return (
         buf[:a].view(np.float64).reshape(size, m, m),
@@ -403,14 +405,7 @@ def _write_blocks(seq: RandomGeometricSequence, start: int, fd: int) -> None:
     """The builder child's loop: build the blocks from ``start`` on, in order, and write each
     to ``fd``.  Returns when the steps run out at ``2**32``; raises when the pipe breaks."""
     while start < _STEP_LIMIT:
-        matrices, counts = seq._build_block(start)
-        buf = np.zeros(_block_bytes(len(matrices), seq.m), dtype=np.uint8)
-        w, chi, resamples, connected = _block_fields(buf, len(matrices), seq.m)
-        resamples[:] = counts
-        for i, wi in enumerate(matrices):
-            if wi is not None:
-                w[i], chi[i], connected[i] = wi.matrix, wi.chi, True
-        view = memoryview(buf)
+        view = memoryview(seq._build_block(start))
         while view:
             view = view[os.write(fd, view) :]
         start += BLOCK
@@ -442,7 +437,8 @@ class RandomGeometricSequence(GraphSequence):
     :func:`gossip_from_laplacian` over the ``(B, m, m)`` Laplacian stack), each
     pass redrawing only the steps still disconnected.  A step still
     disconnected after ``MAX_RETRIES`` draws fails every time it is served.
-    The replica seeds the streams of ``SEED_BLOCKS`` aligned blocks in one pass
+    A built block is one buffer in the layout of :func:`_block_fields`.  The
+    replica seeds the streams of ``SEED_BLOCKS`` aligned blocks in one pass
     and keeps the last such chunk, so its fixed per-call cost is paid once per
     chunk; a block's draws are sliced from its chunk.  The ``.graphs`` dump
     reads each block's matrices through ``gossip`` and finds all their edges
@@ -451,20 +447,20 @@ class RandomGeometricSequence(GraphSequence):
     ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
     disconnected draws rejected for them and the largest exact per-step
     ``chi`` served: they are charged when a step is first served from a
-    build, not when it is built.  ``gossip`` keeps the built blocks, and
-    ``graph`` reads through ``gossip``; of the ``CACHE_BLOCKS`` cached blocks,
-    the oldest starting at or past ``DUMP_STEPS`` is evicted first, so a run's
-    dump finds its steps cached.  An evicted block is rebuilt, and charged
-    again, on its next miss.
+    build, not when it is built.  ``gossip`` keeps the built blocks and the
+    ``GossipMatrix`` of each step it served; ``graph`` reads through it.  Of
+    the ``CACHE_BLOCKS`` cached blocks, the oldest starting at or past
+    ``DUMP_STEPS`` is evicted first, so a run's dump finds its steps cached.
+    An evicted block is rebuilt, and charged again, on its next miss.
 
     A forward walk builds ahead in a child process.  The first miss on the
     block right after a cached one forks one builder child, when
     :func:`_builder_can_run` allows it; the child runs ``_build_block`` on the
-    blocks that follow, in order, and writes each to a pipe, whose capacity
-    keeps it about one block ahead.  A miss on the block the child writes next
-    reads it from the pipe; every other miss builds in-process, and so does
-    every miss once the child has died.  The pipe carries the built bits, so
-    the steps and the counters do not depend on who built them;
+    blocks that follow, in order, and writes each block's buffer to a pipe,
+    whose capacity keeps it about one block ahead.  A miss on the block the
+    child writes next reads that buffer from the pipe; every other miss
+    builds in-process, and so does every miss once the child has died.  The
+    steps and the counters do not depend on who built them;
     ``builder_blocks`` counts the blocks the child served.  A child that writes
     nothing for ``PIPE_TIMEOUT`` seconds is taken for dead, say one stopped, or
     one deadlocked because the fork copied a lock that a native thread pool of
@@ -489,8 +485,9 @@ class RandomGeometricSequence(GraphSequence):
         # The steps and PCG64 streams of the last chunk of SEED_BLOCKS blocks seeded; a block never
         # straddles two chunks, since a chunk is SEED_BLOCKS * BLOCK aligned steps cut at 2**32.
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
-        # block start -> (matrix per offset, resamples per offset until first served), oldest first
-        self._blocks: dict[int, tuple[list[GossipMatrix | None], list[int | None]]] = {}
+        # block start -> (its _block_fields, per offset the GossipMatrix served, False if it never
+        # connected, None before its first serve), oldest first
+        self._blocks: dict[int, tuple[tuple[np.ndarray, ...], list[GossipMatrix | bool | None]]] = {}
         # The builder child's pid and pipe, the start of the block it writes next (None when no
         # child runs) and the finalizer that stops it; a sequence forks at most once, and never once closed.
         self._may_fork = True
@@ -525,19 +522,20 @@ class RandomGeometricSequence(GraphSequence):
         i = k % BLOCK
         block = self._blocks.get(k - i)
         if block is None:
-            block = self._blocks[k - i] = self._fetch_block(k)
+            block = self._blocks[k - i] = (_block_fields(self._fetch_block(k), self.m), [None] * BLOCK)
             if len(self._blocks) > self.CACHE_BLOCKS:
                 *older, _ = self._blocks  # never the block just built
                 del self._blocks[next((s for s in older if s >= DUMP_STEPS), older[0])]
-        matrices, unserved = block
-        w, resamples = matrices[i], unserved[i]
-        if resamples is not None:  # first served from this build: charge the counters
-            unserved[i] = None
-            self.resamples += resamples
-            if w is not None:
+        fields, served = block
+        w = served[i]
+        if w is None:  # first served from this build: charge the counters
+            matrices, chi, resamples, connected = fields
+            self.resamples += resamples.item(i)
+            w = served[i] = GossipMatrix(matrix=matrices[i], chi=chi.item(i)) if connected.item(i) else False
+            if w is not False:
                 self.built += 1
                 self.chi_max = max(self.chi_max, w.chi)
-        if w is None:
+        if w is False:
             raise RuntimeError(
                 f"no connected geometric graph after {MAX_RETRIES} resamples "
                 f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
@@ -550,10 +548,10 @@ class RandomGeometricSequence(GraphSequence):
             self._stop()
         self._may_fork, self._piped = False, None
 
-    def _fetch_block(self, k: int) -> tuple[list[GossipMatrix | None], list[int]]:
-        """The block holding step ``k``: read from the builder child when it is the one the child
-        writes next, else built in-process.  A miss right after a cached block, a forward walk,
-        forks the child first, on the blocks after this one."""
+    def _fetch_block(self, k: int) -> np.ndarray:
+        """The buffer of the block holding step ``k``: read from the builder child when it is the
+        one the child writes next, else built in-process.  A miss right after a cached block, a
+        forward walk, forks the child first, on the blocks after this one."""
         start = k - k % BLOCK
         if start == self._piped:
             block = self._read_piped(start)
@@ -576,9 +574,9 @@ class RandomGeometricSequence(GraphSequence):
         self._may_fork, self._child, self._piped = False, (pid, read), start
         self._stop = weakref.finalize(self, _stop_child, pid, read)
 
-    def _read_piped(self, start: int) -> tuple[list[GossipMatrix | None], list[int]] | None:
-        """The block the child wrote at ``start``, or None (and the child stopped) if it died
-        or fell silent for ``PIPE_TIMEOUT`` seconds first."""
+    def _read_piped(self, start: int) -> np.ndarray | None:
+        """The buffer of the block the child wrote at ``start``, or None (and the child stopped)
+        if it died or fell silent for ``PIPE_TIMEOUT`` seconds first."""
         size = min(BLOCK, _STEP_LIMIT - start)
         buf = np.empty(_block_bytes(size, self.m), dtype=np.uint8)
         view = memoryview(buf)
@@ -595,15 +593,10 @@ class RandomGeometricSequence(GraphSequence):
             view = view[got:]
         self._piped = start + BLOCK
         self.builder_blocks += 1
-        w, chi, resamples, connected = _block_fields(buf, size, self.m)
-        matrices = [GossipMatrix(matrix=wi, chi=ci) if ok else None
-                    for wi, ci, ok in zip(w, chi.tolist(), connected.tolist())]
-        return matrices, resamples.tolist()
+        return buf
 
-    def _build_block(self, k: int) -> tuple[list[GossipMatrix | None], list[int]]:
-        """The gossip matrices and resample counts of the aligned block of ``BLOCK``
-        steps holding ``k``, indexed by offset in the block; the matrix is ``None``
-        for a step still disconnected after ``MAX_RETRIES`` draws."""
+    def _build_block(self, k: int) -> np.ndarray:
+        """The buffer of the aligned block of ``BLOCK`` steps holding ``k``; each pass fills the steps it connects."""
         m, r2 = self.m, self.radius * self.radius
         if k not in self._chunk[0]:
             self._chunk = _block_streams(self.seed, k, SEED_BLOCKS * BLOCK)
@@ -612,8 +605,9 @@ class RandomGeometricSequence(GraphSequence):
         streams = tuple(s[lo : lo + BLOCK] for s in streams)
         size = len(streams[0])
         diag = np.arange(m)
-        matrices: list[GossipMatrix | None] = [None] * size
-        resamples = [MAX_RETRIES] * size
+        buf = np.zeros(_block_bytes(size, m), dtype=np.uint8)
+        w_out, chi_out, resamples, connected_out = _block_fields(buf, m)
+        resamples[:] = MAX_RETRIES
         pending = np.arange(size)  # the offsets not yet connected
         for draw in range(MAX_RETRIES):
             # Draw d of step k reads outputs [2m d, 2m (d + 1)) of its stream.
@@ -632,13 +626,13 @@ class RandomGeometricSequence(GraphSequence):
             spectral, w, chi = _spectral(lap)
             connected = no_isolated.copy()
             connected[no_isolated] = spectral
-            for i, wi, ci in zip(pending[connected].tolist(), w, chi.tolist()):
-                matrices[i], resamples[i] = GossipMatrix(matrix=wi, chi=ci), draw
+            done = pending[connected]
+            w_out[done], chi_out[done], resamples[done], connected_out[done] = w, chi, draw, True
             pending = pending[~connected]
             if not pending.size:
                 break
             streams = tuple(s[~connected] for s in streams)
-        return matrices, resamples
+        return buf
 
 
 class TwoStarHopSequence(_CyclicSequence):
@@ -712,9 +706,6 @@ class RotatingStarSequence(_CyclicSequence):
         self.centers = [*self.s3, self.s1[0], *self.s3, self.s2[0]]
         super().__init__([star_graph(m, center=c) for c in self.centers])
         self.chi = float(m)  # analytic: the measured star chi can differ from m in the last ulp
-
-    def center(self, k: int) -> int:
-        return self.centers[k % self.period]
 
 
 def measure_chi(seq: GraphSequence, trials: int) -> float:

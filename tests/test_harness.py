@@ -631,6 +631,15 @@ class TestCli:
         assert payload["error"] == "ValueError" and "repeats a seed" in payload["message"]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected_before_any_run(self, tmp_path, capsys, jobs):
+        args = ["--method", "gt_baseline", "--objective", "chain", "--topology", "static-ring", "--m", "4", "--n", "2"]
+        args += ["--budget-iters", "3", "--seeds", "0,1", "--jobs", jobs, "--out", str(tmp_path / "runs")]
+        assert main(args) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValueError", "message": f"--jobs must be at least 1, got {jobs}"}
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("how", ["flag", "config-line", "seeds"])
     def test_negative_seed_rejected_before_any_file(self, tmp_path, capsys, how):
         args = ["--method", "gt_baseline", "--objective", "zero_chain", "--m", "9", "--n", "4", "--budget-iters", "3"]

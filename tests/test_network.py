@@ -564,10 +564,9 @@ class TestRotatingStar:
 
     def test_m3_centers_rotate(self):
         seq = RotatingStarSequence(3)
-        centers = [seq.center(k) for k in range(seq.period)]
-        assert centers == [2, 0, 2, 1]
+        assert seq.centers == [2, 0, 2, 1]
         for k in range(2 * seq.period):
-            assert seq.graph(k) == star_graph(3, center=seq.center(k))
+            assert seq.graph(k) == star_graph(3, center=seq.centers[k % seq.period])
 
     def test_spectral_gap_is_one_over_m(self):
         m = 9
@@ -651,6 +650,11 @@ def walk(seq, steps):
     return served, (seq.built, seq.resamples, seq.chi_max)
 
 
+def cached_blocks(seq):
+    """Each cached random-geometric block's buffer bytes, by block start: its fields tile the buffer."""
+    return {start: b"".join(f.tobytes() for f in fields) for start, (fields, _) in seq._blocks.items()}
+
+
 class TestBuilderChild:
     """A forward walk forks a builder child that builds the blocks ahead; it serves the same bits."""
 
@@ -659,7 +663,8 @@ class TestBuilderChild:
         monkeypatch.setattr(network, "_builder_can_run", lambda: True)
 
     def walk_both_ways(self, monkeypatch, m, radius, seed, steps, kill_after=None, sig=signal.SIGKILL):
-        """The walk served with the child (sent ``sig`` after step ``kill_after``, if given) and in-process."""
+        """The walk served with the child (sent ``sig`` after step ``kill_after``, if given) and in-process,
+        the number of blocks piped, and both walks' cached block buffers."""
         seq = RandomGeometricSequence(m, radius, seed=seed)
         first, _ = walk(seq, steps[: kill_after or 0])
         if kill_after is not None:
@@ -671,20 +676,26 @@ class TestBuilderChild:
         reference = RandomGeometricSequence(m, radius, seed=seed)
         served = walk(reference, steps)
         assert reference.builder_blocks == 0
-        return (first + rest, counters), served, piped
+        return (first + rest, counters), served, piped, (cached_blocks(seq), cached_blocks(reference))
 
     @pytest.mark.parametrize("m, radius, seed", [(10, 0.7, 0), (10, 0.35, 2), (50, 0.3, 7)])
     def test_piped_walk_matches_in_process(self, monkeypatch, m, radius, seed):
         steps = range(5 * network.BLOCK + 3)
-        piped_walk, reference, piped = self.walk_both_ways(monkeypatch, m, radius, seed, steps)
+        piped_walk, reference, piped, (blocks, reference_blocks) = self.walk_both_ways(
+            monkeypatch, m, radius, seed, steps
+        )
         assert piped_walk == reference
+        assert blocks == reference_blocks and len(blocks) == 6  # also the steps of block 5 that no walk served
         assert piped == 4  # blocks 2..5: block 1 is built in-process while the child starts on block 2
 
     def test_step_that_never_connects_fails_alike(self, monkeypatch):
         monkeypatch.setattr(network, "MAX_RETRIES", 3)  # before the fork: the child draws at most 3 times too
         steps = range(4 * network.BLOCK)
-        (served, counters), reference, piped = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps)
+        (served, counters), reference, piped, (blocks, reference_blocks) = self.walk_both_ways(
+            monkeypatch, 10, 0.35, 2, steps
+        )
         assert (served, counters) == reference and piped == 2
+        assert blocks == reference_blocks and len(blocks) == 4  # per-step resample counts and connected flags
         failed = [k for k, step in zip(steps, served) if isinstance(step, str)]
         assert any(k >= 2 * network.BLOCK for k in failed)  # some in a block the child built
         k = failed[-1]
@@ -693,7 +704,7 @@ class TestBuilderChild:
     def test_killed_child_leaves_the_walk_in_process(self, monkeypatch):
         b = network.BLOCK
         steps = range(6 * b)
-        walked, reference, piped = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
+        walked, reference, piped, _ = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
         assert walked == reference
         assert 2 <= piped <= 3  # blocks 2 and 3, and block 4 if the pipe held it whole; block 5 in-process
 
@@ -701,7 +712,7 @@ class TestBuilderChild:
         monkeypatch.setattr(RandomGeometricSequence, "PIPE_TIMEOUT", 0.2)
         b = network.BLOCK
         steps = range(6 * b)
-        walked, reference, piped = self.walk_both_ways(
+        walked, reference, piped, _ = self.walk_both_ways(
             monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5, sig=signal.SIGSTOP
         )
         assert walked == reference
