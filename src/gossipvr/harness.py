@@ -397,6 +397,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     info = obj.info
     try:
         chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
+        seq.certificate = chi
 
         x_star = None
         if info.mu > 0:
@@ -439,6 +440,12 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     graphs = None  # sequences other than random-geometric build their graphs once, up front
     if isinstance(seq, RandomGeometricSequence):
         graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max, "builder_blocks": seq.builder_blocks}
+    certificate = {
+        "chi_schedule": chi,
+        "chi_consumed_max": seq.chi_max,
+        "steps_over_certificate": seq.steps_over_certificate,
+        "resamples_over_cap": 0,  # no chi cap redraws a step yet
+    }
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,6 +460,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         "topology": seq.kind,
         "chi": chi,
         "graphs": graphs,
+        "certificate": certificate,
         "constants": {
             "L": info.L,
             "mu": info.mu,

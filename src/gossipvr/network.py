@@ -176,12 +176,20 @@ class GraphSequence:
     sequences build their gossip matrices once, up front, random-geometric ones
     a block at a time, on first use.  ``chi`` is an analytic or construction-time
     certificate when available, otherwise ``None`` (use :func:`measure_chi`).
+
+    ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for
+    a cyclic sequence); ``steps_over_certificate`` counts the served steps above
+    ``certificate``, the ``chi`` a run's schedule assumes, which the harness sets.
+    A cyclic sequence counts none: its ``chi`` covers its period, up to rounding.
     """
 
     kind: str = "static"
     m: int
     chi: float | None = None
     period: int | None = None
+    chi_max: float
+    certificate: float = math.inf
+    steps_over_certificate: int = 0
 
     def graph(self, k: int) -> WeightedGraph:
         raise NotImplementedError
@@ -204,7 +212,7 @@ class _CyclicSequence(GraphSequence):
     def __init__(self, graphs: Sequence[WeightedGraph]):
         self._graphs = list(graphs)
         self._gossips = _gossip_matrices(self._graphs)
-        self.chi = max(g.chi for g in self._gossips)
+        self.chi = self.chi_max = max(g.chi for g in self._gossips)
         self.m = self._graphs[0].m
         self.period = len(self._graphs)
 
@@ -441,14 +449,17 @@ class RandomGeometricSequence(GraphSequence):
     replica seeds the streams of ``SEED_BLOCKS`` aligned blocks in one pass
     and keeps the last such chunk, so its fixed per-call cost is paid once per
     chunk; a block's draws are sliced from its chunk.  The ``.graphs`` dump
-    reads each block's matrices through ``gossip`` and finds all their edges
-    with one stacked test.
+    serves each step through ``gossip``, then reads the cached block's matrix
+    stack and finds all its edges with one stacked test.
 
-    ``built``, ``resamples`` and ``chi_max`` count the matrices served, the
-    disconnected draws rejected for them and the largest exact per-step
-    ``chi`` served: they are charged when a step is first served from a
-    build, not when it is built.  ``gossip`` keeps the built blocks and the
-    ``GossipMatrix`` of each step it served; ``graph`` reads through it.  Of
+    ``built``, ``resamples``, ``chi_max`` and ``steps_over_certificate`` count
+    the matrices served, the disconnected draws rejected for them, the largest
+    exact per-step ``chi`` served and the steps served above ``certificate``:
+    they are charged when a step is first served from a build, not when it is
+    built.  The steps :func:`measure_chi` served before the harness set
+    ``certificate`` from them are never above it.  ``gossip`` keeps the built
+    blocks and the ``GossipMatrix`` of each step it served; ``graph`` reads
+    through it.  Of
     the ``CACHE_BLOCKS`` cached blocks, the oldest starting at or past
     ``DUMP_STEPS`` is evicted first, so a run's dump finds its steps cached.
     An evicted block is rebuilt, and charged again, on its next miss.
@@ -505,14 +516,17 @@ class RandomGeometricSequence(GraphSequence):
         return WeightedGraph(self.m, tuple((i, j, 1.0) for i, j in zip(ii.tolist(), jj.tolist())))
 
     def _dump_blocks(self, steps: int) -> Iterator[str]:
-        # The matrices are read through gossip, so the dump finds the cached blocks; one nonzero
-        # over a block's (B, m * m) stack, masked to i < j, finds its edges in step, i, j order.
+        # gossip charges the counters, raises on a step that never connected and leaves the block
+        # cached; one nonzero over its (B, m * m) matrix stack, masked to i < j, finds its edges in
+        # step, i, j order.
         m = self.m
         upper = np.triu(np.ones((m, m), dtype=bool), k=1).ravel()
         table = [f"edge {i} {j} 1.0\n" for i in range(m) for j in range(m)]
         for start in range(0, steps, BLOCK):
             block = range(start, min(start + BLOCK, steps))
-            stack = np.stack([self.gossip(k).matrix for k in block]).reshape(len(block), -1)
+            for k in block:
+                self.gossip(k)
+            stack = self._blocks[start][0][0][: len(block)].reshape(len(block), -1)
             step, flat = np.nonzero((stack != 0) & upper)
             lines = [table[f] for f in flat.tolist()]
             ends = np.cumsum(np.bincount(step, minlength=len(block))).tolist()
@@ -535,6 +549,7 @@ class RandomGeometricSequence(GraphSequence):
             if w is not False:
                 self.built += 1
                 self.chi_max = max(self.chi_max, w.chi)
+                self.steps_over_certificate += w.chi > self.certificate
         if w is False:
             raise RuntimeError(
                 f"no connected geometric graph after {MAX_RETRIES} resamples "
@@ -720,9 +735,12 @@ def measure_chi(seq: GraphSequence, trials: int) -> float:
 def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
     """``prod_q (I - W(q)) x`` over ``stages`` consecutive graphs, ``q`` running
     chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
-    With ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e``."""
+    With ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e`` when
+    each step's exact ``chi`` is at most the scheduled one; a random-geometric schedule
+    measures ``chi`` over its first ``chi_trials`` steps only, and no check certifies
+    the later windows yet (an open item of ROADMAP.md)."""
     for q in range(start_step, start_step + stages):
-        x = x - seq.gossip(q).matrix @ x
+        x = x - seq.gossip(q).matrix.dot(x)
     return x
 
 

@@ -221,7 +221,9 @@ def gt_page_params(
 
     Defaults: ``b = ceil(sqrt(n) Lhat / L)`` clamped to ``[1, n]``,
     ``p = b / (n + b)``, and ``stages = ceil(chi)`` so the per-iteration
-    consensus contraction is a constant (``rho = 1 - 1/e``).
+    consensus contraction is a constant (``rho = 1 - 1/e``) when each step's
+    exact ``chi`` is at most the scheduled one; see :func:`consensus_residual`
+    for what certifies that.
 
     The provable admissible step is the minimum of three bounds and
     ``rho / L``; the third bound carries a ~1e-5 worst-case constant that
@@ -441,14 +443,14 @@ class AdomVr:
         r = k - draws.start
         size, m, d = blocks.shape
 
-        x_g, yz = (to_mid @ blocks.reshape(size, -1)).reshape(2, m, d)
+        x_g, yz = to_mid.dot(blocks.reshape(size, -1)).reshape(2, m, d)
         est = _batch_estimator(
             obj, np.arange(m), x_g, draws.idx[r], state.weights, state.omega_grads, state.grad_omega
         )
-        mixed = seq.gossip(state.comms).matrix @ np.concatenate((yz, state.momentum), axis=1)
+        mixed = seq.gossip(state.comms).matrix.dot(np.concatenate((yz, state.momentum), axis=1))
         terms = np.concatenate((blocks, est[None], mixed.reshape(m, 2, d).swapaxes(0, 1)))
         new = np.empty_like(blocks)
-        np.matmul(to_new, terms.reshape(len(terms), -1), out=new[:-1].reshape(size - 1, -1))
+        to_new.dot(terms.reshape(len(terms), -1), out=new[:-1].reshape(size - 1, -1))
 
         # Omega moves to x_f or x_g on the nodes whose coin says so; their cache
         # rows are recomputed there (n oracle calls per moved node).
@@ -602,9 +604,9 @@ class GtBaseline:
     def step(self, state: GtBaselineState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtBaselineState:
         """Plain gradient tracking with full node gradients every step (graph ``state.comms``)."""
         w = seq.gossip(state.comms).matrix
-        x_new = (state.x - w @ state.x) - self.eta * state.y
+        x_new = (state.x - w.dot(state.x)) - self.eta * state.y
         grad_new = obj.batch_local_gradients(np.arange(obj.m), x_new)
-        y_new = (state.y - w @ state.y) + grad_new - state.grad
+        y_new = (state.y - w.dot(state.y)) + grad_new - state.grad
         new_state = GtBaselineState(x=x_new, y=y_new, grad=grad_new, k=state.k + 1, comms=state.comms + 1)
         _check_finite(new_state, "x")
         return new_state
@@ -738,7 +740,7 @@ def run(
         for (rec, _), grad, value in zip(pending, grads, values):
             trace.records.append(
                 TraceRecord(rec.iteration, rec.comms, rec.oracle_calls, rec.dist_sq,
-                            float(np.dot(grad, grad)), rec.consensus_err, float(value))
+                            float(grad.dot(grad)), rec.consensus_err, float(value))
             )
         pending.clear()
 

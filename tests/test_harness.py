@@ -21,6 +21,7 @@ from gossipvr.hardinstances import ChainObjective
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
 from gossipvr.optimizers import AdomVrParams, RunAbort
 
+from test_network import dump_through_graph
 from test_objectives import make_shards
 
 
@@ -414,6 +415,10 @@ class TestRunExperiment:
         meta = json.loads(meta_path.read_text())
         assert meta["topology"] == "rotating-star"
         assert meta["graphs"] is None
+        # a cyclic sequence's chi covers its period; the star's measured chi may differ from m in the last ulp
+        certificate = meta["certificate"]
+        assert certificate["chi_schedule"] == 6.0 and certificate["steps_over_certificate"] == 0
+        assert certificate["chi_consumed_max"] == pytest.approx(6.0, rel=1e-12)
 
     def test_random_geometric_graph_counters_in_sidecar(self, tmp_path, fixture_path, monkeypatch):
         monkeypatch.setattr(network, "_builder_can_run", lambda: True)  # a builder child on any host
@@ -433,6 +438,13 @@ class TestRunExperiment:
         piped = math.ceil(steps / network.BLOCK) - 2
         assert piped > 0 and replay.builder_blocks == piped
         assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max, "builder_blocks": piped}
+        over = sum(replay.gossip(k).chi > meta["chi"] for k in range(steps))
+        assert over > 0 and meta["certificate"] == {
+            "chi_schedule": meta["chi"], "chi_consumed_max": chi_max, "steps_over_certificate": over, "resamples_over_cap": 0,
+        }
+        # fewer than DUMP_STEPS steps served: the dump is every served step, edge by edge
+        assert steps < network.DUMP_STEPS
+        assert meta_path.with_suffix(".graphs").read_text() == dump_through_graph(replay, steps)
 
     def test_gt_baseline_on_chain(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)

@@ -22,6 +22,7 @@ from gossipvr.network import (
     gossip_from_laplacian,
     measure_chi,
     node_mean,
+    ring_graph,
     star_graph,
 )
 from gossipvr.optimizers import DivergenceError, GtBaseline, RunAbort
@@ -379,6 +380,33 @@ class TestRandomGeometric:
             assert np.array_equal(reads[0][k][0].matrix, ref.matrix)
             assert reads[0][k][0].chi == ref.chi
 
+    def test_steps_over_certificate_counts_served_steps(self):
+        """Set from measure_chi, as the harness does: the count is the served steps above it."""
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        seq.certificate = measure_chi(seq, trials=20)
+        order = [*range(300, 100, -1), *range(500)]  # revisits are charged once
+        for k in order:
+            seq.gossip(k)
+        replay = RandomGeometricSequence(10, 0.45, seed=1)
+        over = sum(replay.gossip(k).chi > seq.certificate for k in range(500))
+        assert over > 0 and seq.steps_over_certificate == over
+        assert StaticSequence(ring_graph(5)).steps_over_certificate == 0
+
+    def test_dump_serves_through_gossip(self, monkeypatch):
+        """The dump reads the cached block stacks: same bytes as edge by edge, with the
+        counters charged for the dumped steps only, and a never-connected step still raises."""
+        in_process(monkeypatch)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        steps = network.BLOCK + 5
+        out = io.StringIO()
+        dump_sequence(seq, steps, out)
+        counters = (seq.built, seq.resamples, seq.chi_max)
+        replay = RandomGeometricSequence(10, 0.45, seed=1)
+        assert out.getvalue() == dump_through_graph(replay, steps)
+        assert counters == (replay.built, replay.resamples, replay.chi_max) and seq.built == steps
+        with pytest.raises(RuntimeError, match="step=0"):
+            dump_sequence(RandomGeometricSequence(50, 1e-6, seed=0), 2, io.StringIO())
+
     def test_counters_charge_served_steps_only(self, monkeypatch):
         (w0, r0), (w5, r5) = (per_step_reference(10, 0.35, 2, k) for k in (0, 5))
         builds = count_builds(monkeypatch)
@@ -607,6 +635,50 @@ class TestMultiStageMix:
         seq = RotatingStarSequence(6)
         x = np.tile([3.0, -1.0], (6, 1))
         assert np.allclose(x - consensus_residual(seq, 0, 4, x), 0.0, atol=1e-12)
+
+
+def matmul_residual(seq, start_step, stages, x):
+    """Multi-stage consensus written with ``@``: the reference consensus_residual is bitwise equal to."""
+    for q in range(start_step, start_step + stages):
+        x = x - seq.gossip(q).matrix @ x
+    return x
+
+
+def residual_inputs(rng, m, d=20):
+    """A C-contiguous, a column-strided and a Fortran-ordered node vector."""
+    return [rng.standard_normal((m, d)), rng.standard_normal((m, 2 * d))[:, ::2],
+            np.asfortranarray(rng.standard_normal((m, d)))]
+
+
+class TestResidualBitwise:
+    """consensus_residual multiplies by ``ndarray.dot``; every product is bitwise the ``@`` one."""
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["in-process", "piped"])
+    def test_random_geometric(self, monkeypatch, piped):
+        if not piped:
+            in_process(monkeypatch)
+        elif not network._builder_can_run():
+            pytest.skip("this host builds every block in-process")
+        stages, iterations = 11, 40  # a forward walk over 7 blocks, like gt_page's
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        measure_chi(seq, trials=20)
+        inputs = residual_inputs(np.random.default_rng(3), 10)
+        for t in range(iterations):
+            for x in inputs:
+                got = consensus_residual(seq, stages * t, stages, x)
+                assert got.tobytes() == matmul_residual(seq, stages * t, stages, x).tobytes()
+        assert (seq.builder_blocks > 0) == piped
+        seq.close()
+
+    @pytest.mark.parametrize("make", [lambda: RotatingStarSequence(10), lambda: StaticSequence(ring_graph(10))],
+                             ids=["rotating-star", "static-ring"])
+    def test_cyclic(self, make):
+        seq = make()
+        stages = math.ceil(seq.chi)
+        for x in residual_inputs(np.random.default_rng(4), 10):
+            for start in range(0, 3 * stages, stages):
+                got = consensus_residual(seq, start, stages, x)
+                assert got.tobytes() == matmul_residual(seq, start, stages, x).tobytes()
 
 
 class TestSerialization:
