@@ -296,6 +296,15 @@ class ExperimentConfig:
             raise ValueError("m and n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("reg", "radius", "gt_eta", "chain_L", "chain_mu", "zc_L", "zc_delta", "stop_dist_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("gt_eta", "stop_dist_sq"):  # 0 keeps the default: derived step, no stop
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("per_node_coins", "strict_step"):
+            if getattr(self, name) not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -738,7 +738,14 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
     With ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e`` when
     each step's exact ``chi`` is at most the scheduled one; a random-geometric schedule
     measures ``chi`` over its first ``chi_trials`` steps only, and no check certifies
-    the later windows yet (an open item of ROADMAP.md)."""
+    the later windows yet (an open item of ROADMAP.md).
+
+    ``x`` may be any ``(m, k)`` stack: its columns mix independently, so one call on
+    ``[x | v]`` mixes both with one ``gossip`` call and one product per stage.  Each column
+    block of the result is bitwise that block mixed on its own when the BLAS sums a
+    product's ``m`` terms in the same order at both widths: OpenBLAS 0.3.31 on AVX-512
+    does for ``m < 16`` (the tests pin ``m = 10``), not from ``m = 16`` on, where the
+    blocks can differ in the last bit."""
     for q in range(start_step, start_step + stages):
         x = x - seq.gossip(q).matrix.dot(x)
     return x

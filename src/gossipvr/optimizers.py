@@ -377,7 +377,7 @@ def _batch_estimator(obj, nodes, x_g, idx, weights, omega_grads, grad_omega):
     rows = np.arange(len(nodes))[:, None]
     fresh = obj.batch_sampled_gradients(nodes, idx, x_g)
     diff = (fresh - omega_grads[rows, idx]) * weights[rows, idx][..., None]
-    return diff.mean(axis=1) + grad_omega
+    return diff.sum(axis=1) / diff.shape[1] + grad_omega
 
 
 @dataclass(frozen=True)
@@ -460,7 +460,7 @@ class AdomVr:
             fresh = obj.batch_component_gradients(moved, new[-1][moved])
             omega_grads, grad_omega = omega_grads.copy(), grad_omega.copy()
             omega_grads[moved] = fresh
-            grad_omega[moved] = fresh.mean(axis=1)
+            grad_omega[moved] = fresh.sum(axis=1) / fresh.shape[1]
 
         to_f, to_g = draws.moves[r]
         new_state = AdomVrState(
@@ -506,7 +506,8 @@ def _page_tracker(obj: FiniteSumObjective, nodes, restart: bool, idx, x_new, x, 
     if restart:
         return obj.batch_local_gradients(nodes, x_new)
     g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx, x_new, x)
-    return y + (g_new - g_old).mean(axis=1)
+    diff = g_new - g_old
+    return y + diff.sum(axis=1) / diff.shape[1]
 
 
 @dataclass
@@ -543,18 +544,21 @@ class GtPage:
     def step(self, state: GtPageState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtPageState:
         """One iteration consuming ``stages`` consecutive graphs from ``state.comms``.
 
-        The same communication rounds mix both the iterate and the tracker, so an
-        iteration costs ``stages`` communications.  A single shared coin switches
-        every node to a full gradient (one coin per node with ``per_node_coins``).
+        The same communication rounds mix both the iterate and the tracker: one
+        :func:`consensus_residual` of the stack ``[x | v]`` makes one ``gossip`` call and one
+        product per round, so an iteration costs ``stages`` communications.  The tracker's
+        mix reads only ``state.v``, so it runs before the oracle query.  A single shared coin
+        switches every node to a full gradient (one coin per node with ``per_node_coins``).
         """
         params = self.params
-        m, k, draws = obj.m, state.k, state.draws
+        (m, d), k, draws = state.x.shape, state.k, state.draws
         key = (seed, obj.n, (m, params.b), m if self.per_node_coins else 1)
         if draws is None or draws.key != key or not draws.start <= k < draws.start + len(draws.idx):
             draws = _page_block(key, k)
         idx, coins = draws.idx[k - draws.start], draws.coins[k - draws.start]
 
-        x_new = consensus_residual(seq, state.comms, params.stages, state.x) - params.eta * state.v
+        mixed = consensus_residual(seq, state.comms, params.stages, np.concatenate((state.x, state.v), axis=1))
+        x_new = mixed[:, :d] - params.eta * state.v
 
         full = coins < params.p
         if full.all() == full.any():  # one coin for every node: query all rows as they are
@@ -566,7 +570,7 @@ class GtPage:
                 rows = (idx[nodes], x_new[nodes], state.x[nodes], state.y[nodes])
                 y_new[nodes] = _page_tracker(obj, nodes, restart, *rows)
 
-        v_new = consensus_residual(seq, state.comms, params.stages, state.v) + y_new - state.y
+        v_new = mixed[:, d:] + y_new - state.y
         new_state = GtPageState(
             x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages,
             full_restarts=state.full_restarts + int(np.count_nonzero(full)), draws=draws,

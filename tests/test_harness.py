@@ -667,6 +667,29 @@ class TestCli:
         assert payload == {"error": "ValueError", "message": "seed must be non-negative, got -1"}
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("reg=nan", "reg must be finite, got nan"),
+        ("reg=inf", "reg must be finite, got inf"),
+        ("radius=nan", "radius must be finite, got nan"),
+        ("gt_eta=nan", "gt_eta must be finite, got nan"),
+        ("gt_eta=-inf", "gt_eta must be finite, got -inf"),
+        ("gt_eta=-0.5", "gt_eta must be non-negative, got -0.5"),
+        ("chain_L=inf", "chain_L must be finite, got inf"),
+        ("chain_mu=nan", "chain_mu must be finite, got nan"),
+        ("zc_L=inf", "zc_L must be finite, got inf"),
+        ("zc_delta=nan", "zc_delta must be finite, got nan"),
+        ("stop_dist_sq=inf", "stop_dist_sq must be finite, got inf"),
+        ("stop_dist_sq=-1", "stop_dist_sq must be non-negative, got -1.0"),
+        ("per_node_coins=7", "per_node_coins must be 0 or 1, got 7"),
+        ("strict_step=3", "strict_step must be 0 or 1, got 3"),
+        ("strict_step=-1", "strict_step must be 0 or 1, got -1"),
+    ])
+    def test_bad_value_rejected_before_any_file(self, tmp_path, capsys, line, message):
+        (tmp_path / "exp.cfg").write_text(f"method=gt_baseline\nobjective=zero_chain\nm=9\nn=4\nbudget_iters=3\n{line}\n")
+        assert main(["--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "runs")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "runs").exists()
+
     def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):
         import concurrent.futures
 

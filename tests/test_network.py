@@ -680,6 +680,22 @@ class TestResidualBitwise:
                 got = consensus_residual(seq, start, stages, x)
                 assert got.tobytes() == matmul_residual(seq, start, stages, x).tobytes()
 
+    # gt_page mixes [x | v] in one call: each half must be bitwise its own mix (m = 10 < 16).
+    @pytest.mark.parametrize("make, start, stages", [
+        (lambda: RandomGeometricSequence(10, 0.7, seed=0), network.BLOCK - 4, 11),  # straddles a block
+        (lambda: TwoStarHopSequence(10), 5, 34),  # ceil(chi) steps: 2.4 periods of 14
+    ], ids=["random-geometric", "two-star-hop"])
+    def test_stacked_halves_mix_alone(self, monkeypatch, make, start, stages):
+        in_process(monkeypatch)
+        seq = make()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x, v = rng.standard_normal((2, 10, 20))
+            both = consensus_residual(seq, start, stages, np.concatenate((x, v), axis=1))
+            assert both[:, :20].tobytes() == consensus_residual(seq, start, stages, x).tobytes()
+            assert both[:, 20:].tobytes() == consensus_residual(seq, start, stages, v).tobytes()
+        seq.close()
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -775,7 +775,7 @@ class RecordingSequence(GraphSequence):
 @pytest.mark.parametrize("name", ["adom_vr", "gt_page", "gt_baseline"])
 def test_step_reads_its_graphs_from_comms(name):
     # adom_vr and gt_baseline read graph `comms` once per step; gt_page reads
-    # its `stages` graphs from `comms` on twice, once for x and once for v.
+    # its `stages` graphs from `comms` on once each, in order, mixing x and v together.
     obj, _, _ = strongly_convex_quadratic(np.random.default_rng(23), m=4, n=2, d=2)
     seq = RecordingSequence(TwoStarHopSequence(4))
     info = obj.info
@@ -789,8 +789,39 @@ def test_step_reads_its_graphs_from_comms(name):
         comms, seen = state.comms, len(seq.reads)
         state = method.step(state, obj, seq, seed=4)
         window = list(range(comms, state.comms))
-        assert seq.reads[seen:] == (2 * window if name == "gt_page" else window)
+        assert seq.reads[seen:] == window
     assert state.comms == (18 if name == "gt_page" else 6)
+
+
+class DotRecorder(np.ndarray):
+    """A gossip matrix that appends the shape of every ``dot`` operand to ``self.products``."""
+
+    def dot(self, other, out=None):
+        self.products.append(other.shape)
+        return np.asarray(self).dot(other, out)
+
+
+class ProductRecordingSequence(RecordingSequence):
+    """A RecordingSequence whose gossip matrices also record their products in ``products``."""
+
+    def __init__(self, base: GraphSequence):
+        super().__init__(base)
+        self.products = []
+
+    def gossip(self, k):
+        served = super().gossip(k)
+        matrix = served.matrix.view(DotRecorder)
+        matrix.products = self.products
+        return GossipMatrix(matrix=matrix, chi=served.chi)
+
+
+def test_gt_page_step_makes_one_gossip_call_and_product_per_stage():
+    # x and v (m = 4, d = 3) are mixed as one (4, 6) stack: `stages` calls and products, not 2 * stages.
+    obj, _, _ = strongly_convex_quadratic(np.random.default_rng(24), m=4, n=2, d=3)
+    seq = ProductRecordingSequence(TwoStarHopSequence(4))
+    params = gt_page_params(obj.info.L, obj.info.Lhat, seq.chi, obj.n, stages=5)
+    state = GtPage(params).step(GtPage.init(obj), obj, seq, seed=4)
+    assert seq.reads == [0, 1, 2, 3, 4] and seq.products == [(4, 6)] * 5 and state.comms == 5
 
 
 def newton_logistic_minimizer(shards, reg, d, iters=60):
