@@ -305,6 +305,35 @@ class ExperimentConfig:
         for name in ("per_node_coins", "strict_step"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
+        for name, reader in self._unread().items():
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{name}={getattr(self, name)!r} is never read: {reader} ignores it")
+
+    def _unread(self) -> dict[str, str]:
+        """The fields this run never reads, each with what ignores it."""
+        method, objective = f"method {self.method!r}", f"objective {self.objective!r}"
+        unread = {}
+        if self.method != "gt_baseline":
+            unread["gt_eta"] = method
+        else:
+            unread["b"] = method
+        if self.method != "gt_page":
+            unread["strict_step"] = unread["per_node_coins"] = method
+        if self.objective == "zero_chain":  # it brings its own rotating star
+            unread["topology"] = unread["radius"] = unread["chi_trials"] = objective
+        elif self.topology != "random-geometric":
+            unread["radius"] = unread["chi_trials"] = f"topology {self.topology!r}"
+        if self.objective != "logistic":
+            unread["reg"] = objective
+        if self.objective not in ("logistic", "nlls"):
+            unread["dataset"] = objective
+        if self.objective in ("nlls", "zero_chain"):  # mu = 0: no minimizer to measure the distance to
+            unread["stop_dist_sq"] = objective
+        if self.objective != "chain":
+            unread.update(dict.fromkeys(("chain_L", "chain_mu", "chain_dim"), objective))
+        if self.objective != "zero_chain":
+            unread.update(dict.fromkeys(("zc_L", "zc_delta"), objective))
+        return unread
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -446,15 +475,20 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
             trace, abort = exc.trace, exc
     finally:  # a random-geometric walk may have forked a builder child; it ends with the run
         seq.close()
-    graphs = None  # sequences other than random-geometric build their graphs once, up front
     if isinstance(seq, RandomGeometricSequence):
-        graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max, "builder_blocks": seq.builder_blocks}
+        built, resamples, chi_max, over = seq.counters()
+        graphs = {"built": built, "resamples": resamples, "chi_max": chi_max, "builder_blocks": seq.builder_blocks}
+    else:  # the other sequences build their graphs once, up front
+        graphs, chi_max, over = None, seq.chi_max, seq.steps_over_certificate
     certificate = {
         "chi_schedule": chi,
-        "chi_consumed_max": seq.chi_max,
-        "steps_over_certificate": seq.steps_over_certificate,
+        "chi_consumed_max": chi_max,
+        "steps_over_certificate": over,
         "resamples_over_cap": 0,  # no chi cap redraws a step yet
     }
+    windowed = cfg.method == "gt_page"  # the one method that certifies a window of rounds per iteration
+    for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max"):
+        certificate[name] = getattr(seq, name) if windowed else None
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -172,15 +172,20 @@ def consensus_error(x: np.ndarray) -> float:
 class GraphSequence:
     """Base for per-step graph generators.
 
-    Subclasses provide random access ``graph(k)`` and ``gossip(k)``; cyclic
-    sequences build their gossip matrices once, up front, random-geometric ones
+    Subclasses provide ``graph(k)`` and ``gossip(k)``.  ``window(start, stages)`` serves
+    the ``(stages, m, m)`` gossip matrices of steps ``start .. start + stages - 1`` and
+    their ``(stages,)`` exact ``chi``, bitwise the ``gossip`` ones; by default it stacks
+    the ``gossip`` steps, and the random-geometric sequence slices its cached block.
+    Cyclic sequences build their gossip matrices once, up front, random-geometric ones
     a block at a time, on first use.  ``chi`` is an analytic or construction-time
     certificate when available, otherwise ``None`` (use :func:`measure_chi`).
 
     ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for
     a cyclic sequence); ``steps_over_certificate`` counts the served steps above
-    ``certificate``, the ``chi`` a run's schedule assumes, which the harness sets.
-    A cyclic sequence counts none: its ``chi`` covers its period, up to rounding.
+    ``certificate``, the ``chi`` a run's schedule assumes, which the harness sets:
+    each step against the ``certificate`` in force when it was served.  A cyclic
+    sequence counts none: its ``chi`` covers its period, up to rounding.
+    The ``window_*`` counters are :func:`consensus_residual`'s window certificate.
     """
 
     kind: str = "static"
@@ -190,12 +195,19 @@ class GraphSequence:
     chi_max: float
     certificate: float = math.inf
     steps_over_certificate: int = 0
+    window_bound_max: float = 0.0
+    windows_checked_exactly: int = 0
+    window_norm_max: float = 0.0
 
     def graph(self, k: int) -> WeightedGraph:
         raise NotImplementedError
 
     def gossip(self, k: int) -> GossipMatrix:
         raise NotImplementedError
+
+    def window(self, start: int, stages: int) -> tuple[np.ndarray, np.ndarray]:
+        served = [self.gossip(k) for k in range(start, start + stages)]
+        return np.stack([g.matrix for g in served]), np.array([g.chi for g in served])
 
     def _dump_blocks(self, steps: int) -> Iterator[str]:
         """The ``step``/``edge`` records of steps ``0 .. steps - 1``, one string per ``BLOCK`` steps."""
@@ -434,49 +446,43 @@ class RandomGeometricSequence(GraphSequence):
     Points are uniform in the unit square; pairs within ``radius`` are joined
     with unit weight.  Step ``k`` is a pure function of ``(seed, k)``: draw
     ``d`` of it is the ``d``-th ``default_rng((seed, k)).uniform(size=(m, 2))``,
-    and it draws until the graph connects, so runs can revisit steps in any
-    order.  The streams are computed by a vectorized replica of that generator,
-    and a test pins the two together bitwise.  ``seed`` must be non-negative
-    and steps below ``2**32``.
+    and it draws until the graph connects, so steps can be read in any order.
+    A vectorized replica of that generator, pinned to it bitwise by a test,
+    seeds the streams of ``SEED_BLOCKS`` aligned blocks per pass.  ``seed``
+    must be non-negative and steps below ``2**32``.
 
-    Steps are built ``BLOCK`` at a time: a miss on step ``k`` builds the aligned
-    block holding it in stacked passes (the replica's draws for every pending
-    step, one distance test and the spectral test of
-    :func:`gossip_from_laplacian` over the ``(B, m, m)`` Laplacian stack), each
-    pass redrawing only the steps still disconnected.  A step still
-    disconnected after ``MAX_RETRIES`` draws fails every time it is served.
-    A built block is one buffer in the layout of :func:`_block_fields`.  The
-    replica seeds the streams of ``SEED_BLOCKS`` aligned blocks in one pass
-    and keeps the last such chunk, so its fixed per-call cost is paid once per
-    chunk; a block's draws are sliced from its chunk.  The ``.graphs`` dump
-    serves each step through ``gossip``, then reads the cached block's matrix
-    stack and finds all its edges with one stacked test.
+    Steps are built ``BLOCK`` at a time, into one buffer in the layout of
+    :func:`_block_fields`, by stacked passes that redraw only the steps still
+    disconnected.  ``window(start, stages)`` serves the ``(stages, m, m)``
+    matrices and ``(stages,)`` exact ``chi`` of its steps: a view of the cached
+    block, or a copy where the window straddles blocks.  ``gossip`` is its
+    one-step view, ``graph`` reads through ``gossip``, and the ``.graphs`` dump
+    reads one window per block.  A step still disconnected after
+    ``MAX_RETRIES`` draws raises every time it is served; a window raises at
+    its first such step, after serving the steps before it.
 
-    ``built``, ``resamples``, ``chi_max`` and ``steps_over_certificate`` count
-    the matrices served, the disconnected draws rejected for them, the largest
-    exact per-step ``chi`` served and the steps served above ``certificate``:
-    they are charged when a step is first served from a build, not when it is
-    built.  The steps :func:`measure_chi` served before the harness set
-    ``certificate`` from them are never above it.  ``gossip`` keeps the built
-    blocks and the ``GossipMatrix`` of each step it served; ``graph`` reads
-    through it.  Of
-    the ``CACHE_BLOCKS`` cached blocks, the oldest starting at or past
-    ``DUMP_STEPS`` is evicted first, so a run's dump finds its steps cached.
-    An evicted block is rebuilt, and charged again, on its next miss.
+    Serving a window writes the block's boolean ``served`` mask.  ``built``,
+    ``resamples``, ``chi_max`` and ``steps_over_certificate`` (the matrices
+    served, the disconnected draws rejected for them, the largest exact ``chi``
+    served and the served steps above ``certificate``) are charged from the
+    masks when they are read and when a block is evicted: a step counts once
+    per build.  Setting ``certificate`` settles the over-certificate count of
+    the steps served so far, so each counts against the ``certificate`` in
+    force when it was served.  Of the ``CACHE_BLOCKS`` cached blocks, the
+    oldest starting at or past ``DUMP_STEPS`` is evicted first, so a run's
+    dump finds its steps cached.
 
     A forward walk builds ahead in a child process.  The first miss on the
     block right after a cached one forks one builder child, when
     :func:`_builder_can_run` allows it; the child runs ``_build_block`` on the
-    blocks that follow, in order, and writes each block's buffer to a pipe,
-    whose capacity keeps it about one block ahead.  A miss on the block the
-    child writes next reads that buffer from the pipe; every other miss
-    builds in-process, and so does every miss once the child has died.  The
-    steps and the counters do not depend on who built them;
-    ``builder_blocks`` counts the blocks the child served.  A child that writes
-    nothing for ``PIPE_TIMEOUT`` seconds is taken for dead, say one stopped, or
-    one deadlocked because the fork copied a lock that a native thread pool of
-    the BLAS held.  ``close`` kills and reaps the child, and so does collecting
-    the sequence.
+    blocks that follow, in order, and writes each buffer to a pipe, whose
+    capacity keeps it about one block ahead.  A miss on the block the child
+    writes next reads it from the pipe; every other miss builds in-process, and
+    so does every miss once the child has died, or fell silent for
+    ``PIPE_TIMEOUT`` seconds (say, deadlocked on a BLAS lock the fork copied).
+    The steps and counters do not depend on who built them; ``builder_blocks``
+    counts the blocks the child served.  ``close`` kills and reaps the child,
+    and so does collecting the sequence.
     """
 
     kind = "random-geometric"
@@ -496,19 +502,55 @@ class RandomGeometricSequence(GraphSequence):
         # The steps and PCG64 streams of the last chunk of SEED_BLOCKS blocks seeded; a block never
         # straddles two chunks, since a chunk is SEED_BLOCKS * BLOCK aligned steps cut at 2**32.
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
-        # block start -> (its _block_fields, per offset the GossipMatrix served, False if it never
-        # connected, None before its first serve), oldest first
-        self._blocks: dict[int, tuple[tuple[np.ndarray, ...], list[GossipMatrix | bool | None]]] = {}
+        # block start -> (its _block_fields, its served mask, its offsets that never connected), oldest first
+        self._blocks: dict[int, tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]] = {}
+        # (built, resamples, chi_max, steps_over_certificate) charged outside the cached masks: the
+        # evicted blocks, and the shift that keeps each served step counted against its certificate
+        self._settled: tuple[int, int, float, int] = (0, 0, 0.0, 0)
+        self._certificate = math.inf
         # The builder child's pid and pipe, the start of the block it writes next (None when no
         # child runs) and the finalizer that stops it; a sequence forks at most once, and never once closed.
         self._may_fork = True
         self._child: tuple[int, int] | None = None
         self._piped: int | None = None
         self._stop: weakref.finalize | None = None
-        self.built = 0
-        self.resamples = 0
-        self.chi_max = 0.0
         self.builder_blocks = 0
+
+    def counters(self) -> tuple[int, int, float, int]:
+        """``(built, resamples, chi_max, steps_over_certificate)``, charged from the served masks in one pass."""
+        return self._charge(list(self._blocks.values()), self._settled)
+
+    built = property(lambda self: self.counters()[0])
+    resamples = property(lambda self: self.counters()[1])
+    chi_max = property(lambda self: self.counters()[2])
+    steps_over_certificate = property(lambda self: self.counters()[3])
+
+    @property
+    def certificate(self) -> float:
+        return self._certificate
+
+    @certificate.setter
+    def certificate(self, value: float) -> None:
+        # The cached served steps are charged against the certificate read then: shift the settled
+        # count so that those served before this change stay counted against the old one.
+        before = self.steps_over_certificate
+        self._certificate = value
+        built, resamples, chi_max, over = self._settled
+        self._settled = (built, resamples, chi_max, over + before - self.steps_over_certificate)
+
+    def _charge(self, blocks: list, counters: tuple[int, int, float, int]) -> tuple[int, int, float, int]:
+        """``counters`` plus the served steps of ``blocks``, values of ``_blocks``, from their stacked fields."""
+        if not blocks:
+            return counters
+        served = np.concatenate([mask for _, mask, _ in blocks])
+        chi, resamples, connected = (np.concatenate([fields[i] for fields, _, _ in blocks])[served] for i in (1, 2, 3))
+        built, draws, chi_max, over = counters
+        return (
+            built + int(np.count_nonzero(connected)),
+            draws + int(resamples.sum()),
+            max(chi_max, float(chi.max(initial=0.0))),
+            over + int(np.count_nonzero(chi > self.certificate)),
+        )
 
     def graph(self, k: int) -> WeightedGraph:
         # Off the diagonal, W is nonzero exactly on the edges; row-major order is sorted.
@@ -516,46 +558,57 @@ class RandomGeometricSequence(GraphSequence):
         return WeightedGraph(self.m, tuple((i, j, 1.0) for i, j in zip(ii.tolist(), jj.tolist())))
 
     def _dump_blocks(self, steps: int) -> Iterator[str]:
-        # gossip charges the counters, raises on a step that never connected and leaves the block
-        # cached; one nonzero over its (B, m * m) matrix stack, masked to i < j, finds its edges in
+        # One nonzero over a block's (B, m * m) matrix stack, masked to i < j, finds its edges in
         # step, i, j order.
         m = self.m
         upper = np.triu(np.ones((m, m), dtype=bool), k=1).ravel()
         table = [f"edge {i} {j} 1.0\n" for i in range(m) for j in range(m)]
         for start in range(0, steps, BLOCK):
             block = range(start, min(start + BLOCK, steps))
-            for k in block:
-                self.gossip(k)
-            stack = self._blocks[start][0][0][: len(block)].reshape(len(block), -1)
+            stack = self.window(start, len(block))[0].reshape(len(block), -1)
             step, flat = np.nonzero((stack != 0) & upper)
             lines = [table[f] for f in flat.tolist()]
             ends = np.cumsum(np.bincount(step, minlength=len(block))).tolist()
             yield "".join(f"step {k}\n" + "".join(lines[lo:hi]) for k, lo, hi in zip(block, [0, *ends], ends))
 
     def gossip(self, k: int) -> GossipMatrix:
-        i = k % BLOCK
-        block = self._blocks.get(k - i)
+        matrices, chi = self.window(k, 1)
+        return GossipMatrix(matrix=matrices[0], chi=chi.item(0))
+
+    def window(self, start: int, stages: int) -> tuple[np.ndarray, np.ndarray]:
+        lo = start % BLOCK
+        if lo + stages <= BLOCK:
+            return self._serve(start - lo, lo, lo + stages)
+        stop = start + stages
+        parts = [self._serve(s, max(start - s, 0), min(stop - s, BLOCK)) for s in range(start - lo, stop, BLOCK)]
+        return np.concatenate([w for w, _ in parts]), np.concatenate([chi for _, chi in parts])
+
+    def _serve(self, start: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices and ``chi`` of offsets ``lo .. hi - 1`` of the block at ``start``, marked
+        served; at an offset that never connected, the offsets up to it are marked and it raises."""
+        block = self._blocks.get(start)
         if block is None:
-            block = self._blocks[k - i] = (_block_fields(self._fetch_block(k), self.m), [None] * BLOCK)
-            if len(self._blocks) > self.CACHE_BLOCKS:
-                *older, _ = self._blocks  # never the block just built
-                del self._blocks[next((s for s in older if s >= DUMP_STEPS), older[0])]
-        fields, served = block
-        w = served[i]
-        if w is None:  # first served from this build: charge the counters
-            matrices, chi, resamples, connected = fields
-            self.resamples += resamples.item(i)
-            w = served[i] = GossipMatrix(matrix=matrices[i], chi=chi.item(i)) if connected.item(i) else False
-            if w is not False:
-                self.built += 1
-                self.chi_max = max(self.chi_max, w.chi)
-                self.steps_over_certificate += w.chi > self.certificate
-        if w is False:
-            raise RuntimeError(
-                f"no connected geometric graph after {MAX_RETRIES} resamples "
-                f"(m={self.m}, radius={self.radius}, step={k}); increase the radius"
-            )
-        return w
+            block = self._load(start)
+        (matrices, chi, _, _), served, failed = block
+        for i in failed:
+            if lo <= i < hi:
+                served[lo : i + 1] = True
+                raise RuntimeError(
+                    f"no connected geometric graph after {MAX_RETRIES} resamples "
+                    f"(m={self.m}, radius={self.radius}, step={start + i}); increase the radius"
+                )
+        served[lo:hi] = True
+        return matrices[lo:hi], chi[lo:hi]
+
+    def _load(self, start: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
+        """Cache the block at ``start``, evicting one past ``CACHE_BLOCKS`` and charging its served steps."""
+        fields = _block_fields(self._fetch_block(start), self.m)
+        block = self._blocks[start] = (fields, np.zeros(len(fields[1]), dtype=bool), np.flatnonzero(~fields[3]).tolist())
+        if len(self._blocks) > self.CACHE_BLOCKS:
+            *older, _ = self._blocks  # never the block just built
+            evicted = self._blocks.pop(next((s for s in older if s >= DUMP_STEPS), older[0]))
+            self._settled = self._charge([evicted], self._settled)
+        return block
 
     def close(self) -> None:
         """Kill and reap the builder child, if one runs; later misses build in-process."""
@@ -725,30 +778,62 @@ class RotatingStarSequence(_CyclicSequence):
 
 def measure_chi(seq: GraphSequence, trials: int) -> float:
     """Contraction certificate of a graph sequence: the largest exact per-step
-    ``chi`` over its first ``trials`` steps (one period, if shorter)."""
+    ``chi`` over its first ``trials`` steps (one period, if shorter), read as one window."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     steps = trials if seq.period is None else min(trials, seq.period)
-    return max(seq.gossip(k).chi for k in range(steps))
+    return float(seq.window(0, steps)[1].max())
 
 
-def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray) -> np.ndarray:
-    """``prod_q (I - W(q)) x`` over ``stages`` consecutive graphs, ``q`` running
-    chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
-    With ``stages = ceil(chi)`` the zero-mean contraction factor is at most ``1/e`` when
-    each step's exact ``chi`` is at most the scheduled one; a random-geometric schedule
-    measures ``chi`` over its first ``chi_trials`` steps only, and no check certifies
-    the later windows yet (an open item of ROADMAP.md).
+# A window's bound or norm may exceed the scheduled contraction by this relative rounding.
+_WINDOW_SLACK = 1e-9
+
+
+def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray, contraction: float) -> np.ndarray:
+    """``prod_q (I - W(q)) x`` over the window of ``stages`` consecutive graphs, ``q``
+    running chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
+    The window is read with one ``seq.window`` call.
+
+    The window is certified to contract the zero-mean subspace by at most ``contraction``
+    (``1 - rho`` of a ``gt_page`` schedule; ``math.inf`` certifies nothing).  The bound
+    ``prod_q (1 - 1/chi_q)`` of its exact per-step ``chi`` certifies almost every window.
+    Where the bound is larger, one eigensolve gives the exact norm of the window's product
+    on the zero-mean subspace, and a norm above ``contraction`` raises ``RuntimeError``.
+    Both comparisons allow ``_WINDOW_SLACK`` of rounding.  The sequence's
+    ``window_bound_max``, ``windows_checked_exactly`` and ``window_norm_max`` record the
+    checks.
 
     ``x`` may be any ``(m, k)`` stack: its columns mix independently, so one call on
-    ``[x | v]`` mixes both with one ``gossip`` call and one product per stage.  Each column
-    block of the result is bitwise that block mixed on its own when the BLAS sums a
-    product's ``m`` terms in the same order at both widths: OpenBLAS 0.3.31 on AVX-512
-    does for ``m < 16`` (the tests pin ``m = 10``), not from ``m = 16`` on, where the
-    blocks can differ in the last bit."""
-    for q in range(start_step, start_step + stages):
-        x = x - seq.gossip(q).matrix.dot(x)
+    ``[x | v]`` mixes both with one product per stage.  Each column block of the result is
+    bitwise that block mixed on its own when the BLAS sums a product's ``m`` terms in the
+    same order at both widths: OpenBLAS 0.3.31 on AVX-512 does for ``m < 16`` (the tests
+    pin ``m = 10``), not from ``m = 16`` on, where the blocks can differ in the last bit."""
+    matrices, chi = seq.window(start_step, stages)
+    _certify_window(seq, start_step, matrices, chi, contraction)
+    for w in matrices:
+        x = x - w.dot(x)
     return x
+
+
+def _certify_window(seq: GraphSequence, start: int, matrices: np.ndarray, chi: np.ndarray, contraction: float) -> None:
+    limit = contraction * (1.0 + _WINDOW_SLACK)
+    bound = math.prod([1.0 - 1.0 / c for c in chi.tolist()])  # in Python: a third of numpy's cost at 11 steps
+    if bound > seq.window_bound_max:
+        seq.window_bound_max = bound
+    if bound <= limit:
+        return
+    m = matrices.shape[1]
+    product = np.eye(m) - 1.0 / m  # the zero-mean projector, which every I - W(q) keeps zero-mean
+    for w in matrices:
+        product = product - w.dot(product)
+    norm = math.sqrt(max(float(np.linalg.eigvalsh(product.T.dot(product))[-1]), 0.0))
+    seq.windows_checked_exactly += 1
+    seq.window_norm_max = max(seq.window_norm_max, norm)
+    if norm > limit:
+        raise RuntimeError(
+            f"the window of steps {start}..{start + len(chi) - 1} contracts the zero-mean subspace by "
+            f"{norm:.6g}, above the {contraction:.6g} its schedule assumes"
+        )
 
 
 def dump_sequence(seq: GraphSequence, steps: int, sink: IO[str]) -> None:

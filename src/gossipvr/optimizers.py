@@ -545,10 +545,11 @@ class GtPage:
         """One iteration consuming ``stages`` consecutive graphs from ``state.comms``.
 
         The same communication rounds mix both the iterate and the tracker: one
-        :func:`consensus_residual` of the stack ``[x | v]`` makes one ``gossip`` call and one
-        product per round, so an iteration costs ``stages`` communications.  The tracker's
-        mix reads only ``state.v``, so it runs before the oracle query.  A single shared coin
-        switches every node to a full gradient (one coin per node with ``per_node_coins``).
+        :func:`consensus_residual` of the stack ``[x | v]`` reads the window with one ``window``
+        call, certifies that it contracts by ``1 - rho`` and makes one product per round, so an
+        iteration costs ``stages`` communications.  The tracker's mix reads only ``state.v``,
+        so it runs before the oracle query.  A single shared coin switches every node to a
+        full gradient (one coin per node with ``per_node_coins``).
         """
         params = self.params
         (m, d), k, draws = state.x.shape, state.k, state.draws
@@ -557,7 +558,8 @@ class GtPage:
             draws = _page_block(key, k)
         idx, coins = draws.idx[k - draws.start], draws.coins[k - draws.start]
 
-        mixed = consensus_residual(seq, state.comms, params.stages, np.concatenate((state.x, state.v), axis=1))
+        stack = np.concatenate((state.x, state.v), axis=1)
+        mixed = consensus_residual(seq, state.comms, params.stages, stack, 1.0 - params.rho)
         x_new = mixed[:, :d] - params.eta * state.v
 
         full = coins < params.p

@@ -112,7 +112,7 @@ def test_02_multi_stage_consensus():
     worst = 0.0
     for trial in range(100):
         x = _zero_mean(rng.standard_normal((m, 4)))
-        residual = consensus_residual(seq, start_step=trial, stages=stages, x=x)
+        residual = consensus_residual(seq, start_step=trial, stages=stages, x=x, contraction=math.exp(-1))
         worst = max(worst, float(np.sum(residual**2) / np.sum(x * x)))
     elapsed = time.time() - start
     _report(2, "multi-stage consensus", worst <= math.exp(-1) and elapsed < 1.0,

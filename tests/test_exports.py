@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -15,6 +16,7 @@ import pytest
 
 import gossipvr
 import gossipvr.harness as harness
+from gossipvr.network import GraphSequence
 from gossipvr.objectives import FiniteSumObjective
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +77,30 @@ def test_benchmark_tracer_names_exist(monkeypatch):
     queries = [*tracer.ORACLE_UNITS, *tracer.METRIC_EVALS, *tracer.PASSTHROUGH]
     missing = [name for name in queries if not hasattr(FiniteSumObjective, name)]
     assert not missing, f"FiniteSumObjective lacks traced queries {missing}"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_benchmark_traced_sequence_methods_exist(monkeypatch):
+    """``trace_sequence`` wraps a sequence's methods by name (``graph``, ``gossip``): every sequence
+    class in the package must define each, not leave it to ``GraphSequence``'s stub."""
+    tracer = _benchmark_tracer(monkeypatch)
+    tree = ast.parse(inspect.getsource(tracer.trace_sequence))
+    wrapped = {
+        target.attr for node in ast.walk(tree) if isinstance(node, ast.Assign) for target in node.targets
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "seq"
+        and isinstance(node.value, ast.Call)
+    }
+    assert {"graph", "gossip"} <= wrapped
+    classes = [cls for cls in _subclasses(GraphSequence) if cls.__module__.startswith("gossipvr.")]
+    assert len(classes) >= 5
+    stubs = [f"{cls.__name__}.{name}" for cls in classes for name in sorted(wrapped)
+             if getattr(cls, name) is getattr(GraphSequence, name)]
+    assert not stubs, f"sequence methods the benchmark wraps are base-class stubs: {stubs}"
 
 
 def test_benchmark_traced_objective_answers_batched_queries(monkeypatch, objective_families):

@@ -407,9 +407,9 @@ class TestRunExperiment:
 
     def test_zero_chain_run_respects_topology_override(self, tmp_path, fixture_path):
         cfg = self.small_cfg(
-            tmp_path, fixture_path, method="gt_baseline", objective="zero_chain",
+            tmp_path, fixture_path, method="gt_baseline", objective="zero_chain", topology="random-geometric",
             m=6, n=2, budget_iters=8, budget_comms=24, budget_oracle=64,
-        )
+        )  # the config's topology is the default: any other is rejected as unread
         trace, csv_path, meta_path = run_experiment(cfg)
         assert csv_path.exists()
         meta = json.loads(meta_path.read_text())
@@ -439,9 +439,14 @@ class TestRunExperiment:
         assert piped > 0 and replay.builder_blocks == piped
         assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max, "builder_blocks": piped}
         over = sum(replay.gossip(k).chi > meta["chi"] for k in range(steps))
+        # every window's bound prod_q (1 - 1/chi_q) is below 1 - rho: none is checked exactly
+        stages, contraction = meta["parameters"]["stages"], 1.0 - meta["parameters"]["rho"]
+        bound = max(math.prod(1.0 - 1.0 / c for c in replay.window(s, stages)[1].tolist()) for s in range(0, steps, stages))
         assert over > 0 and meta["certificate"] == {
             "chi_schedule": meta["chi"], "chi_consumed_max": chi_max, "steps_over_certificate": over, "resamples_over_cap": 0,
+            "window_bound_max": bound, "windows_checked_exactly": 0, "window_norm_max": 0.0,
         }
+        assert 0.0 < bound < contraction
         # fewer than DUMP_STEPS steps served: the dump is every served step, edge by edge
         assert steps < network.DUMP_STEPS
         assert meta_path.with_suffix(".graphs").read_text() == dump_through_graph(replay, steps)
@@ -490,7 +495,9 @@ class PerNodeProxy(FiniteSumObjective):
 def test_per_node_proxy_writes_identical_csv(config, tmp_path, fixture_path, monkeypatch):
     import gossipvr.harness as harness
 
-    cfg = {"dataset": str(fixture_path), "topology": "random-geometric", "m": 10, "n": 10, **config}
+    cfg = {"topology": "random-geometric", "m": 10, "n": 10, **config}
+    if cfg["objective"] in ("logistic", "nlls"):  # a dataset is rejected where the objective never reads it
+        cfg["dataset"] = str(fixture_path)
     _, direct, _ = run_experiment(ExperimentConfig().replace(**cfg, out=str(tmp_path / "direct")))
     proxies = []
     real_run = harness.run
@@ -688,6 +695,41 @@ class TestCli:
         (tmp_path / "exp.cfg").write_text(f"method=gt_baseline\nobjective=zero_chain\nm=9\nn=4\nbudget_iters=3\n{line}\n")
         assert main(["--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "runs")]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "runs").exists()
+
+    # Each row: the run's method and objective, an option it never reads, and what ignores it.
+    @pytest.mark.parametrize("run, line, message", [
+        ("gt_page/chain", "gt_eta=0.5", "gt_eta=0.5 is never read: method 'gt_page' ignores it"),
+        ("adom_vr/chain", "gt_eta=0.5", "gt_eta=0.5 is never read: method 'adom_vr' ignores it"),
+        ("adom_vr/chain", "strict_step=1", "strict_step=1 is never read: method 'adom_vr' ignores it"),
+        ("gt_baseline/chain", "per_node_coins=1", "per_node_coins=1 is never read: method 'gt_baseline' ignores it"),
+        ("gt_baseline/chain", "b=2", "b=2 is never read: method 'gt_baseline' ignores it"),
+        ("adom_vr/chain", "topology=static-ring\nradius=0.5", "radius=0.5 is never read: topology 'static-ring' ignores it"),
+        ("adom_vr/chain", "topology=two-star-hop\nchi_trials=5", "chi_trials=5 is never read: topology 'two-star-hop' ignores it"),
+        ("gt_baseline/zero_chain", "radius=0.5", "radius=0.5 is never read: objective 'zero_chain' ignores it"),
+        ("gt_baseline/zero_chain", "chi_trials=5", "chi_trials=5 is never read: objective 'zero_chain' ignores it"),
+        ("gt_baseline/zero_chain", "topology=static-star",
+         "topology='static-star' is never read: objective 'zero_chain' ignores it"),
+        ("adom_vr/chain", "reg=0.2", "reg=0.2 is never read: objective 'chain' ignores it"),
+        ("gt_page/nlls", "reg=0.2", "reg=0.2 is never read: objective 'nlls' ignores it"),
+        ("gt_baseline/zero_chain", "chain_L=3", "chain_L=3.0 is never read: objective 'zero_chain' ignores it"),
+        ("gt_page/logistic", "chain_dim=5", "chain_dim=5 is never read: objective 'logistic' ignores it"),
+        ("adom_vr/chain", "zc_L=2", "zc_L=2.0 is never read: objective 'chain' ignores it"),
+        ("adom_vr/chain", "zc_delta=2", "zc_delta=2.0 is never read: objective 'chain' ignores it"),
+        ("adom_vr/chain", "dataset={dataset}", "dataset={dataset!r} is never read: objective 'chain' ignores it"),
+        ("gt_baseline/zero_chain", "stop_dist_sq=0.001",
+         "stop_dist_sq=0.001 is never read: objective 'zero_chain' ignores it"),
+        ("gt_page/nlls", "stop_dist_sq=0.001", "stop_dist_sq=0.001 is never read: objective 'nlls' ignores it"),
+    ])
+    def test_unread_option_rejected_before_any_file(self, tmp_path, capsys, fixture_path, run, line, message):
+        method, objective = run.split("/")
+        dataset = str(fixture_path)
+        lines = [f"method={method}", f"objective={objective}", "m=4", "n=2", "budget_iters=3", line.format(dataset=dataset)]
+        if objective in ("logistic", "nlls"):
+            lines.append(f"dataset={dataset}")
+        (tmp_path / "exp.cfg").write_text("\n".join(lines) + "\n")
+        assert main(["--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "runs")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message.format(dataset=dataset)}
         assert not (tmp_path / "runs").exists()
 
     def test_jobs_capped_at_run_count(self, tmp_path, monkeypatch):

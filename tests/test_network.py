@@ -22,6 +22,7 @@ from gossipvr.network import (
     gossip_from_laplacian,
     measure_chi,
     node_mean,
+    path_graph,
     ring_graph,
     star_graph,
 )
@@ -327,12 +328,14 @@ class TestRandomGeometric:
         seq.gossip(8)
         assert (seq.built, seq.resamples) == (6, sum(resamples) + r0 + r8)  # rebuilt steps are charged again
 
-    def test_graph_then_gossip_builds_the_step_once(self):
+    def test_graph_then_gossip_builds_the_step_once(self, monkeypatch):
+        builds = count_builds(monkeypatch)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         edges = seq.graph(0).edges
         w = seq.gossip(0)
         assert seq.built == 1
-        assert seq.graph(0).edges == edges and seq.gossip(0) is w
+        assert seq.graph(0).edges == edges and seq.gossip(0).matrix.tobytes() == w.matrix.tobytes()
+        assert builds == [0] and seq.built == 1
 
     def test_dumped_steps_outlive_later_steps(self, monkeypatch):
         b = network.BLOCK
@@ -431,7 +434,7 @@ class TestRandomGeometric:
         x = np.ones((10, 1))
         for t in range(iterations):
             for _ in range(2):
-                consensus_residual(seq, stages * t, stages, x)
+                consensus_residual(seq, stages * t, stages, x, math.inf)
         dump_sequence(seq, network.DUMP_STEPS, io.StringIO())
         walked = stages * iterations
         assert builds == list(range(0, walked, b)) and len(builds) > 4
@@ -445,7 +448,7 @@ class TestRandomGeometric:
         measure_chi(seq, trials=20)
         x = np.ones((10, 1))
         for t in range(800):
-            consensus_residual(seq, 11 * t, 11, x)
+            consensus_residual(seq, 11 * t, 11, x, math.inf)
         chunk = network.SEED_BLOCKS * network.BLOCK
         assert seedings == list(range(0, 8800, chunk)) and len(seedings) == 9
         assert seq.built == 8800
@@ -610,7 +613,7 @@ class TestMultiStageMix:
         seq = TwoStarHopSequence(6)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 3))
-        assert np.allclose(x - consensus_residual(seq, 4, 1, x), seq.gossip(4).matrix @ x)
+        assert np.allclose(x - consensus_residual(seq, 4, 1, x, math.inf), seq.gossip(4).matrix @ x)
 
     def test_matches_bruteforce_matrix_products(self):
         for m, stages in [(5, 3), (8, 5)]:
@@ -620,7 +623,7 @@ class TestMultiStageMix:
             prod = np.eye(m)
             for q in range(stages):
                 prod = (np.eye(m) - seq.gossip(q).matrix) @ prod
-            assert np.allclose(consensus_residual(seq, 0, stages, x), prod @ x, atol=1e-12)
+            assert np.allclose(consensus_residual(seq, 0, stages, x, math.inf), prod @ x, atol=1e-12)
 
     def test_static_star_contracts_below_e_inverse(self):
         seq = StaticSequence(star_graph(4))
@@ -628,13 +631,13 @@ class TestMultiStageMix:
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = random_zero_mean(rng, 4)
-            residual = consensus_residual(seq, 0, stages, x)
+            residual = consensus_residual(seq, 0, stages, x, math.inf)
             assert np.sum(residual**2) <= math.exp(-1) * np.sum(x * x)
 
     def test_consensus_maps_to_zero(self):
         seq = RotatingStarSequence(6)
         x = np.tile([3.0, -1.0], (6, 1))
-        assert np.allclose(x - consensus_residual(seq, 0, 4, x), 0.0, atol=1e-12)
+        assert np.allclose(x - consensus_residual(seq, 0, 4, x, math.inf), 0.0, atol=1e-12)
 
 
 def matmul_residual(seq, start_step, stages, x):
@@ -665,7 +668,7 @@ class TestResidualBitwise:
         inputs = residual_inputs(np.random.default_rng(3), 10)
         for t in range(iterations):
             for x in inputs:
-                got = consensus_residual(seq, stages * t, stages, x)
+                got = consensus_residual(seq, stages * t, stages, x, math.inf)
                 assert got.tobytes() == matmul_residual(seq, stages * t, stages, x).tobytes()
         assert (seq.builder_blocks > 0) == piped
         seq.close()
@@ -677,7 +680,7 @@ class TestResidualBitwise:
         stages = math.ceil(seq.chi)
         for x in residual_inputs(np.random.default_rng(4), 10):
             for start in range(0, 3 * stages, stages):
-                got = consensus_residual(seq, start, stages, x)
+                got = consensus_residual(seq, start, stages, x, math.inf)
                 assert got.tobytes() == matmul_residual(seq, start, stages, x).tobytes()
 
     # gt_page mixes [x | v] in one call: each half must be bitwise its own mix (m = 10 < 16).
@@ -691,10 +694,96 @@ class TestResidualBitwise:
         rng = np.random.default_rng(5)
         for _ in range(5):
             x, v = rng.standard_normal((2, 10, 20))
-            both = consensus_residual(seq, start, stages, np.concatenate((x, v), axis=1))
-            assert both[:, :20].tobytes() == consensus_residual(seq, start, stages, x).tobytes()
-            assert both[:, 20:].tobytes() == consensus_residual(seq, start, stages, v).tobytes()
+            both = consensus_residual(seq, start, stages, np.concatenate((x, v), axis=1), math.inf)
+            assert both[:, :20].tobytes() == consensus_residual(seq, start, stages, x, math.inf).tobytes()
+            assert both[:, 20:].tobytes() == consensus_residual(seq, start, stages, v, math.inf).tobytes()
         seq.close()
+
+
+class TestWindow:
+    """``window(start, stages)`` serves the per-step ``gossip`` matrices and ``chi`` bitwise, and
+    a window walk charges the random-geometric counters as a per-step walk does."""
+
+    @pytest.mark.parametrize("make, start, stages", [
+        (lambda: RandomGeometricSequence(10, 0.45, seed=1), 3, 11),
+        (lambda: RandomGeometricSequence(10, 0.45, seed=1), 60, 11),
+        (lambda: RandomGeometricSequence(10, 0.45, seed=1), 30, 2 * network.BLOCK + 5),
+        (lambda: TwoStarHopSequence(10), 9, 20),  # the period is 14
+    ], ids=["one-block", "block-boundary", "three-blocks", "cyclic-across-period"])
+    def test_window_is_the_per_step_gossip(self, monkeypatch, make, start, stages):
+        in_process(monkeypatch)
+        seq, reference, steps = make(), make(), range(start, start + stages)
+        matrices, chi = seq.window(start, stages)
+        assert matrices.shape == (stages, 10, 10) and chi.shape == (stages,)
+        assert matrices.tobytes() == b"".join(reference.gossip(k).matrix.tobytes() for k in steps)
+        assert chi.tolist() == [reference.gossip(k).chi for k in steps]
+
+    @pytest.mark.parametrize("certificate", [math.inf, 12.0], ids=["uncertified", "certified"])
+    @pytest.mark.parametrize("m, radius, seed, retries", [
+        (10, 0.45, 1, None), (10, 0.35, 2, 3), (50, 1e-6, 0, 3),
+    ], ids=["connected", "some-never-connect", "tiny-radius"])
+    def test_window_walk_charges_as_a_per_step_walk(self, monkeypatch, m, radius, seed, retries, certificate):
+        """11-step windows past five blocks and back to block 0, evicted by then and charged again on
+        its rebuild; a window stops at a step that never connects, as the per-step walk does."""
+        in_process(monkeypatch)
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 3)
+        monkeypatch.setattr(network, "DUMP_STEPS", 0)
+        if retries is not None:
+            monkeypatch.setattr(network, "MAX_RETRIES", retries)
+        stages = 11
+        starts = [*range(0, 5 * network.BLOCK, stages), *range(0, 3 * stages, stages)]
+        windowed, per_step = (RandomGeometricSequence(m, radius, seed=seed) for _ in range(2))
+        windowed.certificate = per_step.certificate = certificate
+        failures = ([], [])
+        for start in starts:
+            try:
+                windowed.window(start, stages)
+            except RuntimeError as err:
+                failures[0].append(str(err))
+            for k in range(start, start + stages):
+                try:
+                    per_step.gossip(k)
+                except RuntimeError as err:
+                    failures[1].append(str(err))
+                    break
+        counters = [(s.built, s.resamples, s.chi_max, s.steps_over_certificate) for s in (windowed, per_step)]
+        assert counters[0] == counters[1] and failures[0] == failures[1]
+        if retries is None:
+            assert windowed.built == 330 + 33  # steps 0..329, then steps 0..32 rebuilt
+            assert (windowed.steps_over_certificate > 0) == (certificate < math.inf)
+        else:
+            assert failures[0] and windowed.resamples >= len(failures[0]) * retries
+
+    def test_certificate_counts_each_step_against_the_one_in_force_when_served(self, monkeypatch):
+        """Steps served before ``certificate`` changes stay counted against the old one, also once their
+        block is evicted; a rebuilt step is charged again against the one in force at its new serve."""
+        in_process(monkeypatch)
+        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 3)
+        monkeypatch.setattr(network, "DUMP_STEPS", 0)
+        b = network.BLOCK
+        replay = RandomGeometricSequence(10, 0.45, seed=1)
+        chis = np.array([replay.gossip(k).chi for k in range(5 * b)])
+        low, high = np.quantile(chis, [0.3, 0.9]).tolist()
+        schedule = [(k, low) for k in range(b + 20)] + [(k, high) for k in range(b + 20, 3 * b)]
+        schedule += [(k, low) for k in [*range(3 * b, 5 * b), *range(20)]]  # block 0 was evicted: rebuilt
+        seq, over, built = RandomGeometricSequence(10, 0.45, seed=1), 0, 0
+        for k, certificate in schedule:
+            seq.certificate = certificate
+            chi = seq.gossip(k).chi
+            if seq.built > built:  # a first serve from this build is charged
+                over += chi > certificate
+            built = seq.built
+        assert built == 5 * b + 20 and 0 < over == seq.steps_over_certificate
+        assert over != np.count_nonzero(chis > low) + np.count_nonzero(chis[:20] > low)  # not all against low
+
+    @pytest.mark.parametrize("graph, stages", [(star_graph(5), 4), (path_graph(9), 8)], ids=["star-5", "path-9"])
+    def test_certificate_allows_rounding_at_the_exact_contraction(self, graph, stages):
+        """A static graph's window contracts by exactly ``(1 - 1/chi)^stages``, what a schedule of fewer
+        than ``ceil(chi)`` stages assumes; the computed bound lands an ulp above it, and so would the norm."""
+        seq = StaticSequence(graph)
+        contraction = (1.0 - 1.0 / seq.chi) ** stages
+        consensus_residual(seq, 0, stages, random_zero_mean(np.random.default_rng(6), graph.m), contraction)
+        assert 0 < seq.window_bound_max - contraction < 1e-15 and seq.windows_checked_exactly == 0
 
 
 class TestSerialization:
@@ -740,7 +829,7 @@ def walk(seq, steps):
 
 def cached_blocks(seq):
     """Each cached random-geometric block's buffer bytes, by block start: its fields tile the buffer."""
-    return {start: b"".join(f.tobytes() for f in fields) for start, (fields, _) in seq._blocks.items()}
+    return {start: b"".join(f.tobytes() for f in fields) for start, (fields, *_) in seq._blocks.items()}
 
 
 class TestBuilderChild:

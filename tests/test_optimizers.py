@@ -15,7 +15,10 @@ from gossipvr.network import (
     TwoStarHopSequence,
     complete_graph,
     consensus_error,
+    gossip_from_laplacian,
+    measure_chi,
     node_mean,
+    path_graph,
     ring_graph,
 )
 from gossipvr.objectives import CountingObjective, DatasetShard, SmoothnessInfo, logistic_objective
@@ -762,20 +765,25 @@ class TestGtBaseline:
 
 
 class RecordingSequence(GraphSequence):
-    """Forwards every gossip query to ``base`` and records the step it asked for."""
+    """Forwards every gossip and window query to ``base`` and records the step, or the
+    ``(start, stages)`` window, it asked for."""
 
     def __init__(self, base: GraphSequence):
-        self.base, self.m, self.chi, self.reads = base, base.m, base.chi, []
+        self.base, self.m, self.chi, self.reads, self.windows = base, base.m, base.chi, [], []
 
     def gossip(self, k):
         self.reads.append(k)
         return self.base.gossip(k)
 
+    def window(self, start, stages):
+        self.windows.append((start, stages))
+        return self.base.window(start, stages)
+
 
 @pytest.mark.parametrize("name", ["adom_vr", "gt_page", "gt_baseline"])
 def test_step_reads_its_graphs_from_comms(name):
-    # adom_vr and gt_baseline read graph `comms` once per step; gt_page reads
-    # its `stages` graphs from `comms` on once each, in order, mixing x and v together.
+    # adom_vr and gt_baseline read graph `comms` once per step; gt_page reads its
+    # window of `stages` graphs from `comms` with one window call, mixing x and v together.
     obj, _, _ = strongly_convex_quadratic(np.random.default_rng(23), m=4, n=2, d=2)
     seq = RecordingSequence(TwoStarHopSequence(4))
     info = obj.info
@@ -786,15 +794,21 @@ def test_step_reads_its_graphs_from_comms(name):
     }[name]()
     state = method.init(obj)
     for _ in range(6):
-        comms, seen = state.comms, len(seq.reads)
+        comms, reads, windows = state.comms, len(seq.reads), len(seq.windows)
         state = method.step(state, obj, seq, seed=4)
-        window = list(range(comms, state.comms))
-        assert seq.reads[seen:] == window
+        if name == "gt_page":
+            assert seq.windows[windows:] == [(comms, 3)] and seq.reads == []
+        else:
+            assert seq.reads[reads:] == [comms] and seq.windows == []
     assert state.comms == (18 if name == "gt_page" else 6)
 
 
 class DotRecorder(np.ndarray):
-    """A gossip matrix that appends the shape of every ``dot`` operand to ``self.products``."""
+    """Gossip matrices that append the shape of every ``dot`` operand to ``self.products``; the
+    matrices of a window stack, iterated or indexed, share their stack's list."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
 
     def dot(self, other, out=None):
         self.products.append(other.shape)
@@ -802,26 +816,56 @@ class DotRecorder(np.ndarray):
 
 
 class ProductRecordingSequence(RecordingSequence):
-    """A RecordingSequence whose gossip matrices also record their products in ``products``."""
+    """A RecordingSequence whose window matrices also record their products in ``products``."""
 
     def __init__(self, base: GraphSequence):
         super().__init__(base)
         self.products = []
 
-    def gossip(self, k):
-        served = super().gossip(k)
-        matrix = served.matrix.view(DotRecorder)
-        matrix.products = self.products
-        return GossipMatrix(matrix=matrix, chi=served.chi)
+    def window(self, start, stages):
+        matrices, chi = super().window(start, stages)
+        matrices = matrices.view(DotRecorder)
+        matrices.products = self.products
+        return matrices, chi
 
 
-def test_gt_page_step_makes_one_gossip_call_and_product_per_stage():
-    # x and v (m = 4, d = 3) are mixed as one (4, 6) stack: `stages` calls and products, not 2 * stages.
+def test_gt_page_step_makes_one_window_call_and_product_per_stage():
+    # x and v (m = 4, d = 3) are mixed as one (4, 6) stack: one window of `stages` steps from
+    # comms, no gossip call, and `stages` products, not 2 * stages.
     obj, _, _ = strongly_convex_quadratic(np.random.default_rng(24), m=4, n=2, d=3)
     seq = ProductRecordingSequence(TwoStarHopSequence(4))
     params = gt_page_params(obj.info.L, obj.info.Lhat, seq.chi, obj.n, stages=5)
     state = GtPage(params).step(GtPage.init(obj), obj, seq, seed=4)
-    assert seq.reads == [0, 1, 2, 3, 4] and seq.products == [(4, 6)] * 5 and state.comms == 5
+    assert seq.windows == [(0, 5)] and seq.reads == [] and seq.products == [(4, 6)] * 5 and state.comms == 5
+
+
+class CompleteThenPath(GraphSequence):
+    """Complete graphs on ``m`` nodes for the first ``complete`` steps, then paths.  It provides only
+    ``gossip``: ``measure_chi`` and ``gt_page`` read it through ``GraphSequence``'s default ``window``."""
+
+    def __init__(self, m: int, complete: int):
+        self.m, self.complete = m, complete
+        self._gossips = [gossip_from_laplacian(complete_graph(m)), gossip_from_laplacian(path_graph(m))]
+
+    def gossip(self, k):
+        return self._gossips[k >= self.complete]
+
+
+def test_gt_page_window_certificate_aborts_on_a_path_window():
+    """chi measured over complete graphs is 1, so the schedule takes one stage and assumes a 1/e
+    contraction; the first path window contracts by 1 - 1/chi(path) and ends the run with its records."""
+    obj, _, _ = strongly_convex_quadratic(np.random.default_rng(25), m=3, n=2, d=2)
+    trials = 20
+    seq = CompleteThenPath(3, trials)
+    chi = measure_chi(seq, trials=trials)
+    params = gt_page_params(obj.info.L, obj.info.Lhat, chi, obj.n)
+    assert chi == 1.0 and params.stages == 1
+    with pytest.raises(RunAbort, match=r"window of steps 20\.\.20 contracts .* above the 0\.367879") as exc_info:
+        run(GtPage(params), obj, seq, RunBudgets(max_iterations=100), metric_every=7, seed=0)
+    assert [r.iteration for r in exc_info.value.trace.records] == [0, 7, 14, 20]
+    path_factor = 1.0 - 1.0 / gossip_from_laplacian(path_graph(3)).chi  # 2/3: the path's I - W on zero-mean
+    assert seq.windows_checked_exactly == 1 and seq.window_bound_max == path_factor
+    assert seq.window_norm_max == pytest.approx(path_factor, rel=1e-12)
 
 
 def newton_logistic_minimizer(shards, reg, d, iters=60):
