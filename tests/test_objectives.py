@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,28 @@ def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
         got = _sigmoid(t)
     assert got.shape == t.shape
     assert np.array_equal(got, two_branch(t))
+
+
+NLLS_CONSTANTS = Path(__file__).parent / "data" / "nlls_constants.json"
+# Partitions of logreg500 as (m, n, seed, probe_pairs): two README-size ones, an uneven one
+# (m * n = 91 blocks of 5 or 6 rows) and a short probe.
+NLLS_CASES = {"m10_n10_seed0": (10, 10, 0, 1000), "m10_n10_seed4": (10, 10, 4, 1000),
+              "m7_n13_seed1": (7, 13, 1, 1000), "m10_n10_seed0_pairs37": (10, 10, 0, 37)}
+
+
+def nlls_constants(fixture_path, m, n, seed, pairs):
+    """``float.hex`` of the probed NLLS constants, the schedule ``gt_page`` runs on."""
+    info = nlls_objective(partition_dataset(parse_libsvm(fixture_path), m, n, seed), probe_pairs=pairs).info
+    return {"L": info.L.hex(), "Lbar": info.Lbar.hex(), "Lhat": info.Lhat.hex(),
+            "L_ij": [[float(v).hex() for v in row] for row in info.L_ij]}
+
+
+@pytest.mark.parametrize("case", NLLS_CASES)
+def test_nlls_probe_constants_are_pinned_bit_for_bit(fixture_path, case):
+    """The probe's constants equal the frozen ones to the last bit: a faster probe must not move
+    the schedule.  Regenerate the file only with a change that means to move it:
+    ``{case: nlls_constants(path, *args) for case, args in NLLS_CASES.items()}``, indent 1."""
+    assert nlls_constants(fixture_path, *NLLS_CASES[case]) == json.loads(NLLS_CONSTANTS.read_text())[case]
 
 
 def test_padded_block_tensors_match_the_block_loop(objective_families):
