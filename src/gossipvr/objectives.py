@@ -47,12 +47,8 @@ class SmoothnessInfo:
     Lhat: float
 
     @property
-    def Lbar_i(self) -> np.ndarray:
-        return self.L_ij.mean(axis=1)
-
-    @property
     def Lbar(self) -> float:
-        return float(self.Lbar_i.max())
+        return float(self.L_ij.mean(axis=1).max())
 
     def validate(self, n: int) -> None:
         tol = 1 + 1e-12
@@ -287,8 +283,13 @@ class CallableFiniteSum(FiniteSumObjective):
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(t))  # at most 1, so neither branch overflows
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    """``sigmoid(t)`` in a new array that the caller may overwrite, a numpy scalar for a scalar ``t``."""
+    e = np.abs(t, out=np.empty(np.shape(t)))  # 0-d for a scalar t, so that the passes run in place
+    np.exp(np.negative(e, out=e), out=e)  # e = exp(-|t|) <= 1, so neither branch overflows
+    s = np.greater_equal(t, 0.0, out=np.empty_like(e))
+    np.maximum(s, e, out=s)  # where(t >= 0, 1, e), exactly, as 0 <= e <= 1
+    s /= np.add(e, 1.0, out=e)
+    return s[()]
 
 
 class ShardObjective(FiniteSumObjective):
@@ -397,7 +398,9 @@ def _logistic_loss(t, y):
 
 def _logistic_dloss(t, y):
     neg_y = -y
-    return neg_y * _sigmoid(neg_y * t)
+    d = _sigmoid(neg_y * t)
+    d *= neg_y  # in place, or a new scalar for a scalar
+    return d
 
 
 def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:
@@ -414,8 +417,12 @@ def _nlls_loss(t, y):
 
 
 def _nlls_dloss(t, y):
-    sig = _sigmoid(t)
-    return 2.0 * (sig - y) * sig * (1.0 - sig)
+    sig = np.asarray(_sigmoid(t))
+    d = sig - y  # times 2, sig and 1 - sig, in place: 2 (sig - y) sig (1 - sig) bit for bit
+    d *= 2.0
+    d *= sig
+    d *= np.subtract(1.0, sig, out=sig)
+    return d
 
 
 _NLLS_SAFETY = 1.2  # padding on the estimated sigmoid-least-squares smoothness constants
@@ -423,7 +430,9 @@ _NLLS_SAFETY = 1.2  # padding on the estimated sigmoid-least-squares smoothness 
 
 def _nlls_smoothness(obj: ShardObjective, pairs: int) -> SmoothnessInfo:
     """Constants estimated from gradient-difference ratios at ``pairs`` random point pairs within radius 10
-    (generator seed 1234), padded by ``_NLLS_SAFETY``."""
+    (generator seed 1234), padded by ``_NLLS_SAFETY``: m x 2 margin products of shape (rows, pairs), one
+    per node and point set, and m * n block products of shape (d, pairs), whose elementwise passes run in
+    place.  The constants are bitwise stable: ``tests/data/nlls_constants.json`` pins them."""
     rng, radius = np.random.default_rng(1234), 10.0
     u = rng.uniform(-1, 1, size=(pairs, obj.d))
     u *= (radius * rng.uniform(0, 1, size=(pairs, 1)) ** (1.0 / obj.d)) / np.maximum(
@@ -436,21 +445,22 @@ def _nlls_smoothness(obj: ShardObjective, pairs: int) -> SmoothnessInfo:
     v = u + step * direction
     gap = np.maximum(np.linalg.norm(u - v, axis=1), 1e-12)
 
-    l_ij = np.zeros((obj.m, obj.n))
-    l_nodes = np.zeros(obj.m)
-    lhat_nodes = np.zeros(obj.m)
+    sq_norms = np.empty((obj.m, obj.n, pairs))  # |grad f_ij(u) - grad f_ij(v)|^2 per pair
+    node_sq = np.empty((obj.m, pairs))  # the same for the node means
     for i, s in enumerate(obj._shards):
-        cu = _nlls_dloss(s.features @ u.T, s.labels[:, None])  # (rows, pairs)
-        cv = _nlls_dloss(s.features @ v.T, s.labels[:, None])
-        sq_norms = np.zeros((obj.n, pairs))
+        dc = _nlls_dloss(s.features @ u.T, s.labels[:, None])  # (rows, pairs)
+        dc -= _nlls_dloss(s.features @ v.T, s.labels[:, None])
         node_diff = np.zeros((obj.d, pairs))
         for j, rows in enumerate(s.block_rows):
-            diff = s.features[rows].T @ (cu[rows] - cv[rows]) / rows.size  # (d, pairs)
-            sq_norms[j] = np.sum(diff**2, axis=0)
+            diff = s.features[rows].T @ dc[rows]  # (d, pairs)
+            diff /= rows.size
             node_diff += diff
-            l_ij[i, j] = float(np.max(np.sqrt(sq_norms[j]) / gap))
-        lhat_nodes[i] = float(np.max(np.sqrt(sq_norms.mean(axis=0)) / gap))
-        l_nodes[i] = float(np.max(np.linalg.norm(node_diff / obj.n, axis=0) / gap))
+            np.add.reduce(np.square(diff, out=diff), axis=0, out=sq_norms[i, j])
+        node_diff /= obj.n
+        np.add.reduce(np.square(node_diff, out=node_diff), axis=0, out=node_sq[i])
+    l_ij = np.max(np.sqrt(sq_norms) / gap, axis=-1)
+    lhat_nodes = np.max(np.sqrt(sq_norms.mean(axis=1)) / gap, axis=-1)
+    l_nodes = np.max(np.sqrt(node_sq) / gap, axis=-1)
     info = _finalize_constants(l_ij * _NLLS_SAFETY, l_nodes * _NLLS_SAFETY, 0.0, obj.n)
     lhat = min(max(float(lhat_nodes.max()) * _NLLS_SAFETY, info.L), np.sqrt(obj.n) * info.L)
     return SmoothnessInfo(L=info.L, mu=0.0, L_ij=info.L_ij, Lhat=lhat)
@@ -466,11 +476,10 @@ def logistic_objective(shards: Sequence[DatasetShard], lambda_reg: float) -> Sha
 
 
 def nlls_objective(shards: Sequence[DatasetShard], probe_pairs: int = 1000) -> ShardObjective:
-    """Nonconvex sigmoid least squares ``(y - sigmoid(<a, w>))^2``.
-
-    No closed-form smoothness constants exist; they are estimated from
-    ``probe_pairs`` seeded random point pairs within radius 10.
-    """
+    """Nonconvex sigmoid least squares ``(y - sigmoid(<a, w>))^2``.  No closed-form smoothness constants
+    exist; they are estimated from ``probe_pairs`` (at least 1) seeded random point pairs within radius 10."""
+    if probe_pairs < 1:
+        raise ValueError(f"probe_pairs must be at least 1, got {probe_pairs}")
     return ShardObjective(shards, _nlls_loss, _nlls_dloss, 0.0, lambda obj: _nlls_smoothness(obj, probe_pairs))
 
 

@@ -16,6 +16,8 @@ from gossipvr.objectives import (
     SmoothnessInfo,
     finite_difference_check,
     logistic_objective,
+    _logistic_dloss,
+    _nlls_dloss,
     _sigmoid,
     nlls_objective,
 )
@@ -143,6 +145,18 @@ class TestNlls:
         with pytest.raises(ValueError, match="agree on n and d"):
             nlls_objective(shards, probe_pairs=10)
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_rejects_a_probe_without_pairs(self, pairs):
+        shards = make_shards(np.random.default_rng(7), labels="real")
+        with pytest.raises(ValueError, match=f"probe_pairs must be at least 1, got {pairs}"):
+            nlls_objective(shards, probe_pairs=pairs)
+
+
+# The sigmoid as a plain expression: the in-place kernel must equal it bit for bit.
+def plain_sigmoid(t):
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
 
 def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
     def two_branch(t):
@@ -154,13 +168,49 @@ def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
         return out
 
     rng = np.random.default_rng(0)
-    extremes = np.array([1e4, -1e4, 800.0, -800.0, 745.0, -745.0, 40.0, -40.0, 0.0, -0.0, 1e-300, -1e-300])
-    t = np.concatenate([extremes, 50.0 * rng.standard_normal(9_988)]).reshape(4, -1, 2)
+    extremes = np.array([1e4, -1e4, 800.0, -800.0, 745.0, -745.0, 40.0, -40.0, 0.0, -0.0, 1e-300, -1e-300,
+                         5e-324, -5e-324, 2e-310, -2e-310, np.inf, -np.inf, np.nan, -np.nan])
+    t = np.concatenate([extremes, 50.0 * rng.standard_normal(9_980)]).reshape(4, -1, 2)
+    before = t.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _sigmoid(t)
     assert got.shape == t.shape
-    assert np.array_equal(got, two_branch(t))
+    assert np.array_equal(got, two_branch(t), equal_nan=True)
+    assert got.tobytes() == plain_sigmoid(t).tobytes()
+    assert t.tobytes() == before.tobytes()
+    # A 0-d array or a numpy scalar gives a numpy scalar, as the plain expression does.
+    for t in (np.array(3.0), np.array(-np.inf), np.array(np.nan), np.float64(-2.5), np.float64(5e-324)):
+        got = _sigmoid(t)
+        assert type(got) is np.float64 and got.tobytes() == plain_sigmoid(t).tobytes()
+
+
+def plain_nlls_dloss(t, y):
+    sig = plain_sigmoid(t)
+    return 2.0 * (sig - y) * sig * (1.0 - sig)
+
+
+def plain_logistic_dloss(t, y):
+    neg_y = -y
+    return neg_y * plain_sigmoid(neg_y * t)
+
+
+@pytest.mark.parametrize("kernel, plain, labels", [
+    (_nlls_dloss, plain_nlls_dloss, lambda rng, shape: rng.uniform(0, 1, shape)),
+    (_logistic_dloss, plain_logistic_dloss, lambda rng, shape: rng.choice([-1.0, 1.0], shape)),
+])
+def test_loss_derivatives_equal_their_plain_expressions_bit_for_bit(kernel, plain, labels):
+    """NaN, infinities, subnormals, 0-d arrays and numpy scalars included; the margins are left as they are."""
+    rng = np.random.default_rng(1)
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2e-310, -2e-310, 800.0, -800.0]
+    t = np.concatenate([special, 30.0 * rng.standard_normal(488)]).reshape(25, 20)
+    cases = [(t, labels(rng, t.shape)), (t, labels(rng, (25, 1))), (t, float(labels(rng, ())))]
+    cases += [(np.asarray(x), labels(rng, ())) for x in (3.0, -np.inf, np.nan)] + [(np.float64(-2.5), labels(rng, ()))]
+    for t, y in cases:
+        before = np.copy(t)
+        got, want = kernel(t, y), plain(t, y)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes(), (t, y)
+        assert np.asarray(t).tobytes() == before.tobytes()
 
 
 NLLS_CONSTANTS = Path(__file__).parent / "data" / "nlls_constants.json"
