@@ -417,7 +417,7 @@ def _nlls_loss(t, y):
 
 
 def _nlls_dloss(t, y):
-    sig = np.asarray(_sigmoid(t))
+    sig = np.asarray(_sigmoid(t))  # an array for a 0-d t too, so that 1 - sig can overwrite it
     d = sig - y  # times 2, sig and 1 - sig, in place: 2 (sig - y) sig (1 - sig) bit for bit
     d *= 2.0
     d *= sig
