@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -359,19 +359,11 @@ class ExperimentConfig:
 
     def replace(self, **overrides) -> "ExperimentConfig":
         current = asdict(self)
-        types = {f.name: f.type for f in fields(self)}
         for key, val in overrides.items():
             if key not in current:
                 raise ValueError(f"unknown config key {key!r}")
-            if val is None:
-                continue
-            kind = types[key]
-            if kind == "int":
-                current[key] = int(val)
-            elif kind == "float":
-                current[key] = float(val)
-            else:
-                current[key] = str(val)
+            if val is not None:  # converted to the type of the field's default: int, float or str
+                current[key] = type(getattr(ExperimentConfig, key))(val)
         return ExperimentConfig(**current)
 
     def tag(self) -> str:
@@ -485,10 +477,9 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         "chi_consumed_max": chi_max,
         "steps_over_certificate": over,
         "resamples_over_cap": 0,  # no chi cap redraws a step yet
+        # None unless consensus_residual certified a window, as gt_page does once per iteration
+        **{name: getattr(seq, name) for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")},
     }
-    windowed = cfg.method == "gt_page"  # the one method that certifies a window of rounds per iteration
-    for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max"):
-        certificate[name] = getattr(seq, name) if windowed else None
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -183,9 +183,9 @@ class GraphSequence:
     ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for
     a cyclic sequence); ``steps_over_certificate`` counts the served steps above
     ``certificate``, the ``chi`` a run's schedule assumes, which the harness sets:
-    each step against the ``certificate`` in force when it was served.  A cyclic
-    sequence counts none: its ``chi`` covers its period, up to rounding.
-    The ``window_*`` counters are :func:`consensus_residual`'s window certificate.
+    each step against the ``certificate`` in force when it is charged.  A cyclic
+    sequence counts none: its ``chi`` covers its period, up to rounding.  The
+    ``window_*`` counters are :func:`consensus_residual`'s, ``None`` until it certifies a window.
     """
 
     kind: str = "static"
@@ -195,9 +195,9 @@ class GraphSequence:
     chi_max: float
     certificate: float = math.inf
     steps_over_certificate: int = 0
-    window_bound_max: float = 0.0
-    windows_checked_exactly: int = 0
-    window_norm_max: float = 0.0
+    window_bound_max: float | None = None
+    windows_checked_exactly: int | None = None
+    window_norm_max: float | None = None
 
     def graph(self, k: int) -> WeightedGraph:
         raise NotImplementedError
@@ -466,9 +466,9 @@ class RandomGeometricSequence(GraphSequence):
     served, the disconnected draws rejected for them, the largest exact ``chi``
     served and the served steps above ``certificate``) are charged from the
     masks when they are read and when a block is evicted: a step counts once
-    per build.  Setting ``certificate`` settles the over-certificate count of
-    the steps served so far, so each counts against the ``certificate`` in
-    force when it was served.  Of the ``CACHE_BLOCKS`` cached blocks, the
+    per build, against the ``certificate`` in force when it is charged: a
+    cached step against the current one, an evicted step against the one in
+    force at its eviction.  Of the ``CACHE_BLOCKS`` cached blocks, the
     oldest starting at or past ``DUMP_STEPS`` is evicted first, so a run's
     dump finds its steps cached.
 
@@ -504,10 +504,8 @@ class RandomGeometricSequence(GraphSequence):
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
         # block start -> (its _block_fields, its served mask, its offsets that never connected), oldest first
         self._blocks: dict[int, tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]] = {}
-        # (built, resamples, chi_max, steps_over_certificate) charged outside the cached masks: the
-        # evicted blocks, and the shift that keeps each served step counted against its certificate
+        # (built, resamples, chi_max, steps_over_certificate) charged from the evicted blocks
         self._settled: tuple[int, int, float, int] = (0, 0, 0.0, 0)
-        self._certificate = math.inf
         # The builder child's pid and pipe, the start of the block it writes next (None when no
         # child runs) and the finalizer that stops it; a sequence forks at most once, and never once closed.
         self._may_fork = True
@@ -524,19 +522,6 @@ class RandomGeometricSequence(GraphSequence):
     resamples = property(lambda self: self.counters()[1])
     chi_max = property(lambda self: self.counters()[2])
     steps_over_certificate = property(lambda self: self.counters()[3])
-
-    @property
-    def certificate(self) -> float:
-        return self._certificate
-
-    @certificate.setter
-    def certificate(self, value: float) -> None:
-        # The cached served steps are charged against the certificate read then: shift the settled
-        # count so that those served before this change stay counted against the old one.
-        before = self.steps_over_certificate
-        self._certificate = value
-        built, resamples, chi_max, over = self._settled
-        self._settled = (built, resamples, chi_max, over + before - self.steps_over_certificate)
 
     def _charge(self, blocks: list, counters: tuple[int, int, float, int]) -> tuple[int, int, float, int]:
         """``counters`` plus the served steps of ``blocks``, values of ``_blocks``, from their stacked fields."""
@@ -801,7 +786,7 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
     on the zero-mean subspace, and a norm above ``contraction`` raises ``RuntimeError``.
     Both comparisons allow ``_WINDOW_SLACK`` of rounding.  The sequence's
     ``window_bound_max``, ``windows_checked_exactly`` and ``window_norm_max`` record the
-    checks.
+    checks; the first window certified sets them from ``None`` to ``0.0, 0, 0.0``.
 
     ``x`` may be any ``(m, k)`` stack: its columns mix independently, so one call on
     ``[x | v]`` mixes both with one product per stage.  Each column block of the result is
@@ -818,8 +803,9 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
 def _certify_window(seq: GraphSequence, start: int, matrices: np.ndarray, chi: np.ndarray, contraction: float) -> None:
     limit = contraction * (1.0 + _WINDOW_SLACK)
     bound = math.prod([1.0 - 1.0 / c for c in chi.tolist()])  # in Python: a third of numpy's cost at 11 steps
-    if bound > seq.window_bound_max:
-        seq.window_bound_max = bound
+    if seq.window_bound_max is None:  # the first window certified
+        seq.window_bound_max, seq.windows_checked_exactly, seq.window_norm_max = 0.0, 0, 0.0
+    seq.window_bound_max = max(seq.window_bound_max, bound)
     if bound <= limit:
         return
     m = matrices.shape[1]

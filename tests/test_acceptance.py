@@ -12,6 +12,7 @@ import pytest
 from gossipvr.hardinstances import (
     ChainObjective,
     ProgressTracker,
+    ZeroChainObjective,
     lower_bound_components,
     lower_bound_value,
     nonconvex_hard_objective,
@@ -229,6 +230,19 @@ def test_05_gt_page_sublinear_decay(logistic_setup):
     _report(5, "gt_page sublinear decay", ok and elapsed < 60, "; ".join(details) + f", {elapsed:.1f}s")
 
 
+class LeakyZeroChain(ZeroChainObjective):
+    """A broken zero-chain oracle: each node gradient also activates the coordinate after its
+    row's last nonzero one, so one query reveals two coordinates."""
+
+    def batch_local_gradients(self, nodes, X):
+        grads = super().batch_local_gradients(nodes, X)
+        nonzero = grads != 0
+        after = np.where(nonzero.any(axis=1), grads.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        rows = np.flatnonzero(after < grads.shape[1])
+        grads[rows, after[rows]] = -self.scale_c
+        return grads
+
+
 def test_06_zero_chain_progress_bound():
     start = time.time()
     m, n = 9, 4
@@ -256,11 +270,21 @@ def test_06_zero_chain_progress_bound():
         run(GtBaseline(eta=20.0 / info.L), obj, seq, RunBudgets(max_iterations=120, max_communications=120),
             seed=seed, progress_tracker=tracker_w)
         report_w = progress_audit(tracker_w, m, n)
-        ok = ok and report_w.passed
+        ok = ok and report_w.passed and report_w.final_prog > 1  # the frontier moves: the audit is not vacuous
         worst_detail = (
             f"gt_page prog {report.final_prog}, baseline prog {report_b.final_prog}, "
             f"wild-step prog {report_w.final_prog}"
         )
+    # The bound can fail: an oracle that reveals two coordinates per query breaks it at the first
+    # step, progress 2 against a bound of 1.
+    leaky = LeakyZeroChain(seq, n, big_l=1.0, delta=1.0, budget_comms=160, budget_oracle=200)
+    for eta in (5.0, 0.05):
+        tracker_l = ProgressTracker(m)
+        run(GtBaseline(eta=eta / leaky.info.L), leaky, seq, RunBudgets(max_iterations=72, max_communications=72),
+            seed=0, progress_tracker=tracker_l)
+        report_l = progress_audit(tracker_l, m, n)
+        ok = ok and not report_l.passed and report_l.violations[0] == (1, 8, 2, 1)
+        worst_detail += f", leaky eta {eta} violations {len(report_l.violations)}"
     elapsed = time.time() - start
     _report(6, "zero-chain progress bound", ok and elapsed < 30, f"{worst_detail}, {elapsed:.1f}s")
 

@@ -128,3 +128,29 @@ def test_benchmark_traced_objective_answers_batched_queries(monkeypatch, objecti
             spans = [(name, parent, tag) for name, _, _, parent, tag in tracer.spans[first:]]
             assert spans == [(f"{module}.{per_node}", -1, units)] * len(nodes), (family, query)
             assert units == tracing.ORACLE_UNITS[per_node](obj, (nodes[0], idx[0]))
+
+
+# The per-node queries: one-node views of the node-batched ones, kept for proxies and tests.
+PER_NODE_QUERIES = (
+    "component_value", "local_value", "component_gradient", "component_gradient_pair",
+    "sampled_gradients", "sampled_gradient_pairs", "local_gradient", "local_component_gradients",
+)
+
+
+def test_package_calls_no_per_node_query():
+    """The package asks its objectives node-batched queries only: no module calls a per-node query
+    outside ``FiniteSumObjective``'s own definitions, where the batched loops fall back on them."""
+    assert all(name in vars(FiniteSumObjective) for name in PER_NODE_QUERIES)
+    calls, inside = [], 0
+    for path in sorted((ROOT / "src" / "gossipvr").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        base = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FiniteSumObjective"]
+        skipped = {id(node) for cls in base for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in PER_NODE_QUERIES:
+                if id(node) in skipped:
+                    inside += 1
+                else:
+                    calls.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.func.attr}")
+    assert inside > 0  # the walk sees the base class's own fallback calls
+    assert not calls, f"per-node queries called in the package: {calls}"

@@ -303,6 +303,15 @@ class TestExperimentConfig:
         assert cfg.radius == 0.5
         assert cfg.seed == 3
 
+    def test_replace_converts_to_each_default_type(self):
+        """Every value becomes the type of its field's default; ``None`` keeps the field."""
+        cfg = ExperimentConfig().replace(m="7", reg="0.5", radius=1, out=3, seed=None, strict_step=1.0)
+        assert (cfg.m, cfg.reg, cfg.radius, cfg.out, cfg.seed, cfg.strict_step) == (7, 0.5, 1.0, "3", 0, 1)
+        for field in dataclasses.fields(cfg):
+            assert type(getattr(cfg, field.name)) is type(field.default), field.name
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            cfg.replace(m="7.5")
+
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "exp.cfg"
         f.write_text("m=4\n# comment\nmomentum=0.9\n")
@@ -367,9 +376,13 @@ class TestRunExperiment:
     def test_sidecar_counters_are_the_run_counters(self, tmp_path, fixture_path, method, objective, keys):
         cfg = self.small_cfg(tmp_path, fixture_path, method=method, objective=objective, n=4, budget_iters=60)
         trace, _, meta_path = run_experiment(cfg)
-        counters = json.loads(meta_path.read_text())["counters"]
+        meta = json.loads(meta_path.read_text())
+        counters = meta["counters"]
         assert sorted(counters) == keys and counters == trace.metadata["counters"]
         assert all(count > 0 for count in counters.values())
+        # only gt_page certifies a window of rounds: the other methods' sidecars read null
+        window = [meta["certificate"][name] for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")]
+        assert (window == [None, None, None]) == (method != "gt_page")
 
     def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)
@@ -450,6 +463,27 @@ class TestRunExperiment:
         # fewer than DUMP_STEPS steps served: the dump is every served step, edge by edge
         assert steps < network.DUMP_STEPS
         assert meta_path.with_suffix(".graphs").read_text() == dump_through_graph(replay, steps)
+
+    def test_readme_gt_page_run_pins_its_graph_audit(self, tmp_path, fixture_path):
+        """The README ``gt_page`` command at its full 800 iterations: its sidecar's ``graphs`` and
+        ``certificate`` entries are the numbers README.md quotes (``builder_blocks`` depends on the host)."""
+        argv = [
+            "--method", "gt_page", "--objective", "nlls", "--dataset", str(fixture_path),
+            "--topology", "random-geometric", "--m", "10", "--n", "10", "--budget-iters", "800",
+            "--out", str(tmp_path / "runs"),
+        ]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "runs" / "gt_page_nlls_random-geometric_m10_n10_seed0.json").read_text())
+        graphs, certificate = meta["graphs"], meta["certificate"]
+        assert meta["final"]["comms"] == 8800
+        assert sorted(graphs) == ["builder_blocks", "built", "chi_max", "resamples"]
+        assert graphs["built"] == 8800 and graphs["resamples"] == 33
+        assert graphs["chi_max"] == certificate["chi_consumed_max"] == pytest.approx(31.967162497351325, rel=1e-12)
+        assert certificate["chi_schedule"] == meta["chi"] == pytest.approx(10.403882032022073, rel=1e-12)
+        assert certificate["steps_over_certificate"] == 151 and certificate["resamples_over_cap"] == 0
+        assert certificate["window_bound_max"] == pytest.approx(0.050075081873784975, rel=1e-12)
+        assert certificate["windows_checked_exactly"] == 0 and certificate["window_norm_max"] == 0.0
+        assert len(certificate) == 7
 
     def test_gt_baseline_on_chain(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)

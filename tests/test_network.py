@@ -754,9 +754,10 @@ class TestWindow:
         else:
             assert failures[0] and windowed.resamples >= len(failures[0]) * retries
 
-    def test_certificate_counts_each_step_against_the_one_in_force_when_served(self, monkeypatch):
-        """Steps served before ``certificate`` changes stay counted against the old one, also once their
-        block is evicted; a rebuilt step is charged again against the one in force at its new serve."""
+    def test_certificate_is_read_when_the_served_steps_are_charged(self, monkeypatch):
+        """A served step counts against the ``certificate`` in force when its block is charged: a cached
+        step against the current one, each time the counters are read, an evicted step against the one
+        in force at its eviction, which it keeps."""
         in_process(monkeypatch)
         monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 3)
         monkeypatch.setattr(network, "DUMP_STEPS", 0)
@@ -764,17 +765,49 @@ class TestWindow:
         replay = RandomGeometricSequence(10, 0.45, seed=1)
         chis = np.array([replay.gossip(k).chi for k in range(5 * b)])
         low, high = np.quantile(chis, [0.3, 0.9]).tolist()
-        schedule = [(k, low) for k in range(b + 20)] + [(k, high) for k in range(b + 20, 3 * b)]
-        schedule += [(k, low) for k in [*range(3 * b, 5 * b), *range(20)]]  # block 0 was evicted: rebuilt
-        seq, over, built = RandomGeometricSequence(10, 0.45, seed=1), 0, 0
-        for k, certificate in schedule:
-            seq.certificate = certificate
-            chi = seq.gossip(k).chi
-            if seq.built > built:  # a first serve from this build is charged
-                over += chi > certificate
-            built = seq.built
-        assert built == 5 * b + 20 and 0 < over == seq.steps_over_certificate
-        assert over != np.count_nonzero(chis > low) + np.count_nonzero(chis[:20] > low)  # not all against low
+
+        def over(steps, certificate):
+            return int(np.count_nonzero(chis[steps] > certificate))
+
+        evicted, cached = slice(0, 2 * b), slice(2 * b, 5 * b)
+        seq = RandomGeometricSequence(10, 0.45, seed=1)
+        seq.certificate = low  # set before the walk, as the harness sets it
+        for k in range(5 * b):  # blocks 0 and 1 are evicted, and charged, on the way
+            seq.gossip(k)
+        assert seq.built == 5 * b and seq.steps_over_certificate == over(slice(None), low) > 0
+        seq.certificate = high  # mid-walk: the cached steps count against it, the evicted ones keep theirs
+        charged = over(evicted, low) + over(cached, high)
+        assert seq.steps_over_certificate == charged
+        assert over(slice(None), high) < charged < over(slice(None), low)
+        for k in range(20):  # block 0 rebuilt: block 2, the oldest, is evicted and charged against high
+            seq.gossip(k)
+        seq.certificate = low
+        block2, rest = slice(2 * b, 3 * b), slice(3 * b, 5 * b)
+        assert seq.built == 5 * b + 20
+        charged = over(evicted, low) + over(block2, high) + over(rest, low) + over(slice(0, 20), low)
+        assert seq.steps_over_certificate == charged
+        assert over(block2, high) < over(block2, low)
+
+    @pytest.mark.parametrize("make", [
+        lambda: StaticSequence(ring_graph(5)), lambda: StaticSequence(complete_graph(5)), lambda: TwoStarHopSequence(6),
+        lambda: RotatingStarSequence(6), lambda: RandomGeometricSequence(10, 0.45, seed=1),
+    ], ids=["static", "complete", "two-star-hop", "rotating-star", "random-geometric"])
+    def test_window_fields_are_none_until_a_window_is_certified(self, monkeypatch, make):
+        """Serving windows and steps certifies nothing; the first window that ``consensus_residual``
+        certifies, with its bound below its contraction, sets the fields to ``bound, 0, 0.0``.  A complete
+        graph's ``chi`` is 1, so its bound is exactly 0.0 and the fields read ``0.0, 0, 0.0``."""
+        in_process(monkeypatch)
+        seq = make()
+        seq.window(0, 3)
+        seq.gossip(5)
+        measure_chi(seq, trials=4)
+        fields = ("window_bound_max", "windows_checked_exactly", "window_norm_max")
+        assert [getattr(seq, name) for name in fields] == [None, None, None]
+        bound = math.prod(1.0 - 1.0 / c for c in seq.window(0, 3)[1].tolist())
+        consensus_residual(seq, 0, 3, random_zero_mean(np.random.default_rng(7), seq.m), contraction=1.0)
+        assert [getattr(seq, name) for name in fields] == [bound, 0, 0.0] and type(seq.windows_checked_exactly) is int
+        assert (bound == 0.0) == (seq.chi == 1.0) and bound < 1.0
+        seq.close()
 
     @pytest.mark.parametrize("graph, stages", [(star_graph(5), 4), (path_graph(9), 8)], ids=["star-5", "path-9"])
     def test_certificate_allows_rounding_at_the_exact_contraction(self, graph, stages):

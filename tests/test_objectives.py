@@ -413,6 +413,14 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(obj, np.array([[0.3, -0.7]]), h=1e-6, tolerance=1e-8)
         assert report.max_rel_error < 1e-9
 
+    def test_a_nan_value_fails_the_check(self):
+        """A displaced value that is NaN makes its coordinate the worst, and the check fails."""
+        info = SmoothnessInfo(L=1.0, mu=0.0, L_ij=np.ones((1, 1)), Lhat=1.0)
+        obj = CallableFiniteSum([[lambda w: (np.nan if w[1] > 0 else 2.0 * w[0], np.array([2.0, 0.0]))]], 2, info)
+        report = finite_difference_check(obj, np.array([[0.3, 0.0]]), h=1e-6, tolerance=1e-8)
+        assert np.isnan(report.max_rel_error) and not report.passed
+        assert (report.worst_node, report.worst_coordinate) == (0, 1)
+
     def test_rejects_nonpositive_h(self):
         rng = np.random.default_rng(15)
         obj = random_quadratic(rng)
