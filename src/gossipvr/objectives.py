@@ -499,9 +499,9 @@ def finite_difference_check(obj: FiniteSumObjective, x: np.ndarray, h: float, to
     x = np.asarray(x, dtype=float)
     m, d = obj.m, obj.d
     analytic = obj.batch_local_gradients(np.arange(m), x)
-    shifted = (x[:, None, :] + h * np.eye(d), x[:, None, :] - h * np.eye(d))  # row (i, c): x[i] +- h e_c
-    nodes = np.tile(np.repeat(np.arange(m), d), 2)
-    plus, minus = obj.batch_local_values(nodes, np.concatenate(shifted).reshape(-1, d)).reshape(2, m, d)
+    step = h * np.eye(d)
+    shifted = np.concatenate([x[:, None, :] + step, x[:, None, :] - step]).reshape(-1, d)  # row (+-, i, c): x[i] +- h e_c
+    plus, minus = obj.batch_local_values(np.tile(np.repeat(np.arange(m), d), 2), shifted).reshape(2, m, d)
     scale = np.array([max(1.0, float(np.linalg.norm(row))) for row in analytic])  # row by row: norm(axis=1) rounds apart
     rel = (np.abs((plus - minus) / (2 * h) - analytic) / scale[:, None]).ravel()
     worst = int(np.argmax(rel))  # the first maximum, node-major
