@@ -53,6 +53,7 @@ __all__ = [
     "lower_bound_components",
     "ProgressTracker",
     "progress_audit",
+    "progress_bound",
     "ProgressAuditReport",
     "SMOOTHNESS_CONST",
     "RANGE_CONST",
@@ -425,26 +426,19 @@ def lower_bound_value(kappa_b: float, kappa_s: float, chi: float, n: int, n_comm
 
 @dataclass
 class ProgressTracker:
-    """Running max of activated coordinates per node, sampled every step."""
+    """Running global frontier, the largest :func:`prog` of any node's row, sampled every step.
+    ``m`` is not read; it stays for the callers that pass it."""
 
     m: int
-    node_prog: np.ndarray = field(init=False)
-    audit_points: list[tuple[int, int, int]] = field(init=False)  # (comms, oracle, global prog)
-
-    def __post_init__(self):
-        self.node_prog = np.zeros(self.m, dtype=int)
-        self.audit_points = []
+    global_prog: int = field(init=False, default=0)
+    audit_points: list[tuple[int, int, int]] = field(init=False, default_factory=list)  # (comms, oracle, global prog)
 
     def update(self, x: np.ndarray, comms: int, oracle_calls: int) -> None:
-        """Raise each node's count to :func:`prog` of its row of ``x`` (``-0.0`` counts as zero)."""
-        nonzero = np.asarray(x) != 0
-        last = np.where(nonzero.any(axis=1), nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        np.maximum(self.node_prog, last, out=self.node_prog)
-        self.audit_points.append((int(comms), int(oracle_calls), int(self.node_prog.max())))
-
-    @property
-    def global_prog(self) -> int:
-        return int(self.node_prog.max()) if self.audit_points else 0
+        """Raise the frontier to one past the last nonzero column of ``x`` (NaN counts, ``-0.0`` does not)."""
+        (cols,) = np.asarray(x).any(axis=0).nonzero()
+        if cols.size and cols[-1] >= self.global_prog:
+            self.global_prog = int(cols[-1]) + 1
+        self.audit_points.append((int(comms), int(oracle_calls), self.global_prog))
 
 
 @dataclass(frozen=True)
@@ -454,11 +448,16 @@ class ProgressAuditReport:
     final_prog: int
 
 
+def progress_bound(comms: int, oracle_calls: int, m: int, n: int) -> int:
+    """The most coordinates a run can have activated after ``comms`` rounds and ``oracle_calls`` queries per node."""
+    return min((4 * comms) // m + 1, oracle_calls // n + 1)
+
+
 def progress_audit(tracker: ProgressTracker, m: int, n: int) -> ProgressAuditReport:
-    """Check every audit point against the budget bound on activated coordinates."""
+    """Check every audit point against :func:`progress_bound`."""
     violations = []
     for comms, oracle, p in tracker.audit_points:
-        bound = min((4 * comms) // m + 1, oracle // n + 1)
+        bound = progress_bound(comms, oracle, m, n)
         if p > bound:
             violations.append((comms, oracle, p, bound))
     return ProgressAuditReport(passed=not violations, violations=tuple(violations), final_prog=tracker.global_prog)

@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .hardinstances import ChainObjective, ProgressTracker, nonconvex_hard_objective
+from .hardinstances import ChainObjective, ProgressTracker, nonconvex_hard_objective, progress_audit, progress_bound
 from .network import (
     DUMP_STEPS,
     GraphSequence,
@@ -422,6 +422,9 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     in the sidecar, and then re-raises the abort.
     """
     cfg.validate()
+    audited = None  # every zero-chain run audits its progress, in the caller's tracker if it passes one
+    if cfg.objective == "zero_chain":
+        audited = progress_tracker = progress_tracker or ProgressTracker(cfg.m)
     obj, hard_seq = _build_objective(cfg)
     seq = hard_seq or _build_sequence(cfg)
     info = obj.info
@@ -489,6 +492,11 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     with open(out_dir / f"{cfg.tag()}.graphs", "w") as sink:
         dump_sequence(seq, min(trace.final().comms, DUMP_STEPS) or 1, sink)
     values = trace.column("avg_value")
+    progress = None
+    if audited is not None:  # the last point is the last state reached, also on an abort
+        report, (comms, oracle, _) = progress_audit(audited, cfg.m, cfg.n), audited.audit_points[-1]
+        bound = progress_bound(comms, oracle, cfg.m, cfg.n)
+        progress = {"final": report.final_prog, "bound": bound, "passed": report.passed, "violations": len(report.violations)}
     meta = {
         "config": asdict(cfg),
         "topology": seq.kind,
@@ -504,6 +512,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         "parameters": asdict(params) if params is not None else {"eta": method.eta},
         "records": len(trace.records),
         "counters": trace.metadata["counters"],
+        "progress": progress,
         "f_best_observed": float(values.min()),
         # Best-observed gap; a lower bound on the true initial suboptimality.
         "delta_observed": float(values[0] - values.min()),

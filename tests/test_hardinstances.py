@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gossipvr.hardinstances import (
 )
 from gossipvr.network import RotatingStarSequence
 from gossipvr.objectives import FiniteSumObjective, finite_difference_check
+from gossipvr.optimizers import GtBaseline, RunBudgets, run
 
 from test_objectives import assert_stacked_averages
 
@@ -665,6 +667,23 @@ class TestActiveSupportKernel:
         assert sizes == {"phi": [11], "phi_prime": [11]}
 
 
+class _PerNodeTracker:
+    """Reference: the tracker that raised a count per node to :func:`prog` of its row at every update."""
+
+    def __init__(self, m):
+        self.node_prog, self.audit_points = np.zeros(m, dtype=int), []
+
+    def update(self, x, comms, oracle_calls):
+        nonzero = np.asarray(x) != 0
+        last = np.where(nonzero.any(axis=1), nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        np.maximum(self.node_prog, last, out=self.node_prog)
+        self.audit_points.append((int(comms), int(oracle_calls), int(self.node_prog.max())))
+
+    @property
+    def global_prog(self):
+        return int(self.node_prog.max()) if self.audit_points else 0
+
+
 class TestProgressAudit:
     def test_zero_iterations(self):
         tracker = ProgressTracker(m=4)
@@ -691,20 +710,35 @@ class TestProgressAudit:
         tracker.update(x2, 2, 2)
         assert tracker.global_prog == 1
 
-    def test_update_matches_per_node_prog(self):
+    def test_update_matches_the_per_node_reference(self):
         rng = np.random.default_rng(14)
-        tracker, expected = ProgressTracker(m=6), np.zeros(6, dtype=int)
-        for _ in range(50):
+        tracker, reference = ProgressTracker(m=6), _PerNodeTracker(m=6)
+        for call in range(200):
             x = rng.normal(size=(6, 7)) * (rng.random((6, 7)) < 0.3)
             x[rng.random((6, 7)) < 0.2] = -0.0
-            x[0] = 0.0  # an all-zero row
-            x[1] = np.where(np.arange(7) == 6, 2.0, -0.0)  # nonzero only in the last column
+            x[rng.random((6, 7)) < 0.03] = np.nan
+            x[rng.random((6, 7)) < 0.03] = rng.choice([np.inf, -np.inf])
+            x[rng.integers(6)] = 0.0  # an all-zero row
+            x[:, 1 + call // 30 :] = rng.choice([0.0, -0.0])  # the frontier can move one column per 30 calls
             if rng.random() < 0.3:
-                x[:] = 0.0  # a later zero iterate must not lower any count
-            tracker.update(x, 0, 0)
-            expected = np.maximum(expected, [prog(row) for row in x])
-            assert np.array_equal(tracker.node_prog, expected)
-        assert tracker.node_prog[1] == 7
+                x[:] = rng.choice([0.0, -0.0])  # a later zero iterate must not lower the frontier
+            if call == 35:
+                x[:] = -0.0
+                x[2, 1] = np.nan  # a lone NaN counts
+            tracker.update(x, call, 2 * call)
+            reference.update(x, call, 2 * call)
+            assert (tracker.global_prog, tracker.audit_points) == (reference.global_prog, reference.audit_points)
+        assert {p for _, _, p in tracker.audit_points} == set(range(8))
+
+    def test_run_audit_points_match_the_per_node_reference(self):
+        """A 1,000-round gt_baseline run at eta 5, whose frontier moves, records the reference's points."""
+        obj, seq = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=1000, budget_oracle=4000)
+        tracker, reference = ProgressTracker(m=9), _PerNodeTracker(m=9)
+        both = SimpleNamespace(update=lambda *args: (tracker.update(*args), reference.update(*args)))
+        run(GtBaseline(eta=5.0), obj, seq, RunBudgets(max_iterations=1000, max_communications=1000),
+            progress_tracker=both)
+        assert tracker.audit_points == reference.audit_points and len(tracker.audit_points) == 1001
+        assert tracker.global_prog == reference.global_prog == 41
 
     def test_single_node_descent_gains_at_most_one_per_call(self):
         # Full-gradient descent on the raw chain: one oracle call per step.

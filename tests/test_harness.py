@@ -17,7 +17,7 @@ from gossipvr.harness import (
     run_experiment,
     main,
 )
-from gossipvr.hardinstances import ChainObjective
+from gossipvr.hardinstances import ChainObjective, ProgressTracker
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
 from gossipvr.optimizers import AdomVrParams, RunAbort
 
@@ -380,6 +380,7 @@ class TestRunExperiment:
         counters = meta["counters"]
         assert sorted(counters) == keys and counters == trace.metadata["counters"]
         assert all(count > 0 for count in counters.values())
+        assert meta["progress"] is None  # only a zero-chain run audits its progress
         # only gt_page certifies a window of rounds: the other methods' sidecars read null
         window = [meta["certificate"][name] for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")]
         assert (window == [None, None, None]) == (method != "gt_page")
@@ -579,6 +580,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "iters=5" in out
         assert (tmp_path / "cli_runs").exists()
+
+    def test_readme_zero_chain_run_reports_its_progress_audit(self, tmp_path, capsys):
+        """The README zero-chain command: frontier 1 against a bound of 33 after 72 rounds and 292 queries
+        per node.  A caller's tracker is the one the run fills and audits."""
+        argv = ["--method", "gt_baseline", "--objective", "zero_chain", "--m", "9", "--n", "4",
+                "--budget-iters", "72", "--budget-comms", "72", "--out", str(tmp_path / "cli")]
+        assert main(argv) == 0
+        tag = "gt_baseline_zero_chain_random-geometric_m9_n4_seed0"
+        entry = json.loads((tmp_path / "cli" / f"{tag}.json").read_text())["progress"]
+        assert entry == {"final": 1, "bound": 33, "passed": True, "violations": 0}
+        tracker = ProgressTracker(9)
+        cfg = ExperimentConfig().replace(method="gt_baseline", objective="zero_chain", m=9, n=4, budget_iters=72,
+                                         budget_comms=72, out=str(tmp_path / "lib"))
+        _, _, meta_path = run_experiment(cfg, progress_tracker=tracker)
+        assert len(tracker.audit_points) == 73 and tracker.audit_points[-1] == (72, 292, 1)
+        assert json.loads(meta_path.read_text())["progress"] == entry
+
+    def test_aborted_zero_chain_run_reports_its_progress_audit(self, tmp_path, capsys):
+        # A wild step diverges at iteration 5: the entry audits the points up to the last state reached.
+        argv = ["--method", "gt_baseline", "--objective", "zero_chain", "--m", "9", "--n", "4",
+                "--budget-iters", "72", "--gt-eta", "1e14", "--out", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RunAbort"
+        meta = json.loads((tmp_path / "runs" / "gt_baseline_zero_chain_random-geometric_m9_n4_seed0.json").read_text())
+        assert (meta["abort"]["comms"], meta["final"]["oracle_calls"]) == (4, 24)
+        assert meta["progress"] == {"final": 1, "bound": 2, "passed": True, "violations": 0}
 
     def test_cli_error_is_structured(self, tmp_path, capsys):
         code = main(["--objective", "logistic", "--dataset", str(tmp_path / "missing.libsvm")])
