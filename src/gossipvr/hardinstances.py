@@ -238,6 +238,17 @@ class ChainObjective(CallableFiniteSum):
         """Minimizer of the aggregate objective: the slot-wise geometric series."""
         return np.tile(self.x_star_slot, self.n)
 
+    def batch_sampled_gradients(self, nodes, idx, X):
+        """Each sampled slot's gradient written into its slot of one zeroed ``(k, b, d)`` array,
+        not into a length-d gradient of its own; the full and node gradients inherit it."""
+        dim = self.dim
+        out = np.zeros((len(nodes), np.shape(idx)[1], self.d))
+        for row, i, ix, x in zip(out, nodes, idx, X):
+            for grad, j in zip(row, ix):
+                slot = slice(j * dim, (j + 1) * dim)
+                grad[slot] = self._g(i, x[slot])[1]
+        return out
+
     def _component(self, i: int, j: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Component (i, j): node i's chain function of slot j, with its gradient on R^d."""
         slot, grad = slice(j * self.dim, (j + 1) * self.dim), np.zeros(self.d)

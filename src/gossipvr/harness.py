@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -414,6 +416,42 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _environment() -> dict:
+    """What a run's bits and timings depend on beyond its config: the numpy build and its BLAS,
+    the interpreter, the machine, the CPUs the process may use and whether Python compiles the
+    package at every start."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "dont_write_bytecode": sys.dont_write_bytecode,
+    }
+
+
+def _oracle_ledger(method, trace: RunTrace) -> dict:
+    """The oracle calls the method's cost model expects from the trace's counters, its last
+    iteration ``k`` and the batch ``b`` (n per full node gradient, b per node batch), next to
+    the calls the oracle charged.  After an abort, the calls the failing step made past the
+    last state reached show as the difference."""
+    meta, k = trace.metadata, trace.final().iteration
+    m, n, counters = meta["m"], meta["n"], meta["counters"]
+    if method.name == "adom_vr":
+        expected = m * n + m * method.params.b * k + n * (counters["omega_to_x_f"] + counters["omega_to_x_g"])
+    elif method.name == "gt_page":  # node-level restarts: a shared coin restarts every node
+        restarts = counters["full_restarts"] * (1 if method.per_node_coins else m)
+        expected = m * n + n * restarts + method.params.b * (m * k - restarts)
+    else:
+        expected = m * n * (k + 1)
+    measured = sum(meta["oracle_calls_per_node"])
+    return {"expected": expected, "measured": measured, "exact": expected == measured}
+
+
 def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | None = None):
     """Wire topology + objective + optimizer, run, and write trace artifacts.
 
@@ -472,7 +510,8 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         seq.close()
     if isinstance(seq, RandomGeometricSequence):
         built, resamples, chi_max, over = seq.counters()
-        graphs = {"built": built, "resamples": resamples, "chi_max": chi_max, "builder_blocks": seq.builder_blocks}
+        graphs = {"built": built, "resamples": resamples, "chi_max": chi_max,
+                  "builder_blocks": seq.builder_blocks, "builder_pinned": seq.builder_pinned}
     else:  # the other sequences build their graphs once, up front
         graphs, chi_max, over = None, seq.chi_max, seq.steps_over_certificate
     certificate = {
@@ -512,7 +551,9 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         "parameters": asdict(params) if params is not None else {"eta": method.eta},
         "records": len(trace.records),
         "counters": trace.metadata["counters"],
+        "ledger": _oracle_ledger(method, trace),
         "progress": progress,
+        "environment": _environment(),
         "f_best_observed": float(values.min()),
         # Best-observed gap; a lower bound on the true initial suboptimality.
         "delta_observed": float(values[0] - values.min()),

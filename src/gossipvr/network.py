@@ -480,9 +480,10 @@ class RandomGeometricSequence(GraphSequence):
     writes next reads it from the pipe; every other miss builds in-process, and
     so does every miss once the child has died, or fell silent for
     ``PIPE_TIMEOUT`` seconds (say, deadlocked on a BLAS lock the fork copied).
-    The steps and counters do not depend on who built them; ``builder_blocks``
-    counts the blocks the child served.  ``close`` kills and reaps the child,
-    and so does collecting the sequence.
+    The child is pinned off the walk's CPU (``builder_pinned`` says whether
+    that succeeded).  The steps and counters do not depend on who built them,
+    or where; ``builder_blocks`` counts the blocks the child served.  ``close``
+    kills and reaps the child, and so does collecting the sequence.
     """
 
     kind = "random-geometric"
@@ -513,6 +514,7 @@ class RandomGeometricSequence(GraphSequence):
         self._piped: int | None = None
         self._stop: weakref.finalize | None = None
         self.builder_blocks = 0
+        self.builder_pinned = False
 
     def counters(self) -> tuple[int, int, float, int]:
         """``(built, resamples, chi_max, steps_over_certificate)``, charged from the served masks in one pass."""
@@ -615,6 +617,14 @@ class RandomGeometricSequence(GraphSequence):
         return self._build_block(k)
 
     def _fork_builder(self, start: int) -> None:
+        """Fork the builder child on the blocks from ``start`` on, and pin it to the CPUs this walk
+        may use other than the one it runs on: a fresh child left to the scheduler can share the
+        walk's CPU for the whole run, and then the two take turns instead of overlapping."""
+        try:  # the walk's CPU: field 39 of /proc/self/stat, the 37th after the command name's ")"
+            with open("/proc/self/stat", "rb") as stat:
+                others = os.sched_getaffinity(0) - {int(stat.read().rpartition(b")")[2].split()[36])}
+        except OSError:
+            others = None
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child leaves by os._exit: it never runs the parent's exit handlers or flushes its buffers
@@ -626,6 +636,10 @@ class RandomGeometricSequence(GraphSequence):
         os.close(write)
         self._may_fork, self._child, self._piped = False, (pid, read), start
         self._stop = weakref.finalize(self, _stop_child, pid, read)
+        if others is not None:
+            with contextlib.suppress(OSError):  # unpinned, the child runs where the scheduler puts it
+                os.sched_setaffinity(pid, others)
+                self.builder_pinned = True
 
     def _read_piped(self, start: int) -> np.ndarray | None:
         """The buffer of the block the child wrote at ``start``, or None (and the child stopped)

@@ -22,7 +22,7 @@ from gossipvr.hardinstances import (
     zero_chain_l,
 )
 from gossipvr.network import RotatingStarSequence
-from gossipvr.objectives import FiniteSumObjective, finite_difference_check
+from gossipvr.objectives import CallableFiniteSum, FiniteSumObjective, finite_difference_check
 from gossipvr.optimizers import GtBaseline, RunBudgets, run
 
 from test_objectives import assert_stacked_averages
@@ -269,6 +269,19 @@ class TestChainInstance:
                     full[j * dim : (j + 1) * dim] = mu_other * y
                     assert _same_bits(obj.component_gradient(i, j, w), full)
                     assert _same_bits(obj.component_value(i, j, w), 0.5 * mu_other * y @ y)
+
+    def test_batched_gradients_equal_the_component_callables(self):
+        # The reference: each component callable answers with a length-d gradient of its own.
+        obj = ChainObjective(5, 4, 4.0, 1.0, 7)
+        rng = np.random.default_rng(9)
+        nodes, X = np.array([0, 1, 3, 1]), rng.normal(size=(4, obj.d))
+        idx = rng.integers(0, obj.n, size=(4, 6))  # repeated slots too
+        sampled = CallableFiniteSum.batch_sampled_gradients(obj, nodes, idx, X)
+        assert _same_bits(obj.batch_sampled_gradients(nodes, idx, X), sampled)
+        assert all(_same_bits(g, sampled) for g in obj.batch_sampled_gradient_pairs(nodes, idx, X, X))
+        full = CallableFiniteSum.batch_sampled_gradients(obj, nodes, np.tile(np.arange(obj.n), (4, 1)), X)
+        assert _same_bits(obj.batch_component_gradients(nodes, X), full)
+        assert _same_bits(obj.batch_local_gradients(nodes, X), full.mean(axis=1))
 
     def test_tail_error_reported(self):
         obj = ChainObjective(4, 1, 4.0, 1.0, 12)

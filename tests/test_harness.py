@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from gossipvr.harness import (
 )
 from gossipvr.hardinstances import ChainObjective, ProgressTracker
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
-from gossipvr.optimizers import AdomVrParams, RunAbort
+from gossipvr.optimizers import AdomVr, AdomVrParams, GtBaseline, GtPage, RunAbort
 
 from test_network import dump_through_graph
 from test_objectives import make_shards
@@ -385,6 +387,44 @@ class TestRunExperiment:
         window = [meta["certificate"][name] for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")]
         assert (window == [None, None, None]) == (method != "gt_page")
 
+    @pytest.mark.parametrize(
+        "method, objective, coins",
+        [("adom_vr", "logistic", 0), ("gt_page", "nlls", 0), ("gt_page", "nlls", 1), ("gt_baseline", "chain", 0)],
+    )
+    def test_sidecar_ledger_balances_the_oracle_calls(self, tmp_path, fixture_path, monkeypatch, method, objective, coins):
+        # n = 10 against a batch of 9 (adom_vr) or 8 (gt_page): a restart or an omega move costs more than a batch
+        cfg = self.small_cfg(
+            tmp_path, fixture_path, method=method, objective=objective, n=10, budget_iters=60, per_node_coins=coins,
+        )
+        trace, _, meta_path = run_experiment(cfg)
+        meta = json.loads(meta_path.read_text())
+        measured = sum(trace.metadata["oracle_calls_per_node"])
+        assert meta["ledger"] == {"expected": measured, "measured": measured, "exact": True}
+        assert all(count > 0 for count in meta["counters"].values())
+
+        cls = {"adom_vr": AdomVr, "gt_page": GtPage, "gt_baseline": GtBaseline}[method]
+        real_step = cls.step
+
+        def leaky_step(self, state, obj, seq, seed):  # one stray sampled query per step, in no cost model
+            obj.batch_sampled_gradients(np.array([0]), np.array([[0]]), state.x[:1])
+            return real_step(self, state, obj, seq, seed)
+
+        monkeypatch.setattr(cls, "step", leaky_step)
+        run_experiment(cfg)
+        assert json.loads(meta_path.read_text())["ledger"] == {"expected": measured, "measured": measured + 60, "exact": False}
+
+    def test_sidecar_environment_names_the_build(self, tmp_path, fixture_path):
+        _, _, meta_path = run_experiment(self.small_cfg(tmp_path, fixture_path, budget_iters=3))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert json.loads(meta_path.read_text())["environment"] == {
+            "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": len(os.sched_getaffinity(0)),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+        }
+
     def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)
         trace, csv_path, _ = run_experiment(cfg)
@@ -451,7 +491,10 @@ class TestRunExperiment:
         # measure_chi builds block 0 and the walk block 1 while the child starts on block 2
         piped = math.ceil(steps / network.BLOCK) - 2
         assert piped > 0 and replay.builder_blocks == piped
-        assert meta["graphs"] == {"built": steps, "resamples": replay.resamples, "chi_max": chi_max, "builder_blocks": piped}
+        assert meta["graphs"] == {
+            "built": steps, "resamples": replay.resamples, "chi_max": chi_max,
+            "builder_blocks": piped, "builder_pinned": replay.builder_pinned,
+        }
         over = sum(replay.gossip(k).chi > meta["chi"] for k in range(steps))
         # every window's bound prod_q (1 - 1/chi_q) is below 1 - rho: none is checked exactly
         stages, contraction = meta["parameters"]["stages"], 1.0 - meta["parameters"]["rho"]
@@ -477,7 +520,7 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "runs" / "gt_page_nlls_random-geometric_m10_n10_seed0.json").read_text())
         graphs, certificate = meta["graphs"], meta["certificate"]
         assert meta["final"]["comms"] == 8800
-        assert sorted(graphs) == ["builder_blocks", "built", "chi_max", "resamples"]
+        assert sorted(graphs) == ["builder_blocks", "builder_pinned", "built", "chi_max", "resamples"]
         assert graphs["built"] == 8800 and graphs["resamples"] == 33
         assert graphs["chi_max"] == certificate["chi_consumed_max"] == pytest.approx(31.967162497351325, rel=1e-12)
         assert certificate["chi_schedule"] == meta["chi"] == pytest.approx(10.403882032022073, rel=1e-12)
@@ -606,6 +649,8 @@ class TestCli:
         meta = json.loads((tmp_path / "runs" / "gt_baseline_zero_chain_random-geometric_m9_n4_seed0.json").read_text())
         assert (meta["abort"]["comms"], meta["final"]["oracle_calls"]) == (4, 24)
         assert meta["progress"] == {"final": 1, "bound": 2, "passed": True, "violations": 0}
+        # the failing step's node gradients were charged, past the last state reached
+        assert meta["ledger"] == {"expected": 9 * 4 * 5, "measured": 9 * 24, "exact": False}
 
     def test_cli_error_is_structured(self, tmp_path, capsys):
         code = main(["--objective", "logistic", "--dataset", str(tmp_path / "missing.libsvm")])
@@ -701,7 +746,8 @@ class TestCli:
         for seed in (5, 6):
             tag = f"gt_baseline_chain_random-geometric_m6_n2_seed{seed}"
             serial, par = (json.loads((tmp_path / out / f"{tag}.json").read_text())["graphs"] for out in ("serial", "par"))
-            assert serial["builder_blocks"] == 3 and par == {**serial, "builder_blocks": 0}  # blocks 2, 3 and 4
+            assert serial["builder_blocks"] == 3  # blocks 2, 3 and 4
+            assert par == {**serial, "builder_blocks": 0, "builder_pinned": False}
             for ext in ("csv", "graphs"):
                 assert (tmp_path / "par" / f"{tag}.{ext}").read_bytes() == (tmp_path / "serial" / f"{tag}.{ext}").read_bytes()
 

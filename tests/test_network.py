@@ -874,37 +874,36 @@ class TestBuilderChild:
 
     def walk_both_ways(self, monkeypatch, m, radius, seed, steps, kill_after=None, sig=signal.SIGKILL):
         """The walk served with the child (sent ``sig`` after step ``kill_after``, if given) and in-process,
-        the number of blocks piped, and both walks' cached block buffers."""
+        the sequence that served it with the child, closed, and both walks' cached block buffers."""
         seq = RandomGeometricSequence(m, radius, seed=seed)
         first, _ = walk(seq, steps[: kill_after or 0])
         if kill_after is not None:
             os.kill(seq._child[0], sig)
         rest, counters = walk(seq, steps[kill_after or 0 :])
-        piped = seq.builder_blocks
         seq.close()
         in_process(monkeypatch)
         reference = RandomGeometricSequence(m, radius, seed=seed)
         served = walk(reference, steps)
         assert reference.builder_blocks == 0
-        return (first + rest, counters), served, piped, (cached_blocks(seq), cached_blocks(reference))
+        return (first + rest, counters), served, seq, (cached_blocks(seq), cached_blocks(reference))
 
     @pytest.mark.parametrize("m, radius, seed", [(10, 0.7, 0), (10, 0.35, 2), (50, 0.3, 7)])
     def test_piped_walk_matches_in_process(self, monkeypatch, m, radius, seed):
         steps = range(5 * network.BLOCK + 3)
-        piped_walk, reference, piped, (blocks, reference_blocks) = self.walk_both_ways(
+        piped_walk, reference, seq, (blocks, reference_blocks) = self.walk_both_ways(
             monkeypatch, m, radius, seed, steps
         )
         assert piped_walk == reference
         assert blocks == reference_blocks and len(blocks) == 6  # also the steps of block 5 that no walk served
-        assert piped == 4  # blocks 2..5: block 1 is built in-process while the child starts on block 2
+        assert seq.builder_blocks == 4  # blocks 2..5: block 1 is built in-process while the child starts on block 2
 
     def test_step_that_never_connects_fails_alike(self, monkeypatch):
         monkeypatch.setattr(network, "MAX_RETRIES", 3)  # before the fork: the child draws at most 3 times too
         steps = range(4 * network.BLOCK)
-        (served, counters), reference, piped, (blocks, reference_blocks) = self.walk_both_ways(
+        (served, counters), reference, seq, (blocks, reference_blocks) = self.walk_both_ways(
             monkeypatch, 10, 0.35, 2, steps
         )
-        assert (served, counters) == reference and piped == 2
+        assert (served, counters) == reference and seq.builder_blocks == 2
         assert blocks == reference_blocks and len(blocks) == 4  # per-step resample counts and connected flags
         failed = [k for k, step in zip(steps, served) if isinstance(step, str)]
         assert any(k >= 2 * network.BLOCK for k in failed)  # some in a block the child built
@@ -914,19 +913,39 @@ class TestBuilderChild:
     def test_killed_child_leaves_the_walk_in_process(self, monkeypatch):
         b = network.BLOCK
         steps = range(6 * b)
-        walked, reference, piped, _ = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
+        walked, reference, seq, _ = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
         assert walked == reference
-        assert 2 <= piped <= 3  # blocks 2 and 3, and block 4 if the pipe held it whole; block 5 in-process
+        assert 2 <= seq.builder_blocks <= 3  # blocks 2 and 3, and block 4 if the pipe held it whole; block 5 in-process
 
     def test_stopped_child_leaves_the_walk_in_process(self, monkeypatch):
         monkeypatch.setattr(RandomGeometricSequence, "PIPE_TIMEOUT", 0.2)
         b = network.BLOCK
         steps = range(6 * b)
-        walked, reference, piped, _ = self.walk_both_ways(
+        walked, reference, seq, _ = self.walk_both_ways(
             monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5, sig=signal.SIGSTOP
         )
         assert walked == reference
-        assert 2 <= piped <= 3  # what the pipe held whole when the child stopped; the rest in-process
+        assert 2 <= seq.builder_blocks <= 3  # what the pipe held whole when the child stopped; the rest in-process
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the walk may use one CPU: no other to pin the child to")
+    def test_child_is_pinned_off_the_walks_cpu(self):
+        seq = RandomGeometricSequence(10, 0.7, seed=0)
+        for k in range(3 * network.BLOCK):
+            seq.gossip(k)
+        pinned, walker = os.sched_getaffinity(seq._child[0]), os.sched_getaffinity(0)
+        seq.close()
+        assert seq.builder_pinned and seq.builder_blocks == 1
+        assert pinned and pinned < walker
+
+    def test_unpinned_child_serves_the_same_walk(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise PermissionError("sched_setaffinity refused")
+
+        monkeypatch.setattr(network.os, "sched_setaffinity", refuse)
+        steps = range(5 * network.BLOCK + 3)
+        walked, reference, seq, (blocks, reference_blocks) = self.walk_both_ways(monkeypatch, 10, 0.7, 0, steps)
+        assert walked == reference and blocks == reference_blocks
+        assert seq.builder_blocks == 4 and not seq.builder_pinned
 
     def test_close_reaps_the_child_and_stops_forking(self):
         seq = RandomGeometricSequence(10, 0.7, seed=0)
