@@ -130,8 +130,7 @@ class _ChainScan:
     """
 
     def __init__(self, X: np.ndarray, mask: np.ndarray, scale: float):
-        (nonzero,) = (X != 0).any(axis=0).nonzero()
-        self.width = w = min(int(nonzero[-1]) + 2 if nonzero.size else 1, X.shape[1])
+        self.width = w = min(prog(X.any(axis=0)) + 1, X.shape[1])
         self.mask, self.mask_w = mask, mask[..., :w]
         self.y = np.empty((len(X), w + 1))
         self.y[:, 0] = 1.0
@@ -445,10 +444,8 @@ class ProgressTracker:
     audit_points: list[tuple[int, int, int]] = field(init=False, default_factory=list)  # (comms, oracle, global prog)
 
     def update(self, x: np.ndarray, comms: int, oracle_calls: int) -> None:
-        """Raise the frontier to one past the last nonzero column of ``x`` (NaN counts, ``-0.0`` does not)."""
-        (cols,) = np.asarray(x).any(axis=0).nonzero()
-        if cols.size and cols[-1] >= self.global_prog:
-            self.global_prog = int(cols[-1]) + 1
+        """Raise the frontier to the :func:`prog` of ``x``'s nonzero columns (NaN counts, ``-0.0`` does not)."""
+        self.global_prog = max(self.global_prog, prog(np.asarray(x).any(axis=0)))
         self.audit_points.append((int(comms), int(oracle_calls), self.global_prog))
 
 

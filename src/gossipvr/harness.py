@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -62,18 +62,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "iter,comms,oracle_calls,dist_sq,grad_norm_sq,consensus_err"
-
-METHODS = ("adom_vr", "gt_page", "gt_baseline")
-OBJECTIVES = ("logistic", "nlls", "chain", "zero_chain")
-TOPOLOGIES = (
-    "random-geometric",
-    "two-star-hop",
-    "rotating-star",
-    "static-complete",
-    "static-star",
-    "static-ring",
-    "static-path",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +238,80 @@ def reference_solution(obj: FiniteSumObjective, tolerance: float = 1e-12) -> Ref
 
 
 # ---------------------------------------------------------------------------
+# Run choices
+# ---------------------------------------------------------------------------
+
+# One table per kind of choice: each choice maps to (the config fields it reads beyond those every
+# run reads, its builder).  A field that some choice of a kind reads is unread under the others.
+# Builders look their constructors up as module attributes when called, so patching one takes effect.
+
+
+def _shards(cfg: ExperimentConfig) -> list[DatasetShard]:
+    return partition_dataset(parse_libsvm(cfg.dataset), cfg.m, cfg.n, cfg.seed)
+
+
+def _zero_chain(cfg: ExperimentConfig) -> tuple[FiniteSumObjective, GraphSequence]:
+    comms = cfg.budget_comms or 4 * cfg.budget_iters
+    oracle = cfg.budget_oracle or max(cfg.n, cfg.budget_iters * cfg.n)
+    return nonconvex_hard_objective(cfg.m, cfg.n, cfg.zc_L, cfg.zc_delta, comms, oracle)
+
+
+# Builders return (objective, its own graph sequence or None).  stop_dist_sq needs mu > 0, a minimizer.
+_OBJECTIVES = {
+    "logistic": (("dataset", "reg", "stop_dist_sq"), lambda cfg: (logistic_objective(_shards(cfg), cfg.reg), None)),
+    "nlls": (("dataset",), lambda cfg: (nlls_objective(_shards(cfg)), None)),
+    "chain": (
+        ("chain_L", "chain_mu", "chain_dim", "stop_dist_sq"),
+        lambda cfg: (ChainObjective(cfg.m, cfg.n, cfg.chain_L, cfg.chain_mu, cfg.chain_dim), None),
+    ),
+    "zero_chain": (("zc_L", "zc_delta"), _zero_chain),  # brings its own rotating star
+}
+
+# chi_trials is read where run_experiment measures the random-geometric sequence's chi.
+_TOPOLOGIES = {
+    "random-geometric": (("radius", "chi_trials"), lambda cfg: RandomGeometricSequence(cfg.m, cfg.radius, seed=cfg.seed + 104729)),
+    "two-star-hop": ((), lambda cfg: TwoStarHopSequence(cfg.m)),
+    "rotating-star": ((), lambda cfg: RotatingStarSequence(cfg.m)),
+    "static-complete": ((), lambda cfg: StaticSequence(complete_graph(cfg.m))),
+    "static-star": ((), lambda cfg: StaticSequence(star_graph(cfg.m))),
+    "static-ring": ((), lambda cfg: StaticSequence(ring_graph(cfg.m))),
+    "static-path": ((), lambda cfg: StaticSequence(path_graph(cfg.m))),
+}
+
+
+def _adom_vr(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> AdomVr:
+    info = obj.info
+    if info.mu <= 0:
+        raise ValueError("adom_vr needs a strongly convex objective (mu > 0)")
+    b = cfg.b or corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
+    return AdomVr(adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b))
+
+
+def _gt_page(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> GtPage:
+    params = gt_page_params(obj.info.L, obj.info.Lhat, chi, obj.n, b=cfg.b or None, strict_step=bool(cfg.strict_step))
+    return GtPage(params, per_node_coins=bool(cfg.per_node_coins))
+
+
+def _gt_baseline(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> GtBaseline:
+    rho = 1.0 / chi
+    return GtBaseline(eta=cfg.gt_eta or rho * rho / (4.0 * obj.info.L))
+
+
+# Builders take (cfg, objective, the schedule's chi) and return the method.
+_METHODS = {
+    "adom_vr": (("b",), _adom_vr),
+    "gt_page": (("b", "strict_step", "per_node_coins"), _gt_page),
+    "gt_baseline": (("gt_eta",), _gt_baseline),
+}
+
+METHODS, OBJECTIVES, TOPOLOGIES = tuple(_METHODS), tuple(_OBJECTIVES), tuple(_TOPOLOGIES)
+
+
+def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
+    return _TOPOLOGIES[cfg.topology][1](cfg)
+
+
+# ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
@@ -289,7 +351,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown objective {self.objective!r}; valid: {', '.join(OBJECTIVES)}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; valid: {', '.join(TOPOLOGIES)}")
-        if self.objective in ("logistic", "nlls"):
+        if "dataset" in _OBJECTIVES[self.objective][0]:
             if not self.dataset:
                 raise ValueError(f"objective {self.objective!r} needs --dataset")
             if not Path(self.dataset).exists():
@@ -298,43 +360,30 @@ class ExperimentConfig:
             raise ValueError("m and n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("reg", "radius", "gt_eta", "chain_L", "chain_mu", "zc_L", "zc_delta", "stop_dist_sq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("gt_eta", "stop_dist_sq"):  # 0 keeps the default: derived step, no stop
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("per_node_coins", "strict_step"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
-        for name, reader in self._unread().items():
-            if getattr(self, name) != self.__dataclass_fields__[name].default:
-                raise ValueError(f"{name}={getattr(self, name)!r} is never read: {reader} ignores it")
+        unread = self._unread()
+        for f in fields(self):  # the first unread field set, in field order
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name}={getattr(self, f.name)!r} is never read: {unread[f.name]} ignores it")
 
     def _unread(self) -> dict[str, str]:
-        """The fields this run never reads, each with what ignores it."""
-        method, objective = f"method {self.method!r}", f"objective {self.objective!r}"
-        unread = {}
-        if self.method != "gt_baseline":
-            unread["gt_eta"] = method
-        else:
-            unread["b"] = method
-        if self.method != "gt_page":
-            unread["strict_step"] = unread["per_node_coins"] = method
+        """The fields this run never reads, each with what ignores it: those the other choices of
+        its method, objective and topology read."""
+        unread, tables = {}, {"method": _METHODS, "objective": _OBJECTIVES, "topology": _TOPOLOGIES}
+        declared = {kind: {name for reads, _ in table.values() for name in reads} for kind, table in tables.items()}
+        for kind, table in tables.items():
+            choice = getattr(self, kind)
+            unread.update(dict.fromkeys(declared[kind] - set(table[choice][0]), f"{kind} {choice!r}"))
         if self.objective == "zero_chain":  # it brings its own rotating star
-            unread["topology"] = unread["radius"] = unread["chi_trials"] = objective
-        elif self.topology != "random-geometric":
-            unread["radius"] = unread["chi_trials"] = f"topology {self.topology!r}"
-        if self.objective != "logistic":
-            unread["reg"] = objective
-        if self.objective not in ("logistic", "nlls"):
-            unread["dataset"] = objective
-        if self.objective in ("nlls", "zero_chain"):  # mu = 0: no minimizer to measure the distance to
-            unread["stop_dist_sq"] = objective
-        if self.objective != "chain":
-            unread.update(dict.fromkeys(("chain_L", "chain_mu", "chain_dim"), objective))
-        if self.objective != "zero_chain":
-            unread.update(dict.fromkeys(("zc_L", "zc_delta"), objective))
+            unread.update(dict.fromkeys(("topology", *declared["topology"]), "objective 'zero_chain'"))
         return unread
 
     @classmethod
@@ -370,34 +419,6 @@ class ExperimentConfig:
 
     def tag(self) -> str:
         return f"{self.method}_{self.objective}_{self.topology}_m{self.m}_n{self.n}_seed{self.seed}"
-
-
-def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
-    if cfg.topology == "random-geometric":
-        return RandomGeometricSequence(cfg.m, cfg.radius, seed=cfg.seed + 104729)
-    if cfg.topology == "two-star-hop":
-        return TwoStarHopSequence(cfg.m)
-    if cfg.topology == "rotating-star":
-        return RotatingStarSequence(cfg.m)
-    maker = {
-        "static-complete": complete_graph,
-        "static-star": star_graph,
-        "static-ring": ring_graph,
-        "static-path": path_graph,
-    }[cfg.topology]
-    return StaticSequence(maker(cfg.m))
-
-
-def _build_objective(cfg: ExperimentConfig) -> tuple[FiniteSumObjective, GraphSequence | None]:
-    """Returns (objective, its own graph sequence or None): the zero-chain instance brings its rotating star."""
-    if cfg.objective in ("logistic", "nlls"):
-        shards = partition_dataset(parse_libsvm(cfg.dataset), cfg.m, cfg.n, cfg.seed)
-        return (logistic_objective(shards, cfg.reg) if cfg.objective == "logistic" else nlls_objective(shards)), None
-    if cfg.objective == "chain":
-        return ChainObjective(cfg.m, cfg.n, cfg.chain_L, cfg.chain_mu, cfg.chain_dim), None
-    comms = cfg.budget_comms or 4 * cfg.budget_iters
-    oracle = cfg.budget_oracle or max(cfg.n, cfg.budget_iters * cfg.n)
-    return nonconvex_hard_objective(cfg.m, cfg.n, cfg.zc_L, cfg.zc_delta, comms, oracle)
 
 
 def _format_metric(v: float) -> str:
@@ -463,34 +484,14 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
     audited = None  # every zero-chain run audits its progress, in the caller's tracker if it passes one
     if cfg.objective == "zero_chain":
         audited = progress_tracker = progress_tracker or ProgressTracker(cfg.m)
-    obj, hard_seq = _build_objective(cfg)
-    seq = hard_seq or _build_sequence(cfg)
+    obj, own_seq = _OBJECTIVES[cfg.objective][1](cfg)
+    seq = own_seq or _build_sequence(cfg)
     info = obj.info
     try:
         chi = seq.chi if seq.chi is not None else measure_chi(seq, trials=cfg.chi_trials)
         seq.certificate = chi
-
-        x_star = None
-        if info.mu > 0:
-            ref = reference_solution(obj)
-            x_star = ref.x_star
-
-        if cfg.method == "adom_vr":
-            if info.mu <= 0:
-                raise ValueError("adom_vr needs a strongly convex objective (mu > 0)")
-            b = cfg.b or corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
-            params = adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b)
-            method = AdomVr(params)
-        elif cfg.method == "gt_page":
-            b = cfg.b or None
-            params = gt_page_params(info.L, info.Lhat, chi, obj.n, b=b, strict_step=bool(cfg.strict_step))
-            method = GtPage(params, per_node_coins=bool(cfg.per_node_coins))
-        else:
-            rho = 1.0 / chi
-            eta = cfg.gt_eta or rho * rho / (4.0 * info.L)
-            params = None
-            method = GtBaseline(eta=eta)
-
+        x_star = reference_solution(obj).x_star if info.mu > 0 else None
+        method = _METHODS[cfg.method][1](cfg, obj, chi)
         budgets = RunBudgets(
             max_iterations=cfg.budget_iters,
             max_communications=cfg.budget_comms or None,
@@ -518,7 +519,6 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         "chi_schedule": chi,
         "chi_consumed_max": chi_max,
         "steps_over_certificate": over,
-        "resamples_over_cap": 0,  # no chi cap redraws a step yet
         # None unless consensus_residual certified a window, as gt_page does once per iteration
         **{name: getattr(seq, name) for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")},
     }
@@ -548,7 +548,7 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
             "Lbar": info.Lbar,
             "Lhat": info.Lhat,
         },
-        "parameters": asdict(params) if params is not None else {"eta": method.eta},
+        "parameters": asdict(getattr(method, "params", method)),  # gt_baseline's only parameter is its eta
         "records": len(trace.records),
         "counters": trace.metadata["counters"],
         "ledger": _oracle_ledger(method, trace),
@@ -583,22 +583,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decentralized finite-sum optimization runs over time-varying gossip graphs",
     )
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--objective", choices=OBJECTIVES)
-    parser.add_argument("--topology", choices=TOPOLOGIES)
-    parser.add_argument("--dataset", help="LibSVM text file for data-backed objectives")
-    parser.add_argument("--m", type=int, help="node count")
-    parser.add_argument("--n", type=int, help="components per node")
-    parser.add_argument("--b", type=int, help="batch size (0 = schedule default)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--reg", type=float, help="l2 regularization for the logistic loss")
-    parser.add_argument("--radius", type=float, help="random geometric connection radius")
-    parser.add_argument("--budget-iters", dest="budget_iters", type=int)
-    parser.add_argument("--budget-comms", dest="budget_comms", type=int)
-    parser.add_argument("--budget-oracle", dest="budget_oracle", type=int)
-    parser.add_argument("--metric-every", dest="metric_every", type=int)
-    parser.add_argument("--out", help="output directory for trace CSV/JSON")
-    parser.add_argument("--gt-eta", dest="gt_eta", type=float, help="baseline step size")
+    helps = {"dataset": "LibSVM text file for data-backed objectives", "m": "node count", "n": "components per node",
+             "b": "batch size (0 = schedule default)", "reg": "l2 regularization for the logistic loss",
+             "radius": "random geometric connection radius", "out": "output directory for trace CSV/JSON",
+             "gt_eta": "baseline step size"}
+    choices = {"method": METHODS, "objective": OBJECTIVES, "topology": TOPOLOGIES}
+    for f in fields(ExperimentConfig):  # one flag per field, of the type of its default
+        flag = f"--{f.name.replace('_', '-')}"
+        parser.add_argument(flag, dest=f.name, type=type(f.default), choices=choices.get(f.name), help=helps.get(f.name))
     parser.add_argument("--seeds", help="comma-separated seeds to run as separate experiments")
     parser.add_argument("--jobs", type=int, default=1, help="parallel processes when sweeping --seeds")
     return parser

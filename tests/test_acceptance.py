@@ -29,6 +29,7 @@ from gossipvr.network import (
     RandomGeometricSequence,
     RotatingStarSequence,
     StaticSequence,
+    TwoStarHopSequence,
     complete_graph,
     consensus_residual,
     measure_chi,
@@ -364,3 +365,33 @@ def test_10_determinism(tmp_path, fixture_path):
     identical = csv2.read_bytes() == first
     elapsed = time.time() - start
     _report(10, "determinism", identical, f"byte-identical CSV = {identical}, {elapsed:.1f}s")
+
+
+def test_11_adom_vr_rate_exponents():
+    # The paper's adom_vr rate is chi * sqrt(kappa) comms.  On the two-star hop, where an
+    # iteration is one comm, the iterations to 1e-3 of the start fit chi^1.03 and kappa^0.47
+    # over m in {4, 6} (chi 5.83, 12.97) and kappa in {10, 40}.  A schedule for chi^2 fits chi^2.06.
+    start = time.time()
+    rows, within = [], True
+    for m in (4, 6):
+        for kappa in (10.0, 40.0):
+            obj, seq = ChainObjective(m, 4, kappa, 1.0, 12), TwoStarHopSequence(m)
+            info, chi = obj.info, seq.chi
+            b = corollary_batch_size(info.mu, info.L, info.Lbar, obj.n)
+            params = adom_vr_params(info.mu, info.L, info.Lbar, chi, obj.n, b)
+            budget = adom_vr_iteration_budget(info.mu, info.L, info.Lbar, chi, obj.n, b, eps_rel=1e-3)
+            x_star = reference_solution(obj).x_star
+            trace = run(
+                AdomVr(params), obj, seq, RunBudgets(max_iterations=budget), metric_every=10, seed=0,
+                x_star=x_star, stop_dist_sq=1e-3 * float(x_star @ x_star),
+            )
+            iters = trace.final().iteration
+            within = within and trace.final().dist_sq <= 1e-3 * trace.records[0].dist_sq and iters <= budget
+            rows.append((chi, kappa, iters))
+    logs = np.log(np.array(rows))
+    design = np.column_stack([logs[:, :2], np.ones(len(rows))])
+    (chi_slope, kappa_slope, _), *_ = np.linalg.lstsq(design, logs[:, 2], rcond=None)
+    elapsed = time.time() - start
+    _report(11, "adom_vr rate exponents",
+            within and 0.75 < chi_slope < 1.5 and 0.3 < kappa_slope < 0.75 and elapsed < 30,
+            f"chi^{chi_slope:.2f}, kappa^{kappa_slope:.2f}, iterations {[iters for *_, iters in rows]}, {elapsed:.1f}s")

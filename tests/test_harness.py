@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -291,9 +292,14 @@ class TestReferenceSolution:
 
 
 class TestExperimentConfig:
-    def test_unknown_method_names_valid_values(self):
-        cfg = ExperimentConfig(method="sgd")
-        with pytest.raises(ValueError, match="adom_vr, gt_page, gt_baseline"):
+    @pytest.mark.parametrize("kind, valid", [
+        ("method", "adom_vr, gt_page, gt_baseline"),
+        ("objective", "logistic, nlls, chain, zero_chain"),
+        ("topology", "random-geometric, two-star-hop, rotating-star, static-complete, static-star, static-ring, static-path"),
+    ])
+    def test_unknown_choice_names_valid_values(self, kind, valid):
+        cfg = ExperimentConfig(**{kind: "sgd"})
+        with pytest.raises(ValueError, match=f"^unknown {kind} 'sgd'; valid: {valid}$"):
             cfg.validate()
 
     def test_config_file_round_trip(self, tmp_path):
@@ -330,6 +336,69 @@ class TestExperimentConfig:
         f.write_text(text)
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_file(f)
+
+
+def check_choice_tables():
+    """Every config field is read by every run or declared by exactly one kind's table, and every
+    name a table declares is a field."""
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    declared = [{name for reads, _ in table.values() for name in reads}
+                for table in (harness._METHODS, harness._OBJECTIVES, harness._TOPOLOGIES)]
+    optional = set.union(*declared)
+    assert optional <= names, optional - names
+    assert sum(map(len, declared)) == len(optional), "a field declared by two kinds"
+    assert names - optional == {
+        "method", "objective", "topology", "m", "n", "seed", "budget_iters", "budget_comms", "budget_oracle",
+        "metric_every", "out",
+    }
+
+
+class TestRunChoices:
+    def test_tables_declare_each_optional_field_once(self, monkeypatch):
+        check_choice_tables()
+        monkeypatch.setitem(harness._METHODS, "sgd", (("momentum",), None))
+        with pytest.raises(AssertionError, match="momentum"):
+            check_choice_tables()
+
+    def test_every_field_is_a_flag_equal_to_its_config_line(self, tmp_path, monkeypatch, capsys):
+        # A value off each default: a table's last choice, one more for a number, a word for a string.
+        tables = {"method": harness.METHODS, "objective": harness.OBJECTIVES, "topology": harness.TOPOLOGIES}
+        values = {
+            f.name: tables[f.name][-1] if f.name in tables else "elsewhere" if isinstance(f.default, str) else f.default + 1
+            for f in dataclasses.fields(ExperimentConfig)
+        }
+        seen = []
+        monkeypatch.setattr(ExperimentConfig, "validate", lambda self: None)
+        monkeypatch.setattr(harness, "_run_one", lambda cfg: seen.append(cfg) or "")
+        assert main([arg for name, v in values.items() for arg in (f"--{name.replace('_', '-')}", str(v))]) == 0
+        (tmp_path / "exp.cfg").write_text("".join(f"{name}={v}\n" for name, v in values.items()))
+        assert main(["--config", str(tmp_path / "exp.cfg")]) == 0
+        assert seen[0] == seen[1] == ExperimentConfig(**values)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert {f"--{name.replace('_', '-')}" for name in values} <= flags
+
+    def test_first_unread_field_in_field_order(self):
+        # Four unread fields: the first in field order, the topology's radius, is named, not the method's gt_eta.
+        cfg = ExperimentConfig(objective="chain", topology="static-ring", per_node_coins=1, zc_L=2.0, gt_eta=0.5, radius=0.5)
+        with pytest.raises(ValueError, match=r"^radius=0\.5 is never read: topology 'static-ring' ignores it$"):
+            cfg.validate()
+
+    def test_builders_call_the_harness_globals(self, tmp_path, fixture_path, monkeypatch):
+        """The data and objective builders look their functions up in the module when they run,
+        so a patched module attribute is the one called."""
+        calls = []
+        for name in ("parse_libsvm", "partition_dataset", "logistic_objective", "nlls_objective"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+        for objective in ("logistic", "nlls"):
+            run_experiment(ExperimentConfig(
+                method="gt_page", objective=objective, dataset=str(fixture_path), topology="static-ring", m=4, n=2,
+                budget_iters=2, out=str(tmp_path),
+            ))
+        assert calls == ["parse_libsvm", "partition_dataset", "logistic_objective", "parse_libsvm", "partition_dataset",
+                         "nlls_objective"]
 
 
 class TestRunExperiment:
@@ -500,7 +569,7 @@ class TestRunExperiment:
         stages, contraction = meta["parameters"]["stages"], 1.0 - meta["parameters"]["rho"]
         bound = max(math.prod(1.0 - 1.0 / c for c in replay.window(s, stages)[1].tolist()) for s in range(0, steps, stages))
         assert over > 0 and meta["certificate"] == {
-            "chi_schedule": meta["chi"], "chi_consumed_max": chi_max, "steps_over_certificate": over, "resamples_over_cap": 0,
+            "chi_schedule": meta["chi"], "chi_consumed_max": chi_max, "steps_over_certificate": over,
             "window_bound_max": bound, "windows_checked_exactly": 0, "window_norm_max": 0.0,
         }
         assert 0.0 < bound < contraction
@@ -524,11 +593,11 @@ class TestRunExperiment:
         assert graphs["built"] == 8800 and graphs["resamples"] == 33
         assert graphs["chi_max"] == certificate["chi_consumed_max"] == pytest.approx(31.967162497351325, rel=1e-12)
         assert certificate["chi_schedule"] == meta["chi"] == pytest.approx(10.403882032022073, rel=1e-12)
-        assert certificate["steps_over_certificate"] == 151 and certificate["resamples_over_cap"] == 0
+        assert certificate["steps_over_certificate"] == 151
         assert certificate["window_bound_max"] == pytest.approx(0.050075081873784975, rel=1e-12)
         assert certificate["windows_checked_exactly"] == 0 and certificate["window_norm_max"] == 0.0
         assert sorted(certificate) == [
-            "chi_consumed_max", "chi_schedule", "resamples_over_cap", "steps_over_certificate",
+            "chi_consumed_max", "chi_schedule", "steps_over_certificate",
             "window_bound_max", "window_norm_max", "windows_checked_exactly",
         ]
 
