@@ -245,34 +245,45 @@ class ChainObjective(CallableFiniteSum):
         for row, i, ix, x in zip(out, nodes, idx, X):
             for grad, j in zip(row, ix):
                 slot = slice(j * dim, (j + 1) * dim)
-                grad[slot] = self._g(i, x[slot])[1]
+                grad[slot] = self._slot_gradient(i, x[slot])
         return out
 
     def _component(self, i: int, j: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Component (i, j): node i's chain function of slot j, with its gradient on R^d."""
         slot, grad = slice(j * self.dim, (j + 1) * self.dim), np.zeros(self.d)
-        val, grad[slot] = self._g(i, x[slot])
-        return val, grad
+        grad[slot] = self._slot_gradient(i, x[slot])
+        return self._slot_value(i, x[slot]), grad
 
-    def _g(self, i: int, y: np.ndarray) -> tuple[float, np.ndarray]:
-        mu, big_l = self.mu_chain, self.big_l
-        if i not in (_V_LEFT, _V_RIGHT):
-            mu_other = mu / (self.m - 2)
-            return 0.5 * mu_other * y @ y, mu_other * y
-        c = (big_l - mu) / 4.0
-        val = 0.5 * mu * y @ y
-        grad = mu * y
-        if i == _V_LEFT:
-            val += c * (y[0] - 1.0) ** 2
-            grad[0] += 2.0 * c * (y[0] - 1.0)
+    def _coupling(self, i: int, y: np.ndarray) -> tuple[float, slice, slice, np.ndarray]:
+        """Chain node i's coupling weight, the slices of the two coordinates of its coupled
+        pairs and their differences at slot ``y``."""
         # The left node couples the 1-based pairs (2k, 2k+1), the right node (2k-1, 2k).
         first = 1 if i == _V_LEFT else 0
         end = first + 2 * ((self.dim - first) // 2)
-        diff = y[first:end:2] - y[first + 1 : end : 2]
-        val += float(np.sum(c * diff * diff))
-        grad[first:end:2] += 2.0 * c * diff
-        grad[first + 1 : end : 2] -= 2.0 * c * diff
-        return val, grad
+        lead, trail = slice(first, end, 2), slice(first + 1, end, 2)
+        return (self.big_l - self.mu_chain) / 4.0, lead, trail, y[lead] - y[trail]
+
+    def _slot_value(self, i: int, y: np.ndarray) -> float:
+        mu = self.mu_chain
+        if i not in (_V_LEFT, _V_RIGHT):
+            return 0.5 * (mu / (self.m - 2)) * y @ y
+        c, _, _, diff = self._coupling(i, y)
+        val = 0.5 * mu * y @ y
+        if i == _V_LEFT:
+            val += c * (y[0] - 1.0) ** 2
+        return val + float(np.sum(c * diff * diff))
+
+    def _slot_gradient(self, i: int, y: np.ndarray) -> np.ndarray:
+        mu = self.mu_chain
+        if i not in (_V_LEFT, _V_RIGHT):
+            return (mu / (self.m - 2)) * y
+        c, lead, trail, diff = self._coupling(i, y)
+        grad = mu * y
+        if i == _V_LEFT:
+            grad[0] += 2.0 * c * (y[0] - 1.0)
+        grad[lead] += 2.0 * c * diff
+        grad[trail] -= 2.0 * c * diff
+        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -170,22 +170,21 @@ def consensus_error(x: np.ndarray) -> float:
 
 
 class GraphSequence:
-    """Base for per-step graph generators.
+    """Base for per-step graph generators: step ``k`` is one communication round, on ``graph(k)``.
 
-    Subclasses provide ``graph(k)`` and ``gossip(k)``.  ``window(start, stages)`` serves
-    the ``(stages, m, m)`` gossip matrices of steps ``start .. start + stages - 1`` and
-    their ``(stages,)`` exact ``chi``, bitwise the ``gossip`` ones; by default it stacks
-    the ``gossip`` steps, and the random-geometric sequence slices its cached block.
-    Cyclic sequences build their gossip matrices once, up front, random-geometric ones
-    a block at a time, on first use.  ``chi`` is an analytic or construction-time
-    certificate when available, otherwise ``None`` (use :func:`measure_chi`).
+    ``gossip(k)`` serves step ``k``'s ``(m, m)`` gossip matrix and exact ``chi``;
+    ``window(start, stages)`` serves the ``(stages, m, m)`` matrices and ``(stages,)`` exact
+    ``chi`` of steps ``start .. start + stages - 1``, bitwise the ``gossip`` ones.  ``chi`` is
+    an analytic or construction-time certificate when available, otherwise ``None`` (use
+    :func:`measure_chi`).
 
-    ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for
-    a cyclic sequence); ``steps_over_certificate`` counts the served steps above
-    ``certificate``, the ``chi`` a run's schedule assumes, which the harness sets:
-    each step against the ``certificate`` in force when it is charged.  A cyclic
-    sequence counts none: its ``chi`` covers its period, up to rounding.  The
-    ``window_*`` counters are :func:`consensus_residual`'s, ``None`` until it certifies a window.
+    ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for a cyclic
+    sequence); ``steps_over_certificate`` counts the served steps above ``certificate``, the
+    ``chi`` a run's schedule assumes, which the harness sets, each step against the
+    ``certificate`` in force when it is charged (a cyclic sequence counts none: its ``chi``
+    covers its period, up to rounding).  The ``window_*`` counters are
+    :func:`consensus_residual`'s, ``None`` until it certifies a window.  ``close()`` releases
+    what the sequence runs beside the caller.
     """
 
     kind: str = "static"
@@ -443,47 +442,24 @@ def _stop_child(pid: int, fd: int) -> None:
 class RandomGeometricSequence(GraphSequence):
     """Fresh random geometric graph each step, resampled until connected.
 
-    Points are uniform in the unit square; pairs within ``radius`` are joined
-    with unit weight.  Step ``k`` is a pure function of ``(seed, k)``: draw
-    ``d`` of it is the ``d``-th ``default_rng((seed, k)).uniform(size=(m, 2))``,
-    and it draws until the graph connects, so steps can be read in any order.
-    A vectorized replica of that generator, pinned to it bitwise by a test,
-    seeds the streams of ``SEED_BLOCKS`` aligned blocks per pass.  ``seed``
-    must be non-negative and steps below ``2**32``.
+    Points are uniform in the unit square; pairs within ``radius`` (positive, ``inf`` for
+    complete graphs) are joined with unit weight.  Step ``k`` is a pure function of
+    ``(seed, k)``: draw ``d`` of it is, bitwise, the ``d``-th
+    ``default_rng((seed, k)).uniform(size=(m, 2))``, and it draws until the graph connects,
+    so the steps do not depend on the reading order, the block size or who built them.
+    ``seed`` must be non-negative and steps below ``2**32``.
 
-    Steps are built ``BLOCK`` at a time, into one buffer in the layout of
-    :func:`_block_fields`, by stacked passes that redraw only the steps still
-    disconnected.  ``window(start, stages)`` serves the ``(stages, m, m)``
-    matrices and ``(stages,)`` exact ``chi`` of its steps: a view of the cached
-    block, or a copy where the window straddles blocks.  ``gossip`` is its
-    one-step view, ``graph`` reads through ``gossip``, and the ``.graphs`` dump
-    reads one window per block.  A step still disconnected after
-    ``MAX_RETRIES`` draws raises every time it is served; a window raises at
-    its first such step, after serving the steps before it.
+    ``window(start, stages)`` serves the ``(stages, m, m)`` matrices and ``(stages,)`` exact
+    ``chi`` of its steps, ``gossip`` its one-step view and ``graph`` reads through ``gossip``.
+    A step still disconnected after ``MAX_RETRIES`` draws raises every time it is served; a
+    window raises at its first such step, after serving the steps before it.
 
-    Serving a window writes the block's boolean ``served`` mask.  ``built``,
-    ``resamples``, ``chi_max`` and ``steps_over_certificate`` (the matrices
-    served, the disconnected draws rejected for them, the largest exact ``chi``
-    served and the served steps above ``certificate``) are charged from the
-    masks when they are read and when a block is evicted: a step counts once
-    per build, against the ``certificate`` in force when it is charged: a
-    cached step against the current one, an evicted step against the one in
-    force at its eviction.  Of the ``CACHE_BLOCKS`` cached blocks, the
-    oldest starting at or past ``DUMP_STEPS`` is evicted first, so a run's
-    dump finds its steps cached.
-
-    A forward walk builds ahead in a child process.  The first miss on the
-    block right after a cached one forks one builder child, when
-    :func:`_builder_can_run` allows it; the child runs ``_build_block`` on the
-    blocks that follow, in order, and writes each buffer to a pipe, whose
-    capacity keeps it about one block ahead.  A miss on the block the child
-    writes next reads it from the pipe; every other miss builds in-process, and
-    so does every miss once the child has died, or fell silent for
-    ``PIPE_TIMEOUT`` seconds (say, deadlocked on a BLAS lock the fork copied).
-    The child is pinned off the walk's CPU (``builder_pinned`` says whether
-    that succeeded).  The steps and counters do not depend on who built them,
-    or where; ``builder_blocks`` counts the blocks the child served.  ``close``
-    kills and reaps the child, and so does collecting the sequence.
+    Each served step counts once per build of its block (:meth:`_charge`): ``built`` the
+    matrices served, ``resamples`` the disconnected draws rejected for them, ``chi_max`` the
+    largest exact ``chi`` served and ``steps_over_certificate`` the served steps above
+    ``certificate``.  ``builder_blocks`` counts the blocks a builder child served
+    (:meth:`_fetch_block`) and ``builder_pinned`` says whether it runs off the walk's CPU.
+    ``close()`` kills and reaps the child, and so does collecting the sequence.
     """
 
     kind = "random-geometric"
@@ -494,8 +470,8 @@ class RandomGeometricSequence(GraphSequence):
     def __init__(self, m: int, radius: float, seed: int):
         if m < 2:
             raise ValueError("random geometric sequence needs m >= 2")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not radius > 0:  # NaN fails it too; inf joins every pair
+            raise ValueError(f"radius must be positive, got {radius}")
         self.m = m
         self.radius = float(radius)
         self.seed = _stream_seed(seed)
@@ -526,7 +502,12 @@ class RandomGeometricSequence(GraphSequence):
     steps_over_certificate = property(lambda self: self.counters()[3])
 
     def _charge(self, blocks: list, counters: tuple[int, int, float, int]) -> tuple[int, int, float, int]:
-        """``counters`` plus the served steps of ``blocks``, values of ``_blocks``, from their stacked fields."""
+        """``counters`` plus the served steps of ``blocks``, values of ``_blocks``, from their stacked fields.
+
+        Serving a window writes its block's boolean ``served`` mask; the counters are charged
+        from the masks when they are read and when a block is evicted, so a step counts once per
+        build, against the ``certificate`` in force when it is charged: a cached step against the
+        current one, an evicted step against the one in force at its eviction."""
         if not blocks:
             return counters
         served = np.concatenate([mask for _, mask, _ in blocks])
@@ -588,7 +569,8 @@ class RandomGeometricSequence(GraphSequence):
         return matrices[lo:hi], chi[lo:hi]
 
     def _load(self, start: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
-        """Cache the block at ``start``, evicting one past ``CACHE_BLOCKS`` and charging its served steps."""
+        """Cache the block at ``start``, evicting one past ``CACHE_BLOCKS`` and charging its served steps:
+        the oldest starting at or past ``DUMP_STEPS``, so a run's dump finds its steps cached."""
         fields = _block_fields(self._fetch_block(start), self.m)
         block = self._blocks[start] = (fields, np.zeros(len(fields[1]), dtype=bool), np.flatnonzero(~fields[3]).tolist())
         if len(self._blocks) > self.CACHE_BLOCKS:
@@ -605,8 +587,13 @@ class RandomGeometricSequence(GraphSequence):
 
     def _fetch_block(self, k: int) -> np.ndarray:
         """The buffer of the block holding step ``k``: read from the builder child when it is the
-        one the child writes next, else built in-process.  A miss right after a cached block, a
-        forward walk, forks the child first, on the blocks after this one."""
+        one the child writes next, else built in-process.
+
+        A miss right after a cached block, a forward walk, forks the child first, once per
+        sequence, when :func:`_builder_can_run` allows it: the child runs ``_build_block`` on the
+        blocks after this one, in order, and writes each buffer to a pipe, whose capacity keeps
+        it about one block ahead.  Every other miss builds in-process, and so does every miss
+        once the child has died or fallen silent (:meth:`_read_piped`)."""
         start = k - k % BLOCK
         if start == self._piped:
             block = self._read_piped(start)
@@ -643,7 +630,8 @@ class RandomGeometricSequence(GraphSequence):
 
     def _read_piped(self, start: int) -> np.ndarray | None:
         """The buffer of the block the child wrote at ``start``, or None (and the child stopped)
-        if it died or fell silent for ``PIPE_TIMEOUT`` seconds first."""
+        if it died or fell silent for ``PIPE_TIMEOUT`` seconds first, say deadlocked on a BLAS
+        lock the fork copied."""
         size = min(BLOCK, _STEP_LIMIT - start)
         buf = np.empty(_block_bytes(size, self.m), dtype=np.uint8)
         view = memoryview(buf)
@@ -663,7 +651,10 @@ class RandomGeometricSequence(GraphSequence):
         return buf
 
     def _build_block(self, k: int) -> np.ndarray:
-        """The buffer of the aligned block of ``BLOCK`` steps holding ``k``; each pass fills the steps it connects."""
+        """The buffer of the aligned block of ``BLOCK`` steps holding ``k``, in the layout of
+        :func:`_block_fields`; each stacked pass fills the steps it connects and redraws the rest.
+        A vectorized replica of ``default_rng``, pinned to it bitwise by a test, seeds the streams
+        of ``SEED_BLOCKS`` aligned blocks per pass."""
         m, r2 = self.m, self.radius * self.radius
         if k not in self._chunk[0]:
             self._chunk = _block_streams(self.seed, k, SEED_BLOCKS * BLOCK)

@@ -263,38 +263,38 @@ RECORD_BLOCK = 16  # trace records whose objective metrics run() evaluates toget
 
 
 @dataclass(frozen=True, eq=False)
-class _AdomDraws:
-    """The draws of iterations ``start .. start + len(idx) - 1`` under ``seed``, for the
-    batch size and coin thresholds of ``params`` and the sampling of ``cum_probs``."""
+class _Draws:
+    """The draws of iterations ``start .. start + len(rows) - 1``: ``rows[r]`` is what iteration
+    ``start + r`` drew from ``default_rng((seed, start + r))``, ``seed`` the first entry of ``key``,
+    for a method's ``key`` and ``basis``."""
 
-    seed: int
+    key: tuple
+    basis: object
     start: int
-    params: AdomVrParams
-    cum_probs: np.ndarray
-    idx: np.ndarray  # (B, m, b) batch indices
-    to_f: np.ndarray  # (B, m, 1) omega moves to x_f
-    to_g: np.ndarray  # (B, m, 1) omega moves to x_g
-    moved: list[np.ndarray]  # per iteration, the nodes whose omega moves
-    moves: list[tuple[int, int]]  # per iteration, the counts of moves to x_f and to x_g
-
-    def holds(self, seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) -> bool:
-        return (
-            self.start <= k < self.start + len(self.idx)
-            and self.seed == seed
-            and self.params is params
-            and self.cum_probs is cum_probs
-        )
+    rows: list[tuple]
 
 
-def _draw_block(seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) -> _AdomDraws:
-    """The draws of the aligned block of ``DRAW_BLOCK`` iterations holding ``k``.
+def _draw_row(carried: _Draws | None, k: int, key: tuple, basis, make_rows) -> tuple[_Draws, tuple]:
+    """Iteration ``k``'s block and row: ``carried`` when it was built for an equal ``key`` and this
+    very ``basis`` and holds ``k``, else the aligned block of ``DRAW_BLOCK`` iterations holding
+    ``k``, whose rows ``make_rows(key, basis, gens)`` draws from the generators of
+    :func:`stream_generators`, one per iteration, in order."""
+    holds = carried is not None and carried.start <= k < carried.start + len(carried.rows)
+    if not (holds and carried.key == key and carried.basis is basis):
+        start, gens = stream_generators(key[0], k, DRAW_BLOCK)
+        carried = _Draws(key=key, basis=basis, start=start, rows=make_rows(key, basis, gens))
+    return carried, carried.rows[k - carried.start]
 
-    Iteration ``k`` reads ``default_rng((seed, k))``: ``random((m, b))`` for the
-    batch, then ``random(m)`` for the omega coins, i.e. its first ``m b + m``
-    doubles, which each generator of :func:`stream_generators` draws for its iteration.
+
+def _adom_rows(key: tuple, cum_probs: np.ndarray, gens) -> list[tuple]:
+    """Per iteration, ``(idx, to_f, to_g, moved, moves)``: the ``(m, b)`` batch indices, the ``(m, 1)``
+    omega moves to x_f and to x_g, the nodes whose omega moves and the counts of both moves.
+
+    Iteration ``k`` reads ``random((m, b))`` for the batch, then ``random(m)`` for the omega coins,
+    i.e. its first ``m b + m`` doubles; the inverse-CDF and coin passes run on the whole block.
     """
-    (m, n), b = cum_probs.shape, params.b
-    start, gens = stream_generators(seed, k, DRAW_BLOCK)
+    (_, params), (m, n) = key, cum_probs.shape
+    b = params.b
     u = np.stack([gen.random(m * b + m) for gen in gens])
     batch_u, omega_u = u[:, : m * b].reshape(-1, m, b), u[:, m * b :, None]
     # Inverse-CDF sampling: the index is the count of running sums <= u.
@@ -305,11 +305,8 @@ def _draw_block(seed: int, k: int, params: AdomVrParams, cum_probs: np.ndarray) 
     to_f = omega_u < params.p1
     to_g = ~to_f & (omega_u < params.p1 + params.p2)
     moved = [np.flatnonzero(row) for row in (to_f | to_g)[..., 0]]
-    moves = list(zip(to_f.sum(axis=(1, 2)).tolist(), to_g.sum(axis=(1, 2)).tolist()))
-    return _AdomDraws(
-        seed=seed, start=start, params=params, cum_probs=cum_probs, idx=idx, to_f=to_f, to_g=to_g, moved=moved,
-        moves=moves,
-    )
+    moves = zip(to_f.sum(axis=(1, 2)).tolist(), to_g.sum(axis=(1, 2)).tolist())
+    return list(zip(idx, to_f, to_g, moved, moves))
 
 
 # The rows of AdomVrState.blocks: x, y and z, the checked ones, first; omega, the one row
@@ -345,7 +342,7 @@ class AdomVrState:
     # The last block of draws built: a pure function of the seed, the block start,
     # the method's params and cum_probs, all checked before it is read, so a state
     # resumes exactly with or without it, under any method.
-    draws: _AdomDraws | None = None
+    draws: _Draws | None = None
 
     x, y, z, x_f, y_f, z_f, momentum, omega = (_Block() for _ in ADOM_BLOCKS)
 
@@ -434,19 +431,15 @@ class AdomVr:
         ``y_g + z_g``, one gossip product of ``[y_g + z_g | momentum]``, and the blocks,
         the estimate and the mixed pair to the new blocks.  The draws come from the
         carried block when it holds ``state.k``, else from a newly built block
-        (:func:`_draw_block`).
+        (:func:`_draw_row`).
         """
         p, (to_mid, to_new) = self.params, self._maps
-        k, draws, blocks = state.k, state.draws, state.blocks
-        if draws is None or not draws.holds(seed, k, p, state.cum_probs):
-            draws = _draw_block(seed, k, p, state.cum_probs)
-        r = k - draws.start
+        k, blocks = state.k, state.blocks
+        draws, (idx, to_f, to_g, moved, (f_moves, g_moves)) = _draw_row(state.draws, k, (seed, p), state.cum_probs, _adom_rows)
         size, m, d = blocks.shape
 
         x_g, yz = to_mid.dot(blocks.reshape(size, -1)).reshape(2, m, d)
-        est = _batch_estimator(
-            obj, np.arange(m), x_g, draws.idx[r], state.weights, state.omega_grads, state.grad_omega
-        )
+        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.weights, state.omega_grads, state.grad_omega)
         mixed = seq.gossip(state.comms).matrix.dot(np.concatenate((yz, state.momentum), axis=1))
         terms = np.concatenate((blocks, est[None], mixed.reshape(m, 2, d).swapaxes(0, 1)))
         new = np.empty_like(blocks)
@@ -454,19 +447,18 @@ class AdomVr:
 
         # Omega moves to x_f or x_g on the nodes whose coin says so; their cache
         # rows are recomputed there (n oracle calls per moved node).
-        new[-1] = np.where(draws.to_f[r], state.x_f, np.where(draws.to_g[r], x_g, state.omega))
-        omega_grads, grad_omega, moved = state.omega_grads, state.grad_omega, draws.moved[r]
+        new[-1] = np.where(to_f, state.x_f, np.where(to_g, x_g, state.omega))
+        omega_grads, grad_omega = state.omega_grads, state.grad_omega
         if moved.size:
             fresh = obj.batch_component_gradients(moved, new[-1][moved])
             omega_grads, grad_omega = omega_grads.copy(), grad_omega.copy()
             omega_grads[moved] = fresh
             grad_omega[moved] = fresh.sum(axis=1) / fresh.shape[1]
 
-        to_f, to_g = draws.moves[r]
         new_state = AdomVrState(
             blocks=new, omega_grads=omega_grads, grad_omega=grad_omega,
             weights=state.weights, cum_probs=state.cum_probs, k=k + 1, comms=state.comms + 1,
-            omega_to_x_f=state.omega_to_x_f + to_f, omega_to_x_g=state.omega_to_x_g + to_g, draws=draws,
+            omega_to_x_f=state.omega_to_x_f + f_moves, omega_to_x_g=state.omega_to_x_g + g_moves, draws=draws,
         )
         # One comparison over the x, y, z slab on the happy path; a failure is worded per field.
         if not np.abs(new[:3]).max() <= DIVERGENCE_LIMIT:
@@ -479,25 +471,12 @@ class AdomVr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _PageDraws:
-    """The draws of iterations ``start .. start + len(idx) - 1`` for ``key = (seed, n, (m, b),
-    coins)``: iteration ``k`` reads ``default_rng((seed, k))``, ``integers(0, n, (m, b))`` for
-    the batch, then ``random(coins)``, one coin per node or one shared coin."""
-
-    key: tuple
-    start: int
-    idx: np.ndarray  # (B, m, b) batch indices
-    coins: np.ndarray  # (B, coins) restart coins
-
-
-def _page_block(key: tuple, k: int) -> _PageDraws:
-    """The draws of the aligned block of ``DRAW_BLOCK`` iterations holding ``k``, numpy's own
-    on each iteration's seeded generator from :func:`stream_generators`."""
-    seed, n, batch, coins = key
-    start, gens = stream_generators(seed, k, DRAW_BLOCK)
-    idx, draws = zip(*((gen.integers(0, n, size=batch), gen.random(coins)) for gen in gens))
-    return _PageDraws(key=key, start=start, idx=np.stack(idx), coins=np.stack(draws))
+def _page_rows(key: tuple, basis: None, gens) -> list[tuple]:
+    """Per iteration, for ``key = (seed, n, (m, b), coins)``, ``(idx, coins)``: numpy's own
+    ``integers(0, n, (m, b))`` for the batch, then ``random(coins)``, one restart coin per node
+    or one shared coin."""
+    _, n, batch, coins = key
+    return [(gen.integers(0, n, size=batch), gen.random(coins)) for gen in gens]
 
 
 def _page_tracker(obj: FiniteSumObjective, nodes, restart: bool, idx, x_new, x, y) -> np.ndarray:
@@ -519,7 +498,7 @@ class GtPageState:
     comms: int = 0
     full_restarts: int = 0  # restart coins below p so far: iterations, or node-iterations with per-node coins
     # The last block of draws built, checked before it is read, as AdomVrState.draws.
-    draws: _PageDraws | None = None
+    draws: _Draws | None = None
 
     @property
     def counters(self) -> dict:
@@ -552,11 +531,9 @@ class GtPage:
         full gradient (one coin per node with ``per_node_coins``).
         """
         params = self.params
-        (m, d), k, draws = state.x.shape, state.k, state.draws
+        (m, d), k = state.x.shape, state.k
         key = (seed, obj.n, (m, params.b), m if self.per_node_coins else 1)
-        if draws is None or draws.key != key or not draws.start <= k < draws.start + len(draws.idx):
-            draws = _page_block(key, k)
-        idx, coins = draws.idx[k - draws.start], draws.coins[k - draws.start]
+        draws, (idx, coins) = _draw_row(state.draws, k, key, None, _page_rows)
 
         stack = np.concatenate((state.x, state.v), axis=1)
         mixed = consensus_residual(seq, state.comms, params.stages, stack, 1.0 - params.rho)

@@ -468,6 +468,15 @@ class TestRandomGeometric:
             assert np.array_equal(w.matrix, ref.matrix) and w.chi == ref.chi
         assert seedings == [edge, 0]
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be positive, got {radius}"):
+            RandomGeometricSequence(10, radius, seed=0)
+
+    def test_infinite_radius_is_complete(self):
+        seq = RandomGeometricSequence(5, math.inf, seed=0)
+        assert len(seq.graph(0).edges) == 10 and seq.gossip(70).chi == pytest.approx(1.0)
+
     def test_tiny_radius_errors(self):
         seq = RandomGeometricSequence(50, 1e-6, seed=0)
         with pytest.raises(RuntimeError, match="resamples"):

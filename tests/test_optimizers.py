@@ -380,12 +380,13 @@ class TestAdomVrDraws:
         state = method.init(self.obj)
         for k in range(300):
             state = method.step(state, self.obj, self.seq, seed)
-            draws, r = state.draws, k - state.draws.start
+            got_idx, to_f, to_g, moved, moves = state.draws.rows[k - state.draws.start]
             idx, take_f, take_g = reference_adom_draws(method.params, self.obj, seed, k)
-            assert draws.idx[r].tobytes() == idx.astype(np.intp).tobytes()
-            assert draws.to_f[r, :, 0].tolist() == take_f.tolist()
-            assert draws.to_g[r, :, 0].tolist() == take_g.tolist()
-            assert draws.moved[r].tolist() == np.flatnonzero(take_f | take_g).tolist()
+            assert got_idx.tobytes() == idx.astype(np.intp).tobytes()
+            assert to_f[:, 0].tolist() == take_f.tolist()
+            assert to_g[:, 0].tolist() == take_g.tolist()
+            assert moved.tolist() == np.flatnonzero(take_f | take_g).tolist()
+            assert moves == (int(take_f.sum()), int(take_g.sum()))
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("batch", ["b<n", "b=n"])
@@ -436,7 +437,19 @@ class TestAdomVrDraws:
         state = self.solo(9, 10)
         expected = other.step(dataclasses.replace(state, draws=None), self.obj, self.seq, 9)
         assert_same_adom_state(expected, other.step(state, self.obj, self.seq, 9))
-        assert other.step(state, self.obj, self.seq, 9).draws.idx.shape[-1] == self.obj.n
+        assert other.step(state, self.obj, self.seq, 9).draws.rows[0][0].shape[-1] == self.obj.n
+
+    def test_block_of_another_sampling_is_replaced(self):
+        # Same seed and params, but uniform sampling: the carried block's batches were drawn from
+        # the importance distribution, so a step that read them would take other components.
+        state = self.solo(9, 10)
+        uniform = np.full(state.cum_probs.shape, 1.0 / self.obj.n)
+        state = dataclasses.replace(state, weights=np.ones_like(uniform), cum_probs=np.cumsum(uniform, axis=1))
+        fresh = self.solo(9, 20, state=dataclasses.replace(state, draws=None))
+        carried = self.solo(9, 20, state=state)
+        assert_same_adom_state(fresh, carried)
+        rows = zip(state.draws.rows[10:30], fresh.draws.rows[10:30])
+        assert any(old[0].tobytes() != new[0].tobytes() for old, new in rows)  # the sampling changed the batches
 
     def test_interleaved_seeds_equal_solo_runs(self):
         method = self.method[self.b_small]
@@ -451,8 +464,12 @@ class TestAdomVrDraws:
         method, iters = self.method[self.b_small], 150
         trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=9)
         cum_probs = np.cumsum(importance_probabilities(self.obj.info.L_ij), axis=1)
-        blocks = [optimizers._draw_block(9, k, method.params, cum_probs) for k in range(0, iters, optimizers.DRAW_BLOCK)]
-        to_f, to_g = (int(np.concatenate([getattr(b, f) for b in blocks])[:iters].sum()) for f in ("to_f", "to_g"))
+        blocks = [
+            optimizers._draw_row(None, k, (9, method.params), cum_probs, optimizers._adom_rows)[0]
+            for k in range(0, iters, optimizers.DRAW_BLOCK)
+        ]
+        rows = [row for block in blocks for row in block.rows][:iters]
+        to_f, to_g = (sum(int(row[i].sum()) for row in rows) for i in (1, 2))
         assert to_f > 0 and to_g > 0
         assert trace.metadata["counters"] == {"omega_to_x_f": to_f, "omega_to_x_g": to_g}
 
@@ -646,10 +663,10 @@ class TestGtPageDraws:
     def test_block_matches_default_rng(self, seed, per_node_coins):
         m, n, b, coins = self.obj.m, self.obj.n, self.params.b, self.obj.m if per_node_coins else 1
         for k in [*range(130), 2**32 - 1]:
-            draws = optimizers._page_block((seed, n, (m, b), coins), k)
+            _, (idx, got) = optimizers._draw_row(None, k, (seed, n, (m, b), coins), None, optimizers._page_rows)
             rng = np.random.default_rng((seed, k))
-            assert np.array_equal(draws.idx[k - draws.start], rng.integers(0, n, size=(m, b))), k
-            assert np.array_equal(draws.coins[k - draws.start], rng.random(coins)), k
+            assert np.array_equal(idx, rng.integers(0, n, size=(m, b))), k
+            assert np.array_equal(got, rng.random(coins)), k
 
     @pytest.mark.parametrize("per_node_coins", [False, True])
     def test_steps_take_the_default_rng_draws(self, per_node_coins):
@@ -691,8 +708,8 @@ class TestGtPageDraws:
         method = GtPage(self.params, per_node_coins=per_node_coins)
         trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=11)
         key = (11, n, (m, self.params.b), m if per_node_coins else 1)
-        blocks = [optimizers._page_block(key, k) for k in range(0, iters, optimizers.DRAW_BLOCK)]
-        coins = np.concatenate([b.coins for b in blocks])[:iters]
+        blocks = [optimizers._draw_row(None, k, key, None, optimizers._page_rows)[0] for k in range(0, iters, optimizers.DRAW_BLOCK)]
+        coins = np.stack([row[1] for block in blocks for row in block.rows])[:iters]
         restarts = int(np.count_nonzero(coins < self.params.p))
         assert 0 < restarts < coins.size
         assert trace.metadata["counters"] == {"full_restarts": restarts}
@@ -706,7 +723,7 @@ class TestGtPageDraws:
         self.assert_same_state(expected, self.solo(9, 100 - at, state=foreign))
         other_coins = dataclasses.replace(resumed, draws=self.solo(9, at, per_node_coins=True).draws)
         self.assert_same_state(expected, self.solo(9, 100 - at, state=other_coins))
-        assert self.solo(9, 1, state=other_coins).draws.coins.shape[1] == 1
+        assert self.solo(9, 1, state=other_coins).draws.rows[0][1].shape == (1,)
 
 
 @pytest.mark.parametrize(
