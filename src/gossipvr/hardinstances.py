@@ -237,6 +237,10 @@ class ChainObjective(CallableFiniteSum):
         """Minimizer of the aggregate objective: the slot-wise geometric series."""
         return np.tile(self.x_star_slot, self.n)
 
+    def batch_component_values(self, nodes, X):
+        """Each slot's value alone: the component callables' values, without their gradients."""
+        return np.array([[self._slot_value(i, y) for y in x.reshape(self.n, self.dim)] for i, x in zip(nodes, X)])
+
     def batch_sampled_gradients(self, nodes, idx, X):
         """Each sampled slot's gradient written into its slot of one zeroed ``(k, b, d)`` array,
         not into a length-d gradient of its own; the full and node gradients inherit it."""

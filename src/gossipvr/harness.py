@@ -9,12 +9,14 @@ produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -437,10 +439,17 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+@cache
+def _source_sha256() -> str:
+    """sha256 of the package's ``*.py`` files, each file's name, a NUL and its bytes, in name order."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files)).hexdigest()
+
+
 def _environment() -> dict:
     """What a run's bits and timings depend on beyond its config: the numpy build and its BLAS,
-    the interpreter, the machine, the CPUs the process may use and whether Python compiles the
-    package at every start."""
+    the interpreter, the machine, the CPUs the process may use, whether Python compiles the
+    package at every start, and the package's sources (hashed once per process)."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 only prints its configuration
@@ -452,6 +461,7 @@ def _environment() -> dict:
         "machine": platform.machine(),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "dont_write_bytecode": sys.dont_write_bytecode,
+        "source_sha256": _source_sha256(),
     }
 
 

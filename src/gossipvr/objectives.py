@@ -302,9 +302,10 @@ class ShardObjective(FiniteSumObjective):
 
     The blocks are stored zero-padded to the largest block, as ``(m, n, R, d)``
     features, ``(m, n, R)`` labels and ``(m, n, R)`` row weights ``1/|block|``
-    (0 on padding).  Every gradient query, per node or node-batched, gathers
-    its blocks and runs the same kernel, so the two forms agree bit for bit;
-    the averages run it on all the stored blocks in place.
+    (0 on padding).  Gradient queries multiply node by node, one margin product
+    over all of a node's rows and points and then one product per block or one
+    contraction over the node's n R rows, so each row of a node-batched answer
+    is bitwise its one-node call; the averages run on the stored rows in place.
     """
 
     def __init__(
@@ -343,45 +344,55 @@ class ShardObjective(FiniteSumObjective):
         self._features.reshape(-1, R, self.d)[slot, pos] = np.concatenate([s.features for s in self._shards])[source]
         self._labels.reshape(-1, R)[slot, pos] = np.concatenate([s.labels for s in self._shards])[source]
         self._weights.reshape(-1, R)[slot, pos] = np.repeat(1.0 / sizes, sizes)
+        # Row groups for the gradients: by block slot, weighted 1 / |block|, and by node, weighted 1 / (n |block|).
+        features, labels, weights = self._features, self._labels, self._weights
+        self._block_rows = features.reshape(-1, R, self.d), labels.reshape(-1, R), weights.reshape(-1, R)
+        self._node_rows = features.reshape(self.m, -1, self.d), labels.reshape(self.m, -1), weights.reshape(self.m, -1) / self.n
         self.info = smoothness(self)
         self.info.validate(self.n)
 
-    def _blocks(self, nodes, idx=None):
-        """Features, labels and weights of blocks ``idx`` (all blocks if None) of each node."""
-        at = (nodes,) if idx is None else (nodes[:, None], idx)
-        return self._features[at], self._labels[at], self._weights[at]
-
     # The reg terms are skipped at zero: adding 0.0 * w would turn -0.0 entries into +0.0.
-    def _kernel(self, a, y, wt, x):
-        """Weighted row-loss gradients: a (..., R, d), y and wt (..., R), x broadcast to (..., d)."""
-        g = ((self.dloss((a @ x[..., None])[..., 0], y) * wt)[..., None, :] @ a)[..., 0, :]
-        return g + self.reg * x if self.reg else g
+    def _gradients(self, rows, at, X):
+        """Gradients of groups of r stored rows at each node's P points X (k, P, d): (k, G, P, d).
+        ``rows`` holds the features (N, r, d), labels and weights (N, r) of N groups; each node's G
+        groups ``at`` (k, G) are gathered by one flat ``take`` per array, or if ``at`` is None the N
+        stored groups are N nodes' rows, with points X (..., P, d) broadcast to them.  The margins
+        are one product per node, X @ a transposed, and the weighted sums one (k, G, P, r) @
+        (k, G, r, d) product."""
+        a, y, wt = rows
+        if at is not None:
+            k, at = len(at), at.ravel()
+            a, y, wt = a.take(at, axis=0).reshape(k, -1, self.d), y.take(at, axis=0).reshape(k, -1), wt.take(at, axis=0).reshape(k, -1)
+        c = self.dloss(X @ a.swapaxes(-1, -2), y[..., None, :])
+        c *= wt[..., None, :]
+        r = rows[1].shape[1]
+        g = c.reshape(*c.shape[:-1], -1, r).swapaxes(-2, -3) @ a.reshape(*a.shape[:-2], -1, r, self.d)
+        return g + self.reg * X[..., None, :, :] if self.reg else g
 
     def _values(self, a, y, wt, x):
-        """Component values, in the argument shapes of :meth:`_kernel`."""
+        """Component values: a (..., R, d), y and wt (..., R), x broadcast to (..., d)."""
         v = np.sum(self.loss((a @ x[..., None])[..., 0], y) * wt, axis=-1)
         return v + 0.5 * self.reg * np.sum(x * x, axis=-1) if self.reg else v
 
     def batch_component_values(self, nodes, X):
-        return self._values(*self._blocks(nodes), X[:, None, :])
+        return self._values(self._features[nodes], self._labels[nodes], self._weights[nodes], X[:, None, :])
 
     def batch_sampled_gradients(self, nodes, idx, X):
-        return self._kernel(*self._blocks(nodes, idx), X[:, None, :])
+        return self._gradients(self._block_rows, nodes[:, None] * self.n + idx, X[:, None])[:, :, 0]
 
     def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
-        # One kernel pass over (2, k) points: each block's products are the per-point ones.
-        g_new, g_old = self._kernel(*self._blocks(nodes, idx), np.stack([X_new, X_old])[:, :, None, :])
-        return g_new, g_old
+        points = np.concatenate((X_new, X_old), axis=1).reshape(len(nodes), 2, self.d)  # np.stack's bytes, faster
+        g = self._gradients(self._block_rows, nodes[:, None] * self.n + idx, points)
+        return g[:, :, 0], g[:, :, 1]
 
     def batch_component_gradients(self, nodes, X):
-        return self._kernel(*self._blocks(nodes), X[:, None, :])
+        return self._gradients(self._block_rows, nodes[:, None] * self.n + np.arange(self.n), X[:, None])[:, :, 0]
 
     def batch_local_gradients(self, nodes, X):
-        grads = self.batch_component_gradients(nodes, X)
-        return grads.sum(axis=1) / grads.shape[1]  # the bytes of mean(axis=1), without its dispatch
+        return self._gradients(self._node_rows, nodes[:, None], X[:, None])[:, 0, 0]
 
-    # The points are broadcast by the products over every stored block, (K, m, n) answers for a
-    # stack, (m, n) for one point: no node gather, and bitwise the base class's answers.
+    # The points are broadcast by the products over every stored row, (K, m, ...) answers for a
+    # stack, (m, ...) for one point: no node gather, and bitwise the base class's answers.
     def average_value(self, w):
         points = np.asarray(w, dtype=float)[..., None, None, :]
         values = self._values(self._features, self._labels, self._weights, points).mean(axis=-1).mean(axis=-1)
@@ -389,7 +400,7 @@ class ShardObjective(FiniteSumObjective):
 
     def average_gradient(self, w):
         points = np.asarray(w, dtype=float)[..., None, None, :]
-        return self._kernel(self._features, self._labels, self._weights, points).mean(axis=-2).mean(axis=-2)
+        return self._gradients(self._node_rows, None, points)[..., 0, 0, :].mean(axis=-2)
 
 
 def _logistic_loss(t, y):
@@ -407,7 +418,7 @@ def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:
     """Closed-form bounds from the logistic curvature cap of 1/4 per row."""
     l_ij = np.sum(obj._features**2, axis=-1).max(axis=-1) / 4.0 + obj.reg
     # Node Hessian bounds: the top eigenvalue of (1/4) sum_r weight_r a_r a_r^T / n, one stacked eigvalsh.
-    a = (obj._features * np.sqrt(obj._weights / obj.n)[..., None]).reshape(obj.m, -1, obj.d)
+    a = obj._node_rows[0] * np.sqrt(obj._node_rows[2])[..., None]
     caps = np.linalg.eigvalsh(a.transpose(0, 2, 1) @ a)[:, -1] / 4.0 + obj.reg
     return _finalize_constants(l_ij, caps, obj.reg, obj.n)
 

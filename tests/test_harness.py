@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import platform
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +487,9 @@ class TestRunExperiment:
     def test_sidecar_environment_names_the_build(self, tmp_path, fixture_path):
         _, _, meta_path = run_experiment(self.small_cfg(tmp_path, fixture_path, budget_iters=3))
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        sources = hashlib.sha256()
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            sources.update(path.name.encode() + b"\0" + path.read_bytes())
         assert json.loads(meta_path.read_text())["environment"] == {
             "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
@@ -492,7 +497,9 @@ class TestRunExperiment:
             "machine": platform.machine(),
             "cpus": len(os.sched_getaffinity(0)),
             "dont_write_bytecode": sys.dont_write_bytecode,
+            "source_sha256": sources.hexdigest(),
         }
+        assert harness._source_sha256.cache_info().misses == 1  # hashed once per process
 
     def test_graph_dump_written(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path)

@@ -288,6 +288,70 @@ def test_shard_averages_of_a_stack_equal_each_point_alone(objective_families, fa
     assert base[1].tobytes() == obj.average_value(W).tobytes()
 
 
+def reference_block_gradients(obj, nodes, idx, X):
+    """The per-block kernel ``ShardObjective`` ran before its node-level products: the blocks
+    gathered by two-index indexing, then one margin and one gradient product per block."""
+    at = (nodes[:, None], idx)
+    a, y, wt, x = obj._features[at], obj._labels[at], obj._weights[at], X[:, None, :]
+    g = ((obj.dloss((a @ x[..., None])[..., 0], y) * wt)[..., None, :] @ a)[..., 0, :]
+    return g + obj.reg * x if obj.reg else g
+
+
+def assert_relatively_close(got, want):
+    """Each gradient within 1e-12 of the reference, relative to the reference's largest entry."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want).max(axis=-1) <= 1e-12 * np.abs(want).max(axis=-1))
+
+
+@pytest.mark.parametrize("family", ["logistic", "nlls"])
+def test_shard_gradients_match_the_per_block_kernel(objective_families, family):
+    obj = objective_families[family]  # 7 x 9 blocks of unequal sizes
+    rng = np.random.default_rng(25)
+    nodes, every = np.array([obj.m - 1, 0, 3, 3]), np.arange(obj.n)
+    for scale in (1e-3, 1.0, 30.0):
+        idx = rng.integers(0, obj.n, size=(len(nodes), 5))
+        X, X_old = scale * rng.normal(size=(2, len(nodes), obj.d))
+        components = reference_block_gradients(obj, nodes, np.tile(every, (len(nodes), 1)), X)
+        pairs = zip(obj.batch_sampled_gradient_pairs(nodes, idx, X, X_old), (X, X_old))
+        assert_relatively_close(obj.batch_sampled_gradients(nodes, idx, X), reference_block_gradients(obj, nodes, idx, X))
+        for got, x in pairs:
+            assert_relatively_close(got, reference_block_gradients(obj, nodes, idx, x))
+        assert_relatively_close(obj.batch_component_gradients(nodes, X), components)
+        assert_relatively_close(obj.batch_local_gradients(nodes, X), components.mean(axis=1))
+        everywhere = np.tile(every, (obj.m, 1))
+        averages = np.stack([
+            reference_block_gradients(obj, np.arange(obj.m), everywhere, np.tile(x, (obj.m, 1))).mean(axis=1).mean(axis=0)
+            for x in X
+        ])
+        assert_relatively_close(obj.average_gradient(X), averages)
+        assert_relatively_close(obj.average_gradient(X[0]), averages[0])
+
+
+@pytest.mark.parametrize("family", ["logistic", "nlls"])
+def test_a_nan_point_spoils_only_its_own_node_rows(objective_families, family):
+    obj = objective_families[family]
+    rng = np.random.default_rng(26)
+    nodes, idx = np.array([2, 0, 5]), rng.integers(0, obj.n, size=(3, 4))
+    X, X_old = rng.normal(size=(2, 3, obj.d))
+    X[1] = np.nan
+    g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx, X, X_old)
+    for got in (obj.batch_sampled_gradients(nodes, idx, X), g_new, obj.batch_component_gradients(nodes, X), obj.batch_local_gradients(nodes, X)):
+        assert np.isnan(got[1]).all() and np.isfinite(np.delete(got, 1, axis=0)).all()
+    assert np.isfinite(g_old).all()  # the pair's other point, though it shares the NaN point's products
+
+
+def test_chain_values_are_the_component_callables_values(objective_families, monkeypatch):
+    """The chain's values are its callables' values bit for bit, and computing them takes no slot gradient."""
+    obj = objective_families["chain"]
+    nodes = np.array([0, 1, 3, 2, 1])  # both chain nodes and the bystanders
+    X = np.random.default_rng(27).normal(size=(len(nodes), obj.d))
+    want = np.array([[obj._components[i][j](x)[0] for j in range(obj.n)] for i, x in zip(nodes, X)])
+    average = np.array([[obj._components[i][j](X[0])[0] for j in range(obj.n)] for i in range(obj.m)]).mean(axis=1)
+    monkeypatch.setattr(obj, "_slot_gradient", None)
+    assert obj.batch_component_values(nodes, X).tobytes() == want.tobytes()
+    assert np.float64(obj.average_value(X[0])).tobytes() == average.reshape(1, -1).mean(axis=1)[0].tobytes()
+
+
 def test_logistic_rejects_negative_regularization():
     with pytest.raises(ValueError, match="nonnegative"):
         logistic_objective(make_shards(np.random.default_rng(6)), -0.1)

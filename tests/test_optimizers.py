@@ -40,6 +40,7 @@ from gossipvr.optimizers import (
     run,
 )
 
+from test_harness import PerNodeProxy
 from test_objectives import make_shards, quadratic_objective, random_quadratic
 
 
@@ -1157,3 +1158,26 @@ def _fit_line(x, y):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return float(coef[0]), 1.0 - ss_res / max(ss_tot, 1e-300)
+
+
+@pytest.mark.parametrize(
+    "family,method",
+    [("logistic", "adom_vr"), ("logistic", "gt_page"), ("nlls", "gt_page"), ("nlls", "gt_page_per_node_coins")],
+)
+def test_shard_runs_through_a_per_node_proxy_record_the_same_bits(objective_families, family, method):
+    """A proxy that forwards only the per-node queries, as a delegating profiler does, answers each
+    node-batched query row by row through one-node calls: the records must not move by a bit."""
+    obj = objective_families[family]  # 7 x 9 blocks of unequal sizes
+    seq, info = StaticSequence(ring_graph(obj.m)), obj.info
+    make = {
+        "adom_vr": lambda: AdomVr(adom_vr_params(info.mu, info.L, info.Lbar, seq.chi, obj.n, b=obj.n)),
+        "gt_page": lambda: GtPage(gt_page_params(info.L, info.Lhat, seq.chi, obj.n, b=3)),
+        "gt_page_per_node_coins": lambda: GtPage(gt_page_params(info.L, info.Lhat, seq.chi, obj.n, b=3), per_node_coins=True),
+    }[method]
+    budgets, proxy = RunBudgets(max_iterations=60), PerNodeProxy(obj)
+    plain, proxied = (run(make(), o, seq, budgets, metric_every=3, seed=5) for o in (obj, proxy))
+    assert proxy.forwarded > 60 and len(plain.records) == 21
+    assert plain.metadata == proxied.metadata  # oracle calls per node and the state counters
+    assert method == "adom_vr" or plain.metadata["counters"]["full_restarts"] > 0  # both gt_page queries ran
+    rows = lambda trace: np.array([dataclasses.astuple(r) for r in trace.records]).tobytes()
+    assert rows(proxied) == rows(plain)
