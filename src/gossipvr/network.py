@@ -141,22 +141,21 @@ def _spectral(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
-    """Build ``W = L(g)/lambda_max(L(g))`` with its exact condition number, by :func:`_spectral`.
-
-    Requires a connected graph on at least two nodes; otherwise the smallest
-    positive eigenvalue degenerates and chi is undefined.
-    """
-    return _gossip_matrices([g])[0]
+    """``W = L(g) / lambda_max(L(g))`` and its exact ``chi``: the one-graph view of :func:`_gossip_stack`,
+    which requires a connected graph on at least two nodes, or ``chi`` is undefined."""
+    w, chi = _gossip_stack([g])
+    return GossipMatrix(w[0], chi.item(0))
 
 
-def _gossip_matrices(graphs: Sequence[WeightedGraph]) -> list[GossipMatrix]:
-    """:func:`gossip_from_laplacian` of graphs on one node count, with one stacked :func:`_spectral`."""
+def _gossip_stack(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(len(graphs), m, m)`` gossip matrices and exact ``chi`` of connected graphs on one node
+    count, from one stacked :func:`_spectral`."""
     if graphs[0].m < 2:
         raise ValueError("gossip matrix needs at least 2 nodes")
     connected, w, chi = _spectral(np.stack([g.laplacian() for g in graphs]))
     if not connected.all():
         raise ValueError("graph is disconnected: chi would be infinite")
-    return [GossipMatrix(matrix=wk, chi=float(ck)) for wk, ck in zip(w, chi)]
+    return w, chi
 
 
 def node_mean(x: np.ndarray) -> np.ndarray:
@@ -172,11 +171,10 @@ def consensus_error(x: np.ndarray) -> float:
 class GraphSequence:
     """Base for per-step graph generators: step ``k`` is one communication round, on ``graph(k)``.
 
-    ``gossip(k)`` serves step ``k``'s ``(m, m)`` gossip matrix and exact ``chi``;
-    ``window(start, stages)`` serves the ``(stages, m, m)`` matrices and ``(stages,)`` exact
-    ``chi`` of steps ``start .. start + stages - 1``, bitwise the ``gossip`` ones.  ``chi`` is
-    an analytic or construction-time certificate when available, otherwise ``None`` (use
-    :func:`measure_chi`).
+    A sequence serves through ``window(start, stages)``: the ``(stages, m, m)`` gossip matrices
+    and ``(stages,)`` exact ``chi`` of steps ``start .. start + stages - 1``.  ``gossip(k)`` is
+    its one-step view.  ``chi`` is an analytic or construction-time certificate when available,
+    otherwise ``None`` (use :func:`measure_chi`).
 
     ``chi_max`` is the largest exact per-step ``chi`` served (over the period, for a cyclic
     sequence); ``steps_over_certificate`` counts the served steps above ``certificate``, the
@@ -202,11 +200,11 @@ class GraphSequence:
         raise NotImplementedError
 
     def gossip(self, k: int) -> GossipMatrix:
-        raise NotImplementedError
+        matrices, chi = self.window(k, 1)
+        return GossipMatrix(matrices[0], chi.item(0))
 
     def window(self, start: int, stages: int) -> tuple[np.ndarray, np.ndarray]:
-        served = [self.gossip(k) for k in range(start, start + stages)]
-        return np.stack([g.matrix for g in served]), np.array([g.chi for g in served])
+        raise NotImplementedError
 
     def _dump_blocks(self, steps: int) -> Iterator[str]:
         """The ``step``/``edge`` records of steps ``0 .. steps - 1``, one string per ``BLOCK`` steps."""
@@ -217,21 +215,26 @@ class GraphSequence:
 
 
 class _CyclicSequence(GraphSequence):
-    """A fixed list of graphs repeated with period ``len(graphs)``; gossip matrices are built once, stacked.
-    ``chi`` is the worst exact per-step ``chi`` over the period."""
+    """A fixed list of graphs repeated with period ``len(graphs)``, its gossip matrices built once as
+    one stack; a window is a slice of it, or its steps modulo the period where it wraps.  ``chi`` is
+    the worst exact per-step ``chi`` over the period."""
 
     def __init__(self, graphs: Sequence[WeightedGraph]):
         self._graphs = list(graphs)
-        self._gossips = _gossip_matrices(self._graphs)
-        self.chi = self.chi_max = max(g.chi for g in self._gossips)
+        self._matrices, self._chi = _gossip_stack(self._graphs)
+        self.chi = self.chi_max = float(self._chi.max())
         self.m = self._graphs[0].m
         self.period = len(self._graphs)
 
     def graph(self, k: int) -> WeightedGraph:
         return self._graphs[k % self.period]
 
-    def gossip(self, k: int) -> GossipMatrix:
-        return self._gossips[k % self.period]
+    def window(self, start: int, stages: int) -> tuple[np.ndarray, np.ndarray]:
+        lo = start % self.period
+        if lo + stages <= self.period:
+            return self._matrices[lo : lo + stages], self._chi[lo : lo + stages]
+        steps = np.arange(start, start + stages) % self.period
+        return self._matrices[steps], self._chi[steps]
 
     def _dump_blocks(self, steps: int) -> Iterator[str]:
         edges = ["".join(f"edge {i} {j} {w!r}\n" for i, j, w in g.edges) for g in self._graphs]
@@ -449,10 +452,10 @@ class RandomGeometricSequence(GraphSequence):
     so the steps do not depend on the reading order, the block size or who built them.
     ``seed`` must be non-negative and steps below ``2**32``.
 
-    ``window(start, stages)`` serves the ``(stages, m, m)`` matrices and ``(stages,)`` exact
-    ``chi`` of its steps, ``gossip`` its one-step view and ``graph`` reads through ``gossip``.
-    A step still disconnected after ``MAX_RETRIES`` draws raises every time it is served; a
-    window raises at its first such step, after serving the steps before it.
+    ``graph`` reads through ``gossip``.  A step still disconnected after ``MAX_RETRIES`` draws
+    raises every time it is served; a window raises at its first such step, after serving the
+    steps before it.  The cache keeps the blocks of the dump's steps and the block just built
+    (:meth:`_load`).
 
     Each served step counts once per build of its block (:meth:`_charge`): ``built`` the
     matrices served, ``resamples`` the disconnected draws rejected for them, ``chi_max`` the
@@ -464,7 +467,6 @@ class RandomGeometricSequence(GraphSequence):
 
     kind = "random-geometric"
 
-    CACHE_BLOCKS = 64  # steps are pure functions of (seed, k); eviction is safe
     PIPE_TIMEOUT = 10.0  # seconds; a block takes the child milliseconds
 
     def __init__(self, m: int, radius: float, seed: int):
@@ -479,7 +481,7 @@ class RandomGeometricSequence(GraphSequence):
         # The steps and PCG64 streams of the last chunk of SEED_BLOCKS blocks seeded; a block never
         # straddles two chunks, since a chunk is SEED_BLOCKS * BLOCK aligned steps cut at 2**32.
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
-        # block start -> (its _block_fields, its served mask, its offsets that never connected), oldest first
+        # block start -> (its _block_fields, its served mask, its offsets that never connected)
         self._blocks: dict[int, tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]] = {}
         # (built, resamples, chi_max, steps_over_certificate) charged from the evicted blocks
         self._settled: tuple[int, int, float, int] = (0, 0, 0.0, 0)
@@ -539,10 +541,6 @@ class RandomGeometricSequence(GraphSequence):
             ends = np.cumsum(np.bincount(step, minlength=len(block))).tolist()
             yield "".join(f"step {k}\n" + "".join(lines[lo:hi]) for k, lo, hi in zip(block, [0, *ends], ends))
 
-    def gossip(self, k: int) -> GossipMatrix:
-        matrices, chi = self.window(k, 1)
-        return GossipMatrix(matrix=matrices[0], chi=chi.item(0))
-
     def window(self, start: int, stages: int) -> tuple[np.ndarray, np.ndarray]:
         lo = start % BLOCK
         if lo + stages <= BLOCK:
@@ -569,14 +567,13 @@ class RandomGeometricSequence(GraphSequence):
         return matrices[lo:hi], chi[lo:hi]
 
     def _load(self, start: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
-        """Cache the block at ``start``, evicting one past ``CACHE_BLOCKS`` and charging its served steps:
-        the oldest starting at or past ``DUMP_STEPS``, so a run's dump finds its steps cached."""
+        """Cache the block at ``start``; evict, and charge, every other block starting at or past ``DUMP_STEPS``.
+        The dump finds its steps cached, and a walk never reads a block it has left: a window straddling
+        two blocks takes its views before the next load, and the fork check in the fetch runs before eviction."""
         fields = _block_fields(self._fetch_block(start), self.m)
+        past = [s for s in self._blocks if s >= DUMP_STEPS]
+        self._settled = self._charge([self._blocks.pop(s) for s in past], self._settled)
         block = self._blocks[start] = (fields, np.zeros(len(fields[1]), dtype=bool), np.flatnonzero(~fields[3]).tolist())
-        if len(self._blocks) > self.CACHE_BLOCKS:
-            *older, _ = self._blocks  # never the block just built
-            evicted = self._blocks.pop(next((s for s in older if s >= DUMP_STEPS), older[0]))
-            self._settled = self._charge([evicted], self._settled)
         return block
 
     def close(self) -> None:

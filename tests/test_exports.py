@@ -3,7 +3,6 @@
 import ast
 import importlib
 import importlib.util
-import inspect
 import os
 import pkgutil
 import re
@@ -16,7 +15,15 @@ import pytest
 
 import gossipvr
 import gossipvr.harness as harness
-from gossipvr.network import GraphSequence
+import gossipvr.network as network
+from gossipvr.network import (
+    GraphSequence,
+    RandomGeometricSequence,
+    RotatingStarSequence,
+    StaticSequence,
+    TwoStarHopSequence,
+    ring_graph,
+)
 from gossipvr.objectives import FiniteSumObjective
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,22 +92,39 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_benchmark_traced_sequence_methods_exist(monkeypatch):
-    """``trace_sequence`` wraps a sequence's methods by name (``graph``, ``gossip``): every sequence
-    class in the package must define each, not leave it to ``GraphSequence``'s stub."""
-    tracer = _benchmark_tracer(monkeypatch)
-    tree = ast.parse(inspect.getsource(tracer.trace_sequence))
-    wrapped = {
-        target.attr for node in ast.walk(tree) if isinstance(node, ast.Assign) for target in node.targets
-        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "seq"
-        and isinstance(node.value, ast.Call)
+def test_benchmark_traced_sequences_answer_and_record(monkeypatch):
+    """``trace_sequence`` wraps a sequence instance's ``graph`` and ``gossip``: on one instance of each
+    package sequence class, both answer what the untraced twin answers and record their spans."""
+    tracing = _benchmark_tracer(monkeypatch)
+    monkeypatch.setattr(network, "_builder_can_run", lambda: False)
+    makers = {
+        StaticSequence: lambda: StaticSequence(ring_graph(5)),
+        TwoStarHopSequence: lambda: TwoStarHopSequence(5),
+        RotatingStarSequence: lambda: RotatingStarSequence(5),
+        RandomGeometricSequence: lambda: RandomGeometricSequence(5, 0.7, seed=0),
     }
-    assert {"graph", "gossip"} <= wrapped
-    classes = [cls for cls in _subclasses(GraphSequence) if cls.__module__.startswith("gossipvr.")]
-    assert len(classes) >= 5
-    stubs = [f"{cls.__name__}.{name}" for cls in classes for name in sorted(wrapped)
-             if getattr(cls, name) is getattr(GraphSequence, name)]
-    assert not stubs, f"sequence methods the benchmark wraps are base-class stubs: {stubs}"
+    classes = {cls for cls in _subclasses(GraphSequence) if cls.__name__ in network.__all__}
+    assert classes == set(makers)
+    for make in makers.values():
+        seq, twin, tracer = make(), make(), tracing.Tracer()
+        tracing.trace_sequence(seq, tracer)
+        assert seq.graph(0) == twin.graph(0)
+        assert tracer.spans[0][0] == "network.graph"  # a random-geometric graph also records its gossip
+        first = len(tracer.spans)
+        served, reference = seq.gossip(0), twin.gossip(0)
+        assert served.matrix.tobytes() == reference.matrix.tobytes() and served.chi == reference.chi
+        assert [(name, parent, tag) for name, _, _, parent, tag in tracer.spans[first:]] == [("network.gossip", -1, 0)]
+
+
+def test_only_the_base_sequence_defines_gossip():
+    """Sequences serve through ``window``; ``gossip`` is ``GraphSequence``'s one-step view of it."""
+    defined = []
+    for path in sorted((ROOT / "src" / "gossipvr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{path.name}:{node.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef) and item.name == "gossip"]
+    assert defined == ["network.py:GraphSequence"]
 
 
 def test_benchmark_traced_objective_answers_batched_queries(monkeypatch, objective_families):

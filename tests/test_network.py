@@ -312,9 +312,9 @@ class TestRandomGeometric:
         assert all(w == 1.0 for _, _, w in seq.graph(k).edges)
 
     def test_evicted_steps_rebuild_identically(self, monkeypatch):
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
+        monkeypatch.setattr(network, "DUMP_STEPS", 0)  # no block holds a dumped step
         b = network.BLOCK
-        served = (0, 8, b, 2 * b)  # the third block evicts the oldest, step 0's
+        served = (0, 8, b, 2 * b)  # each new block evicts the one before: step b's evicts step 0's
         r0, r8, *_ = resamples = [per_step_reference(10, 0.45, 1, k)[1] for k in served]
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         first, first_graph = seq.gossip(0), seq.graph(0)
@@ -339,26 +339,37 @@ class TestRandomGeometric:
 
     def test_dumped_steps_outlive_later_steps(self, monkeypatch):
         b = network.BLOCK
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
         monkeypatch.setattr(network, "DUMP_STEPS", 2)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         for k in range(4 * b):
             seq.gossip(k)
+        assert sorted(seq._blocks) == [0, 3 * b]  # the dumped block and the block just built
         built = seq.built
         dump_sequence(seq, 2, io.StringIO())
         assert seq.built == built  # steps 0 and 1 were still cached
         seq.gossip(2 * b)
-        assert seq.built == built + 1  # step 2b's block was evicted before theirs
+        assert seq.built == built + 1  # step 2b's block was evicted, and theirs was not
 
     def test_block_just_built_is_kept(self, monkeypatch):
+        """Past the dump, the cache holds the block just built alone: a walk reads it again, and a
+        window straddling two blocks reads both, but a block the walk has left is built again."""
         b = network.BLOCK
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 2)
-        monkeypatch.setattr(network, "DUMP_STEPS", 2 * b)
+        monkeypatch.setattr(network, "DUMP_STEPS", 0)
+        in_process(monkeypatch)
+        reference = RandomGeometricSequence(10, 0.45, seed=1)
+        straddling = [reference.gossip(k) for k in range(3 * b - 3, 3 * b + 3)]
         builds = count_builds(monkeypatch)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
-        for k in (0, b, 2 * b, 2 * b + 1, b + 1, 1):  # the third block is the only one past DUMP_STEPS
+        for k in (0, b, b + 1, 2 * b, 2 * b + 1):
             seq.gossip(k)
-        assert builds == [0, b, 2 * b, 0]  # the oldest dumped block went instead
+        assert builds == [0, b, 2 * b] and list(seq._blocks) == [2 * b]
+        matrices, chi = seq.window(3 * b - 3, 6)
+        assert builds == [0, b, 2 * b, 3 * b] and list(seq._blocks) == [3 * b]
+        assert matrices.tobytes() == b"".join(w.matrix.tobytes() for w in straddling)
+        assert chi.tolist() == [w.chi for w in straddling]
+        seq.gossip(1)
+        assert builds == [0, b, 2 * b, 3 * b, 0]  # block 0, left behind, is built again
+        assert seq.built == 12  # steps 0, b, b + 1, 2b, 2b + 1, the window's six and step 1 again
 
     @pytest.mark.parametrize("m, radius, seed", [case[:3] for case in RANDOM_GEOMETRIC_CASES])
     def test_reading_order_does_not_change_steps(self, m, radius, seed):
@@ -423,22 +434,43 @@ class TestRandomGeometric:
         assert (seq.built, seq.resamples, seq.chi_max) == (2, r0 + r5, w5.chi)
 
     def test_gt_page_traffic_builds_each_block_once(self, monkeypatch):
-        """gt_page's reads (measure_chi, an 11-step window twice per iteration, then
-        the dump) past a small bound: no block is built twice."""
+        """gt_page's reads (measure_chi, one 11-step window per iteration, then the dump) with
+        two dumped blocks: no block is built twice, and at most three are held at once."""
         b, stages, iterations = network.BLOCK, 11, 60
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 4)
         monkeypatch.setattr(network, "DUMP_STEPS", b + 10)  # two dumped blocks
         builds = count_builds(monkeypatch)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         measure_chi(seq, trials=20)
-        x = np.ones((10, 1))
+        x, held = np.ones((10, 1)), []
         for t in range(iterations):
-            for _ in range(2):
-                consensus_residual(seq, stages * t, stages, x, math.inf)
+            consensus_residual(seq, stages * t, stages, x, math.inf)
+            held.append(len(seq._blocks))
         dump_sequence(seq, network.DUMP_STEPS, io.StringIO())
         walked = stages * iterations
         assert builds == list(range(0, walked, b)) and len(builds) > 4
-        assert seq.built == walked
+        assert seq.built == walked and max(held) == 3
+
+    @pytest.mark.parametrize("walk", ["gt_page", "one-round"])
+    def test_cache_holds_the_dumped_blocks_and_the_one_just_built(self, monkeypatch, walk):
+        """A README-shaped gt_page walk (measure_chi, 800 windows of 11 steps, then the dump) and a
+        2,000-step one-round walk (then the dump) build every block once, and never hold more than
+        the dump's ``ceil(DUMP_STEPS / BLOCK)`` blocks and the block just built."""
+        builds = count_builds(monkeypatch)
+        seq, held = RandomGeometricSequence(10, 0.7, seed=104729), []  # the README gt_page run's stream
+        if walk == "gt_page":
+            measure_chi(seq, trials=20)
+            steps = 11 * 800
+            for start in range(0, steps, 11):
+                seq.window(start, 11)
+                held.append(len(seq._blocks))
+        else:
+            steps = 2000
+            for k in range(steps):
+                seq.gossip(k)
+                held.append(len(seq._blocks))
+        dump_sequence(seq, network.DUMP_STEPS, io.StringIO())
+        assert builds == list(range(0, steps, network.BLOCK)) and seq.built == steps
+        assert max(held) == math.ceil(network.DUMP_STEPS / network.BLOCK) + 1 == 17
 
     def test_gt_page_walk_seeds_one_chunk_per_sixteen_blocks(self, monkeypatch):
         """A README gt_page run's reads (measure_chi, then 800 windows of 11 steps) seed
@@ -727,6 +759,45 @@ class TestWindow:
         assert matrices.tobytes() == b"".join(reference.gossip(k).matrix.tobytes() for k in steps)
         assert chi.tolist() == [reference.gossip(k).chi for k in steps]
 
+    @pytest.mark.parametrize("name", [*harness._TOPOLOGIES, "zero-chain"])
+    def test_gossip_is_the_one_step_window(self, monkeypatch, name):
+        """For every sequence the harness builds, ``gossip(k)`` is bitwise ``window(k, 1)`` of a twin:
+        at both ends of a cyclic period and past it, and on both sides of a random-geometric block
+        boundary, where a window straddling the two steps is their stack."""
+        in_process(monkeypatch)
+        cfg = harness.ExperimentConfig().replace(m=6, n=2)
+
+        def make():
+            if name == "zero-chain":  # the objective brings its own rotating star
+                return harness._OBJECTIVES["zero_chain"][1](cfg)[1]
+            return harness._TOPOLOGIES[name][1](cfg)
+
+        seq, twin = make(), make()
+        period = seq.period
+        steps = [network.BLOCK - 1, network.BLOCK] if period is None else [0, period - 1, period, 10 * period + 3]
+        served = [seq.gossip(k) for k in steps]
+        for k, w in zip(steps, served):
+            matrices, chi = twin.window(k, 1)
+            assert type(w) is GossipMatrix and type(w.chi) is float
+            assert w.matrix.tobytes() == matrices[0].tobytes() and w.chi == chi.item(0)
+        if period is None:
+            matrices, chi = make().window(network.BLOCK - 1, 2)
+            assert matrices.tobytes() == b"".join(w.matrix.tobytes() for w in served)
+            assert chi.tolist() == [w.chi for w in served]
+
+    @pytest.mark.parametrize("make, start, stages", [
+        (lambda: TwoStarHopSequence(6), 5, 4),  # period 6: steps 5, 0, 1, 2
+        (lambda: RotatingStarSequence(6), 9, 15),  # period 6: from mid-period over two wraps
+        (lambda: StaticSequence(ring_graph(5)), 2, 3),  # period 1
+    ], ids=["two-star-hop", "rotating-star", "static"])
+    def test_cyclic_window_wrapping_the_period_is_the_stack_of_its_steps(self, make, start, stages):
+        seq = make()
+        matrices, chi = seq.window(start, stages)
+        steps = [gossip_from_laplacian(seq.graph(k)) for k in range(start, start + stages)]
+        assert matrices.shape == (stages, seq.m, seq.m)
+        assert matrices.tobytes() == b"".join(w.matrix.tobytes() for w in steps)
+        assert chi.tolist() == [w.chi for w in steps]
+
     @pytest.mark.parametrize("certificate", [math.inf, 12.0], ids=["uncertified", "certified"])
     @pytest.mark.parametrize("m, radius, seed, retries", [
         (10, 0.45, 1, None), (10, 0.35, 2, 3), (50, 1e-6, 0, 3),
@@ -735,7 +806,6 @@ class TestWindow:
         """11-step windows past five blocks and back to block 0, evicted by then and charged again on
         its rebuild; a window stops at a step that never connects, as the per-step walk does."""
         in_process(monkeypatch)
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 3)
         monkeypatch.setattr(network, "DUMP_STEPS", 0)
         if retries is not None:
             monkeypatch.setattr(network, "MAX_RETRIES", retries)
@@ -768,9 +838,8 @@ class TestWindow:
         step against the current one, each time the counters are read, an evicted step against the one
         in force at its eviction, which it keeps."""
         in_process(monkeypatch)
-        monkeypatch.setattr(RandomGeometricSequence, "CACHE_BLOCKS", 3)
-        monkeypatch.setattr(network, "DUMP_STEPS", 0)
         b = network.BLOCK
+        monkeypatch.setattr(network, "DUMP_STEPS", 2 * b)  # blocks 0 and 1 stay cached
         replay = RandomGeometricSequence(10, 0.45, seed=1)
         chis = np.array([replay.gossip(k).chi for k in range(5 * b)])
         low, high = np.quantile(chis, [0.3, 0.9]).tolist()
@@ -778,24 +847,23 @@ class TestWindow:
         def over(steps, certificate):
             return int(np.count_nonzero(chis[steps] > certificate))
 
-        evicted, cached = slice(0, 2 * b), slice(2 * b, 5 * b)
+        dumped, evicted, block4 = slice(0, 2 * b), slice(2 * b, 4 * b), slice(4 * b, 5 * b)
         seq = RandomGeometricSequence(10, 0.45, seed=1)
         seq.certificate = low  # set before the walk, as the harness sets it
-        for k in range(5 * b):  # blocks 0 and 1 are evicted, and charged, on the way
+        for k in range(5 * b):  # blocks 2 and 3 are evicted, and charged, on the way
             seq.gossip(k)
         assert seq.built == 5 * b and seq.steps_over_certificate == over(slice(None), low) > 0
         seq.certificate = high  # mid-walk: the cached steps count against it, the evicted ones keep theirs
-        charged = over(evicted, low) + over(cached, high)
+        charged = over(evicted, low) + over(dumped, high) + over(block4, high)
         assert seq.steps_over_certificate == charged
         assert over(slice(None), high) < charged < over(slice(None), low)
-        for k in range(20):  # block 0 rebuilt: block 2, the oldest, is evicted and charged against high
+        for k in range(2 * b, 2 * b + 20):  # block 2 rebuilt: block 4 is evicted and charged against high
             seq.gossip(k)
         seq.certificate = low
-        block2, rest = slice(2 * b, 3 * b), slice(3 * b, 5 * b)
         assert seq.built == 5 * b + 20
-        charged = over(evicted, low) + over(block2, high) + over(rest, low) + over(slice(0, 20), low)
+        charged = over(evicted, low) + over(block4, high) + over(dumped, low) + over(slice(2 * b, 2 * b + 20), low)
         assert seq.steps_over_certificate == charged
-        assert over(block2, high) < over(block2, low)
+        assert over(block4, high) < over(block4, low)
 
     @pytest.mark.parametrize("make", [
         lambda: StaticSequence(ring_graph(5)), lambda: StaticSequence(complete_graph(5)), lambda: TwoStarHopSequence(6),

@@ -9,7 +9,6 @@ import gossipvr.optimizers as optimizers
 
 from gossipvr.hardinstances import nonconvex_hard_objective
 from gossipvr.network import (
-    GossipMatrix,
     GraphSequence,
     StaticSequence,
     TwoStarHopSequence,
@@ -50,8 +49,8 @@ class SingleNodeSequence(GraphSequence):
     chi = 1.0
     period = 1
 
-    def gossip(self, k):
-        return GossipMatrix(matrix=np.zeros((1, 1)), chi=1.0)
+    def window(self, start, stages):
+        return np.zeros((stages, 1, 1)), np.ones(stages)
 
 
 def strongly_convex_quadratic(rng, m=3, n=2, d=3, mu_floor=0.4):
@@ -858,15 +857,16 @@ def test_gt_page_step_makes_one_window_call_and_product_per_stage():
 
 
 class CompleteThenPath(GraphSequence):
-    """Complete graphs on ``m`` nodes for the first ``complete`` steps, then paths.  It provides only
-    ``gossip``: ``measure_chi`` and ``gt_page`` read it through ``GraphSequence``'s default ``window``."""
+    """Complete graphs on ``m`` nodes for the first ``complete`` steps, then paths."""
 
     def __init__(self, m: int, complete: int):
         self.m, self.complete = m, complete
-        self._gossips = [gossip_from_laplacian(complete_graph(m)), gossip_from_laplacian(path_graph(m))]
+        gossips = [gossip_from_laplacian(complete_graph(m)), gossip_from_laplacian(path_graph(m))]
+        self._matrices, self._chi = np.stack([g.matrix for g in gossips]), np.array([g.chi for g in gossips])
 
-    def gossip(self, k):
-        return self._gossips[k >= self.complete]
+    def window(self, start, stages):
+        paths = (np.arange(start, start + stages) >= self.complete).astype(int)
+        return self._matrices[paths], self._chi[paths]
 
 
 def test_gt_page_window_certificate_aborts_on_a_path_window():
@@ -917,10 +917,10 @@ def poison_first_step(monkeypatch, state_cls, field, value):
 class FailingSequence(StaticSequence):
     """A static sequence that cannot serve step 30 or later."""
 
-    def gossip(self, k):
-        if k >= 30:
-            raise RuntimeError(f"no connected geometric graph (step={k})")
-        return super().gossip(k)
+    def window(self, start, stages):
+        if start + stages > 30:
+            raise RuntimeError(f"no connected geometric graph (step={max(start, 30)})")
+        return super().window(start, stages)
 
 
 def records_one_at_a_time(method, obj, seq, seed, iterations, x_star=None):
