@@ -22,21 +22,23 @@ own term list; a value query makes one scan per camp (and block), whose dense
 sum rounds as the per-term formula's.  A scan reads only the columns up to one
 past the last nonzero one and evaluates only the hot terms, ``|x_{j-1}| >
 1/2``, so its cost follows the activated coordinates, not the chain length.
-Each row is bitwise the answer of a one-row call, so the per-node queries,
-which ``FiniteSumObjective`` defines as one-node views, agree with the batched
-ones.
+A coupled-chain query evaluates the slot formula once over its ``(k, n, dim)``
+slot stack (or sampled slots): each row's node curvature times the slot, plus
+the coupling terms on the chain nodes' rows, each entry with one slot's
+elementwise operations.  In both, each row is bitwise the answer of a one-row
+call, so the per-node queries, which ``FiniteSumObjective`` defines as
+one-node views, agree with the batched ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .network import GraphSequence, RotatingStarSequence
-from .objectives import CallableFiniteSum, FiniteSumObjective, SmoothnessInfo, _at_nodes
+from .objectives import FiniteSumObjective, SmoothnessInfo, _at_nodes
 
 __all__ = [
     "psi",
@@ -200,7 +202,7 @@ def chain_q(kappa: float) -> float:
 _V_LEFT, _V_RIGHT = 0, 1
 
 
-class ChainObjective(CallableFiniteSum):
+class ChainObjective(FiniteSumObjective):
     """Coupled quadratic chains split across two designated nodes.
 
     The variable holds ``n`` slots of ``dim`` coordinates; component
@@ -215,79 +217,77 @@ class ChainObjective(CallableFiniteSum):
     """
 
     def __init__(self, m: int, n: int, big_l: float, mu: float, dim: int):
-        if m < 3:
-            raise ValueError("chain instance needs m >= 3")
-        if not (0 < mu < big_l):
-            raise ValueError("need 0 < mu < L")
-        if dim < 2:
-            raise ValueError("need dim >= 2")
-        self.dim = dim
+        for name, value, least in (("m", m, 3), ("n", n, 1), ("dim", dim, 2)):
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"chain instance needs an integer {name} >= {least}, got {value!r}")
+        if not (0 < mu < big_l < math.inf):
+            raise ValueError(f"need a finite 0 < mu < L, got mu={mu}, L={big_l}")
+        self.m, self.n, self.dim, self.d = int(m), int(n), int(dim), int(n * dim)
         self.big_l, self.mu_chain = float(big_l), float(mu)
         self.q = chain_q(big_l / mu)
         self.x_star_slot = self.q ** np.arange(1, dim + 1)
         self.tail_error = self.q ** (2 * dim) / (1.0 - self.q * self.q)
-        mu_other = mu / (m - 2)
-        l_ij = np.full((m, n), mu_other)
+        self._curvature = np.full(self.m, self.mu_chain / (self.m - 2))
+        self._curvature[[_V_LEFT, _V_RIGHT]] = self.mu_chain
+        self._c = (self.big_l - self.mu_chain) / 4.0  # the coupling weight
+        # Each chain node's coupled pairs as two slices: the 1-based (2k, 2k+1) on the left, (2k-1, 2k) on the right.
+        self._pairs = {i: (slice(first, dim - 1, 2), slice(first + 1, dim, 2)) for i, first in ((_V_LEFT, 1), (_V_RIGHT, 0))}
+        l_ij = np.full((m, n), self._curvature[-1])
         l_ij[[_V_LEFT, _V_RIGHT]] = big_l
-        info = SmoothnessInfo(L=float(big_l), mu=float(mu_other), L_ij=l_ij, Lhat=float(big_l))
-        components = [[partial(self._component, i, j) for j in range(n)] for i in range(m)]
-        super().__init__(components, n * dim, info)
+        self.info = SmoothnessInfo(L=self.big_l, mu=float(self._curvature[-1]), L_ij=l_ij, Lhat=self.big_l)
+        self.info.validate(self.n)
 
     def x_star(self) -> np.ndarray:
         """Minimizer of the aggregate objective: the slot-wise geometric series."""
         return np.tile(self.x_star_slot, self.n)
 
+    def _values(self, nodes, Y):
+        """Node ``nodes[r]``'s chain function at each slot of ``Y[r]``: (k, s, dim) -> (k, s).  The
+        quadratic is a stacked product, which sums as a slot's ``y @ y`` does, and the left node's
+        square goes through ``pow``, as a scalar's ``** 2`` does."""
+        nodes, c = np.asarray(nodes), self._c
+        a = (0.5 * self._curvature[nodes])[:, None, None] * Y
+        values = (a[..., None, :] @ Y[..., None])[..., 0, 0]
+        for i, (lead, trail) in self._pairs.items():
+            rows = nodes == i
+            if i == _V_LEFT:
+                values[rows] += c * np.float_power(Y[rows, :, 0] - 1.0, 2)
+            diff = Y[rows, :, lead] - Y[rows, :, trail]
+            values[rows] += np.sum(c * diff * diff, axis=-1)
+        return values
+
+    def _gradients(self, nodes, Y):
+        """Gradients of node ``nodes[r]``'s chain function at each slot of ``Y[r]``: (k, s, dim)."""
+        nodes, two_c = np.asarray(nodes), 2.0 * self._c
+        grads = self._curvature[nodes][:, None, None] * Y
+        for i, (lead, trail) in self._pairs.items():
+            rows = nodes == i
+            if i == _V_LEFT:
+                grads[rows, :, 0] += two_c * (Y[rows, :, 0] - 1.0)
+            diff = Y[rows, :, lead] - Y[rows, :, trail]
+            grads[rows, :, lead] += two_c * diff
+            grads[rows, :, trail] -= two_c * diff
+        return grads
+
     def batch_component_values(self, nodes, X):
-        """Each slot's value alone: the component callables' values, without their gradients."""
-        return np.array([[self._slot_value(i, y) for y in x.reshape(self.n, self.dim)] for i, x in zip(nodes, X)])
+        return self._values(nodes, np.reshape(X, (len(X), self.n, self.dim)))
 
     def batch_sampled_gradients(self, nodes, idx, X):
-        """Each sampled slot's gradient written into its slot of one zeroed ``(k, b, d)`` array,
-        not into a length-d gradient of its own; the full and node gradients inherit it."""
-        dim = self.dim
-        out = np.zeros((len(nodes), np.shape(idx)[1], self.d))
-        for row, i, ix, x in zip(out, nodes, idx, X):
-            for grad, j in zip(row, ix):
-                slot = slice(j * dim, (j + 1) * dim)
-                grad[slot] = self._slot_gradient(i, x[slot])
-        return out
+        """Each sampled slot's gradient written into its slot of one zeroed ``(k, b, n, dim)`` array."""
+        (k, b), rows = np.shape(idx), np.arange(len(X))[:, None]
+        out = np.zeros((k, b, self.n, self.dim))
+        out[rows, np.arange(b), idx] = self._gradients(nodes, np.reshape(X, (k, self.n, self.dim))[rows, idx])
+        return out.reshape(k, b, self.d)
 
-    def _component(self, i: int, j: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Component (i, j): node i's chain function of slot j, with its gradient on R^d."""
-        slot, grad = slice(j * self.dim, (j + 1) * self.dim), np.zeros(self.d)
-        grad[slot] = self._slot_gradient(i, x[slot])
-        return self._slot_value(i, x[slot]), grad
+    def batch_sampled_gradient_pairs(self, nodes, idx, X_new, X_old):
+        return self.batch_sampled_gradients(nodes, idx, X_new), self.batch_sampled_gradients(nodes, idx, X_old)
 
-    def _coupling(self, i: int, y: np.ndarray) -> tuple[float, slice, slice, np.ndarray]:
-        """Chain node i's coupling weight, the slices of the two coordinates of its coupled
-        pairs and their differences at slot ``y``."""
-        # The left node couples the 1-based pairs (2k, 2k+1), the right node (2k-1, 2k).
-        first = 1 if i == _V_LEFT else 0
-        end = first + 2 * ((self.dim - first) // 2)
-        lead, trail = slice(first, end, 2), slice(first + 1, end, 2)
-        return (self.big_l - self.mu_chain) / 4.0, lead, trail, y[lead] - y[trail]
+    def batch_component_gradients(self, nodes, X):
+        return self.batch_sampled_gradients(nodes, np.tile(np.arange(self.n), (len(X), 1)), X)
 
-    def _slot_value(self, i: int, y: np.ndarray) -> float:
-        mu = self.mu_chain
-        if i not in (_V_LEFT, _V_RIGHT):
-            return 0.5 * (mu / (self.m - 2)) * y @ y
-        c, _, _, diff = self._coupling(i, y)
-        val = 0.5 * mu * y @ y
-        if i == _V_LEFT:
-            val += c * (y[0] - 1.0) ** 2
-        return val + float(np.sum(c * diff * diff))
-
-    def _slot_gradient(self, i: int, y: np.ndarray) -> np.ndarray:
-        mu = self.mu_chain
-        if i not in (_V_LEFT, _V_RIGHT):
-            return (mu / (self.m - 2)) * y
-        c, lead, trail, diff = self._coupling(i, y)
-        grad = mu * y
-        if i == _V_LEFT:
-            grad[0] += 2.0 * c * (y[0] - 1.0)
-        grad[lead] += 2.0 * c * diff
-        grad[trail] -= 2.0 * c * diff
-        return grad
+    def batch_local_gradients(self, nodes, X):
+        """The slot gradients over n, plus the 0.0 that the mean of the components adds (-0.0 becomes 0.0)."""
+        return (self._gradients(nodes, np.reshape(X, (len(X), self.n, self.dim))).reshape(len(X), self.d) + 0.0) / self.n
 
 
 # ---------------------------------------------------------------------------

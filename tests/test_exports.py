@@ -127,6 +127,17 @@ def test_only_the_base_sequence_defines_gossip():
     assert defined == ["network.py:GraphSequence"]
 
 
+def test_no_package_class_subclasses_the_callable_finite_sum():
+    """The package's own instances answer batched queries directly; ``CallableFiniteSum`` is a public form only."""
+    subclasses = []
+    for path in sorted((ROOT / "src" / "gossipvr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = [ast.unparse(base) for base in node.bases]
+                subclasses += [f"{path.name}:{node.name}" for base in bases if base.rsplit(".", 1)[-1] == "CallableFiniteSum"]
+    assert subclasses == []
+
+
 def test_benchmark_traced_objective_answers_batched_queries(monkeypatch, objective_families):
     """The benchmark's ``TracedObjective`` forwards only per-node queries, so its batched queries are
     the base-class loops: they must answer the raw objective's bits and record one span per node,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +23,10 @@ from gossipvr.hardinstances import (
     zero_chain_l,
 )
 from gossipvr.network import RotatingStarSequence
-from gossipvr.objectives import CallableFiniteSum, FiniteSumObjective, finite_difference_check
+from gossipvr.objectives import FiniteSumObjective, finite_difference_check
 from gossipvr.optimizers import GtBaseline, RunBudgets, run
 
-from test_objectives import assert_stacked_averages
+from test_objectives import assert_stacked_averages, chain_slot_reference
 
 # Scaled chain coordinates at the bump threshold (the bump of nextafter(0.5, 1)
 # underflows to 0.0, that of 0.52 is tiny but nonzero) and where erf saturates.
@@ -185,9 +186,24 @@ class TestZeroChain:
 
 
 class TestChainInstance:
-    def test_rejects_small_m(self):
-        with pytest.raises(ValueError):
-            ChainObjective(2, 1, 4.0, 1.0, 8)
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((2, 1, 4.0, 1.0, 8), "integer m >= 3"),
+            ((4, 2, 4.0, 1.0, 2.5), "integer dim"),  # would make d = 5.0
+            ((4, 2, math.inf, 1.0, 6), "finite"),  # would make q NaN
+            ((4, 0, 4.0, 1.0, 6), "integer n"),  # would fail only in the constants' empty mean
+            ((4.0, 2, 4.0, 1.0, 6), "integer m"),
+            ((4, 2, 4.0, 1.0, 1), "integer dim"),
+            ((4, 2, 4.0, 4.0, 6), "mu < L"),
+            ((4, 2, 4.0, math.nan, 6), "mu < L"),
+        ],
+    )
+    def test_rejects_invalid_arguments(self, args, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ChainObjective(*args)
 
     def test_bystander_gradient_is_weak_quadratic(self):
         obj = ChainObjective(5, 2, 4.0, 1.0, 6)
@@ -270,18 +286,43 @@ class TestChainInstance:
                     assert _same_bits(obj.component_gradient(i, j, w), full)
                     assert _same_bits(obj.component_value(i, j, w), 0.5 * mu_other * y @ y)
 
-    def test_batched_gradients_equal_the_component_callables(self):
-        # The reference: each component callable answers with a length-d gradient of its own.
-        obj = ChainObjective(5, 4, 4.0, 1.0, 7)
+    @pytest.mark.parametrize("m, n, dim", [(5, 4, 7), (4, 3, 2), (16, 2, 3)])
+    def test_batched_queries_equal_the_slot_formula(self, m, n, dim):
+        # The reference: each sampled slot's gradient by the one-slot formula, in a zeroed length-d gradient.
+        obj = ChainObjective(m, n, 4.0, 1.0, dim)
         rng = np.random.default_rng(9)
-        nodes, X = np.array([0, 1, 3, 1]), rng.normal(size=(4, obj.d))
-        idx = rng.integers(0, obj.n, size=(4, 6))  # repeated slots too
-        sampled = CallableFiniteSum.batch_sampled_gradients(obj, nodes, idx, X)
-        assert _same_bits(obj.batch_sampled_gradients(nodes, idx, X), sampled)
-        assert all(_same_bits(g, sampled) for g in obj.batch_sampled_gradient_pairs(nodes, idx, X, X))
-        full = CallableFiniteSum.batch_sampled_gradients(obj, nodes, np.tile(np.arange(obj.n), (4, 1)), X)
+        nodes = np.array([0, 1, m - 1, 1, 2, 0])  # both chain nodes and the bystanders
+        X, X_old = rng.normal(size=(2, len(nodes), obj.d))
+        X[2, ::2] = -0.0  # a bystander's -0.0 gradient entries, which a node gradient's mean makes 0.0
+        idx = rng.integers(0, obj.n, size=(len(nodes), n + 2))  # repeated slots in every row
+
+        def reference(idx, X):
+            out = np.zeros(idx.shape + (obj.d,))
+            for row, i, ix, x in zip(out, nodes, idx, X):
+                for grad, j in zip(row, ix):
+                    grad[j * dim : (j + 1) * dim] = chain_slot_reference(obj, i, x[j * dim : (j + 1) * dim])[1]
+            return out
+
+        sampled, got = reference(idx, X), obj.batch_sampled_gradients(nodes, idx, X)
+        assert got.shape == sampled.shape and _same_bits(got, sampled)
+        g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx, X, X_old)
+        assert _same_bits(g_new, sampled) and _same_bits(g_old, reference(idx, X_old))
+        full = reference(np.tile(np.arange(obj.n), (len(nodes), 1)), X)
         assert _same_bits(obj.batch_component_gradients(nodes, X), full)
         assert _same_bits(obj.batch_local_gradients(nodes, X), full.mean(axis=1))
+        values = [[chain_slot_reference(obj, i, y)[0] for y in x.reshape(n, dim)] for i, x in zip(nodes, X)]
+        assert _same_bits(obj.batch_component_values(nodes, X), values)
+
+    def test_left_square_is_the_scalar_square(self):
+        # The left node's (y_1 - 1)^2 rounds as a scalar's ** 2, through pow, which differs from the
+        # product x * x on about 0.1% of points: the test keeps the points where it does.
+        obj = ChainObjective(4, 1, 4.0, 1.0, 2)
+        X = np.random.default_rng(12).normal(size=(100_000, 2))
+        square = np.array([(y - 1.0) ** 2 for y in X[:, 0]])
+        X = X[square != (X[:, 0] - 1.0) * (X[:, 0] - 1.0)]
+        assert len(X) > 20
+        want = [[chain_slot_reference(obj, 0, x)[0]] for x in X]
+        assert _same_bits(obj.batch_component_values(np.zeros(len(X), dtype=int), X), want)
 
     def test_tail_error_reported(self):
         obj = ChainObjective(4, 1, 4.0, 1.0, 12)

@@ -340,16 +340,39 @@ def test_a_nan_point_spoils_only_its_own_node_rows(objective_families, family):
     assert np.isfinite(g_old).all()  # the pair's other point, though it shares the NaN point's products
 
 
-def test_chain_values_are_the_component_callables_values(objective_families, monkeypatch):
-    """The chain's values are its callables' values bit for bit, and computing them takes no slot gradient."""
+def chain_slot_reference(obj, i, y):
+    """The chain's one-slot formulas, frozen as the reference its stacked queries answer bit for bit: node
+    i's value and gradient at one slot ``y``, with the quadratic as ``y @ y`` and the square as a scalar's
+    ``** 2`` (which goes through ``pow``)."""
+    mu, c = obj.mu_chain, (obj.big_l - obj.mu_chain) / 4.0
+    if i not in (0, 1):
+        return 0.5 * (mu / (obj.m - 2)) * y @ y, (mu / (obj.m - 2)) * y
+    # The left node couples the 1-based pairs (2k, 2k+1), the right node (2k-1, 2k).
+    first = 1 if i == 0 else 0
+    end = first + 2 * ((obj.dim - first) // 2)
+    lead, trail = slice(first, end, 2), slice(first + 1, end, 2)
+    diff = y[lead] - y[trail]
+    val, grad = 0.5 * mu * y @ y, mu * y
+    if i == 0:
+        val += c * (y[0] - 1.0) ** 2
+        grad[0] += 2.0 * c * (y[0] - 1.0)
+    grad[lead] += 2.0 * c * diff
+    grad[trail] -= 2.0 * c * diff
+    return val + float(np.sum(c * diff * diff)), grad
+
+
+def test_chain_values_are_the_slot_formula_values(objective_families, monkeypatch):
+    """The chain's values are its one-slot formula's values bit for bit, and computing them takes no slot gradient."""
     obj = objective_families["chain"]
-    nodes = np.array([0, 1, 3, 2, 1])  # both chain nodes and the bystanders
+    nodes = np.tile([0, 1, 3, 2, 1], 20)  # both chain nodes and the bystanders
     X = np.random.default_rng(27).normal(size=(len(nodes), obj.d))
-    want = np.array([[obj._components[i][j](x)[0] for j in range(obj.n)] for i, x in zip(nodes, X)])
-    average = np.array([[obj._components[i][j](X[0])[0] for j in range(obj.n)] for i in range(obj.m)]).mean(axis=1)
-    monkeypatch.setattr(obj, "_slot_gradient", None)
-    assert obj.batch_component_values(nodes, X).tobytes() == want.tobytes()
-    assert np.float64(obj.average_value(X[0])).tobytes() == average.reshape(1, -1).mean(axis=1)[0].tobytes()
+    X[::7, ::3] = -0.0
+    want = np.array([[chain_slot_reference(obj, i, y)[0] for y in x.reshape(obj.n, obj.dim)] for i, x in zip(nodes, X)])
+    average = np.array([[chain_slot_reference(obj, i, y)[0] for y in X[0].reshape(obj.n, obj.dim)] for i in range(obj.m)])
+    monkeypatch.setattr(obj, "_gradients", None)
+    got = obj.batch_component_values(nodes, X)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.float64(obj.average_value(X[0])).tobytes() == average.mean(axis=1).reshape(1, -1).mean(axis=1)[0].tobytes()
 
 
 def test_logistic_rejects_negative_regularization():
