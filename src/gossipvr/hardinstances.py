@@ -310,13 +310,15 @@ class ZeroChainObjective(FiniteSumObjective):
         self, star: RotatingStarSequence, n: int, big_l: float, delta: float, budget_comms: int, budget_oracle: int
     ):
         m = star.m
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"zero-chain instance needs an integer n >= 1, got {n!r}")
+        if not (0 < big_l < math.inf and 0 < delta < math.inf):
+            raise ValueError(f"need a finite positive L and Delta, got L={big_l}, Delta={delta}")
         if budget_comms < m / 4:
             raise ValueError("communication budget must be at least m/4")
         if budget_oracle < n:
             raise ValueError("oracle budget must be at least n")
-        if big_l <= 0 or delta <= 0:
-            raise ValueError("L and Delta must be positive")
-        self.m, self.n = m, n
+        self.m, self.n = m, int(n)
         self.s1, self.s2, self.s3 = star.s1, star.s2, star.s3
         third = len(self.s1)
         self.big_l, self.delta = float(big_l), float(delta)

@@ -290,8 +290,7 @@ def _adom_vr(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> Adom
 
 
 def _gt_page(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> GtPage:
-    params = gt_page_params(obj.info.L, obj.info.Lhat, chi, obj.n, b=cfg.b or None, strict_step=bool(cfg.strict_step))
-    return GtPage(params, per_node_coins=bool(cfg.per_node_coins))
+    return GtPage(gt_page_params(obj.info.L, obj.info.Lhat, chi, obj.n, b=cfg.b or None))
 
 
 def _gt_baseline(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> GtBaseline:
@@ -302,7 +301,7 @@ def _gt_baseline(cfg: ExperimentConfig, obj: FiniteSumObjective, chi: float) -> 
 # Builders take (cfg, objective, the schedule's chi) and return the method.
 _METHODS = {
     "adom_vr": (("b",), _adom_vr),
-    "gt_page": (("b", "strict_step", "per_node_coins"), _gt_page),
+    "gt_page": (("b",), _gt_page),
     "gt_baseline": (("gt_eta",), _gt_baseline),
 }
 
@@ -343,8 +342,6 @@ class ExperimentConfig:
     zc_L: float = 1.0
     zc_delta: float = 1.0
     stop_dist_sq: float = 0.0  # 0: disabled
-    strict_step: int = 0
-    per_node_coins: int = 0
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -368,9 +365,6 @@ class ExperimentConfig:
         for name in ("gt_eta", "stop_dist_sq"):  # 0 keeps the default: derived step, no stop
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("per_node_coins", "strict_step"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
         unread = self._unread()
         for f in fields(self):  # the first unread field set, in field order
             if f.name in unread and getattr(self, f.name) != f.default:
@@ -468,19 +462,25 @@ def _environment() -> dict:
 def _oracle_ledger(method, trace: RunTrace) -> dict:
     """The oracle calls the method's cost model expects from the trace's counters, its last
     iteration ``k`` and the batch ``b`` (n per full node gradient, b per node batch), next to
-    the calls the oracle charged.  After an abort, the calls the failing step made past the
-    last state reached show as the difference."""
-    meta, k = trace.metadata, trace.final().iteration
-    m, n, counters = meta["m"], meta["n"], meta["counters"]
+    the calls the oracle charged; and the comms its schedule implies (``stages`` per
+    ``gt_page`` iteration, one per iteration otherwise), next to the last record's comms.
+    After an abort, the calls the failing step made past the last state reached show as the
+    difference."""
+    meta, final = trace.metadata, trace.final()
+    m, n, k, counters = meta["m"], meta["n"], final.iteration, meta["counters"]
     if method.name == "adom_vr":
         expected = m * n + m * method.params.b * k + n * (counters["omega_to_x_f"] + counters["omega_to_x_g"])
-    elif method.name == "gt_page":  # node-level restarts: a shared coin restarts every node
-        restarts = counters["full_restarts"] * (1 if method.per_node_coins else m)
+    elif method.name == "gt_page":  # node-level restarts: the shared coin restarts every node
+        restarts = m * counters["full_restarts"]
         expected = m * n + n * restarts + method.params.b * (m * k - restarts)
     else:
         expected = m * n * (k + 1)
     measured = sum(meta["oracle_calls_per_node"])
-    return {"expected": expected, "measured": measured, "exact": expected == measured}
+    comms = k * (method.params.stages if method.name == "gt_page" else 1)
+    return {
+        "expected": expected, "measured": measured, "exact": expected == measured,
+        "comms_expected": comms, "comms_measured": final.comms, "comms_exact": comms == final.comms,
+    }
 
 
 def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | None = None):

@@ -113,8 +113,8 @@ def adom_vr_params(mu: float, L: float, Lbar: float, chi: float, n: int, b: int)
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if not (L <= Lbar * (1 + 1e-9) <= n * L * (1 + 1e-9)):
         raise ValueError(f"need L <= Lbar <= n L, got L={L}, Lbar={Lbar}, n={n}")
-    if chi < 1:
-        raise ValueError(f"chi must be >= 1, got {chi}")
+    if not (1 <= chi < math.inf):
+        raise ValueError(f"chi must be finite and >= 1, got {chi}")
     if b < Lbar / L * (1 - 1e-12):
         raise ValueError(f"batch size {b} violates the precondition b >= Lbar/L = {Lbar / L:.6g}")
     if not 1 <= b <= n:
@@ -215,7 +215,6 @@ def gt_page_params(
     b: int | None = None,
     p: float | None = None,
     stages: int | None = None,
-    strict_step: bool = False,
 ) -> GtPageParams:
     """Step schedule with multi-stage consensus.
 
@@ -227,14 +226,14 @@ def gt_page_params(
 
     The provable admissible step is the minimum of three bounds and
     ``rho / L``; the third bound carries a ~1e-5 worst-case constant that
-    makes runs inert, so by default the step is the minimum of the other
-    bounds while ``eta_strict`` records the fully conservative value
-    (``strict_step=True`` runs with it).
+    makes runs inert, so the step is the minimum of the other bounds while
+    ``eta_strict`` records the fully conservative value; a run takes it with
+    ``dataclasses.replace(params, eta=params.eta_strict)``.
     """
     if not (0 < L <= Lhat * (1 + 1e-9) <= math.sqrt(n) * L * (1 + 1e-9)):
         raise ValueError(f"need L <= Lhat <= sqrt(n) L, got L={L}, Lhat={Lhat}, n={n}")
-    if chi < 1:
-        raise ValueError(f"chi must be >= 1, got {chi}")
+    if not (1 <= chi < math.inf):
+        raise ValueError(f"chi must be finite and >= 1, got {chi}")
     if b is None:
         b = int(min(max(math.ceil(math.sqrt(n) * Lhat / L), 1), n))
     if not 1 <= b <= n:
@@ -246,8 +245,8 @@ def gt_page_params(
         stages = default_stages
     rho = 1.0 - math.exp(-1.0) if stages >= default_stages else 1.0 - (1.0 - 1.0 / chi) ** stages
     bound2, bound3, bound4, cap = _gt_page_step_bounds(L, Lhat, b, p, rho)
-    eta_strict = min(bound2, bound3, bound4, cap)
-    eta = eta_strict if strict_step else min(bound2, bound3, cap)
+    eta = min(bound2, bound3, cap)
+    eta_strict = min(eta, bound4)
     params = GtPageParams(eta=eta, p=p, b=b, stages=stages, chi=chi, L=L, Lhat=Lhat, rho=rho, eta_strict=eta_strict)
     params.validate()
     return params
@@ -472,21 +471,11 @@ class AdomVr:
 
 
 def _page_rows(key: tuple, basis: None, gens) -> list[tuple]:
-    """Per iteration, for ``key = (seed, n, (m, b), coins)``, ``(idx, coins)``: numpy's own
-    ``integers(0, n, (m, b))`` for the batch, then ``random(coins)``, one restart coin per node
-    or one shared coin."""
-    _, n, batch, coins = key
-    return [(gen.integers(0, n, size=batch), gen.random(coins)) for gen in gens]
-
-
-def _page_tracker(obj: FiniteSumObjective, nodes, restart: bool, idx, x_new, x, y) -> np.ndarray:
-    """The new tracker rows of ``nodes``: their node gradients at ``x_new`` on a restart,
-    else ``y`` plus the paired batch's mean gradient difference between ``x_new`` and ``x``."""
-    if restart:
-        return obj.batch_local_gradients(nodes, x_new)
-    g_new, g_old = obj.batch_sampled_gradient_pairs(nodes, idx, x_new, x)
-    diff = g_new - g_old
-    return y + diff.sum(axis=1) / diff.shape[1]
+    """Per iteration, for ``key = (seed, n, (m, b))``, ``(idx, coin)``: numpy's own
+    ``integers(0, n, (m, b))`` for the batch, then the shared restart coin, the one double
+    ``random(1)`` draws."""
+    _, n, batch = key
+    return [(gen.integers(0, n, size=batch), gen.random()) for gen in gens]
 
 
 @dataclass
@@ -496,7 +485,7 @@ class GtPageState:
     v: np.ndarray
     k: int = 0
     comms: int = 0
-    full_restarts: int = 0  # restart coins below p so far: iterations, or node-iterations with per-node coins
+    full_restarts: int = 0  # iterations whose restart coin fell below p so far
     # The last block of draws built, checked before it is read, as AdomVrState.draws.
     draws: _Draws | None = None
 
@@ -508,7 +497,6 @@ class GtPageState:
 @dataclass(frozen=True)
 class GtPage:
     params: GtPageParams
-    per_node_coins: bool = False
 
     name = "gt_page"
 
@@ -528,31 +516,28 @@ class GtPage:
         call, certifies that it contracts by ``1 - rho`` and makes one product per round, so an
         iteration costs ``stages`` communications.  The tracker's mix reads only ``state.v``,
         so it runs before the oracle query.  A single shared coin switches every node to a
-        full gradient (one coin per node with ``per_node_coins``).
+        full gradient.
         """
         params = self.params
         (m, d), k = state.x.shape, state.k
-        key = (seed, obj.n, (m, params.b), m if self.per_node_coins else 1)
-        draws, (idx, coins) = _draw_row(state.draws, k, key, None, _page_rows)
+        draws, (idx, coin) = _draw_row(state.draws, k, (seed, obj.n, (m, params.b)), None, _page_rows)
 
         stack = np.concatenate((state.x, state.v), axis=1)
         mixed = consensus_residual(seq, state.comms, params.stages, stack, 1.0 - params.rho)
         x_new = mixed[:, :d] - params.eta * state.v
 
-        full = coins < params.p
-        if full.all() == full.any():  # one coin for every node: query all rows as they are
-            y_new = _page_tracker(obj, np.arange(m), bool(full[0]), idx, x_new, state.x, state.y)
-        else:  # per-node coins that disagree: restarts first, then the paired steps
-            y_new = np.empty_like(state.y)
-            for restart in (True, False):
-                nodes = np.flatnonzero(full == restart)
-                rows = (idx[nodes], x_new[nodes], state.x[nodes], state.y[nodes])
-                y_new[nodes] = _page_tracker(obj, nodes, restart, *rows)
+        restart = coin < params.p
+        if restart:  # every node's gradient at x_new
+            y_new = obj.batch_local_gradients(np.arange(m), x_new)
+        else:  # y plus each node's mean paired-batch gradient difference between x_new and x
+            g_new, g_old = obj.batch_sampled_gradient_pairs(np.arange(m), idx, x_new, state.x)
+            diff = g_new - g_old
+            y_new = state.y + diff.sum(axis=1) / diff.shape[1]
 
         v_new = mixed[:, d:] + y_new - state.y
         new_state = GtPageState(
             x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages,
-            full_restarts=state.full_restarts + int(np.count_nonzero(full)), draws=draws,
+            full_restarts=state.full_restarts + restart, draws=draws,
         )
         _check_finite(new_state, "x", "v")
         return new_state

@@ -374,6 +374,23 @@ class TestZeroChainInstance:
         with pytest.raises(ValueError):
             nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=36, budget_oracle=3)
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((9, 4, math.inf, 1.0, 100, 100), "finite positive L"),  # would state info.L = inf
+            ((9, 4, math.nan, 1.0, 100, 100), "finite positive L"),
+            ((9, 4, 1.0, math.inf, 100, 100), "finite positive L"),  # would make scale_c inf
+            ((9, 4, 1.0, 0.0, 100, 100), "finite positive L"),
+            ((9, 0, 1.0, 1.0, 100, 100), "integer n >= 1"),  # would divide by zero
+            ((9, 2.5, 1.0, 1.0, 100, 100), "integer n >= 1"),  # would fail in np.full
+        ],
+    )
+    def test_rejects_invalid_arguments(self, args, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                nonconvex_hard_objective(*args)
+
     def test_bystander_nodes_are_flat(self):
         obj, _ = nonconvex_hard_objective(3, 2, 1.0, 1.0, budget_comms=8, budget_oracle=8)
         rng = np.random.default_rng(6)

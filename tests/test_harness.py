@@ -24,7 +24,7 @@ from gossipvr.harness import (
 )
 from gossipvr.hardinstances import ChainObjective, ProgressTracker
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
-from gossipvr.optimizers import AdomVr, AdomVrParams, GtBaseline, GtPage, RunAbort
+from gossipvr.optimizers import AdomVr, AdomVrParams, GtBaseline, GtPage, RunAbort, RunTrace, TraceRecord, gt_page_params
 
 from test_network import dump_through_graph
 from test_objectives import make_shards
@@ -315,8 +315,8 @@ class TestExperimentConfig:
 
     def test_replace_converts_to_each_default_type(self):
         """Every value becomes the type of its field's default; ``None`` keeps the field."""
-        cfg = ExperimentConfig().replace(m="7", reg="0.5", radius=1, out=3, seed=None, strict_step=1.0)
-        assert (cfg.m, cfg.reg, cfg.radius, cfg.out, cfg.seed, cfg.strict_step) == (7, 0.5, 1.0, "3", 0, 1)
+        cfg = ExperimentConfig().replace(m="7", reg="0.5", radius=1, out=3, seed=None, chain_dim=5.0)
+        assert (cfg.m, cfg.reg, cfg.radius, cfg.out, cfg.seed, cfg.chain_dim) == (7, 0.5, 1.0, "3", 0, 5)
         for field in dataclasses.fields(cfg):
             assert type(getattr(cfg, field.name)) is type(field.default), field.name
         with pytest.raises(ValueError, match="invalid literal for int"):
@@ -327,6 +327,21 @@ class TestExperimentConfig:
         f.write_text("m=4\n# comment\nmomentum=0.9\n")
         with pytest.raises(ValueError, match=r"exp\.cfg:3: unknown config key 'momentum'"):
             ExperimentConfig.from_file(f)
+
+    @pytest.mark.parametrize("key", ["per_node_coins", "strict_step"])
+    def test_gt_page_has_no_variant_keys(self, tmp_path, capsys, key):
+        """gt_page runs one schedule, one shared restart coin and the default step: neither
+        variant switch is a key, a config line or a flag."""
+        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+            ExperimentConfig().replace(**{key: 1})
+        f = tmp_path / "exp.cfg"
+        f.write_text(f"method=gt_page\n{key}=1\n")
+        with pytest.raises(ValueError, match=rf"exp\.cfg:2: unknown config key '{key}'"):
+            ExperimentConfig.from_file(f)
+        flag = f"--{key.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--method", "gt_page", flag, "1"])
+        assert exc_info.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, match",
@@ -383,7 +398,7 @@ class TestRunChoices:
 
     def test_first_unread_field_in_field_order(self):
         # Four unread fields: the first in field order, the topology's radius, is named, not the method's gt_eta.
-        cfg = ExperimentConfig(objective="chain", topology="static-ring", per_node_coins=1, zc_L=2.0, gt_eta=0.5, radius=0.5)
+        cfg = ExperimentConfig(objective="chain", topology="static-ring", zc_delta=2.0, zc_L=2.0, gt_eta=0.5, radius=0.5)
         with pytest.raises(ValueError, match=r"^radius=0\.5 is never read: topology 'static-ring' ignores it$"):
             cfg.validate()
 
@@ -458,19 +473,17 @@ class TestRunExperiment:
         window = [meta["certificate"][name] for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")]
         assert (window == [None, None, None]) == (method != "gt_page")
 
-    @pytest.mark.parametrize(
-        "method, objective, coins",
-        [("adom_vr", "logistic", 0), ("gt_page", "nlls", 0), ("gt_page", "nlls", 1), ("gt_baseline", "chain", 0)],
-    )
-    def test_sidecar_ledger_balances_the_oracle_calls(self, tmp_path, fixture_path, monkeypatch, method, objective, coins):
+    @pytest.mark.parametrize("method, objective", [("adom_vr", "logistic"), ("gt_page", "nlls"), ("gt_baseline", "chain")])
+    def test_sidecar_ledger_balances_the_oracle_calls(self, tmp_path, fixture_path, monkeypatch, method, objective):
         # n = 10 against a batch of 9 (adom_vr) or 8 (gt_page): a restart or an omega move costs more than a batch
-        cfg = self.small_cfg(
-            tmp_path, fixture_path, method=method, objective=objective, n=10, budget_iters=60, per_node_coins=coins,
-        )
+        cfg = self.small_cfg(tmp_path, fixture_path, method=method, objective=objective, n=10, budget_iters=60)
         trace, _, meta_path = run_experiment(cfg)
         meta = json.loads(meta_path.read_text())
         measured = sum(trace.metadata["oracle_calls_per_node"])
-        assert meta["ledger"] == {"expected": measured, "measured": measured, "exact": True}
+        comms = 60 * meta["parameters"].get("stages", 1)  # the rounds the schedule spends on 60 iterations
+        assert trace.final().comms == meta["final"]["comms"] == comms
+        comms = {"comms_expected": comms, "comms_measured": comms, "comms_exact": True}
+        assert meta["ledger"] == {"expected": measured, "measured": measured, "exact": True, **comms}
         assert all(count > 0 for count in meta["counters"].values())
 
         cls = {"adom_vr": AdomVr, "gt_page": GtPage, "gt_baseline": GtBaseline}[method]
@@ -482,7 +495,24 @@ class TestRunExperiment:
 
         monkeypatch.setattr(cls, "step", leaky_step)
         run_experiment(cfg)
-        assert json.loads(meta_path.read_text())["ledger"] == {"expected": measured, "measured": measured + 60, "exact": False}
+        assert json.loads(meta_path.read_text())["ledger"] == {
+            "expected": measured, "measured": measured + 60, "exact": False, **comms,
+        }
+
+    @pytest.mark.parametrize(
+        "method, comms, expected",
+        [(GtPage(gt_page_params(1.0, 1.0, 3.0, 4)), 14, 15), (GtBaseline(eta=0.1), 6, 5)],
+        ids=["gt_page_3_stages", "gt_baseline"],
+    )
+    def test_ledger_flags_comms_off_the_schedule(self, method, comms, expected):
+        # 5 iterations at m = 2, n = 4: gt_page's batch of 2 and no restarts, or gt_baseline's full gradients
+        record = TraceRecord(5, comms, 14, math.nan, 0.0, 0.0, 0.0)
+        counters = {"full_restarts": 0} if method.name == "gt_page" else {}
+        calls = [14, 14] if method.name == "gt_page" else [24, 24]
+        trace = RunTrace([record], {"m": 2, "n": 4, "counters": counters, "oracle_calls_per_node": calls})
+        ledger = harness._oracle_ledger(method, trace)
+        assert ledger["exact"]  # the oracle calls balance; only the comms are off
+        assert (ledger["comms_expected"], ledger["comms_measured"], ledger["comms_exact"]) == (expected, comms, False)
 
     def test_sidecar_environment_names_the_build(self, tmp_path, fixture_path):
         _, _, meta_path = run_experiment(self.small_cfg(tmp_path, fixture_path, budget_iters=3))
@@ -643,11 +673,10 @@ class PerNodeProxy(FiniteSumObjective):
     [
         dict(method="adom_vr", objective="logistic", seed=4, budget_iters=200, metric_every=5),
         dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3),
-        dict(method="gt_page", objective="nlls", seed=0, budget_iters=60, metric_every=3, per_node_coins=1),
         dict(method="gt_baseline", objective="zero_chain", m=9, n=4, budget_iters=200, budget_comms=200, metric_every=5),
         dict(method="adom_vr", objective="chain", topology="two-star-hop", m=6, n=4, budget_iters=200, metric_every=5),
     ],
-    ids=["adom_vr_logistic", "gt_page_nlls", "gt_page_nlls_per_node_coins", "gt_baseline_zero_chain", "adom_vr_chain_two_star_hop"],
+    ids=["adom_vr_logistic", "gt_page_nlls", "gt_baseline_zero_chain", "adom_vr_chain_two_star_hop"],
 )
 def test_per_node_proxy_writes_identical_csv(config, tmp_path, fixture_path, monkeypatch):
     import gossipvr.harness as harness
@@ -725,8 +754,10 @@ class TestCli:
         meta = json.loads((tmp_path / "runs" / "gt_baseline_zero_chain_random-geometric_m9_n4_seed0.json").read_text())
         assert (meta["abort"]["comms"], meta["final"]["oracle_calls"]) == (4, 24)
         assert meta["progress"] == {"final": 1, "bound": 2, "passed": True, "violations": 0}
-        # the failing step's node gradients were charged, past the last state reached
-        assert meta["ledger"] == {"expected": 9 * 4 * 5, "measured": 9 * 24, "exact": False}
+        # the failing step's node gradients were charged, past the last state reached; its round was not
+        assert meta["ledger"] == {
+            "expected": 9 * 4 * 5, "measured": 9 * 24, "exact": False, "comms_expected": 4, "comms_measured": 4, "comms_exact": True,
+        }
 
     def test_cli_error_is_structured(self, tmp_path, capsys):
         code = main(["--objective", "logistic", "--dataset", str(tmp_path / "missing.libsvm")])
@@ -873,9 +904,6 @@ class TestCli:
         ("zc_delta=nan", "zc_delta must be finite, got nan"),
         ("stop_dist_sq=inf", "stop_dist_sq must be finite, got inf"),
         ("stop_dist_sq=-1", "stop_dist_sq must be non-negative, got -1.0"),
-        ("per_node_coins=7", "per_node_coins must be 0 or 1, got 7"),
-        ("strict_step=3", "strict_step must be 0 or 1, got 3"),
-        ("strict_step=-1", "strict_step must be 0 or 1, got -1"),
     ])
     def test_bad_value_rejected_before_any_file(self, tmp_path, capsys, line, message):
         (tmp_path / "exp.cfg").write_text(f"method=gt_baseline\nobjective=zero_chain\nm=9\nn=4\nbudget_iters=3\n{line}\n")
@@ -887,8 +915,6 @@ class TestCli:
     @pytest.mark.parametrize("run, line, message", [
         ("gt_page/chain", "gt_eta=0.5", "gt_eta=0.5 is never read: method 'gt_page' ignores it"),
         ("adom_vr/chain", "gt_eta=0.5", "gt_eta=0.5 is never read: method 'adom_vr' ignores it"),
-        ("adom_vr/chain", "strict_step=1", "strict_step=1 is never read: method 'adom_vr' ignores it"),
-        ("gt_baseline/chain", "per_node_coins=1", "per_node_coins=1 is never read: method 'gt_baseline' ignores it"),
         ("gt_baseline/chain", "b=2", "b=2 is never read: method 'gt_baseline' ignores it"),
         ("adom_vr/chain", "topology=static-ring\nradius=0.5", "radius=0.5 is never read: topology 'static-ring' ignores it"),
         ("adom_vr/chain", "topology=two-star-hop\nchi_trials=5", "chi_trials=5 is never read: topology 'two-star-hop' ignores it"),

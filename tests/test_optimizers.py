@@ -97,6 +97,11 @@ class TestAdomVrParams:
         with pytest.raises(ValueError, match="precondition"):
             adom_vr_params(mu=0.1, L=1.0, Lbar=3.0, chi=2.0, n=8, b=2)
 
+    @pytest.mark.parametrize("chi", [math.nan, math.inf])
+    def test_non_finite_chi_rejected(self, chi):
+        with pytest.raises(ValueError, match=f"chi must be finite and >= 1, got {chi}"):
+            adom_vr_params(mu=0.1, L=1.0, Lbar=2.0, chi=chi, n=10, b=2)
+
     def test_probability_sum_never_exceeds_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -506,13 +511,18 @@ class TestGtPageParams:
             assert 0 < p.eta <= p.rho / p.L + 1e-15
             assert p.eta_strict <= p.eta
 
-    def test_strict_step_honors_all_bounds(self):
+    def test_eta_strict_is_the_minimum_of_all_bounds(self):
         from gossipvr.optimizers import _gt_page_step_bounds
 
-        p = gt_page_params(L=1.0, Lhat=2.0, chi=10.0, n=10, strict_step=True)
+        p = gt_page_params(L=1.0, Lhat=2.0, chi=10.0, n=10)
         b2, b3, b4, cap = _gt_page_step_bounds(p.L, p.Lhat, p.b, p.p, p.rho)
-        assert p.eta == pytest.approx(min(b2, b3, b4, cap))
-        assert p.eta <= min(b2, b3, b4, cap) + 1e-18
+        assert p.eta_strict == min(b2, b3, b4, cap) < p.eta == min(b2, b3, cap)
+        dataclasses.replace(p, eta=p.eta_strict).validate()  # the conservative step is a valid schedule
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf])
+    def test_non_finite_chi_rejected(self, chi):
+        with pytest.raises(ValueError, match=f"chi must be finite and >= 1, got {chi}"):
+            gt_page_params(L=1.0, Lhat=2.0, chi=chi, n=10)
 
     def test_batch_out_of_range(self):
         with pytest.raises(ValueError):
@@ -600,21 +610,6 @@ class TestGtPageStep:
         state = GtPage(params).step(state, self.obj, self.seq, seed=0)
         assert state.comms == 2 * params.stages
 
-    def test_per_node_coins_keep_tracker_identity(self):
-        import dataclasses
-
-        params = dataclasses.replace(self.params, p=0.5)
-        state = GtPage.init(self.obj)
-        saw_mixed = False
-        for _ in range(100):
-            state = GtPage(params, per_node_coins=True).step(state, self.obj, self.seq, seed=17)
-            vbar, ybar = node_mean(state.v), node_mean(state.y)
-            assert np.linalg.norm(vbar - ybar) < 1e-10 * max(1.0, float(np.linalg.norm(ybar)))
-            exact = np.stack([self.obj.local_gradient(i, state.x[i]) for i in range(self.obj.m)])
-            per_node_full = [bool(np.allclose(state.y[i], exact[i], atol=1e-13)) for i in range(self.obj.m)]
-            saw_mixed = saw_mixed or (any(per_node_full) and not all(per_node_full))
-        assert saw_mixed  # the coin really flips per node
-
     def test_expected_oracle_cost(self):
         rng = np.random.default_rng(9)
         obj, _, _ = strongly_convex_quadratic(rng, m=2, n=5, d=2)
@@ -649,7 +644,7 @@ class QueryRecorder(CountingObjective):
 
 class TestGtPageDraws:
     """``gt_page`` draws its batches and coins in blocks of ``DRAW_BLOCK`` iterations, bitwise those of
-    ``default_rng((seed, k))``: ``integers(0, n, (m, b))``, then ``random(m)`` or ``random(1)``."""
+    ``default_rng((seed, k))``: ``integers(0, n, (m, b))``, then ``random(1)``."""
 
     def setup_method(self):
         rng = np.random.default_rng(5)
@@ -659,39 +654,35 @@ class TestGtPageDraws:
         self.params = dataclasses.replace(gt_page_params(info.L, info.Lhat, self.seq.chi, self.obj.n, b=3, stages=1), p=0.4)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 3])
-    @pytest.mark.parametrize("per_node_coins", [False, True])
-    def test_block_matches_default_rng(self, seed, per_node_coins):
-        m, n, b, coins = self.obj.m, self.obj.n, self.params.b, self.obj.m if per_node_coins else 1
+    def test_block_matches_default_rng(self, seed):
+        m, n, b = self.obj.m, self.obj.n, self.params.b
         for k in [*range(130), 2**32 - 1]:
-            _, (idx, got) = optimizers._draw_row(None, k, (seed, n, (m, b), coins), None, optimizers._page_rows)
+            _, (idx, coin) = optimizers._draw_row(None, k, (seed, n, (m, b)), None, optimizers._page_rows)
             rng = np.random.default_rng((seed, k))
             assert np.array_equal(idx, rng.integers(0, n, size=(m, b))), k
-            assert np.array_equal(got, rng.random(coins)), k
+            assert coin == rng.random(1)[0], k
 
-    @pytest.mark.parametrize("per_node_coins", [False, True])
-    def test_steps_take_the_default_rng_draws(self, per_node_coins):
+    def test_steps_take_the_default_rng_draws(self):
         m, n, b, seed = self.obj.m, self.obj.n, self.params.b, 11
-        method, recorder = GtPage(self.params, per_node_coins=per_node_coins), QueryRecorder(self.obj)
+        method, recorder = GtPage(self.params), QueryRecorder(self.obj)
         state = method.init(recorder)
-        recorder.full.clear()
         kinds = set()
         for k in range(150):
             rng = np.random.default_rng((seed, k))
-            idx, coins = rng.integers(0, n, size=(m, b)), rng.random(m if per_node_coins else 1)
-            full = np.broadcast_to(coins < self.params.p, (m,))
+            idx, restart = rng.integers(0, n, size=(m, b)), bool(rng.random(1)[0] < self.params.p)
             recorder.full.clear(), recorder.paired.clear()
             state = method.step(state, recorder, self.seq, seed)
-            assert [q.tolist() for q in recorder.full] == ([np.flatnonzero(full).tolist()] if full.any() else [])
-            if full.all():
+            assert [q.tolist() for q in recorder.full] == ([list(range(m))] if restart else [])
+            if restart:
                 assert recorder.paired == []
             else:
                 ((nodes, got),) = recorder.paired
-                assert nodes.tolist() == np.flatnonzero(~full).tolist() and np.array_equal(got, idx[~full])
-            kinds.add((bool(full.any()), bool(full.all())))
-        assert len(kinds) == (3 if per_node_coins else 2)  # restarts, sampled steps and (per node) mixed ones
+                assert nodes.tolist() == list(range(m)) and np.array_equal(got, idx)
+            kinds.add(restart)
+        assert kinds == {True, False}  # restarts and sampled steps
 
-    def solo(self, seed, steps, state=None, per_node_coins=False):
-        method = GtPage(self.params, per_node_coins=per_node_coins)
+    def solo(self, seed, steps, state=None, params=None):
+        method = GtPage(params or self.params)
         state = method.init(self.obj) if state is None else state
         for _ in range(steps):
             state = method.step(state, self.obj, self.seq, seed)
@@ -702,14 +693,12 @@ class TestGtPageDraws:
         for name in ("x", "y", "v", "k", "comms", "full_restarts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    @pytest.mark.parametrize("per_node_coins", [False, True])
-    def test_state_counts_the_restart_coins_of_its_draws(self, per_node_coins):
+    def test_state_counts_the_restart_coins_of_its_draws(self):
         (m, n), iters = (self.obj.m, self.obj.n), 150
-        method = GtPage(self.params, per_node_coins=per_node_coins)
-        trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=11)
-        key = (11, n, (m, self.params.b), m if per_node_coins else 1)
+        trace = run(GtPage(self.params), self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=11)
+        key = (11, n, (m, self.params.b))
         blocks = [optimizers._draw_row(None, k, key, None, optimizers._page_rows)[0] for k in range(0, iters, optimizers.DRAW_BLOCK)]
-        coins = np.stack([row[1] for block in blocks for row in block.rows])[:iters]
+        coins = np.array([row[1] for block in blocks for row in block.rows])[:iters]
         restarts = int(np.count_nonzero(coins < self.params.p))
         assert 0 < restarts < coins.size
         assert trace.metadata["counters"] == {"full_restarts": restarts}
@@ -721,9 +710,9 @@ class TestGtPageDraws:
         self.assert_same_state(expected, self.solo(9, 100 - at, state=dataclasses.replace(resumed, draws=None)))
         foreign = dataclasses.replace(resumed, draws=self.solo(8, at).draws)  # another seed, same iterations
         self.assert_same_state(expected, self.solo(9, 100 - at, state=foreign))
-        other_coins = dataclasses.replace(resumed, draws=self.solo(9, at, per_node_coins=True).draws)
-        self.assert_same_state(expected, self.solo(9, 100 - at, state=other_coins))
-        assert self.solo(9, 1, state=other_coins).draws.rows[0][1].shape == (1,)
+        other_batch = dataclasses.replace(resumed, draws=self.solo(9, at, params=dataclasses.replace(self.params, b=2)).draws)
+        self.assert_same_state(expected, self.solo(9, 100 - at, state=other_batch))
+        assert self.solo(9, 1, state=other_batch).draws.rows[0][0].shape == (self.obj.m, self.params.b)
 
 
 @pytest.mark.parametrize(
@@ -1162,7 +1151,7 @@ def _fit_line(x, y):
 
 @pytest.mark.parametrize(
     "family,method",
-    [("logistic", "adom_vr"), ("logistic", "gt_page"), ("nlls", "gt_page"), ("nlls", "gt_page_per_node_coins")],
+    [("logistic", "adom_vr"), ("logistic", "gt_page"), ("nlls", "gt_page")],
 )
 def test_shard_runs_through_a_per_node_proxy_record_the_same_bits(objective_families, family, method):
     """A proxy that forwards only the per-node queries, as a delegating profiler does, answers each
@@ -1172,7 +1161,6 @@ def test_shard_runs_through_a_per_node_proxy_record_the_same_bits(objective_fami
     make = {
         "adom_vr": lambda: AdomVr(adom_vr_params(info.mu, info.L, info.Lbar, seq.chi, obj.n, b=obj.n)),
         "gt_page": lambda: GtPage(gt_page_params(info.L, info.Lhat, seq.chi, obj.n, b=3)),
-        "gt_page_per_node_coins": lambda: GtPage(gt_page_params(info.L, info.Lhat, seq.chi, obj.n, b=3), per_node_coins=True),
     }[method]
     budgets, proxy = RunBudgets(max_iterations=60), PerNodeProxy(obj)
     plain, proxied = (run(make(), o, seq, budgets, metric_every=3, seed=5) for o in (obj, proxy))
