@@ -359,6 +359,8 @@ class ExperimentConfig:
             raise ValueError("m and n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.chi_trials > DUMP_STEPS:  # past the dump, the walk would build measure_chi's blocks again
+            raise ValueError(f"chi_trials must be at most {DUMP_STEPS}, the steps a .graphs dump keeps, got {self.chi_trials}")
         for f in fields(self):
             if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -459,13 +461,17 @@ def _environment() -> dict:
     }
 
 
+def _rounds(method) -> int:
+    """The communication rounds of one iteration: ``stages`` for ``gt_page``, one otherwise."""
+    return method.params.stages if method.name == "gt_page" else 1
+
+
 def _oracle_ledger(method, trace: RunTrace) -> dict:
     """The oracle calls the method's cost model expects from the trace's counters, its last
     iteration ``k`` and the batch ``b`` (n per full node gradient, b per node batch), next to
-    the calls the oracle charged; and the comms its schedule implies (``stages`` per
-    ``gt_page`` iteration, one per iteration otherwise), next to the last record's comms.
-    After an abort, the calls the failing step made past the last state reached show as the
-    difference."""
+    the calls the oracle charged; and the comms of ``k`` iterations, next to the last record's
+    comms.  After an abort, the calls the failing step made past the last state reached show
+    as the difference."""
     meta, final = trace.metadata, trace.final()
     m, n, k, counters = meta["m"], meta["n"], final.iteration, meta["counters"]
     if method.name == "adom_vr":
@@ -476,7 +482,7 @@ def _oracle_ledger(method, trace: RunTrace) -> dict:
     else:
         expected = m * n * (k + 1)
     measured = sum(meta["oracle_calls_per_node"])
-    comms = k * (method.params.stages if method.name == "gt_page" else 1)
+    comms = k * _rounds(method)
     return {
         "expected": expected, "measured": measured, "exact": expected == measured,
         "comms_expected": comms, "comms_measured": final.comms, "comms_exact": comms == final.comms,
@@ -486,9 +492,10 @@ def _oracle_ledger(method, trace: RunTrace) -> dict:
 def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | None = None):
     """Wire topology + objective + optimizer, run, and write trace artifacts.
 
-    Returns ``(trace, csv_path, meta_path)``.  A run that ends in a :class:`RunAbort`
-    carrying its records writes the artifacts of those records, with an ``abort`` entry
-    in the sidecar, and then re-raises the abort.
+    Returns ``(trace, csv_path, meta_path)``.  ``budget_comms`` allows the whole iterations
+    it pays for; one below an iteration's rounds fails before any file is written.  A run that
+    ends in a :class:`RunAbort` carrying its records writes the artifacts of those records,
+    with an ``abort`` entry in the sidecar, and then re-raises the abort.
     """
     cfg.validate()
     audited = None  # every zero-chain run audits its progress, in the caller's tracker if it passes one
@@ -502,11 +509,12 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
         seq.certificate = chi
         x_star = reference_solution(obj).x_star if info.mu > 0 else None
         method = _METHODS[cfg.method][1](cfg, obj, chi)
-        budgets = RunBudgets(
-            max_iterations=cfg.budget_iters,
-            max_communications=cfg.budget_comms or None,
-            max_oracle_calls_per_node=cfg.budget_oracle or None,
-        )
+        iters, rounds = cfg.budget_iters, _rounds(method)
+        if cfg.budget_comms:
+            if cfg.budget_comms < rounds:
+                raise ValueError(f"budget_comms={cfg.budget_comms} is below one {method.name} iteration's {rounds} rounds")
+            iters = min(iters, cfg.budget_comms // rounds)
+        budgets = RunBudgets(max_iterations=iters, max_oracle_calls_per_node=cfg.budget_oracle or None)
         abort = None
         try:
             trace = run(
@@ -519,16 +527,14 @@ def run_experiment(cfg: ExperimentConfig, progress_tracker: ProgressTracker | No
             trace, abort = exc.trace, exc
     finally:  # a random-geometric walk may have forked a builder child; it ends with the run
         seq.close()
+    graphs = None  # the other sequences build their graphs once, up front
     if isinstance(seq, RandomGeometricSequence):
-        built, resamples, chi_max, over = seq.counters()
-        graphs = {"built": built, "resamples": resamples, "chi_max": chi_max,
+        graphs = {"built": seq.built, "resamples": seq.resamples, "chi_max": seq.chi_max,
                   "builder_blocks": seq.builder_blocks, "builder_pinned": seq.builder_pinned}
-    else:  # the other sequences build their graphs once, up front
-        graphs, chi_max, over = None, seq.chi_max, seq.steps_over_certificate
     certificate = {
         "chi_schedule": chi,
-        "chi_consumed_max": chi_max,
-        "steps_over_certificate": over,
+        "chi_consumed_max": seq.chi_max,
+        "steps_over_certificate": seq.steps_over_certificate,
         # None unless consensus_residual certified a window, as gt_page does once per iteration
         **{name: getattr(seq, name) for name in ("window_bound_max", "windows_checked_exactly", "window_norm_max")},
     }

@@ -494,14 +494,10 @@ class RandomGeometricSequence(GraphSequence):
         self.builder_blocks = 0
         self.builder_pinned = False
 
-    def counters(self) -> tuple[int, int, float, int]:
-        """``(built, resamples, chi_max, steps_over_certificate)``, charged from the served masks in one pass."""
-        return self._charge(list(self._blocks.values()), self._settled)
-
-    built = property(lambda self: self.counters()[0])
-    resamples = property(lambda self: self.counters()[1])
-    chi_max = property(lambda self: self.counters()[2])
-    steps_over_certificate = property(lambda self: self.counters()[3])
+    # Each counter is charged, when read, from the settled counts and the cached blocks' served masks.
+    built, resamples, chi_max, steps_over_certificate = (
+        property(lambda self, i=i: self._charge(list(self._blocks.values()), self._settled)[i]) for i in range(4)
+    )
 
     def _charge(self, blocks: list, counters: tuple[int, int, float, int]) -> tuple[int, int, float, int]:
         """``counters`` plus the served steps of ``blocks``, values of ``_blocks``, from their stacked fields.

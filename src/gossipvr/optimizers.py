@@ -1,22 +1,19 @@
 """Decentralized variance-reduced optimizers over gossip networks.
 
 Each method is a frozen class driven by :func:`run` through ``init(obj, x0)``
-and ``step(state, obj, seq, seed)``, which reads graphs ``state.comms`` on:
+and ``step(state, obj, seq, seed)``, which reads graphs from ``state.comms`` on:
 
 * ``AdomVr`` ("adom_vr"), an accelerated primal method for strongly convex
-  finite sums that combines a saddle-point consensus scheme with a loopless
-  negative-momentum gradient estimator and importance-sampled minibatches;
+  finite sums: saddle-point consensus, a loopless negative-momentum estimator
+  and importance-sampled minibatches;
 * ``GtPage`` ("gt_page"), gradient tracking for nonconvex finite sums with a
   probabilistic full-gradient restart estimator and multi-stage consensus;
 * ``GtBaseline`` ("gt_baseline"), plain full-gradient gradient tracking.
 
-Parameter schedules are computed from problem constants, never tuned per run.
-All randomness is derived counter-style from ``(seed, iteration)`` so traces
-are reproducible and independent of node evaluation order: iteration ``k``
-draws from ``np.random.default_rng((seed, k))``.  ``adom_vr`` and ``gt_page``
-take those draws for ``DRAW_BLOCK`` iterations at once from
-:func:`gossipvr.network.stream_generators`, which seeds their generators in one
-vectorized pass, and carry the block in their state.
+Schedules are computed from problem constants.  Iteration ``k`` draws from
+``np.random.default_rng((seed, k))``, so traces do not depend on node
+evaluation order; ``adom_vr`` and ``gt_page`` draw ``DRAW_BLOCK`` iterations
+at once (:func:`_draw_row`) and carry the block in their state.
 """
 
 from __future__ import annotations
@@ -104,11 +101,7 @@ class AdomVrParams:
 
 
 def adom_vr_params(mu: float, L: float, Lbar: float, chi: float, n: int, b: int) -> AdomVrParams:
-    """Full parameter schedule from the problem constants.
-
-    Requires ``b >= Lbar / L`` (the batch must be large enough for the
-    variance bound behind the schedule) and consistent smoothness ordering.
-    """
+    """Full parameter schedule; ``b >= Lbar / L`` is the variance bound's precondition."""
     if not (0 < mu <= L * (1 + 1e-12)):
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if not (L <= Lbar * (1 + 1e-9) <= n * L * (1 + 1e-9)):
@@ -145,12 +138,8 @@ def adom_vr_params(mu: float, L: float, Lbar: float, chi: float, n: int, b: int)
 
 
 def adom_vr_iteration_budget(mu: float, L: float, Lbar: float, chi: float, n: int, b: int, eps_rel: float) -> int:
-    """Iterations guaranteed to shrink the squared distance by ``eps_rel``.
-
-    Evaluates the explicit worst-case count certified for the schedule:
-    ``32 max{n/b, (sqrt(n)/b) k, (n Lbar / b^2 L) k, chi k} log(1/eps)`` with
-    ``k = sqrt(L/mu)``.
-    """
+    """Iterations certified to shrink the squared distance by ``eps_rel``:
+    ``32 max{n/b, (sqrt(n)/b) k, (n Lbar / b^2 L) k, chi k} log(1/eps)`` with ``k = sqrt(L/mu)``."""
     if not (0 < eps_rel < 1):
         raise ValueError("eps_rel must lie in (0, 1)")
     k = math.sqrt(L / mu)
@@ -218,17 +207,10 @@ def gt_page_params(
 ) -> GtPageParams:
     """Step schedule with multi-stage consensus.
 
-    Defaults: ``b = ceil(sqrt(n) Lhat / L)`` clamped to ``[1, n]``,
-    ``p = b / (n + b)``, and ``stages = ceil(chi)`` so the per-iteration
-    consensus contraction is a constant (``rho = 1 - 1/e``) when each step's
-    exact ``chi`` is at most the scheduled one; see :func:`consensus_residual`
-    for what certifies that.
-
-    The provable admissible step is the minimum of three bounds and
-    ``rho / L``; the third bound carries a ~1e-5 worst-case constant that
-    makes runs inert, so the step is the minimum of the other bounds while
-    ``eta_strict`` records the fully conservative value; a run takes it with
-    ``dataclasses.replace(params, eta=params.eta_strict)``.
+    ``stages = ceil(chi)`` rounds contract the disagreement by ``1 - rho``, ``rho = 1 - 1/e``,
+    when each step's exact ``chi`` is at most the scheduled one (:func:`consensus_residual`
+    certifies it).  ``eta`` is the least admissible-step bound but the third, whose ~1e-5
+    worst-case constant makes runs inert; ``eta_strict`` includes it.
     """
     if not (0 < L <= Lhat * (1 + 1e-9) <= math.sqrt(n) * L * (1 + 1e-9)):
         raise ValueError(f"need L <= Lhat <= sqrt(n) L, got L={L}, Lhat={Lhat}, n={n}")
@@ -424,14 +406,9 @@ class AdomVr:
         return np.stack([x_g, yz])[:, : len(ADOM_BLOCKS)], np.stack(new)
 
     def step(self, state: AdomVrState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> AdomVrState:
-        """One full iteration (one communication round, on graph ``state.comms``).
-
-        Three products carry the linear algebra (:attr:`_maps`): the blocks to ``x_g`` and
-        ``y_g + z_g``, one gossip product of ``[y_g + z_g | momentum]``, and the blocks,
-        the estimate and the mixed pair to the new blocks.  The draws come from the
-        carried block when it holds ``state.k``, else from a newly built block
-        (:func:`_draw_row`).
-        """
+        """One iteration, one round on graph ``state.comms``, in three products (:attr:`_maps`): the
+        blocks to ``x_g`` and ``y_g + z_g``, the gossip product of ``[y_g + z_g | momentum]``, and the
+        blocks, the estimate and the mixed pair to the new blocks."""
         p, (to_mid, to_new) = self.params, self._maps
         k, blocks = state.k, state.blocks
         draws, (idx, to_f, to_g, moved, (f_moves, g_moves)) = _draw_row(state.draws, k, (seed, p), state.cum_probs, _adom_rows)
@@ -509,15 +486,9 @@ class GtPage:
         return GtPageState(x=x, y=y, v=v)
 
     def step(self, state: GtPageState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtPageState:
-        """One iteration consuming ``stages`` consecutive graphs from ``state.comms``.
-
-        The same communication rounds mix both the iterate and the tracker: one
-        :func:`consensus_residual` of the stack ``[x | v]`` reads the window with one ``window``
-        call, certifies that it contracts by ``1 - rho`` and makes one product per round, so an
-        iteration costs ``stages`` communications.  The tracker's mix reads only ``state.v``,
-        so it runs before the oracle query.  A single shared coin switches every node to a
-        full gradient.
-        """
+        """One iteration, ``stages`` rounds from graph ``state.comms`` that mix the iterate and the
+        tracker as one certified ``[x | v]`` window (:func:`consensus_residual`).  One coin, shared
+        by every node, switches all of them to a full gradient."""
         params = self.params
         (m, d), k = state.x.shape, state.k
         draws, (idx, coin) = _draw_row(state.draws, k, (seed, obj.n, (m, params.b)), None, _page_rows)
@@ -601,15 +572,13 @@ def _check_finite(state, *fields: str) -> None:
 @dataclass(frozen=True)
 class RunBudgets:
     max_iterations: int
-    max_communications: int | None = None
     max_oracle_calls_per_node: int | None = None
 
     def validate(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        for v in (self.max_communications, self.max_oracle_calls_per_node):
-            if v is not None and v <= 0:
-                raise ValueError("budgets must be positive")
+        if self.max_oracle_calls_per_node is not None and self.max_oracle_calls_per_node <= 0:
+            raise ValueError("max_oracle_calls_per_node must be positive")
 
 
 @dataclass(frozen=True)
@@ -654,20 +623,20 @@ def run(
     progress_tracker=None,
     stop_dist_sq: float | None = None,
 ) -> RunTrace:
-    """Drive a method from the origin against budgets, recording metrics at a fixed cadence.
+    """Drive a method from the origin, recording every ``metric_every`` iterations and the last state.
 
-    A record takes its iteration, comms, oracle count, ``dist_sq`` and ``consensus_err``
-    when it is made.  Its objective metrics, ``grad_norm_sq`` and ``avg_value`` at the node
-    mean, are evaluated for ``RECORD_BLOCK`` records at once, by one stacked call of each
-    average: when the block fills, when the run ends and before a :class:`RunAbort` is
-    raised, so the returned or carried trace holds every record, in order, each bitwise
-    as if evaluated alone.  Metrics are evaluated through the raw objective so they never
-    touch the oracle counters.  ``stop_dist_sq`` ends the run early once the recorded
-    mean squared distance falls below it.  A step that raises a ``RuntimeError``
-    (a :class:`DivergenceError`, or a graph the sequence cannot serve) ends the
-    run with :class:`RunAbort`, which carries the records so far; a
-    ``NotImplementedError`` propagates as it is.  The metadata holds the oracle calls
-    per node and the method state's ``counters`` (none for ``gt_baseline``).
+    The run stops at the first state whose iteration reaches ``max_iterations``, whose largest
+    per-node oracle count reaches ``max_oracle_calls_per_node`` (a step's calls are drawn, so one
+    step can pass it), or whose last record's ``dist_sq`` is at most ``stop_dist_sq``.
+
+    A record takes its iteration, comms, oracle count, ``dist_sq`` and ``consensus_err`` when it
+    is made.  Its ``grad_norm_sq`` and ``avg_value`` at the node mean are evaluated through the
+    raw objective, uncounted, for ``RECORD_BLOCK`` records at once: when the block fills, when
+    the run ends and before a :class:`RunAbort` is raised, each bitwise as if evaluated alone.
+    A step that raises a ``RuntimeError`` (a :class:`DivergenceError`, or a graph the sequence
+    cannot serve) ends the run with :class:`RunAbort`, carrying every record up to the state
+    the step started from; a ``NotImplementedError`` propagates.  The metadata holds the
+    oracle calls per node and the method state's ``counters`` (none for ``gt_baseline``).
     """
     budgets.validate()
     if metric_every < 1:
@@ -723,8 +692,6 @@ def run(
 
     while True:
         if state.k >= budgets.max_iterations:
-            break
-        if budgets.max_communications is not None and state.comms >= budgets.max_communications:
             break
         if budgets.max_oracle_calls_per_node is not None and counting.max_calls() >= budgets.max_oracle_calls_per_node:
             break

@@ -254,13 +254,13 @@ def test_06_zero_chain_progress_bound():
         info = obj.info
         params = gt_page_params(info.L, info.Lhat, seq.chi, n)
         tracker = ProgressTracker(m)
-        run(GtPage(params), obj, seq, RunBudgets(max_iterations=8, max_communications=72),
+        run(GtPage(params), obj, seq, RunBudgets(max_iterations=8),
             seed=seed, progress_tracker=tracker)
         report = progress_audit(tracker, m, n)
         ok = ok and report.passed
 
         tracker_b = ProgressTracker(m)
-        run(GtBaseline(eta=0.05 / info.L), obj, seq, RunBudgets(max_iterations=72, max_communications=72),
+        run(GtBaseline(eta=0.05 / info.L), obj, seq, RunBudgets(max_iterations=72),
             seed=seed, progress_tracker=tracker_b)
         report_b = progress_audit(tracker_b, m, n)
         ok = ok and report_b.passed
@@ -268,7 +268,7 @@ def test_06_zero_chain_progress_bound():
         # Oversized steps drive progress deep into the chain; the budget bound
         # is information-theoretic and must survive any step size.
         tracker_w = ProgressTracker(m)
-        run(GtBaseline(eta=20.0 / info.L), obj, seq, RunBudgets(max_iterations=120, max_communications=120),
+        run(GtBaseline(eta=20.0 / info.L), obj, seq, RunBudgets(max_iterations=120),
             seed=seed, progress_tracker=tracker_w)
         report_w = progress_audit(tracker_w, m, n)
         ok = ok and report_w.passed and report_w.final_prog > 1  # the frontier moves: the audit is not vacuous
@@ -281,7 +281,7 @@ def test_06_zero_chain_progress_bound():
     leaky = LeakyZeroChain(seq, n, big_l=1.0, delta=1.0, budget_comms=160, budget_oracle=200)
     for eta in (5.0, 0.05):
         tracker_l = ProgressTracker(m)
-        run(GtBaseline(eta=eta / leaky.info.L), leaky, seq, RunBudgets(max_iterations=72, max_communications=72),
+        run(GtBaseline(eta=eta / leaky.info.L), leaky, seq, RunBudgets(max_iterations=72),
             seed=0, progress_tracker=tracker_l)
         report_l = progress_audit(tracker_l, m, n)
         ok = ok and not report_l.passed and report_l.violations[0] == (1, 8, 2, 1)

@@ -806,7 +806,7 @@ class TestProgressAudit:
         obj, seq = nonconvex_hard_objective(9, 4, 1.0, 1.0, budget_comms=1000, budget_oracle=4000)
         tracker, reference = ProgressTracker(m=9), _PerNodeTracker(m=9)
         both = SimpleNamespace(update=lambda *args: (tracker.update(*args), reference.update(*args)))
-        run(GtBaseline(eta=5.0), obj, seq, RunBudgets(max_iterations=1000, max_communications=1000),
+        run(GtBaseline(eta=5.0), obj, seq, RunBudgets(max_iterations=1000),
             progress_tracker=both)
         assert tracker.audit_points == reference.audit_points and len(tracker.audit_points) == 1001
         assert tracker.global_prog == reference.global_prog == 41

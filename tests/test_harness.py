@@ -26,6 +26,7 @@ from gossipvr.hardinstances import ChainObjective, ProgressTracker
 from gossipvr.objectives import SmoothnessInfo, CallableFiniteSum, FiniteSumObjective, logistic_objective
 from gossipvr.optimizers import AdomVr, AdomVrParams, GtBaseline, GtPage, RunAbort, RunTrace, TraceRecord, gt_page_params
 
+from conftest import child_left
 from test_network import dump_through_graph
 from test_objectives import make_shards
 
@@ -638,6 +639,17 @@ class TestRunExperiment:
             "window_bound_max", "window_norm_max", "windows_checked_exactly",
         ]
 
+    @pytest.mark.parametrize("iters", [30, 1100])
+    def test_chi_trials_at_the_dump_builds_each_served_step_once(self, tmp_path, fixture_path, iters):
+        """With ``chi_trials`` at the limit, ``DUMP_STEPS``, no block ``measure_chi`` built is evicted
+        before the walk reads it: the run builds the distinct steps served, ``max(chi_trials, comms)``."""
+        cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", topology="random-geometric", m=6,
+                             budget_iters=iters, chi_trials=network.DUMP_STEPS, metric_every=100)
+        _, _, meta_path = run_experiment(cfg)
+        meta = json.loads(meta_path.read_text())
+        assert meta["final"]["comms"] == iters
+        assert meta["graphs"]["built"] == max(network.DUMP_STEPS, iters)
+
     def test_gt_baseline_on_chain(self, tmp_path, fixture_path):
         cfg = self.small_cfg(tmp_path, fixture_path, method="gt_baseline", budget_iters=10)
         trace, _, _ = run_experiment(cfg)
@@ -711,6 +723,38 @@ class TestCli:
         code = main(["--config", str(f)])
         assert code == 1
         assert "adom_vr" in capsys.readouterr().err
+
+    @staticmethod
+    def readme_argv(method, fixture_path, out):
+        """The README ``gt_page`` or ``adom_vr`` command, writing to ``out``."""
+        common = ["--objective", "logistic" if method == "adom_vr" else "nlls", "--dataset", str(fixture_path),
+                  "--topology", "random-geometric", "--m", "10", "--n", "10", "--out", str(out)]
+        if method == "adom_vr":
+            return ["--method", method, *common, "--reg", "0.1", "--budget-iters", "2000", "--metric-every", "20", "--seed", "4"]
+        return ["--method", method, *common, "--budget-iters", "800"]
+
+    def test_readme_gt_page_comm_budget_buys_whole_iterations(self, tmp_path, fixture_path, capsys):
+        """``--budget-comms 100`` buys 9 iterations of 11 rounds, not a tenth that would end at 110."""
+        assert main(self.readme_argv("gt_page", fixture_path, tmp_path / "runs") + ["--budget-comms", "100"]) == 0
+        assert " iters=9 comms=99 " in capsys.readouterr().out
+        meta = json.loads((tmp_path / "runs" / "gt_page_nlls_random-geometric_m10_n10_seed0.json").read_text())
+        assert meta["parameters"]["stages"] == 11 and meta["final"]["comms"] == 99
+        ledger = meta["ledger"]
+        assert (ledger["comms_expected"], ledger["comms_measured"], ledger["comms_exact"]) == (99, 99, True)
+
+    def test_comm_budget_below_one_iteration_rejected_before_any_file(self, tmp_path, fixture_path, capsys):
+        assert main(self.readme_argv("gt_page", fixture_path, tmp_path / "runs") + ["--budget-comms", "5"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "budget_comms=5 is below one gt_page iteration's 11 rounds",
+        }
+        assert not (tmp_path / "runs").exists() and not child_left()
+
+    def test_chi_trials_past_the_dump_rejected_before_any_file(self, tmp_path, fixture_path, capsys):
+        assert main(self.readme_argv("adom_vr", fixture_path, tmp_path / "runs") + ["--chi-trials", "1001"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "chi_trials must be at most 1000, the steps a .graphs dump keeps, got 1001",
+        }
+        assert not (tmp_path / "runs").exists()
 
     def test_cli_end_to_end(self, tmp_path, fixture_path, capsys):
         code = main(
@@ -904,6 +948,7 @@ class TestCli:
         ("zc_delta=nan", "zc_delta must be finite, got nan"),
         ("stop_dist_sq=inf", "stop_dist_sq must be finite, got inf"),
         ("stop_dist_sq=-1", "stop_dist_sq must be non-negative, got -1.0"),
+        ("chi_trials=1001", "chi_trials must be at most 1000, the steps a .graphs dump keeps, got 1001"),
     ])
     def test_bad_value_rejected_before_any_file(self, tmp_path, capsys, line, message):
         (tmp_path / "exp.cfg").write_text(f"method=gt_baseline\nobjective=zero_chain\nm=9\nn=4\nbudget_iters=3\n{line}\n")

@@ -949,7 +949,7 @@ class TestRunDriver:
     def test_zero_iteration_budget(self):
         obj, seq, w_star = self.make_setup()
         params = adom_vr_params(obj.info.mu, obj.info.L, obj.info.Lbar, seq.chi, obj.n, b=obj.n)
-        trace = run(AdomVr(params), obj, seq, RunBudgets(max_iterations=1, max_communications=1), seed=0, x_star=w_star)
+        trace = run(AdomVr(params), obj, seq, RunBudgets(max_iterations=1), seed=0, x_star=w_star)
         assert len(trace.records) >= 1
         assert trace.records[0].iteration == 0
 
@@ -1128,14 +1128,23 @@ class TestRunDriver:
     def test_budget_limits_respected(self):
         obj, seq, _ = self.make_setup()
         params = gt_page_params(obj.info.L, obj.info.Lhat, seq.chi, obj.n, stages=3)
-        trace = run(GtPage(params), obj, seq, RunBudgets(max_iterations=10**6, max_communications=30), seed=0)
-        assert trace.final().comms == 30
+        # A 30-round budget is 10 iterations of 3 stages.
+        trace = run(GtPage(params), obj, seq, RunBudgets(max_iterations=10), seed=0)
+        assert params.stages == 3 and trace.final().comms == 30
         trace = run(
             GtPage(params), obj, seq,
             RunBudgets(max_iterations=10**6, max_oracle_calls_per_node=50), seed=0,
         )
         assert trace.final().oracle_calls >= 50
         assert trace.records[-2].oracle_calls < 50
+
+    def test_budgets_have_no_comm_field(self):
+        """Every method spends a fixed number of rounds per iteration, so a comm budget is an
+        iteration budget, which the caller converts."""
+        assert [f.name for f in dataclasses.fields(RunBudgets)] == ["max_iterations", "max_oracle_calls_per_node"]
+        removed = "max_" + "communications"  # the old comm budget's keyword, named nowhere else
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{removed}'"):
+            RunBudgets(max_iterations=10, **{removed: 30})
 
 
 def _fit_line(x, y):
