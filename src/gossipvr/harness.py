@@ -359,6 +359,13 @@ class ExperimentConfig:
             raise ValueError("m and n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # A budget_comms, budget_oracle or b of 0 keeps its default: no limit, or the schedule's batch.
+        for name, least in (("budget_iters", 1), ("metric_every", 1), ("chi_trials", 1),
+                            ("budget_comms", 0), ("budget_oracle", 0), ("b", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if "b" in _METHODS[self.method][0] and self.b > self.n:
+            raise ValueError(f"b must be at most n={self.n}, got {self.b}")
         if self.chi_trials > DUMP_STEPS:  # past the dump, the walk would build measure_chi's blocks again
             raise ValueError(f"chi_trials must be at most {DUMP_STEPS}, the steps a .graphs dump keeps, got {self.chi_trials}")
         for f in fields(self):

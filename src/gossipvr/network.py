@@ -15,6 +15,7 @@ left; the averaging operator actually applied by optimizers is ``I - W``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import os
@@ -45,7 +46,6 @@ __all__ = [
     "consensus_residual",
     "node_mean",
     "consensus_error",
-    "stream_generators",
     "dump_sequence",
     "DUMP_STEPS",
 ]
@@ -59,6 +59,7 @@ DUMP_STEPS = 1000
 MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
 BLOCK = 64  # random-geometric steps built per stacked pass
 SEED_BLOCKS = 16  # blocks whose streams one replica pass seeds
+PIPE_BLOCKS = 4  # built blocks the builder child's pipe holds ahead of the walk
 
 
 @dataclass(frozen=True)
@@ -253,12 +254,12 @@ class StaticSequence(_CyclicSequence):
 
 # The streams of ``default_rng((seed, k))`` for a block of steps ``k`` at once: the
 # random-geometric draws here, seeded SEED_BLOCKS blocks per pass because each pass costs
-# about 100 numpy calls whatever its width, and the optimizers' batch and coin draws
-# (stream_generators), seeded one block per pass.
+# about 100 numpy calls whatever its width, and the optimizers' batch and coin draws,
+# seeded one block per pass, both drawn from the raw outputs of _next_outputs.
 # A seed is a non-negative integer and a step lies in [0, 2**32); _stream_seed and
-# _block_streams are the only places that check it.  numpy keeps the three
-# algorithms it runs stable (NEP 19): SeedSequence hashing of the entropy words
-# ``(seed, k)``, PCG64 (a 128-bit LCG with XSL-RR output) and ``next_double``.
+# _block_streams are the only places that check it.  numpy keeps the algorithms it
+# runs stable (NEP 19): SeedSequence hashing of the entropy words ``(seed, k)``,
+# PCG64 (a 128-bit LCG with XSL-RR output), ``next_double`` and bounded integers.
 # 128-bit values are held as uint64 ``(hi, lo)`` pairs; numpy wraps on overflow.
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -297,14 +298,18 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
+@functools.lru_cache(maxsize=None)
 def _lcg_jumps(n: int) -> tuple[np.ndarray, ...]:
-    """``(M^j, sum_{i<j} M^i) mod 2**128`` for ``j = 1..n`` as hi/lo rows: PCG64's state
-    ``j`` outputs after ``s`` is ``M^j s + (sum_{i<j} M^i) inc``."""
+    """``(M^j, sum_{i<j} M^i) mod 2**128`` for ``j = 1..n`` as hi/lo rows, ``n >= 1``: PCG64's
+    state ``j`` outputs after ``s`` is ``M^j s + (sum_{i<j} M^i) inc``."""
     power, total, rows = 1, 0, []
     for _ in range(n):
         power, total = power * _PCG_MULT & (1 << 128) - 1, (total * _PCG_MULT + 1) & (1 << 128) - 1
         rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
-    return tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
+    cols = tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
+    for col in cols:  # cached and shared by every caller
+        col.flags.writeable = False
+    return cols
 
 
 def _stream_seed(seed: int) -> int:
@@ -350,41 +355,61 @@ def _pcg64_streams(seed: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*_add128(hi, lo, *inc), *inc)
 
 
-def _next_doubles(streams: tuple[np.ndarray, ...], jumps: tuple[np.ndarray, ...]):
-    """The next ``len(jumps[0])`` doubles of each stream, as ``Generator.random`` gives
-    them (XSL-RR output, top 53 bits), and the streams advanced past them."""
+def _next_outputs(streams: tuple[np.ndarray, ...], count: int):
+    """The next ``count`` 64-bit outputs of each stream (XSL-RR), as ``(len(streams[0]), count)``
+    uint64, and the streams advanced past them."""
     hi, lo, inc_hi, inc_lo = (s[:, None] for s in streams)
-    p_hi, p_lo, t_hi, t_lo = jumps
+    p_hi, p_lo, t_hi, t_lo = _lcg_jumps(count)
     s_hi, s_lo = _add128(*_mul128(hi, lo, p_hi, p_lo), *_mul128(inc_hi, inc_lo, t_hi, t_lo))
     x, rot = s_hi ^ s_lo, s_hi >> 58
-    out = x >> rot | x << (64 - rot & 63)
-    return (out >> 11) * (1.0 / (1 << 53)), (s_hi[:, -1], s_lo[:, -1], *streams[2:])
+    return x >> rot | x << (64 - rot & 63), (s_hi[:, -1], s_lo[:, -1], *streams[2:])
 
 
-def stream_generators(seed: int, k: int, size: int) -> tuple[int, Iterator[np.random.Generator]]:
-    """The aligned block of ``size`` steps holding ``k``: its first step, and an iterator
-    that yields, for each of its steps ``j`` in turn, one numpy Generator set to the state
-    ``default_rng((seed, j))`` starts from.
+def _doubles(outputs: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s double of each 64-bit output: its top 53 bits."""
+    return (outputs >> 11) * (1.0 / (1 << 53))
 
-    The replica seeds the block's streams in one pass; numpy's PCG64 draws from each
-    seeded state, so the cost per draw is numpy's and not the replica's 128-bit
-    arithmetic, and the draws are numpy's own.  The iterator yields the same Generator
-    each time: draw from it before taking the next.
-    """
-    steps, streams = _block_streams(seed, k, size)
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
 
-    def seeded(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> np.random.Generator:
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+def _next_doubles(streams: tuple[np.ndarray, ...], count: int):
+    """The next ``count`` doubles of each stream, as ``Generator.random`` gives them, and
+    the streams advanced past them."""
+    outputs, streams = _next_outputs(streams, count)
+    return _doubles(outputs), streams
 
-    return steps.start, (seeded(*state) for state in zip(*(s.tolist() for s in streams)))
+
+def _integers_then_double(streams: tuple[np.ndarray, ...], n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``integers(0, n, count)`` and then ``random()`` draw from each stream, as numpy draws
+    them: ``(len(streams[0]), count)`` int64 and ``(len(streams[0]),)`` doubles.
+
+    numpy draws a bound ``n <= 2**32`` by Lemire's method on 32-bit words, the low then the high
+    half of each output: a word ``w`` gives ``w n >> 32`` unless ``w n mod 2**32`` falls below
+    ``2**32 mod n``, when it is rejected and the next word drawn.  The double is the next whole
+    output after the last word used; ``n = 1`` uses no word."""
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"integers are drawn from n in [1, 2**32], got n={n}")
+    if n == 1:
+        outputs, _ = _next_outputs(streams, 1)
+        return np.zeros((len(outputs), count), dtype=np.int64), _doubles(outputs[:, 0])
+    threshold = ((1 << 32) - n) % n
+    chunk = -(-count // 2) + 1  # without rejections: the words' outputs and the double's
+    outputs, streams = _next_outputs(streams, chunk)
+    while True:
+        lemire = outputs.astype("<u8", copy=False).view("<u4") * np.uint64(n)
+        accept = (lemire & _MASK32) >= threshold
+        if accept[:, :count].all():  # nothing rejected, the common case unless n nears 2**32
+            values, last = lemire[:, :count] >> 32, outputs[:, chunk - 1]
+            break
+        taken = np.cumsum(accept, axis=1)
+        used = np.argmax(taken >= count, axis=1) + 1  # the words each stream's integers read
+        if taken[:, -1].min() >= count and (used.max() + 1) // 2 < outputs.shape[1]:
+            # Each stream's first `count` accepted words, gathered from all streams' accepted words in order.
+            firsts = taken[:, -1].cumsum() - taken[:, -1]
+            values = (lemire[accept] >> 32)[firsts[:, None] + np.arange(count)]
+            last = outputs[np.arange(len(outputs)), (used + 1) // 2]
+            break
+        more, streams = _next_outputs(streams, chunk)
+        outputs = np.concatenate((outputs, more), axis=1)
+    return values.astype(np.int64), _doubles(last)
 
 
 def _builder_can_run() -> bool:
@@ -477,7 +502,6 @@ class RandomGeometricSequence(GraphSequence):
         self.m = m
         self.radius = float(radius)
         self.seed = _stream_seed(seed)
-        self._jumps = _lcg_jumps(2 * m)
         # The steps and PCG64 streams of the last chunk of SEED_BLOCKS blocks seeded; a block never
         # straddles two chunks, since a chunk is SEED_BLOCKS * BLOCK aligned steps cut at 2**32.
         self._chunk: tuple[range, tuple[np.ndarray, ...]] = (range(0), ())
@@ -584,9 +608,10 @@ class RandomGeometricSequence(GraphSequence):
 
         A miss right after a cached block, a forward walk, forks the child first, once per
         sequence, when :func:`_builder_can_run` allows it: the child runs ``_build_block`` on the
-        blocks after this one, in order, and writes each buffer to a pipe, whose capacity keeps
-        it about one block ahead.  Every other miss builds in-process, and so does every miss
-        once the child has died or fallen silent (:meth:`_read_piped`)."""
+        blocks after this one, in order, and writes each buffer to a pipe deepened to hold
+        ``PIPE_BLOCKS`` blocks (:meth:`_fork_builder`), which bounds how far ahead it runs.  Every
+        other miss builds in-process, and so does every miss once the child has died or fallen
+        silent (:meth:`_read_piped`)."""
         start = k - k % BLOCK
         if start == self._piped:
             block = self._read_piped(start)
@@ -599,13 +624,19 @@ class RandomGeometricSequence(GraphSequence):
     def _fork_builder(self, start: int) -> None:
         """Fork the builder child on the blocks from ``start`` on, and pin it to the CPUs this walk
         may use other than the one it runs on: a fresh child left to the scheduler can share the
-        walk's CPU for the whole run, and then the two take turns instead of overlapping."""
+        walk's CPU for the whole run, and then the two take turns instead of overlapping.  Its pipe
+        is deepened to ``PIPE_BLOCKS`` blocks, so a walk that catches up with the child finds
+        built blocks waiting; where the host refuses, the default pipe, about one block, stays."""
         try:  # the walk's CPU: field 39 of /proc/self/stat, the 37th after the command name's ")"
             with open("/proc/self/stat", "rb") as stat:
                 others = os.sched_getaffinity(0) - {int(stat.read().rpartition(b")")[2].split()[36])}
         except OSError:
             others = None
         read, write = os.pipe()
+        import fcntl  # a builder runs only where os.fork and sched_getaffinity exist, so fcntl does too
+
+        with contextlib.suppress(OSError):  # refused, say past the host's pipe size limit
+            fcntl.fcntl(read, fcntl.F_SETPIPE_SZ, PIPE_BLOCKS * _block_bytes(BLOCK, self.m))
         pid = os.fork()
         if pid == 0:  # the child leaves by os._exit: it never runs the parent's exit handlers or flushes its buffers
             try:
@@ -662,7 +693,7 @@ class RandomGeometricSequence(GraphSequence):
         pending = np.arange(size)  # the offsets not yet connected
         for draw in range(MAX_RETRIES):
             # Draw d of step k reads outputs [2m d, 2m (d + 1)) of its stream.
-            u, streams = _next_doubles(streams, self._jumps)
+            u, streams = _next_doubles(streams, 2 * m)
             dx, dy = (c[:, :, None] - c[:, None, :] for c in u.reshape(-1, m, 2).transpose(2, 0, 1))
             adj = dx * dx + dy * dy <= r2
             adj[:, diag, diag] = False
@@ -775,7 +806,8 @@ _WINDOW_SLACK = 1e-9
 def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray, contraction: float) -> np.ndarray:
     """``prod_q (I - W(q)) x`` over the window of ``stages`` consecutive graphs, ``q``
     running chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
-    The window is read with one ``seq.window`` call.
+    The window is read with one ``seq.window`` call and turned into one ``I - W(q)`` stack,
+    which the certificate and the ``stages`` products ``x = (I - W(q)) x`` both read.
 
     The window is certified to contract the zero-mean subspace by at most ``contraction``
     (``1 - rho`` of a ``gt_page`` schedule; ``math.inf`` certifies nothing).  The bound
@@ -792,13 +824,15 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
     same order at both widths: OpenBLAS 0.3.31 on AVX-512 does for ``m < 16`` (the tests
     pin ``m = 10``), not from ``m = 16`` on, where the blocks can differ in the last bit."""
     matrices, chi = seq.window(start_step, stages)
-    _certify_window(seq, start_step, matrices, chi, contraction)
-    for w in matrices:
-        x = x - w.dot(x)
+    steps = np.eye(matrices.shape[1]) - matrices
+    _certify_window(seq, start_step, steps, chi, contraction)
+    for step in steps:
+        x = step.dot(x)
     return x
 
 
-def _certify_window(seq: GraphSequence, start: int, matrices: np.ndarray, chi: np.ndarray, contraction: float) -> None:
+def _certify_window(seq: GraphSequence, start: int, steps: np.ndarray, chi: np.ndarray, contraction: float) -> None:
+    """Certify the window whose ``I - W(q)`` stack is ``steps`` (see :func:`consensus_residual`)."""
     limit = contraction * (1.0 + _WINDOW_SLACK)
     bound = math.prod([1.0 - 1.0 / c for c in chi.tolist()])  # in Python: a third of numpy's cost at 11 steps
     if seq.window_bound_max is None:  # the first window certified
@@ -806,10 +840,10 @@ def _certify_window(seq: GraphSequence, start: int, matrices: np.ndarray, chi: n
     seq.window_bound_max = max(seq.window_bound_max, bound)
     if bound <= limit:
         return
-    m = matrices.shape[1]
+    m = steps.shape[1]
     product = np.eye(m) - 1.0 / m  # the zero-mean projector, which every I - W(q) keeps zero-mean
-    for w in matrices:
-        product = product - w.dot(product)
+    for step in steps:
+        product = step.dot(product)
     norm = math.sqrt(max(float(np.linalg.eigvalsh(product.T.dot(product))[-1]), 0.0))
     seq.windows_checked_exactly += 1
     seq.window_norm_max = max(seq.window_norm_max, norm)

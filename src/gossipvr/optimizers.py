@@ -24,7 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import GraphSequence, consensus_error, consensus_residual, node_mean, stream_generators
+from .network import (
+    GraphSequence, _block_streams, _integers_then_double, _next_doubles, consensus_error, consensus_residual, node_mean,
+)
 from .objectives import CountingObjective, FiniteSumObjective
 
 __all__ = [
@@ -258,16 +260,16 @@ class _Draws:
 def _draw_row(carried: _Draws | None, k: int, key: tuple, basis, make_rows) -> tuple[_Draws, tuple]:
     """Iteration ``k``'s block and row: ``carried`` when it was built for an equal ``key`` and this
     very ``basis`` and holds ``k``, else the aligned block of ``DRAW_BLOCK`` iterations holding
-    ``k``, whose rows ``make_rows(key, basis, gens)`` draws from the generators of
-    :func:`stream_generators`, one per iteration, in order."""
+    ``k``, whose rows ``make_rows(key, basis, streams)`` draws from the PCG64 streams the replica
+    seeds for it (``network._block_streams``), one per iteration, in order."""
     holds = carried is not None and carried.start <= k < carried.start + len(carried.rows)
     if not (holds and carried.key == key and carried.basis is basis):
-        start, gens = stream_generators(key[0], k, DRAW_BLOCK)
-        carried = _Draws(key=key, basis=basis, start=start, rows=make_rows(key, basis, gens))
+        steps, streams = _block_streams(key[0], k, DRAW_BLOCK)
+        carried = _Draws(key=key, basis=basis, start=steps.start, rows=make_rows(key, basis, streams))
     return carried, carried.rows[k - carried.start]
 
 
-def _adom_rows(key: tuple, cum_probs: np.ndarray, gens) -> list[tuple]:
+def _adom_rows(key: tuple, cum_probs: np.ndarray, streams) -> list[tuple]:
     """Per iteration, ``(idx, to_f, to_g, moved, moves)``: the ``(m, b)`` batch indices, the ``(m, 1)``
     omega moves to x_f and to x_g, the nodes whose omega moves and the counts of both moves.
 
@@ -276,7 +278,7 @@ def _adom_rows(key: tuple, cum_probs: np.ndarray, gens) -> list[tuple]:
     """
     (_, params), (m, n) = key, cum_probs.shape
     b = params.b
-    u = np.stack([gen.random(m * b + m) for gen in gens])
+    u, _ = _next_doubles(streams, m * b + m)
     batch_u, omega_u = u[:, : m * b].reshape(-1, m, b), u[:, m * b :, None]
     # Inverse-CDF sampling: the index is the count of running sums <= u.
     idx = np.empty(batch_u.shape, dtype=np.intp)
@@ -447,24 +449,31 @@ class AdomVr:
 # ---------------------------------------------------------------------------
 
 
-def _page_rows(key: tuple, basis: None, gens) -> list[tuple]:
+def _page_rows(key: tuple, basis: None, streams) -> list[tuple]:
     """Per iteration, for ``key = (seed, n, (m, b))``, ``(idx, coin)``: numpy's own
-    ``integers(0, n, (m, b))`` for the batch, then the shared restart coin, the one double
-    ``random(1)`` draws."""
-    _, n, batch = key
-    return [(gen.integers(0, n, size=batch), gen.random()) for gen in gens]
+    ``integers(0, n, (m, b))`` for the batch, then ``random()`` for the shared restart coin."""
+    _, n, (m, b) = key
+    idx, coins = _integers_then_double(streams, n, m * b)
+    return list(zip(idx.reshape(-1, m, b), coins.tolist()))
 
 
 @dataclass
 class GtPageState:
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
+    xv: np.ndarray  # (m, 2d): the iterate x and the tracker v side by side, mixed as one stack
+    y: np.ndarray  # (m, d) gradient estimates
     k: int = 0
     comms: int = 0
     full_restarts: int = 0  # iterations whose restart coin fell below p so far
     # The last block of draws built, checked before it is read, as AdomVrState.draws.
     draws: _Draws | None = None
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.xv[:, : self.y.shape[1]]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.xv[:, self.y.shape[1] :]
 
     @property
     def counters(self) -> dict:
@@ -482,20 +491,19 @@ class GtPage:
         """Consensus start with tracker seeded by the full gradient (n calls per node)."""
         x = _start_point(obj, x0)
         y = obj.batch_local_gradients(np.arange(obj.m), x)
-        v = np.tile(y.mean(axis=0), (obj.m, 1))
-        return GtPageState(x=x, y=y, v=v)
+        return GtPageState(xv=np.concatenate((x, np.tile(y.mean(axis=0), (obj.m, 1))), axis=1), y=y)
 
     def step(self, state: GtPageState, obj: FiniteSumObjective, seq: GraphSequence, seed: int) -> GtPageState:
         """One iteration, ``stages`` rounds from graph ``state.comms`` that mix the iterate and the
-        tracker as one certified ``[x | v]`` window (:func:`consensus_residual`).  One coin, shared
-        by every node, switches all of them to a full gradient."""
+        tracker as one certified ``[x | v]`` window (:func:`consensus_residual`), updated in place
+        in the mixed block.  One coin, shared by every node, switches all of them to a full gradient."""
         params = self.params
-        (m, d), k = state.x.shape, state.k
+        (m, d), k = state.y.shape, state.k
         draws, (idx, coin) = _draw_row(state.draws, k, (seed, obj.n, (m, params.b)), None, _page_rows)
 
-        stack = np.concatenate((state.x, state.v), axis=1)
-        mixed = consensus_residual(seq, state.comms, params.stages, stack, 1.0 - params.rho)
-        x_new = mixed[:, :d] - params.eta * state.v
+        xv = consensus_residual(seq, state.comms, params.stages, state.xv, 1.0 - params.rho)
+        x_new, v_new = xv[:, :d], xv[:, d:]
+        x_new -= params.eta * state.v
 
         restart = coin < params.p
         if restart:  # every node's gradient at x_new
@@ -505,12 +513,15 @@ class GtPage:
             diff = g_new - g_old
             y_new = state.y + diff.sum(axis=1) / diff.shape[1]
 
-        v_new = mixed[:, d:] + y_new - state.y
+        v_new += y_new
+        v_new -= state.y
         new_state = GtPageState(
-            x=x_new, y=y_new, v=v_new, k=k + 1, comms=state.comms + params.stages,
+            xv=xv, y=y_new, k=k + 1, comms=state.comms + params.stages,
             full_restarts=state.full_restarts + restart, draws=draws,
         )
-        _check_finite(new_state, "x", "v")
+        # One comparison over the [x | v] block on the happy path; a failure is worded per field.
+        if not np.abs(xv).max() <= DIVERGENCE_LIMIT:
+            _check_finite(new_state, "x", "v")
         return new_state
 
 

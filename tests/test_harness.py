@@ -30,6 +30,8 @@ from conftest import child_left
 from test_network import dump_through_graph
 from test_objectives import make_shards
 
+DATA = Path(__file__).resolve().parent / "data" / "logreg500.libsvm"
+
 
 class TestParseLibsvm:
     def test_basic_line(self, tmp_path):
@@ -954,6 +956,38 @@ class TestCli:
         (tmp_path / "exp.cfg").write_text(f"method=gt_baseline\nobjective=zero_chain\nm=9\nn=4\nbudget_iters=3\n{line}\n")
         assert main(["--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "runs")]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "runs").exists()
+
+    # The README gt_page command with one bad count or budget: validate names the config field
+    # before the dataset is parsed.
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget_iters", 0, "budget_iters must be >= 1, got 0"),
+        ("metric_every", 0, "metric_every must be >= 1, got 0"),
+        ("chi_trials", 0, "chi_trials must be >= 1, got 0"),
+        ("budget_comms", -1, "budget_comms must be >= 0, got -1"),
+        ("budget_oracle", -5, "budget_oracle must be >= 0, got -5"),
+        ("b", -2, "b must be >= 0, got -2"),
+        ("b", 11, "b must be at most n=10, got 11"),
+    ])
+    def test_bad_count_rejected_at_validate(self, monkeypatch, field, value, message):
+        monkeypatch.setattr(harness, "parse_libsvm", lambda path: pytest.fail("parsed the dataset"))
+        cfg = ExperimentConfig(method="gt_page", objective="nlls", dataset=str(DATA), budget_iters=800)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.run_experiment(cfg.replace(**{field: value}))
+
+    def test_batch_above_n_rejected_only_where_read(self):
+        ExperimentConfig(method="adom_vr", objective="chain", topology="two-star-hop", b=4, n=4).validate()
+        with pytest.raises(ValueError, match="^b must be at most n=4, got 5$"):
+            ExperimentConfig(method="adom_vr", objective="chain", topology="two-star-hop", b=5, n=4).validate()
+        with pytest.raises(ValueError, match="^b=5 is never read: method 'gt_baseline' ignores it$"):
+            ExperimentConfig(method="gt_baseline", objective="chain", topology="two-star-hop", b=5, n=4).validate()
+
+    def test_readme_gt_page_with_a_bad_batch_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(harness, "parse_libsvm", lambda path: pytest.fail("parsed the dataset"))
+        args = ["--method", "gt_page", "--objective", "nlls", "--dataset", str(DATA), "--topology", "random-geometric",
+                "--m", "10", "--n", "10", "--budget-iters", "800", "--b", "-2", "--out", str(tmp_path / "runs")]
+        assert main(args) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "b must be >= 0, got -2"}
         assert not (tmp_path / "runs").exists()
 
     # Each row: the run's method and objective, an option it never reads, and what ignores it.

@@ -1,3 +1,4 @@
+import fcntl
 import io
 import math
 import os
@@ -92,10 +93,10 @@ def per_step_reference(m, radius, seed, k):
 
 def replica_draws(seed, steps, m, draws):
     """The first ``draws`` point sets of each step as the block builder computes them: (steps, draws, m, 2)."""
-    streams, jumps = network._pcg64_streams(seed, np.asarray(steps)), network._lcg_jumps(2 * m)
+    streams = network._pcg64_streams(seed, np.asarray(steps))
     out = []
     for _ in range(draws):
-        u, streams = network._next_doubles(streams, jumps)
+        u, streams = network._next_doubles(streams, 2 * m)
         out.append(u.reshape(-1, m, 2))
     return np.stack(out, axis=1)
 
@@ -533,16 +534,6 @@ class TestRandomGeometric:
             for d in range(3):
                 assert np.array_equal(got[d], rng.uniform(size=(m, 2))), (k, d)
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
-    @pytest.mark.parametrize("k, size, count", [(0, 64, 110), (100, 7, 1), (2**32 - 1, 7, 2000)])
-    def test_stream_generators_match_default_rng(self, seed, k, size, count):
-        start, gens = network.stream_generators(seed, k, size)
-        rows = [gen.random(count) for gen in gens]
-        # The aligned block holding k, cut at 2**32.
-        assert start == k - k % size and start + len(rows) == min(start + size, 2**32)
-        for j, row in enumerate(rows, start):
-            assert np.array_equal(row, np.random.default_rng((seed, j)).random(count)), j
-
     def test_redrawn_steps_match_reference(self):
         seq = RandomGeometricSequence(10, 0.35, seed=2)
         redraws = []
@@ -682,10 +673,20 @@ class TestMultiStageMix:
 
 
 def matmul_residual(seq, start_step, stages, x):
-    """Multi-stage consensus written with ``@``: the reference consensus_residual is bitwise equal to."""
+    """Multi-stage consensus written with ``@``, one ``(I - W(q)) @ x`` product per step: the
+    reference consensus_residual is bitwise equal to."""
     for q in range(start_step, start_step + stages):
-        x = x - seq.gossip(q).matrix @ x
+        x = (np.eye(seq.m) - seq.gossip(q).matrix) @ x
     return x
+
+
+def exact_window_norm(seq, start_step, stages):
+    """The norm of a window's product on the zero-mean subspace, from the ``I - W(q)`` steps
+    written with ``@``."""
+    product = np.eye(seq.m) - 1.0 / seq.m
+    for q in range(start_step, start_step + stages):
+        product = (np.eye(seq.m) - seq.gossip(q).matrix) @ product
+    return math.sqrt(max(float(np.linalg.eigvalsh(product.T @ product)[-1]), 0.0))
 
 
 def residual_inputs(rng, m, d=20):
@@ -695,7 +696,8 @@ def residual_inputs(rng, m, d=20):
 
 
 class TestResidualBitwise:
-    """consensus_residual multiplies by ``ndarray.dot``; every product is bitwise the ``@`` one."""
+    """consensus_residual applies each step as one ``(I - W(q))`` product by ``ndarray.dot``;
+    every product is bitwise the ``@`` one."""
 
     @pytest.mark.parametrize("piped", [False, True], ids=["in-process", "piped"])
     def test_random_geometric(self, monkeypatch, piped):
@@ -738,6 +740,23 @@ class TestResidualBitwise:
             both = consensus_residual(seq, start, stages, np.concatenate((x, v), axis=1), math.inf)
             assert both[:, :20].tobytes() == consensus_residual(seq, start, stages, x, math.inf).tobytes()
             assert both[:, 20:].tobytes() == consensus_residual(seq, start, stages, v, math.inf).tobytes()
+        seq.close()
+
+
+    @pytest.mark.parametrize("make, start, stages", [
+        (lambda: RandomGeometricSequence(10, 0.45, seed=1), network.BLOCK - 4, 11),  # straddles a block
+        (lambda: TwoStarHopSequence(10), 5, 4),
+    ], ids=["random-geometric", "two-star-hop"])
+    def test_exact_norm_reads_the_same_steps(self, monkeypatch, make, start, stages):
+        """A window whose bound exceeds its contraction is checked by the norm of the product of
+        the ``I - W(q)`` steps the mix applies: at a contraction of exactly that norm, the exact
+        check runs, passes and records the norm bitwise."""
+        in_process(monkeypatch)
+        seq, x = make(), random_zero_mean(np.random.default_rng(9), 10)
+        norm = exact_window_norm(seq, start, stages)
+        got = consensus_residual(seq, start, stages, x, contraction=norm)
+        assert seq.window_bound_max > norm and seq.windows_checked_exactly == 1 and seq.window_norm_max == norm
+        assert got.tobytes() == matmul_residual(seq, start, stages, x).tobytes()
         seq.close()
 
 
@@ -954,7 +973,8 @@ class TestBuilderChild:
         the sequence that served it with the child, closed, and both walks' cached block buffers."""
         seq = RandomGeometricSequence(m, radius, seed=seed)
         first, _ = walk(seq, steps[: kill_after or 0])
-        if kill_after is not None:
+        if kill_after is not None:  # the whole blocks its pipe can hold when the child stops
+            self.held = fcntl.fcntl(seq._child[1], fcntl.F_GETPIPE_SZ) // network._block_bytes(network.BLOCK, m)
             os.kill(seq._child[0], sig)
         rest, counters = walk(seq, steps[kill_after or 0 :])
         seq.close()
@@ -987,22 +1007,24 @@ class TestBuilderChild:
         k = failed[-1]
         assert served[k] == f"no connected geometric graph after 3 resamples (m=10, radius=0.35, step={k}); increase the radius"
 
+    # Blocks 2 and 3, then what the pipe held whole when the child stopped; the walk's 12 blocks
+    # reach past that, so its last blocks are built in-process.
     def test_killed_child_leaves_the_walk_in_process(self, monkeypatch):
         b = network.BLOCK
-        steps = range(6 * b)
+        steps = range(12 * b)
         walked, reference, seq, _ = self.walk_both_ways(monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5)
         assert walked == reference
-        assert 2 <= seq.builder_blocks <= 3  # blocks 2 and 3, and block 4 if the pipe held it whole; block 5 in-process
+        assert 2 <= seq.builder_blocks <= 2 + self.held < 10
 
     def test_stopped_child_leaves_the_walk_in_process(self, monkeypatch):
         monkeypatch.setattr(RandomGeometricSequence, "PIPE_TIMEOUT", 0.2)
         b = network.BLOCK
-        steps = range(6 * b)
+        steps = range(12 * b)
         walked, reference, seq, _ = self.walk_both_ways(
             monkeypatch, 10, 0.35, 2, steps, kill_after=3 * b + 5, sig=signal.SIGSTOP
         )
         assert walked == reference
-        assert 2 <= seq.builder_blocks <= 3  # what the pipe held whole when the child stopped; the rest in-process
+        assert 2 <= seq.builder_blocks <= 2 + self.held < 10
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the walk may use one CPU: no other to pin the child to")
     def test_child_is_pinned_off_the_walks_cpu(self):
@@ -1023,6 +1045,18 @@ class TestBuilderChild:
         walked, reference, seq, (blocks, reference_blocks) = self.walk_both_ways(monkeypatch, 10, 0.7, 0, steps)
         assert walked == reference and blocks == reference_blocks
         assert seq.builder_blocks == 4 and not seq.builder_pinned
+
+    def test_pipe_holds_several_blocks(self):
+        requested = network.PIPE_BLOCKS * network._block_bytes(network.BLOCK, 10)
+        with open("/proc/sys/fs/pipe-max-size") as limit:
+            if int(limit.read()) < requested:
+                pytest.skip("this host caps pipes below the requested size")
+        seq = RandomGeometricSequence(10, 0.7, seed=0)
+        for k in range(2 * network.BLOCK + 1):
+            seq.gossip(k)
+        size = fcntl.fcntl(seq._child[1], fcntl.F_GETPIPE_SZ)
+        seq.close()
+        assert size >= requested > 2 * network._block_bytes(network.BLOCK, 10)
 
     def test_close_reaps_the_child_and_stops_forking(self):
         seq = RandomGeometricSequence(10, 0.7, seed=0)
@@ -1071,6 +1105,32 @@ class TestBuilderChild:
         with pytest.raises(RunAbort, match="^diverged$"):
             harness.run_experiment(cfg)
         assert seqs[-1].builder_blocks == 2 and not child_left()  # steps 0..249: blocks 2 and 3
+
+
+def test_refused_pipe_size_keeps_the_default_pipe(monkeypatch):
+    """A host that refuses to deepen the builder's pipe leaves it at its default size; the piped
+    walk still serves every block bitwise as the in-process build does."""
+    if not network._builder_can_run():
+        pytest.skip("this host builds every block in-process")
+    real_fcntl = fcntl.fcntl
+
+    def refuse(fd, cmd, arg=0):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise PermissionError("pipe size refused")
+        return real_fcntl(fd, cmd, arg)
+
+    read, write = os.pipe()
+    default = real_fcntl(read, fcntl.F_GETPIPE_SZ)
+    os.close(read), os.close(write)
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    seq, steps = RandomGeometricSequence(10, 0.45, seed=1), range(6 * network.BLOCK + 3)
+    piped = walk(seq, steps)
+    assert real_fcntl(seq._child[1], fcntl.F_GETPIPE_SZ) == default
+    seq.close()
+    in_process(monkeypatch)
+    reference = RandomGeometricSequence(10, 0.45, seed=1)
+    assert piped == walk(reference, steps) and cached_blocks(seq) == cached_blocks(reference)
+    assert seq.builder_blocks > 0
 
 
 def test_consensus_error_zero_at_consensus():

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gossipvr.network as network
 import gossipvr.optimizers as optimizers
 
 from gossipvr.hardinstances import nonconvex_hard_objective
@@ -713,6 +716,74 @@ class TestGtPageDraws:
         other_batch = dataclasses.replace(resumed, draws=self.solo(9, at, params=dataclasses.replace(self.params, b=2)).draws)
         self.assert_same_state(expected, self.solo(9, 100 - at, state=other_batch))
         assert self.solo(9, 1, state=other_batch).draws.rows[0][0].shape == (self.obj.m, self.params.b)
+
+
+class TestReplicaDrawRows:
+    """The draw rows come from the replica's raw PCG64 outputs, bitwise ``default_rng((seed, k))``:
+    ``gt_page`` its ``integers(0, n, (m, b))`` then ``random()``, ``adom_vr`` its ``random(m b + m)``.
+    Seeds of one and two entropy words; blocks of 7 steps, so the last one is cut at ``2**32``."""
+
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+    STARTS = [0, 100, 2**32 - 1]
+
+    @staticmethod
+    def block(seed, k):
+        steps, streams = network._block_streams(seed, k, 7)
+        assert steps.start == k - k % 7 and steps.stop == min(steps.start + 7, 2**32)
+        return steps, streams
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", STARTS)
+    @pytest.mark.parametrize("n, m, b", [
+        (10, 10, 7),  # README-sized; 70 words, an even count
+        (5, 3, 3),  # an odd word count: the coin is the output after the one whose high half is unread
+        (3 * 2**30, 5, 5),  # the Lemire threshold 2**30 rejects a quarter of the words
+        (3 * 2**30, 10, 7),  # ... so the first chunk of outputs runs short and the loop draws more
+        (2**31 + 1, 2, 3),  # the threshold 2**31 - 1 rejects about half
+        (2**32, 3, 3),  # the full 32-bit range: every word is an index
+        (1, 4, 2),  # one component: numpy reads no word, the coin is the first output
+    ])
+    def test_page_rows(self, seed, k, n, m, b):
+        steps, streams = self.block(seed, k)
+        rows = optimizers._page_rows((seed, n, (m, b)), None, streams)
+        assert len(rows) == len(steps)
+        for j, (idx, coin) in zip(steps, rows):
+            rng = np.random.default_rng((seed, j))
+            expected = rng.integers(0, n, size=(m, b))
+            assert idx.dtype == expected.dtype and np.array_equal(idx, expected), j
+            assert coin == rng.random(), j
+
+    def test_page_rows_reject_more_than_two_to_the_32_components(self):
+        with pytest.raises(ValueError, match=r"integers are drawn from n in \[1, 2\*\*32\], got n=4294967297"):
+            optimizers._page_rows((0, 2**32 + 1, (2, 2)), None, self.block(0, 0)[1])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", STARTS)
+    def test_adom_rows(self, seed, k):
+        m, n, b = 4, 6, 3
+        params = dataclasses.replace(adom_vr_params(1.0, 2.0, 2.0, 3.0, n, b), p1=0.2, p2=0.3)
+        probs = np.random.default_rng(1).dirichlet(np.ones(n), size=m)
+        cum_probs = np.cumsum(probs, axis=1)
+        steps, streams = self.block(seed, k)
+        rows = optimizers._adom_rows((seed, params), cum_probs, streams)
+        assert len(rows) == len(steps)
+        for j, (idx, to_f, to_g, moved, moves) in zip(steps, rows):
+            u = np.random.default_rng((seed, j)).random(m * b + m)
+            batch_u, omega_u = u[: m * b].reshape(m, b), u[m * b :, None]
+            expected = np.minimum((batch_u[..., None] >= cum_probs[:, None, :]).sum(axis=-1), n - 1)
+            assert np.array_equal(idx, expected), j
+            assert np.array_equal(to_f, omega_u < 0.2) and np.array_equal(to_g, (omega_u >= 0.2) & (omega_u < 0.5)), j
+            assert moved.tolist() == np.flatnonzero(omega_u < 0.5).tolist() and moves == (to_f.sum(), to_g.sum())
+
+
+def test_optimizers_draw_nothing_through_numpy_random():
+    """Every optimizer draw comes from the replica: the module names no ``np.random``."""
+    tree = ast.parse(Path(optimizers.__file__).read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name)]
+    imports = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if "random" in alias.name or "random" in (getattr(node, "module", None) or "")]
+    assert uses == [] and imports == []
 
 
 @pytest.mark.parametrize(
