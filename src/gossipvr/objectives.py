@@ -305,7 +305,8 @@ class ShardObjective(FiniteSumObjective):
     (0 on padding).  Gradient queries multiply node by node, one margin product
     over all of a node's rows and points and then one product per block or one
     contraction over the node's n R rows, so each row of a node-batched answer
-    is bitwise its one-node call; the averages run on the stored rows in place.
+    is bitwise its one-node call; value queries take their margins the same
+    way.  The averages run on the stored rows in place.
     """
 
     def __init__(
@@ -367,15 +368,23 @@ class ShardObjective(FiniteSumObjective):
         c *= wt[..., None, :]
         r = rows[1].shape[1]
         g = c.reshape(*c.shape[:-1], -1, r).swapaxes(-2, -3) @ a.reshape(*a.shape[:-2], -1, r, self.d)
-        return g + self.reg * X[..., None, :, :] if self.reg else g
+        if self.reg:
+            g += self.reg * X[..., None, :, :]
+        return g
 
-    def _values(self, a, y, wt, x):
-        """Component values: a (..., R, d), y and wt (..., R), x broadcast to (..., d)."""
-        v = np.sum(self.loss((a @ x[..., None])[..., 0], y) * wt, axis=-1)
-        return v + 0.5 * self.reg * np.sum(x * x, axis=-1) if self.reg else v
+    def _values(self, X, at):
+        """Component values (..., n) at points X (..., d), one per node: the nodes ``at`` (k,) for X
+        (k, d), or if ``at`` is None all m nodes, X (..., m or 1, d) broadcast to them.  The margins are
+        one product per node and point over its n R stored rows, as the gradients' are."""
+        a, y, wt = self._node_rows[0], self._labels, self._weights
+        if at is not None:
+            a, y, wt = a.take(at, axis=0), y.take(at, axis=0), wt.take(at, axis=0)
+        t = X[..., None, :] @ a.swapaxes(-1, -2)
+        v = np.sum(self.loss(t.reshape(*t.shape[:-2], self.n, -1), y) * wt, axis=-1)
+        return v + 0.5 * self.reg * np.sum(X * X, axis=-1)[..., None] if self.reg else v
 
     def batch_component_values(self, nodes, X):
-        return self._values(self._features[nodes], self._labels[nodes], self._weights[nodes], X[:, None, :])
+        return self._values(X, nodes)
 
     def batch_sampled_gradients(self, nodes, idx, X):
         return self._gradients(self._block_rows, nodes[:, None] * self.n + idx, X[:, None])[:, :, 0]
@@ -394,8 +403,7 @@ class ShardObjective(FiniteSumObjective):
     # The points are broadcast by the products over every stored row, (K, m, ...) answers for a
     # stack, (m, ...) for one point: no node gather, and bitwise the base class's answers.
     def average_value(self, w):
-        points = np.asarray(w, dtype=float)[..., None, None, :]
-        values = self._values(self._features, self._labels, self._weights, points).mean(axis=-1).mean(axis=-1)
+        values = self._values(np.asarray(w, dtype=float)[..., None, :], None).mean(axis=-1).mean(axis=-1)
         return float(values) if values.ndim == 0 else values
 
     def average_gradient(self, w):
@@ -408,10 +416,15 @@ def _logistic_loss(t, y):
 
 
 def _logistic_dloss(t, y):
-    neg_y = -y
-    d = _sigmoid(neg_y * t)
-    d *= neg_y  # in place, or a new scalar for a scalar
-    return d
+    """``-y / (1 + exp(min(y t, 700)))`` in six passes, a numpy scalar for scalar arguments.  The cap
+    keeps ``exp`` finite; past it the derivative is below 1e-304 in magnitude, where the two-branch
+    ``-y sigmoid(-y t)`` rounds to 0."""
+    d = np.asarray(y * t)  # 0-d for scalars, so that the passes run in place
+    np.minimum(d, 700.0, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    np.divide(np.negative(y), d, out=d)
+    return d[()]
 
 
 def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:

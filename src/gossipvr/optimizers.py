@@ -249,35 +249,38 @@ RECORD_BLOCK = 16  # trace records whose objective metrics run() evaluates toget
 class _Draws:
     """The draws of iterations ``start .. start + len(rows) - 1``: ``rows[r]`` is what iteration
     ``start + r`` drew from ``default_rng((seed, start + r))``, ``seed`` the first entry of ``key``,
-    for a method's ``key`` and ``basis``."""
+    for a method's ``key`` and the arrays of its ``basis``."""
 
     key: tuple
-    basis: object
+    basis: tuple
     start: int
     rows: list[tuple]
 
 
-def _draw_row(carried: _Draws | None, k: int, key: tuple, basis, make_rows) -> tuple[_Draws, tuple]:
-    """Iteration ``k``'s block and row: ``carried`` when it was built for an equal ``key`` and this
-    very ``basis`` and holds ``k``, else the aligned block of ``DRAW_BLOCK`` iterations holding
+def _draw_row(carried: _Draws | None, k: int, key: tuple, basis: tuple, make_rows) -> tuple[_Draws, tuple]:
+    """Iteration ``k``'s block and row: ``carried`` when it was built for an equal ``key`` and these
+    very ``basis`` arrays and holds ``k``, else the aligned block of ``DRAW_BLOCK`` iterations holding
     ``k``, whose rows ``make_rows(key, basis, streams)`` draws from the PCG64 streams the replica
     seeds for it (``network._block_streams``), one per iteration, in order."""
     holds = carried is not None and carried.start <= k < carried.start + len(carried.rows)
-    if not (holds and carried.key == key and carried.basis is basis):
+    if not (holds and carried.key == key and all(a is b for a, b in zip(carried.basis, basis))):
         steps, streams = _block_streams(key[0], k, DRAW_BLOCK)
         carried = _Draws(key=key, basis=basis, start=steps.start, rows=make_rows(key, basis, streams))
     return carried, carried.rows[k - carried.start]
 
 
-def _adom_rows(key: tuple, cum_probs: np.ndarray, streams) -> list[tuple]:
-    """Per iteration, ``(idx, to_f, to_g, moved, moves)``: the ``(m, b)`` batch indices, the ``(m, 1)``
-    omega moves to x_f and to x_g, the nodes whose omega moves and the counts of both moves.
+def _adom_rows(key: tuple, basis: tuple, streams) -> list[tuple]:
+    """Per iteration, for ``basis = (cum_probs, weights)``, ``(idx, flat, row_weights, to_f, to_g,
+    moved, moves)``: the ``(m, b)`` batch indices, their flat indices ``i n + idx`` into the ``m n``
+    component rows and their importance weights ``weights[i, idx]``, the ``(m, 1)`` omega moves to
+    x_f and to x_g, the nodes whose omega moves and the counts of both moves.
 
     Iteration ``k`` reads ``random((m, b))`` for the batch, then ``random(m)`` for the omega coins,
-    i.e. its first ``m b + m`` doubles; the inverse-CDF and coin passes run on the whole block.
+    i.e. its first ``m b + m`` doubles; the inverse-CDF, gather and coin passes run on the whole
+    block, the moved nodes from one ``nonzero`` over its coin mask.
     """
-    (_, params), (m, n) = key, cum_probs.shape
-    b = params.b
+    (_, params), (cum_probs, weights) = key, basis
+    (m, n), b = cum_probs.shape, params.b
     u, _ = _next_doubles(streams, m * b + m)
     batch_u, omega_u = u[:, : m * b].reshape(-1, m, b), u[:, m * b :, None]
     # Inverse-CDF sampling: the index is the count of running sums <= u.
@@ -285,11 +288,15 @@ def _adom_rows(key: tuple, cum_probs: np.ndarray, streams) -> list[tuple]:
     for i in range(m):
         idx[:, i] = np.searchsorted(cum_probs[i], batch_u[:, i], side="right")
     np.minimum(idx, n - 1, out=idx)
+    flat = idx + np.arange(0, m * n, n)[:, None]
     to_f = omega_u < params.p1
     to_g = ~to_f & (omega_u < params.p1 + params.p2)
-    moved = [np.flatnonzero(row) for row in (to_f | to_g)[..., 0]]
+    moving = (to_f | to_g)[..., 0]
+    nodes = np.nonzero(moving)[1]  # row-major: each iteration's moved nodes in turn, ascending
+    ends = np.cumsum(np.count_nonzero(moving, axis=1)).tolist()
+    moved = [nodes[start:end] for start, end in zip([0, *ends], ends)]
     moves = zip(to_f.sum(axis=(1, 2)).tolist(), to_g.sum(axis=(1, 2)).tolist())
-    return list(zip(idx, to_f, to_g, moved, moves))
+    return list(zip(idx, flat, weights.take(flat), to_f, to_g, moved, moves))
 
 
 # The rows of AdomVrState.blocks: x, y and z, the checked ones, first; omega, the one row
@@ -323,7 +330,7 @@ class AdomVrState:
     omega_to_x_f: int = 0  # node omega moves so far, by the p1 coin
     omega_to_x_g: int = 0  # and by the p2 coin
     # The last block of draws built: a pure function of the seed, the block start,
-    # the method's params and cum_probs, all checked before it is read, so a state
+    # the method's params, cum_probs and weights, all checked before it is read, so a state
     # resumes exactly with or without it, under any method.
     draws: _Draws | None = None
 
@@ -345,18 +352,21 @@ def _start_point(obj: FiniteSumObjective, x0: np.ndarray | None) -> np.ndarray:
     return x
 
 
-def _batch_estimator(obj, nodes, x_g, idx, weights, omega_grads, grad_omega):
+def _batch_estimator(obj, nodes, x_g, idx, flat, row_weights, omega_grads, grad_omega):
     """Importance-weighted difference estimator of several nodes at once.
 
     Row r, for node ``i = nodes[r]`` and its batch ``idx[r]``, is
     ``(1/b) sum_j [grad f_ij(x_g) - grad f_ij(omega)] / (n p_ij)`` plus the
     cached node gradient at omega; unbiased for the node gradient at ``x_g``.
-    ``x_g`` (k, d), ``idx`` (k, b), ``weights`` (k, n) (the ``1/(n p_ij)``),
-    ``omega_grads`` (k, n, d) and ``grad_omega`` (k, d) hold the rows of those nodes.
+    ``x_g`` (k, d), ``idx`` (k, b), ``omega_grads`` (k, n, d) and ``grad_omega``
+    (k, d) hold the rows of those nodes; ``flat = r n + idx`` and ``row_weights``
+    (k, b), the ``1/(n p_ij)`` of the batch, come with the draws (:func:`_adom_rows`),
+    so the cached gradients are gathered by one flat ``take``.
     """
-    rows = np.arange(len(nodes))[:, None]
     fresh = obj.batch_sampled_gradients(nodes, idx, x_g)
-    diff = (fresh - omega_grads[rows, idx]) * weights[rows, idx][..., None]
+    diff = omega_grads.reshape(-1, omega_grads.shape[-1]).take(flat, axis=0)
+    np.subtract(fresh, diff, out=diff)
+    diff *= row_weights[..., None]
     return diff.sum(axis=1) / diff.shape[1] + grad_omega
 
 
@@ -413,11 +423,12 @@ class AdomVr:
         blocks, the estimate and the mixed pair to the new blocks."""
         p, (to_mid, to_new) = self.params, self._maps
         k, blocks = state.k, state.blocks
-        draws, (idx, to_f, to_g, moved, (f_moves, g_moves)) = _draw_row(state.draws, k, (seed, p), state.cum_probs, _adom_rows)
+        draws, row = _draw_row(state.draws, k, (seed, p), (state.cum_probs, state.weights), _adom_rows)
+        idx, flat, row_weights, to_f, to_g, moved, (f_moves, g_moves) = row
         size, m, d = blocks.shape
 
         x_g, yz = to_mid.dot(blocks.reshape(size, -1)).reshape(2, m, d)
-        est = _batch_estimator(obj, np.arange(m), x_g, idx, state.weights, state.omega_grads, state.grad_omega)
+        est = _batch_estimator(obj, np.arange(m), x_g, idx, flat, row_weights, state.omega_grads, state.grad_omega)
         mixed = seq.gossip(state.comms).matrix.dot(np.concatenate((yz, state.momentum), axis=1))
         terms = np.concatenate((blocks, est[None], mixed.reshape(m, 2, d).swapaxes(0, 1)))
         new = np.empty_like(blocks)
@@ -449,7 +460,7 @@ class AdomVr:
 # ---------------------------------------------------------------------------
 
 
-def _page_rows(key: tuple, basis: None, streams) -> list[tuple]:
+def _page_rows(key: tuple, basis: tuple, streams) -> list[tuple]:
     """Per iteration, for ``key = (seed, n, (m, b))``, ``(idx, coin)``: numpy's own
     ``integers(0, n, (m, b))`` for the batch, then ``random()`` for the shared restart coin."""
     _, n, (m, b) = key
@@ -499,7 +510,7 @@ class GtPage:
         in the mixed block.  One coin, shared by every node, switches all of them to a full gradient."""
         params = self.params
         (m, d), k = state.y.shape, state.k
-        draws, (idx, coin) = _draw_row(state.draws, k, (seed, obj.n, (m, params.b)), None, _page_rows)
+        draws, (idx, coin) = _draw_row(state.draws, k, (seed, obj.n, (m, params.b)), (), _page_rows)
 
         xv = consensus_residual(seq, state.comms, params.stages, state.xv, 1.0 - params.rho)
         x_new, v_new = xv[:, :d], xv[:, d:]

@@ -136,7 +136,7 @@ def test_03_estimator_unbiasedness():
         mean = np.zeros(obj.d)
         for j in range(obj.n):  # enumerate all b=1 batches
             (est,) = _batch_estimator(
-                obj, np.array([i]), x_g[None], np.array([[j]]), weights[i][None], cache[None], grad_omega[None]
+                obj, np.array([i]), x_g[None], np.array([[j]]), np.array([[j]]), weights[i, [[j]]], cache[None], grad_omega[None]
             )
             mean += probs[i, j] * est
         worst = max(worst, float(np.max(np.abs(mean - obj.local_gradient(i, x_g)))))

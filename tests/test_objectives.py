@@ -191,8 +191,37 @@ def plain_nlls_dloss(t, y):
 
 
 def plain_logistic_dloss(t, y):
+    return -y / (1.0 + np.exp(np.minimum(y * t, 700.0)))
+
+
+def two_branch_logistic_dloss(t, y):
+    """The logistic derivative as ``-y sigmoid(-y t)``, through the two-branch sigmoid."""
     neg_y = -y
     return neg_y * plain_sigmoid(neg_y * t)
+
+
+def test_logistic_dloss_stays_within_4_ulp_of_the_two_branch_form():
+    """The capped one-branch kernel against ``-y sigmoid(-y t)``: at most 4 ulp apart where |t| <= 700,
+    NaN exactly where it is NaN, and below 1e-300 in magnitude where it rounds to 0."""
+    rng = np.random.default_rng(40)
+    t = np.concatenate([rng.uniform(-700.0, 700.0, 200_000), 40.0 * rng.standard_normal(200_000),
+                        rng.uniform(-1e-3, 1e-3, 50_000), [700.0, -700.0, 699.99, 0.0, -0.0, 5e-324, -5e-324]])
+    y = rng.choice([-1.0, 1.0], t.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = _logistic_dloss(t, y), two_branch_logistic_dloss(t, y)
+    assert np.all(want != 0.0)
+    assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 4.0
+    special = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan, 1e4, -1e4])
+    for y in (1.0, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _logistic_dloss(special, y), two_branch_logistic_dloss(special, y)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        zero = want == 0.0
+        assert zero.sum() == 3 and np.all(np.abs(got[zero]) < 1e-300)
+        kept = ~zero & ~np.isnan(want)
+        assert np.array_equal(got[kept], want[kept])
 
 
 @pytest.mark.parametrize("kernel, plain, labels", [

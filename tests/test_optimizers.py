@@ -144,7 +144,7 @@ class TestImportanceSampling:
             mean = np.zeros(obj.d)
             for j in range(obj.n):
                 (est,) = _batch_estimator(
-                    obj, np.array([i]), x_g[None], np.array([[j]]), weights[i][None], cache[None], grad_omega[None]
+                    obj, np.array([i]), x_g[None], np.array([[j]]), np.array([[j]]), weights[i, [[j]]], cache[None], grad_omega[None]
                 )
                 mean += probs[i, j] * est
             assert np.max(np.abs(mean - obj.local_gradient(i, x_g))) < 1e-12
@@ -164,10 +164,24 @@ class TestImportanceSampling:
         for j1 in range(obj.n):
             for j2 in range(obj.n):
                 (est,) = _batch_estimator(
-                    obj, np.array([0]), x_g[None], np.array([[j1, j2]]), weights[0][None], cache[None], grad_omega[None]
+                    obj, np.array([0]), x_g[None], np.array([[j1, j2]]), np.array([[j1, j2]]), weights[0, [[j1, j2]]],
+                    cache[None], grad_omega[None],
                 )
                 mean += probs[0, j1] * probs[0, j2] * est
         assert np.max(np.abs(mean - obj.local_gradient(0, x_g))) < 1e-12
+
+    def test_estimator_equals_the_gathered_formula_bit_for_bit(self):
+        """The flat ``take`` and the drawn row weights give ``(fresh - omega_grads[rows, idx]) *
+        weights[rows, idx]`` summed over the batch, with repeated indices and nodes out of order."""
+        rng = np.random.default_rng(40)
+        obj = logistic_objective(make_shards(rng, m=4, n=6, d=5), 0.1)
+        nodes, idx = np.array([2, 0, 3, 2]), np.array([[1, 1, 4, 1], [0, 5, 0, 0], [3, 3, 3, 3], [5, 4, 5, 2]])
+        x_g, grad_omega = rng.normal(size=(2, len(nodes), obj.d))
+        omega_grads, weights = rng.normal(size=(len(nodes), obj.n, obj.d)), rng.uniform(0.5, 2.0, (len(nodes), obj.n))
+        rows = np.arange(len(nodes))[:, None]
+        got = _batch_estimator(obj, nodes, x_g, idx, rows * obj.n + idx, weights[rows, idx], omega_grads, grad_omega)
+        diff = (obj.batch_sampled_gradients(nodes, idx, x_g) - omega_grads[rows, idx]) * weights[rows, idx][..., None]
+        assert got.tobytes() == (diff.sum(axis=1) / idx.shape[1] + grad_omega).tobytes()
 
 
 class TestAdomVrStep:
@@ -388,7 +402,7 @@ class TestAdomVrDraws:
         state = method.init(self.obj)
         for k in range(300):
             state = method.step(state, self.obj, self.seq, seed)
-            got_idx, to_f, to_g, moved, moves = state.draws.rows[k - state.draws.start]
+            got_idx, _, _, to_f, to_g, moved, moves = state.draws.rows[k - state.draws.start]
             idx, take_f, take_g = reference_adom_draws(method.params, self.obj, seed, k)
             assert got_idx.tobytes() == idx.astype(np.intp).tobytes()
             assert to_f[:, 0].tolist() == take_f.tolist()
@@ -447,6 +461,18 @@ class TestAdomVrDraws:
         assert_same_adom_state(expected, other.step(state, self.obj, self.seq, 9))
         assert other.step(state, self.obj, self.seq, 9).draws.rows[0][0].shape[-1] == self.obj.n
 
+    def test_block_of_other_weights_is_replaced(self):
+        # Same seed, params and cum_probs, but other importance weights: the carried block's row
+        # weights were gathered from the old ones, so the step redraws it.
+        state = self.solo(9, 10)
+        state = dataclasses.replace(state, weights=state.weights * 2.0)
+        fresh = self.solo(9, 20, state=dataclasses.replace(state, draws=None))
+        carried = self.solo(9, 20, state=state)
+        assert_same_adom_state(fresh, carried)
+        assert carried.draws is not state.draws and carried.draws.basis[1] is state.weights
+        for old, new in zip(state.draws.rows[10:30], carried.draws.rows[10:30]):
+            assert old[0].tobytes() == new[0].tobytes() and new[2].tobytes() == (2.0 * old[2]).tobytes()
+
     def test_block_of_another_sampling_is_replaced(self):
         # Same seed and params, but uniform sampling: the carried block's batches were drawn from
         # the importance distribution, so a step that read them would take other components.
@@ -471,13 +497,14 @@ class TestAdomVrDraws:
     def test_state_counts_the_omega_moves_of_its_draws(self):
         method, iters = self.method[self.b_small], 150
         trace = run(method, self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=9)
-        cum_probs = np.cumsum(importance_probabilities(self.obj.info.L_ij), axis=1)
+        probs = importance_probabilities(self.obj.info.L_ij)
+        cum_probs, weights = np.cumsum(probs, axis=1), 1.0 / (self.obj.n * probs)
         blocks = [
-            optimizers._draw_row(None, k, (9, method.params), cum_probs, optimizers._adom_rows)[0]
+            optimizers._draw_row(None, k, (9, method.params), (cum_probs, weights), optimizers._adom_rows)[0]
             for k in range(0, iters, optimizers.DRAW_BLOCK)
         ]
         rows = [row for block in blocks for row in block.rows][:iters]
-        to_f, to_g = (sum(int(row[i].sum()) for row in rows) for i in (1, 2))
+        to_f, to_g = (sum(int(row[i].sum()) for row in rows) for i in (3, 4))
         assert to_f > 0 and to_g > 0
         assert trace.metadata["counters"] == {"omega_to_x_f": to_f, "omega_to_x_g": to_g}
 
@@ -660,7 +687,7 @@ class TestGtPageDraws:
     def test_block_matches_default_rng(self, seed):
         m, n, b = self.obj.m, self.obj.n, self.params.b
         for k in [*range(130), 2**32 - 1]:
-            _, (idx, coin) = optimizers._draw_row(None, k, (seed, n, (m, b)), None, optimizers._page_rows)
+            _, (idx, coin) = optimizers._draw_row(None, k, (seed, n, (m, b)), (), optimizers._page_rows)
             rng = np.random.default_rng((seed, k))
             assert np.array_equal(idx, rng.integers(0, n, size=(m, b))), k
             assert coin == rng.random(1)[0], k
@@ -700,7 +727,7 @@ class TestGtPageDraws:
         (m, n), iters = (self.obj.m, self.obj.n), 150
         trace = run(GtPage(self.params), self.obj, self.seq, RunBudgets(max_iterations=iters), metric_every=50, seed=11)
         key = (11, n, (m, self.params.b))
-        blocks = [optimizers._draw_row(None, k, key, None, optimizers._page_rows)[0] for k in range(0, iters, optimizers.DRAW_BLOCK)]
+        blocks = [optimizers._draw_row(None, k, key, (), optimizers._page_rows)[0] for k in range(0, iters, optimizers.DRAW_BLOCK)]
         coins = np.array([row[1] for block in blocks for row in block.rows])[:iters]
         restarts = int(np.count_nonzero(coins < self.params.p))
         assert 0 < restarts < coins.size
@@ -745,7 +772,7 @@ class TestReplicaDrawRows:
     ])
     def test_page_rows(self, seed, k, n, m, b):
         steps, streams = self.block(seed, k)
-        rows = optimizers._page_rows((seed, n, (m, b)), None, streams)
+        rows = optimizers._page_rows((seed, n, (m, b)), (), streams)
         assert len(rows) == len(steps)
         for j, (idx, coin) in zip(steps, rows):
             rng = np.random.default_rng((seed, j))
@@ -755,25 +782,44 @@ class TestReplicaDrawRows:
 
     def test_page_rows_reject_more_than_two_to_the_32_components(self):
         with pytest.raises(ValueError, match=r"integers are drawn from n in \[1, 2\*\*32\], got n=4294967297"):
-            optimizers._page_rows((0, 2**32 + 1, (2, 2)), None, self.block(0, 0)[1])
+            optimizers._page_rows((0, 2**32 + 1, (2, 2)), (), self.block(0, 0)[1])
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", STARTS)
-    def test_adom_rows(self, seed, k):
-        m, n, b = 4, 6, 3
-        params = dataclasses.replace(adom_vr_params(1.0, 2.0, 2.0, 3.0, n, b), p1=0.2, p2=0.3)
-        probs = np.random.default_rng(1).dirichlet(np.ones(n), size=m)
-        cum_probs = np.cumsum(probs, axis=1)
+    @pytest.mark.parametrize("p1, p2, sizes", [(0.2, 0.3, {0, 1, 2, 3, 4}), (1e-300, 1e-300, {0}), (0.6, 0.4, {4})],
+                             ids=["some", "none", "all"])
+    def test_adom_rows(self, seed, k, p1, p2, sizes):
+        """Every row field against ``default_rng((seed, k))``; the coins move some, none or all of the nodes."""
         steps, streams = self.block(seed, k)
-        rows = optimizers._adom_rows((seed, params), cum_probs, streams)
+        assert self.check_adom_rows(seed, steps, streams, p1, p2) <= sizes
+
+    def test_adom_rows_in_one_block_move_no_node_and_every_node(self):
+        """A 64-iteration block whose moved lists, cut from one ``nonzero``, include empty and full rows."""
+        steps, streams = network._block_streams(3, 0, 64)
+        assert {0, 4} < self.check_adom_rows(3, steps, streams, 0.2, 0.3)
+
+    @staticmethod
+    def check_adom_rows(seed, steps, streams, p1, p2):
+        """Checks ``_adom_rows`` of the block ``steps`` row by row; returns the moved-list sizes seen."""
+        m, n, b = 4, 6, 3
+        params = dataclasses.replace(adom_vr_params(1.0, 2.0, 2.0, 3.0, n, b), p1=p1, p2=p2)
+        probs = np.random.default_rng(1).dirichlet(np.ones(n), size=m)
+        cum_probs, weights = np.cumsum(probs, axis=1), 1.0 / (n * probs)
+        rows = optimizers._adom_rows((seed, params), (cum_probs, weights), streams)
         assert len(rows) == len(steps)
-        for j, (idx, to_f, to_g, moved, moves) in zip(steps, rows):
+        counts = set()
+        for j, (idx, flat, row_weights, to_f, to_g, moved, moves) in zip(steps, rows):
             u = np.random.default_rng((seed, j)).random(m * b + m)
             batch_u, omega_u = u[: m * b].reshape(m, b), u[m * b :, None]
             expected = np.minimum((batch_u[..., None] >= cum_probs[:, None, :]).sum(axis=-1), n - 1)
             assert np.array_equal(idx, expected), j
-            assert np.array_equal(to_f, omega_u < 0.2) and np.array_equal(to_g, (omega_u >= 0.2) & (omega_u < 0.5)), j
-            assert moved.tolist() == np.flatnonzero(omega_u < 0.5).tolist() and moves == (to_f.sum(), to_g.sum())
+            assert np.array_equal(flat, np.arange(m)[:, None] * n + expected), j
+            assert row_weights.tobytes() == weights[np.arange(m)[:, None], expected].tobytes(), j
+            assert np.array_equal(to_f, omega_u < p1) and np.array_equal(to_g, (omega_u >= p1) & (omega_u < p1 + p2)), j
+            assert moved.dtype == np.intp and moved.tolist() == np.flatnonzero(omega_u < p1 + p2).tolist(), j
+            assert moves == (to_f.sum(), to_g.sum()), j
+            counts.add(moved.size)
+        return counts
 
 
 def test_optimizers_draw_nothing_through_numpy_random():
