@@ -308,6 +308,10 @@ _METHODS = {
 METHODS, OBJECTIVES, TOPOLOGIES = tuple(_METHODS), tuple(_OBJECTIVES), tuple(_TOPOLOGIES)
 
 
+# The fewest nodes a topology or objective serves where it needs more than the 2 of every gossip graph.
+_LEAST_M = {"two-star-hop": 4, "rotating-star": 3, "chain": 3, "zero_chain": 3}
+
+
 def _build_sequence(cfg: ExperimentConfig) -> GraphSequence:
     return _TOPOLOGIES[cfg.topology][1](cfg)
 
@@ -355,12 +359,14 @@ class ExperimentConfig:
                 raise ValueError(f"objective {self.objective!r} needs --dataset")
             if not Path(self.dataset).exists():
                 raise ValueError(f"dataset file not found: {self.dataset}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
+        kinds = ("objective",) if self.objective == "zero_chain" else ("objective", "topology")  # it brings its own star
+        least, kind = max((_LEAST_M.get(getattr(self, kind), 2), kind) for kind in kinds)
+        if self.m < least:
+            raise ValueError(f"m must be >= {least} for {kind} {getattr(self, kind)!r}, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # A budget_comms, budget_oracle or b of 0 keeps its default: no limit, or the schedule's batch.
-        for name, least in (("budget_iters", 1), ("metric_every", 1), ("chi_trials", 1),
+        for name, least in (("n", 1), ("budget_iters", 1), ("metric_every", 1), ("chi_trials", 1),
                             ("budget_comms", 0), ("budget_oracle", 0), ("b", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")

@@ -59,7 +59,7 @@ DUMP_STEPS = 1000
 MAX_RETRIES = 1000  # disconnected random-geometric draws per step before a run gives up
 BLOCK = 64  # random-geometric steps built per stacked pass
 SEED_BLOCKS = 16  # blocks whose streams one replica pass seeds
-PIPE_BLOCKS = 4  # built blocks the builder child's pipe holds ahead of the walk
+PIPE_BLOCKS = 4  # blocks the builder child builds per pass and its pipe holds ahead of the walk; divides SEED_BLOCKS
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,9 @@ def _spectral(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigs = np.linalg.eigvalsh(lap)
     fiedler, top = eigs[:, 1], eigs[:, -1]
     connected = fiedler > _KERNEL_CUTOFF * top
-    return connected, lap[connected] / top[connected, None, None], top[connected] / fiedler[connected]
+    w = lap[connected]
+    w /= top[connected, None, None]
+    return connected, w, top[connected] / fiedler[connected]
 
 
 def gossip_from_laplacian(g: WeightedGraph) -> GossipMatrix:
@@ -437,25 +439,30 @@ def _block_fields(buf: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
     """The one form of a built block: views of its uint8 buffer ``buf``, which the build fills, the
     builder's pipe carries and the cache keeps.  Per offset in the block of ``size`` steps: the ``(size,
     m, m)`` gossip matrices, exact ``chi`` values, resample counts and connected flags; a step still
-    disconnected after ``MAX_RETRIES`` draws has a zero matrix and ``chi`` and ``MAX_RETRIES`` resamples."""
-    size = len(buf) // _block_bytes(1, m)
+    disconnected after ``MAX_RETRIES`` draws has a zero matrix and ``chi`` and ``MAX_RETRIES`` resamples.
+    A ``(count, bytes)`` stack of such buffers gives the same views with a leading ``count`` axis."""
+    size = buf.shape[-1] // _block_bytes(1, m)
     a, b = size * m * m * 8, size * 8
     return (
-        buf[:a].view(np.float64).reshape(size, m, m),
-        buf[a : a + b].view(np.float64),
-        buf[a + b : a + 2 * b].view(np.int64),
-        buf[a + 2 * b :].view(bool),
+        buf[..., :a].view(np.float64).reshape(*buf.shape[:-1], size, m, m),
+        buf[..., a : a + b].view(np.float64),
+        buf[..., a + b : a + 2 * b].view(np.int64),
+        buf[..., a + 2 * b :].view(bool),
     )
 
 
 def _write_blocks(seq: RandomGeometricSequence, start: int, fd: int) -> None:
-    """The builder child's loop: build the blocks from ``start`` on, in order, and write each
-    to ``fd``.  Returns when the steps run out at ``2**32``; raises when the pipe breaks."""
+    """The builder child's loop: build the blocks from ``start`` on, in order, ``PIPE_BLOCKS`` aligned
+    blocks per pass after those up to the first such span, which lies in one seeding chunk as
+    ``PIPE_BLOCKS`` divides ``SEED_BLOCKS``, and write each block to ``fd``.  Returns when the steps
+    run out at ``2**32``; raises when the pipe breaks."""
     while start < _STEP_LIMIT:
-        view = memoryview(seq._build_block(start))
-        while view:
-            view = view[os.write(fd, view) :]
-        start += BLOCK
+        count = PIPE_BLOCKS - start // BLOCK % PIPE_BLOCKS
+        for buf in seq._build_block(start, count):
+            view = memoryview(buf)
+            while view:
+                view = view[os.write(fd, view) :]
+        start += count * BLOCK
 
 
 def _stop_child(pid: int, fd: int) -> None:
@@ -607,11 +614,11 @@ class RandomGeometricSequence(GraphSequence):
         one the child writes next, else built in-process.
 
         A miss right after a cached block, a forward walk, forks the child first, once per
-        sequence, when :func:`_builder_can_run` allows it: the child runs ``_build_block`` on the
-        blocks after this one, in order, and writes each buffer to a pipe deepened to hold
-        ``PIPE_BLOCKS`` blocks (:meth:`_fork_builder`), which bounds how far ahead it runs.  Every
-        other miss builds in-process, and so does every miss once the child has died or fallen
-        silent (:meth:`_read_piped`)."""
+        sequence, when :func:`_builder_can_run` allows it: the child builds the blocks after this
+        one, in order and ``PIPE_BLOCKS`` per pass (:func:`_write_blocks`), and writes each buffer to
+        a pipe deepened to hold ``PIPE_BLOCKS`` blocks (:meth:`_fork_builder`), which bounds how far
+        ahead it runs.  Every other miss builds its one block in-process, and so does every miss once
+        the child has died or fallen silent (:meth:`_read_piped`)."""
         start = k - k % BLOCK
         if start == self._piped:
             block = self._read_piped(start)
@@ -619,7 +626,7 @@ class RandomGeometricSequence(GraphSequence):
                 return block
         elif self._may_fork and start - BLOCK in self._blocks and _builder_can_run():
             self._fork_builder(start + BLOCK)
-        return self._build_block(k)
+        return self._build_block(k)[0]
 
     def _fork_builder(self, start: int) -> None:
         """Fork the builder child on the blocks from ``start`` on, and pin it to the CPUs this walk
@@ -674,41 +681,44 @@ class RandomGeometricSequence(GraphSequence):
         self.builder_blocks += 1
         return buf
 
-    def _build_block(self, k: int) -> np.ndarray:
-        """The buffer of the aligned block of ``BLOCK`` steps holding ``k``, in the layout of
-        :func:`_block_fields`; each stacked pass fills the steps it connects and redraws the rest.
-        A vectorized replica of ``default_rng``, pinned to it bitwise by a test, seeds the streams
-        of ``SEED_BLOCKS`` aligned blocks per pass."""
+    def _build_block(self, k: int, count: int = 1) -> np.ndarray:
+        """The buffers (:func:`_block_fields`) of the ``count`` aligned blocks of ``BLOCK`` steps from
+        the one holding ``k``, in one seeding chunk, as the rows of a ``(count, bytes)`` uint8 stack.
+        Each stacked pass over their steps fills the steps it connects and redraws the rest, so each
+        row is bitwise its block built alone.  A vectorized replica of ``default_rng``, pinned to it
+        bitwise by a test, seeds the streams of ``SEED_BLOCKS`` aligned blocks per pass."""
         m, r2 = self.m, self.radius * self.radius
         if k not in self._chunk[0]:
             self._chunk = _block_streams(self.seed, k, SEED_BLOCKS * BLOCK)
         chunk, streams = self._chunk
         lo = k - k % BLOCK - chunk.start
-        streams = tuple(s[lo : lo + BLOCK] for s in streams)
-        size = len(streams[0])
+        streams = tuple(s[lo : lo + count * BLOCK] for s in streams)
+        size = len(streams[0]) // count  # BLOCK, or less for a lone block cut at 2**32
         diag = np.arange(m)
-        buf = np.zeros(_block_bytes(size, m), dtype=np.uint8)
+        buf = np.zeros((count, _block_bytes(size, m)), dtype=np.uint8)
         w_out, chi_out, resamples, connected_out = _block_fields(buf, m)
         resamples[:] = MAX_RETRIES
-        pending = np.arange(size)  # the offsets not yet connected
+        pending = np.arange(count * size)  # the steps not yet connected, counted from the first block's start
         for draw in range(MAX_RETRIES):
             # Draw d of step k reads outputs [2m d, 2m (d + 1)) of its stream.
             u, streams = _next_doubles(streams, 2 * m)
             dx, dy = (c[:, :, None] - c[:, None, :] for c in u.reshape(-1, m, 2).transpose(2, 0, 1))
-            adj = dx * dx + dy * dy <= r2
+            dx *= dx  # squared distances in place: a pass over 4 blocks makes (256, m, m) temporaries
+            dy *= dy
+            dx += dy
+            adj = dx <= r2
             adj[:, diag, diag] = False
             deg = adj.sum(axis=2)
             # A draw with an isolated node is disconnected: skip its eigensolve.
             no_isolated = deg.all(axis=1)
-            # diag(deg) - adj, subtracted from zeros: a negated adjacency would put -0.0
-            # off the diagonal and move eigvalsh in the last ulp.
-            lap = np.zeros((int(no_isolated.sum()), m, m))
+            # diag(deg) - adj as 0.0 - adj with the degrees on the diagonal: a negated adjacency would
+            # put -0.0 off the edges and move eigvalsh in the last ulp.
+            lap = np.subtract(0.0, adj[no_isolated], dtype=float)
             lap[:, diag, diag] = deg[no_isolated]
-            lap -= adj[no_isolated]
             spectral, w, chi = _spectral(lap)
             connected = no_isolated.copy()
             connected[no_isolated] = spectral
-            done = pending[connected]
+            done = np.divmod(pending[connected], size)  # (block, offset)
             w_out[done], chi_out[done], resamples[done], connected_out[done] = w, chi, draw, True
             pending = pending[~connected]
             if not pending.size:
@@ -803,6 +813,14 @@ def measure_chi(seq: GraphSequence, trials: int) -> float:
 _WINDOW_SLACK = 1e-9
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    """``np.eye(m)``, cached read-only for the windows: half the cost of ``eye(10) - W`` is the ``eye``."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.ndarray, contraction: float) -> np.ndarray:
     """``prod_q (I - W(q)) x`` over the window of ``stages`` consecutive graphs, ``q``
     running chronologically from ``start_step``: what multi-stage consensus leaves of ``x``.
@@ -824,7 +842,7 @@ def consensus_residual(seq: GraphSequence, start_step: int, stages: int, x: np.n
     same order at both widths: OpenBLAS 0.3.31 on AVX-512 does for ``m < 16`` (the tests
     pin ``m = 10``), not from ``m = 16`` on, where the blocks can differ in the last bit."""
     matrices, chi = seq.window(start_step, stages)
-    steps = np.eye(matrices.shape[1]) - matrices
+    steps = _identity(matrices.shape[1]) - matrices
     _certify_window(seq, start_step, steps, chi, contraction)
     for step in steps:
         x = step.dot(x)
@@ -841,7 +859,7 @@ def _certify_window(seq: GraphSequence, start: int, steps: np.ndarray, chi: np.n
     if bound <= limit:
         return
     m = steps.shape[1]
-    product = np.eye(m) - 1.0 / m  # the zero-mean projector, which every I - W(q) keeps zero-mean
+    product = _identity(m) - 1.0 / m  # the zero-mean projector, which every I - W(q) keeps zero-mean
     for step in steps:
         product = step.dot(product)
     norm = math.sqrt(max(float(np.linalg.eigvalsh(product.T.dot(product))[-1]), 0.0))

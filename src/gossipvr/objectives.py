@@ -282,16 +282,6 @@ class CallableFiniteSum(FiniteSumObjective):
         return self.batch_component_gradients(nodes, X).mean(axis=1)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    """``sigmoid(t)`` in a new array that the caller may overwrite, a numpy scalar for a scalar ``t``."""
-    e = np.abs(t, out=np.empty(np.shape(t)))  # 0-d for a scalar t, so that the passes run in place
-    np.exp(np.negative(e, out=e), out=e)  # e = exp(-|t|) <= 1, so neither branch overflows
-    s = np.greater_equal(t, 0.0, out=np.empty_like(e))
-    np.maximum(s, e, out=s)  # where(t >= 0, 1, e), exactly, as 0 <= e <= 1
-    s /= np.add(e, 1.0, out=e)
-    return s[()]
-
-
 class ShardObjective(FiniteSumObjective):
     """Mean per-row loss of the margin ``t = <a, w>`` over per-node data shards.
 
@@ -436,16 +426,30 @@ def _logistic_smoothness(obj: ShardObjective) -> SmoothnessInfo:
     return _finalize_constants(l_ij, caps, obj.reg, obj.n)
 
 
+def _nlls_sigmoid(t) -> tuple[np.ndarray, np.ndarray]:
+    """``z = exp(min(-t, 700))`` and ``sig = 1 / (1 + z)`` as new arrays, 0-d for a scalar ``t``, that the
+    caller may overwrite.  The cap keeps ``z`` finite; past it ``sig`` is below 1e-304."""
+    z = np.negative(t, out=np.empty(np.shape(t)))
+    np.minimum(z, 700.0, out=z)
+    np.exp(z, out=z)
+    sig = np.add(z, 1.0, out=np.empty_like(z))
+    np.divide(1.0, sig, out=sig)
+    return z, sig
+
+
 def _nlls_loss(t, y):
-    return (y - _sigmoid(t)) ** 2
+    return (y - _nlls_sigmoid(t)[1]) ** 2
 
 
 def _nlls_dloss(t, y):
-    sig = np.asarray(_sigmoid(t))  # an array for a 0-d t too, so that 1 - sig can overwrite it
-    d = sig - y  # times 2, sig and 1 - sig, in place: 2 (sig - y) sig (1 - sig) bit for bit
+    """``2 (sig - y) z sig^2``, where ``z sig^2 = sig (1 - sig)`` without the cancellation of ``1 - sig``
+    above t of about 37: ten in-place passes, a numpy scalar for scalar arguments."""
+    z, sig = _nlls_sigmoid(t)
+    d = sig - y  # times 2, z, sig and sig, in place: bit for bit the left-to-right product
     d *= 2.0
+    d *= z
     d *= sig
-    d *= np.subtract(1.0, sig, out=sig)
+    d *= sig
     return d
 
 

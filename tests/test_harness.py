@@ -640,6 +640,7 @@ class TestRunExperiment:
             "chi_consumed_max", "chi_schedule", "steps_over_certificate",
             "window_bound_max", "window_norm_max", "windows_checked_exactly",
         ]
+        assert (meta["parameters"]["b"], meta["parameters"]["stages"], meta["ledger"]["exact"]) == (9, 11, True)
 
     @pytest.mark.parametrize("iters", [30, 1100])
     def test_chi_trials_at_the_dump_builds_each_served_step_once(self, tmp_path, fixture_path, iters):
@@ -974,6 +975,25 @@ class TestCli:
         cfg = ExperimentConfig(method="gt_page", objective="nlls", dataset=str(DATA), budget_iters=800)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             harness.run_experiment(cfg.replace(**{field: value}))
+
+    # Each row: a run, the fewest nodes it serves and what needs them; the zero chain's own star counts,
+    # not the topology it ignores.
+    @pytest.mark.parametrize("run, least, needs", [
+        (dict(method="gt_page", objective="nlls", dataset=str(DATA)), 2, "topology 'random-geometric'"),
+        (dict(method="adom_vr", objective="logistic", dataset=str(DATA), topology="static-ring"), 2, "topology 'static-ring'"),
+        (dict(method="adom_vr", objective="logistic", dataset=str(DATA), topology="two-star-hop"), 4, "topology 'two-star-hop'"),
+        (dict(method="gt_baseline", objective="chain", topology="rotating-star"), 3, "topology 'rotating-star'"),
+        (dict(method="adom_vr", objective="chain"), 3, "objective 'chain'"),
+        (dict(method="gt_baseline", objective="zero_chain", n=4), 3, "objective 'zero_chain'"),
+    ])
+    def test_too_few_nodes_rejected_at_validate(self, monkeypatch, run, least, needs):
+        monkeypatch.setattr(harness, "parse_libsvm", lambda path: pytest.fail("parsed the dataset"))
+        monkeypatch.setattr(harness, "_build_sequence", lambda cfg: pytest.fail("built the topology"))
+        cfg = ExperimentConfig(**run)
+        for m in (least - 1, 1, 0, -3):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'm must be >= {least} for {needs}, got {m}')}$"):
+                harness.run_experiment(cfg.replace(m=m))
+        cfg.replace(m=least).validate()
 
     def test_batch_above_n_rejected_only_where_read(self):
         ExperimentConfig(method="adom_vr", objective="chain", topology="two-star-hop", b=4, n=4).validate()

@@ -1,4 +1,6 @@
+import contextlib
 import fcntl
+import hashlib
 import io
 import math
 import os
@@ -52,9 +54,9 @@ def count_builds(monkeypatch):
     in_process(monkeypatch)
     builds, build = [], RandomGeometricSequence._build_block
 
-    def counted(seq, k):
+    def counted(seq, k, count=1):
         builds.append(k - k % network.BLOCK)
-        return build(seq, k)
+        return build(seq, k, count)
 
     monkeypatch.setattr(RandomGeometricSequence, "_build_block", counted)
     return builds
@@ -944,6 +946,59 @@ class TestSerialization:
         assert out.getvalue() == dump_through_graph(seq, steps)
 
 
+# (m, radius, seed): the README gt_page stream, a radius with many redraws, two earlier cases.
+@pytest.mark.parametrize("m, radius, seed", [(10, 0.7, 104729), (10, 0.4, 3), (10, 0.4, 11), (10, 0.35, 2), (50, 0.3, 7)])
+def test_multi_block_builds_match_one_block_builds(m, radius, seed):
+    """Each row of a multi-block build is bitwise its block built alone: aligned spans from the first
+    block, from mid-span to the next aligned one, ending at a seeding-chunk boundary and past one."""
+    b, chunk = network.BLOCK, network.SEED_BLOCKS
+    resamples = 0
+    for first, count in ((0, 4), (2, 2), (chunk - 4, 4), (chunk + 1, 3)):
+        rows = RandomGeometricSequence(m, radius, seed)._build_block(first * b + 5, count)
+        assert rows.shape == (count, network._block_bytes(b, m))
+        for i, row in enumerate(rows):
+            (alone,) = RandomGeometricSequence(m, radius, seed)._build_block((first + i) * b)
+            assert row.tobytes() == alone.tobytes(), (first, i)
+        resamples += int(network._block_fields(rows, m)[2].sum())
+    assert resamples > (1_000 if radius == 0.4 else -1)  # at 0.4, more redraws than the 832 steps
+
+
+class SpanRecorder:
+    """A stand-in sequence for :func:`network._write_blocks`: records each ``_build_block(start, count)``
+    and returns ``count`` one-byte rows holding the span's number; its sixth call raises ``EOFError``."""
+
+    def __init__(self):
+        self.spans = []
+
+    def _build_block(self, k, count=1):
+        if len(self.spans) == 5:
+            raise EOFError
+        self.spans.append((k, count))
+        return np.full((count, 1), len(self.spans), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("first", [2, 4, 5, 2**26 - 7])
+def test_builder_child_builds_aligned_spans_in_one_chunk(first):
+    """The child's loop builds the blocks up to the next multiple of ``PIPE_BLOCKS``, then whole aligned
+    spans, each inside one seeding chunk, writes them block by block, and returns at ``2**32``."""
+    b, span = network.BLOCK, network.PIPE_BLOCKS
+    seq, (read, write) = SpanRecorder(), os.pipe()
+    try:
+        with contextlib.suppress(EOFError):
+            network._write_blocks(seq, first * b, write)
+        written = os.read(read, 64)
+    finally:
+        os.close(read)
+        os.close(write)
+    (start, count), *rest = seq.spans
+    assert (start, count) == (first * b, span - first % span)
+    assert all(k % (span * b) == 0 and c == span for k, c in rest)
+    assert all(k // b % network.SEED_BLOCKS + c <= network.SEED_BLOCKS for k, c in seq.spans)
+    assert written == bytes(i + 1 for i, (_, c) in enumerate(seq.spans) for _ in range(c))
+    last, c = seq.spans[-1]
+    assert len(seq.spans) == 5 or last + c * b == network._STEP_LIMIT == (first + 7) * b
+
+
 def walk(seq, steps):
     """Serve ``steps`` in order: each step's (matrix bytes, chi) or its error message, then the counters."""
     served = []
@@ -1045,6 +1100,24 @@ class TestBuilderChild:
         walked, reference, seq, (blocks, reference_blocks) = self.walk_both_ways(monkeypatch, 10, 0.7, 0, steps)
         assert walked == reference and blocks == reference_blocks
         assert seq.builder_blocks == 4 and not seq.builder_pinned
+
+    # The README runs' .graphs dumps: the adom_vr (config seed 4) and gt_page (seed 0) streams, whose
+    # sequence seed is the config seed + 104729, their blocks 2..15 piped, and the zero chain's rotating
+    # star over its 72 rounds.
+    @pytest.mark.parametrize("make, steps, piped, md5", [
+        (lambda: RandomGeometricSequence(10, 0.7, seed=4 + 104729), 1000, 14, "4dcced32390f7267747cff177d6b51d7"),
+        (lambda: RandomGeometricSequence(10, 0.7, seed=104729), 1000, 14, "55c734cc027670f4e17079e2db6749e5"),
+        (lambda: RotatingStarSequence(9), 72, None, "213815524ccb903fb91ddafd7ea4656d"),
+    ], ids=["adom_vr", "gt_page", "zero_chain"])
+    def test_readme_graph_dumps_keep_their_md5(self, make, steps, piped, md5):
+        """A forward walk over the dumped steps, then the dump."""
+        seq, sink = make(), io.StringIO()
+        for k in range(steps):
+            seq.gossip(k)
+        dump_sequence(seq, steps, sink)
+        seq.close()
+        assert hashlib.md5(sink.getvalue().encode()).hexdigest() == md5
+        assert getattr(seq, "builder_blocks", None) == piped
 
     def test_pipe_holds_several_blocks(self):
         requested = network.PIPE_BLOCKS * network._block_bytes(network.BLOCK, 10)

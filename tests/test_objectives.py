@@ -18,7 +18,7 @@ from gossipvr.objectives import (
     logistic_objective,
     _logistic_dloss,
     _nlls_dloss,
-    _sigmoid,
+    _nlls_loss,
     nlls_objective,
 )
 
@@ -152,42 +152,44 @@ class TestNlls:
             nlls_objective(shards, probe_pairs=pairs)
 
 
-# The sigmoid as a plain expression: the in-place kernel must equal it bit for bit.
+# The two-branch sigmoid as a plain expression, the reference of the logistic derivative.
 def plain_sigmoid(t):
     e = np.exp(-np.abs(t))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def test_sigmoid_matches_two_branch_formula_at_extreme_margins():
-    def two_branch(t):
-        out = np.empty_like(t)
-        pos = t >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        et = np.exp(t[~pos])
-        out[~pos] = et / (1.0 + et)
-        return out
-
-    rng = np.random.default_rng(0)
-    extremes = np.array([1e4, -1e4, 800.0, -800.0, 745.0, -745.0, 40.0, -40.0, 0.0, -0.0, 1e-300, -1e-300,
-                         5e-324, -5e-324, 2e-310, -2e-310, np.inf, -np.inf, np.nan, -np.nan])
-    t = np.concatenate([extremes, 50.0 * rng.standard_normal(9_980)]).reshape(4, -1, 2)
-    before = t.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _sigmoid(t)
-    assert got.shape == t.shape
-    assert np.array_equal(got, two_branch(t), equal_nan=True)
-    assert got.tobytes() == plain_sigmoid(t).tobytes()
-    assert t.tobytes() == before.tobytes()
-    # A 0-d array or a numpy scalar gives a numpy scalar, as the plain expression does.
-    for t in (np.array(3.0), np.array(-np.inf), np.array(np.nan), np.float64(-2.5), np.float64(5e-324)):
-        got = _sigmoid(t)
-        assert type(got) is np.float64 and got.tobytes() == plain_sigmoid(t).tobytes()
+def plain_nlls_loss(t, y):
+    return (y - 1.0 / (1.0 + np.exp(np.minimum(-t, 700.0)))) ** 2
 
 
 def plain_nlls_dloss(t, y):
-    sig = plain_sigmoid(t)
-    return 2.0 * (sig - y) * sig * (1.0 - sig)
+    z = np.exp(np.minimum(-t, 700.0))
+    sig = 1.0 / (1.0 + z)
+    return 2.0 * (sig - y) * z * sig * sig
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double here")
+def test_nlls_dloss_matches_the_long_double_closed_form():
+    """Against ``2 (sig - y) sig (1 - sig)`` in long double, ``sig (1 - sig) = e / (1 + e)^2`` with
+    ``e = exp(-|t|)``, for |t| up to 700: within 8 ulp of it at label -1, where ``sig - y`` cannot
+    cancel, also above t = 37, where ``1 - sig`` rounds to 0 in double; at labels 1 and in [0, 1]
+    its error stays within 8 ulp of the terms' magnitude ``2 (sig + |y|) sig (1 - sig)``."""
+    rng = np.random.default_rng(41)
+    t = np.concatenate([rng.uniform(-700.0, 700.0, 100_000), rng.uniform(37.0, 700.0, 50_000),
+                        20.0 * rng.standard_normal(100_000), [700.0, -700.0, 37.0, 38.0, 0.0, -0.0, 5e-324]])
+    tl = t.astype(np.longdouble)
+    e = np.exp(-np.abs(tl))
+    curvature = e / (1 + e) ** 2  # sig (1 - sig)
+    sig = np.where(tl >= 0, 1, e) / (1 + e)
+    for y in (-1.0, 1.0, rng.uniform(0.0, 1.0, t.shape)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _nlls_dloss(t, y)
+        want = 2 * (sig - y) * curvature
+        scale = (2 * (sig + np.abs(y)) * curvature).astype(float)
+        assert np.all(np.abs(got - want).astype(float) <= 8.0 * np.spacing(scale))
+        if np.ndim(y) == 0 and y == -1.0:
+            assert np.all(np.abs(got - want).astype(float) <= 8.0 * np.spacing(np.abs(want).astype(float)))
 
 
 def plain_logistic_dloss(t, y):
@@ -227,9 +229,11 @@ def test_logistic_dloss_stays_within_4_ulp_of_the_two_branch_form():
 @pytest.mark.parametrize("kernel, plain, labels", [
     (_nlls_dloss, plain_nlls_dloss, lambda rng, shape: rng.uniform(0, 1, shape)),
     (_logistic_dloss, plain_logistic_dloss, lambda rng, shape: rng.choice([-1.0, 1.0], shape)),
+    (_nlls_loss, plain_nlls_loss, lambda rng, shape: rng.uniform(0, 1, shape)),
 ])
 def test_loss_derivatives_equal_their_plain_expressions_bit_for_bit(kernel, plain, labels):
-    """NaN, infinities, subnormals, 0-d arrays and numpy scalars included; the margins are left as they are."""
+    """The derivatives, and the NLLS loss that shares their in-place sigmoid: NaN, infinities, subnormals,
+    0-d arrays and numpy scalars included; the margins are left as they are."""
     rng = np.random.default_rng(1)
     special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2e-310, -2e-310, 800.0, -800.0]
     t = np.concatenate([special, 30.0 * rng.standard_normal(488)]).reshape(25, 20)
